@@ -33,7 +33,14 @@ from .poly import (
     szego_product,
     to_integer_order,
 )
-from .roots import branch_set_stable, find_roots, classify, fujiwara_bound
+from .roots import (
+    RootSet,
+    branch_root_sets,
+    classify,
+    combined_verdict,
+    find_roots,
+    fujiwara_bound,
+)
 from .thresholds import auto_onset, pstar_exact, pstar_grid
 from .criteria import theorem3_check
 
@@ -62,22 +69,20 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(report.dumps(payload))
 
 
-def _verdict_payload(f: MonicPolynomial) -> tuple[dict, object]:
-    rs = find_roots(f)
+def _verdict_payload(rs: RootSet) -> dict:
     status = classify(rs.max_modulus)
-    payload = {
+    return {
         "status": status.value,
         "stable": status.value == "Stable",
         "max_modulus": rs.max_modulus,
         "margin": rs.max_modulus - 1.0,
         "roots": [[z.real, z.imag] for z in rs.roots],
     }
-    return payload, status
 
 
 def cmd_analyze(args) -> int:
     f, alpha = _load_poly(args.poly)
-    payload, _ = _verdict_payload(f)
+    payload = _verdict_payload(find_roots(f))
     fuj = satisfies_stability_condition(f)
     nec = necessary_condition(f)
     criteria = [fuj.to_json(), nec.to_json()]
@@ -103,7 +108,7 @@ def cmd_power(args) -> int:
     p = RationalExponent.parse(args.p)
     branch_count = p.den ** len(f.support)
     principal = principal_power(f, p.value)
-    principal_payload, _ = _verdict_payload(principal)
+    principal_payload = _verdict_payload(find_roots(principal))
     out = {
         "exponent": str(p),
         "branch_count": branch_count,
@@ -111,13 +116,12 @@ def cmd_power(args) -> int:
     }
     if args.all_branches:
         bset = hadamard_power(f, p)
-        combined = branch_set_stable(bset)
-        members = []
-        for idx, member in zip(bset.branch_index, bset.members):
-            payload, _ = _verdict_payload(member)
-            members.append({"branch": list(idx), **payload})
-        out["combined"] = combined.to_json()
-        out["branches"] = members
+        root_sets = branch_root_sets(bset)
+        out["combined"] = combined_verdict(root_sets).to_json()
+        out["branches"] = [
+            {"branch": list(idx), **_verdict_payload(rs)}
+            for idx, rs in zip(bset.branch_index, root_sets)
+        ]
     _emit(out)
     return 0
 
@@ -126,7 +130,7 @@ def cmd_product(args) -> int:
     f, _ = _load_poly(args.f)
     g, _ = _load_poly(args.g)
     prod = szego_product(f, g) if args.szego else hadamard_product(f, g)
-    payload, _ = _verdict_payload(prod)
+    payload = _verdict_payload(find_roots(prod))
     out = {
         "szego": bool(args.szego),
         "product": prod.to_json(),

@@ -21,7 +21,8 @@ class UnsupportedInputError(InvalidInputError):
 
 
 class UnsupportedDegreeError(InvalidInputError):
-    """Degree too large for the determinant-based boundary test."""
+    """Degree too large for a dense solve: the root finder's n x n arrays, or
+    the guardian map's compound matrix."""
 
 
 class NotApplicableError(HadstabError):
@@ -44,11 +45,15 @@ class NumericalError(HadstabError, ArithmeticError):
 
 
 class UnconvergedError(NumericalError):
-    """Root iteration failed to certify; carries the partial result."""
+    """Root iteration failed to certify; carries the partial result.
 
-    def __init__(self, message: str, partial=None):
+    ``row`` is the position of the failing polynomial in a batched solve.
+    """
+
+    def __init__(self, message: str, partial=None, row: int | None = None):
         super().__init__(message)
         self.partial = partial
+        self.row = row
 
 
 class MarginalZoneError(NumericalError):

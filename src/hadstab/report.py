@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .poly import MonicPolynomial, principal_power
-from .roots import Status, find_roots, classify
+from .roots import Status, classify, find_roots_many
 from .thresholds import auto_onset, pstar_exact, pstar_grid
 
 SVG_NS = "http://www.w3.org/2000/svg"
@@ -55,10 +55,14 @@ class SweepRecord:
 
 
 def sweep(f: MonicPolynomial, powers: Sequence[float]) -> list[SweepRecord]:
-    """Evaluate the principal power branch at every requested power."""
+    """Evaluate the principal power branch at every requested power.
+
+    Every power of f has the degree of f, so all are solved as one batch.
+    """
+    ps = sorted(powers)
+    root_sets = find_roots_many(principal_power(f, p) for p in ps)
     records = []
-    for p in sorted(powers):
-        rs = find_roots(principal_power(f, p))
+    for p, rs in zip(ps, root_sets):
         m = rs.max_modulus
         records.append(
             SweepRecord(p, classify(m) is Status.STABLE, m, rs.roots)

@@ -1,31 +1,50 @@
 """Root finding and exact Schur stability decisions.
 
-Roots are found by Ehrlich-Aberth simultaneous iteration started on a circle
-sized from the a-priori root bounds, with companion-matrix eigenvalues as a
-fallback when the iteration stalls.  Every returned root set is certified by
-reconstructing the monic polynomial from the roots and comparing coefficients;
-per-root residuals are scaled backward errors, so clusters of near-multiple
-roots degrade per-root accuracy without breaking the certificate.
+Two root candidates are computed for every polynomial and scored against each
+other: Ehrlich-Aberth simultaneous iteration started on a circle sized from
+the a-priori root bounds, and companion-matrix eigenvalues refined by a few
+Newton steps.  The candidate that reconstructs the coefficients wins, and
+among equals the one with the smaller worst residual; the iteration wins ties.
+Every returned root set is certified by reconstructing the monic polynomial
+from the roots and comparing coefficients; per-root residuals are scaled
+backward errors, so clusters of near-multiple roots degrade per-root accuracy
+without breaking the certificate.
+
+Polynomials of one degree are solved as a batch (``find_roots_many``): the
+Aberth sweeps run on a ``(k, n)`` iterate in which each row leaves the loop
+once it settles, the eigenvalues come from one stacked ``(k, n, n)`` solve,
+and the residuals of all rows are computed together.  Every step is
+elementwise per row, so a row's result does not depend on the batch it was
+solved in; ``find_roots`` is a batch of one.  Rows are processed in chunks
+sized from the degree, which bounds the memory of the stacked arrays.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .criteria import SimplexWeights
-from .errors import InvalidInputError, UnconvergedError
+from .errors import InvalidInputError, UnconvergedError, UnsupportedDegreeError
 from .poly import BranchSet, MonicPolynomial
 
 # Verdicts within this band of the unit circle are Marginal: onset bisection
 # must be able to see the crossing instead of a premature classification.
 BOUNDARY_BAND = 1e-9
 
+# Largest degree the root finder accepts.  Both candidates hold n x n complex
+# arrays (16 n^2 bytes each) and the eigenvalue solve costs O(n^3).
+MAX_ROOT_DEGREE = 1024
+
 _MAX_SWEEPS = 200
 _RECONSTRUCTION_TOL = 1e-8
+# A chunk of rows holds at most this many n x n matrix entries (128 KiB of
+# complex values per stacked array), and always at least one row.
+_CHUNK_ELEMENTS = 1 << 13
 
 
 class Status(str, Enum):
@@ -80,16 +99,35 @@ def residual_tolerance(f: MonicPolynomial) -> float:
     return 1e-10 * (1.0 + max((abs(c) for c in f.coeffs), default=0.0))
 
 
-def _horner(coeffs_desc: np.ndarray, z: np.ndarray) -> np.ndarray:
-    acc = np.full_like(z, coeffs_desc[0])
-    for c in coeffs_desc[1:]:
-        acc = acc * z + c
+def companion_matrix(coeffs: np.ndarray) -> np.ndarray:
+    """Companion matrices of monic polynomials, stacked over leading axes.
+
+    ``coeffs[..., k]`` is a_k for k < n (the leading 1 is implicit); the
+    result has shape ``coeffs.shape + (n,)`` and the dtype of ``coeffs``.
+    """
+    n = coeffs.shape[-1]
+    K = np.zeros(coeffs.shape + (n,), dtype=coeffs.dtype)
+    K[..., 1:, :-1] = np.eye(n - 1)
+    K[..., :, -1] = -coeffs
+    return K
+
+
+def _horner(desc: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Row i of the (k, n+1) descending coefficients evaluated at z[i]."""
+    # A batch of one iterates over scalars: adding broadcast (k, 1) columns
+    # would make a single solve slower than it was before batching.
+    coeffs = desc[0] if len(desc) == 1 else desc.T[:, :, None]
+    acc = np.empty_like(z)
+    acc[...] = coeffs[0]
+    for c in coeffs[1:]:
+        acc *= z
+        acc += c
     return acc
 
 
-def _initial_radius(moduli: np.ndarray) -> float:
+def _initial_radius(moduli: list[float]) -> float:
     n = len(moduli)
-    cauchy = 1.0 + float(moduli.max())
+    cauchy = 1.0 + max(moduli)
     # Root bound with uniform weights 1/n; often much tighter than Cauchy.
     fuji = max(
         (n * m) ** (1.0 / (n - k)) for k, m in enumerate(moduli) if m > 0
@@ -97,51 +135,70 @@ def _initial_radius(moduli: np.ndarray) -> float:
     return min(cauchy, 2.0 * fuji)
 
 
-def _aberth(asc: np.ndarray) -> np.ndarray | None:
-    """Ehrlich-Aberth sweep; returns roots or None if it fails to settle."""
-    n = len(asc) - 1
+def _aberth(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ehrlich-Aberth sweeps on every row of ascending coefficients.
+
+    Returns the (k, n) iterates and a (k,) mask of the rows that settled;
+    a row stops iterating as soon as it settles.
+    """
+    k, n = asc.shape[0], asc.shape[1] - 1
     if n == 1:
-        return np.array([-asc[0]])
-    desc = asc[::-1]
-    deriv = desc[:-1] * np.arange(n, 0, -1)
-    radius = _initial_radius(np.abs(asc[:-1]))
+        return -asc[:, :1], np.ones(k, dtype=bool)
+    desc = asc[:, ::-1]
+    deriv = desc[:, :-1] * np.arange(n, 0, -1)
+    # Per row in Python floats (libm pow): np.power on arrays can differ
+    # from it in the last bit.
+    radius = np.array(
+        [_initial_radius(row) for row in np.abs(asc[:, :-1]).tolist()]
+    )
     # Angular offset breaks conjugate symmetry so real-coefficient inputs do
     # not lock the iteration onto the real axis.
     angles = 2.0 * np.pi * (np.arange(n) + 0.375) / n + 0.5 / n
-    z = 0.9 * radius * np.exp(1j * angles)
+    z = (0.9 * radius)[:, None] * np.exp(1j * angles)
+    out = np.empty((k, n), dtype=complex)
+    settled = np.zeros(k, dtype=bool)
+    rows = np.arange(k)  # original row of each row still iterating
+    diag = np.arange(n)
     for _ in range(_MAX_SWEEPS):
         pv = _horner(desc, z)
         dpv = _horner(deriv, z)
-        stalled = dpv == 0
-        if stalled.any():
-            z = z + np.where(stalled, 1e-8 * (1 + np.abs(z)), 0.0)
-            continue
-        w = pv / dpv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = (1.0 / diff).sum(axis=1)
+        if dpv.all():
+            moving = slice(None)  # a view instead of a copy
+        else:
+            # Rows with a vanishing derivative are nudged and skip this sweep.
+            zero = dpv == 0
+            stalled = zero.any(axis=1)
+            zs = z[stalled]
+            z[stalled] = zs + np.where(zero[stalled], 1e-8 * (1 + np.abs(zs)), 0.0)
+            moving = ~stalled
+        zk = z[moving]
+        w = pv[moving] / dpv[moving]
+        diff = zk[:, :, None] - zk[:, None, :]
+        diff[:, diag, diag] = np.inf
+        s = (1.0 / diff).sum(axis=2)
         denom = 1.0 - w * s
         denom = np.where(denom == 0, 1e-30, denom)
         delta = w / denom
-        z = z - delta
-        if np.max(np.abs(delta)) <= 1e-14 * (1.0 + np.max(np.abs(z))):
-            return z
-    return None
-
-
-def _companion_roots(asc: np.ndarray) -> np.ndarray:
-    n = len(asc) - 1
-    K = np.zeros((n, n), dtype=complex)
-    if n > 1:
-        K[1:, :-1] = np.eye(n - 1)
-    K[:, -1] = -asc[:-1]
-    return np.linalg.eigvals(K)
+        zk = zk - delta
+        z[moving] = zk
+        done = np.zeros(len(z), dtype=bool)
+        done[moving] = np.abs(delta).max(axis=1) <= 1e-14 * (
+            1.0 + np.abs(zk).max(axis=1)
+        )
+        if done.any():
+            out[rows[done]] = z[done]
+            settled[rows[done]] = True
+            keep = ~done
+            if not keep.any():
+                break
+            rows, z, desc, deriv = rows[keep], z[keep], desc[keep], deriv[keep]
+    return out, settled
 
 
 def _newton_polish(asc: np.ndarray, z: np.ndarray, steps: int = 3) -> np.ndarray:
-    desc = asc[::-1]
-    n = len(asc) - 1
-    deriv = desc[:-1] * np.arange(n, 0, -1)
+    desc = asc[:, ::-1]
+    n = asc.shape[1] - 1
+    deriv = desc[:, :-1] * np.arange(n, 0, -1)
     for _ in range(steps):
         dpv = _horner(deriv, z)
         safe = dpv != 0
@@ -152,13 +209,13 @@ def _newton_polish(asc: np.ndarray, z: np.ndarray, steps: int = 3) -> np.ndarray
     return z
 
 
-def _scaled_residuals(asc: np.ndarray, z: np.ndarray) -> np.ndarray:
-    desc = asc[::-1]
-    vals = np.abs(_horner(desc, z))
+def _scaled_residuals(asc: np.ndarray, moduli: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Per-root scaled backward errors; ``moduli`` holds |a_k| per row."""
+    vals = np.abs(_horner(asc[:, ::-1], z))
     scale = np.ones_like(vals)
     zp = np.ones_like(z)
-    for c in asc[:-1]:
-        scale = scale + abs(c) * np.abs(zp)
+    for m in moduli.T:
+        scale = scale + m[:, None] * np.abs(zp)
         zp = zp * z
     scale = scale + np.abs(zp)  # leading term
     return vals / scale
@@ -171,51 +228,113 @@ def _reconstructs(asc: np.ndarray, z: np.ndarray) -> bool:
     return bool(np.max(err) <= _RECONSTRUCTION_TOL)
 
 
+def _pick_iteration(
+    asc: np.ndarray, za: np.ndarray, zc: np.ndarray, max_a: float, max_c: float
+) -> tuple[bool, bool]:
+    """Whether the settled iteration's roots ``za`` beat the eigenvalue roots
+    ``zc``, and whether the winner reconstructs ``asc``.
+
+    A candidate scores (fails to reconstruct, max residual); the lower score
+    wins and the iteration wins ties.  The residual order decides which
+    reconstruction to check first, so usually only one is computed.
+    """
+    if max_c < max_a:
+        if _reconstructs(asc, zc):
+            return False, True
+        ok_a = _reconstructs(asc, za)
+        return ok_a, ok_a
+    if _reconstructs(asc, za):
+        return True, True
+    ok_c = _reconstructs(asc, zc)
+    return not ok_c, ok_c
+
+
+def _solve_chunk(polys: list[MonicPolynomial], offset: int) -> list[RootSet]:
+    """Root sets of one chunk; ``offset`` is the batch row of ``polys[0]``."""
+    n = polys[0].degree
+    # s^n has n roots at the origin and needs no iteration.
+    out = [RootSet((0j,) * n, (0.0,) * n, (True,) * n)] * len(polys)
+    live = [i for i, f in enumerate(polys) if f.support]
+    if not live:
+        return out
+    asc = np.array([polys[i].coeffs + (1.0 + 0j,) for i in live])
+    # Python's abs (libm hypot): np.abs on complex arrays can differ from it
+    # in the last bit, and the residual scale has always used it.
+    moduli = np.array([[abs(c) for c in polys[i].coeffs] for i in live])
+    za, settled = _aberth(asc)
+    zc = _newton_polish(asc, np.linalg.eigvals(companion_matrix(asc[:, :-1])))
+    res_c = _scaled_residuals(asc, moduli, zc)
+    res_a = np.zeros_like(res_c)
+    res_a[settled] = _scaled_residuals(asc[settled], moduli[settled], za[settled])
+    max_a, max_c = res_a.max(axis=1), res_c.max(axis=1)
+
+    for j, i in enumerate(live):
+        if settled[j]:
+            take_a, reconstructed = _pick_iteration(
+                asc[j], za[j], zc[j], max_a[j], max_c[j]
+            )
+        else:
+            take_a, reconstructed = False, _reconstructs(asc[j], zc[j])
+        z, res = (za[j], res_a[j]) if take_a else (zc[j], res_c[j])
+
+        order = np.argsort(np.abs(z), kind="stable")
+        z = z[order]
+        res = res[order]
+        converged = res <= residual_tolerance(polys[i])
+        rootset = RootSet(
+            tuple(z.tolist()), tuple(res.tolist()), tuple(converged.tolist())
+        )
+        if not reconstructed and not converged.all():
+            raise UnconvergedError(
+                f"root iteration failed to certify (max residual {res.max():.3e})",
+                partial=rootset,
+                row=offset + i,
+            )
+        out[i] = rootset
+    return out
+
+
+def _solve(polys: Iterable[MonicPolynomial]) -> Iterator[RootSet]:
+    """Root sets in input order, solving one chunk of rows at a time."""
+    it = iter(polys)
+    first = next(it, None)
+    if first is None:
+        return
+    n = first.degree
+    if n > MAX_ROOT_DEGREE:
+        raise UnsupportedDegreeError(
+            f"root finding needs degree <= {MAX_ROOT_DEGREE}, got {n}"
+        )
+    size = max(1, _CHUNK_ELEMENTS // (n * n))
+    chunk, offset = [first, *islice(it, size - 1)], 0
+    while chunk:
+        if any(f.degree != n for f in chunk):
+            raise InvalidInputError("find_roots_many needs polynomials of one degree")
+        yield from _solve_chunk(chunk, offset)
+        offset += len(chunk)
+        chunk = list(islice(it, size))
+
+
+def find_roots_many(polys: Iterable[MonicPolynomial]) -> list[RootSet]:
+    """Root sets of polynomials of one degree, each exactly as ``find_roots``
+    returns it, solved in batches.
+
+    Raises UnconvergedError for the first polynomial, in input order, whose
+    root set fails to certify; its ``row`` is that polynomial's position.
+    Degrees above MAX_ROOT_DEGREE raise UnsupportedDegreeError before any
+    array is allocated.
+    """
+    return list(_solve(polys))
+
+
 def find_roots(f: MonicPolynomial) -> RootSet:
     """All roots of f, nondecreasing in modulus, certified by reconstruction.
 
     Raises UnconvergedError (with the partial result attached) when neither
-    the simultaneous iteration nor the eigenvalue fallback produces a root set
-    that reproduces the coefficients.
+    the simultaneous iteration nor the eigenvalue candidate produces a root
+    set that reproduces the coefficients.
     """
-    n = f.degree
-    asc = np.array(list(f.coeffs) + [1.0 + 0j])
-    if not f.support:  # s^n: n roots at the origin, no iteration needed
-        zeros = (0j,) * n
-        return RootSet(zeros, (0.0,) * n, (True,) * n)
-
-    z = _aberth(asc)
-    candidates = []
-    if z is not None:
-        candidates.append(z)
-    fallback = _newton_polish(asc, _companion_roots(asc))
-    candidates.append(fallback)
-
-    tol = residual_tolerance(f)
-    best = None
-    for cand in candidates:
-        res = _scaled_residuals(asc, cand)
-        ok = _reconstructs(asc, cand)
-        score = (not ok, float(np.max(res)))
-        if best is None or score < best[0]:
-            best = (score, cand, res, ok)
-    _, z, res, reconstructed = best
-
-    order = np.argsort(np.abs(z), kind="stable")
-    z = z[order]
-    res = res[order]
-    converged = res <= tol
-    rootset = RootSet(
-        tuple(complex(v) for v in z),
-        tuple(float(r) for r in res),
-        tuple(bool(c) for c in converged),
-    )
-    if not reconstructed and not converged.all():
-        raise UnconvergedError(
-            f"root iteration failed to certify (max residual {res.max():.3e})",
-            partial=rootset,
-        )
-    return rootset
+    return find_roots_many([f])[0]
 
 
 def classify(max_modulus: float) -> Status:
@@ -232,8 +351,27 @@ def is_schur_stable(f: MonicPolynomial) -> StabilityVerdict:
     return StabilityVerdict(classify(m), m)
 
 
-def branch_set_stable(b: BranchSet) -> StabilityVerdict:
-    """Stability of a rational power means stability of every branch.
+def _branch_solves(b: BranchSet) -> Iterator[RootSet]:
+    """Root sets of b's members in order; a failure names its branch."""
+    try:
+        yield from _solve(b.members)
+    except UnconvergedError as exc:
+        i = exc.row
+        raise UnconvergedError(
+            f"branch {i} (index {b.branch_index[i]}): {exc}", partial=exc.partial
+        ) from exc
+
+
+def branch_root_sets(b: BranchSet) -> list[RootSet]:
+    """Root sets of every member of b, solved as one batch.
+
+    A member that fails to certify raises UnconvergedError naming the branch.
+    """
+    return list(_branch_solves(b))
+
+
+def combined_verdict(root_sets: Iterable[RootSet]) -> StabilityVerdict:
+    """Stability of a rational power from the root sets of all its branches.
 
     Stable iff every member is Stable, Unstable if any member is, Marginal
     otherwise; the reported modulus is the worst across members.
@@ -241,23 +379,28 @@ def branch_set_stable(b: BranchSet) -> StabilityVerdict:
     worst = 0.0
     any_unstable = False
     all_stable = True
-    for i, member in enumerate(b.members):
-        try:
-            verdict = is_schur_stable(member)
-        except UnconvergedError as exc:
-            raise UnconvergedError(
-                f"branch {i} (index {b.branch_index[i]}): {exc}", partial=exc.partial
-            ) from exc
-        worst = max(worst, verdict.max_modulus)
-        if verdict.status is Status.UNSTABLE:
+    for rs in root_sets:
+        m = rs.max_modulus
+        worst = max(worst, m)
+        status = classify(m)
+        if status is Status.UNSTABLE:
             any_unstable = True
-        if verdict.status is not Status.STABLE:
+        if status is not Status.STABLE:
             all_stable = False
     if any_unstable:
         return StabilityVerdict(Status.UNSTABLE, worst)
     if all_stable:
         return StabilityVerdict(Status.STABLE, worst)
     return StabilityVerdict(Status.MARGINAL, worst)
+
+
+def branch_set_stable(b: BranchSet) -> StabilityVerdict:
+    """Stability of a rational power means stability of every branch.
+
+    Members are solved in batches and folded into the verdict as they come,
+    so only one chunk of root sets is held at a time.
+    """
+    return combined_verdict(_branch_solves(b))
 
 
 def fujiwara_bound(f: MonicPolynomial, w: SimplexWeights) -> float:

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -33,8 +31,8 @@ from .errors import (
     NotApplicableError,
     UnsupportedDegreeError,
 )
-from .poly import MonicPolynomial, hadamard_power, principal_power, real_form
-from .roots import Status, is_schur_stable, branch_set_stable
+from .poly import MonicPolynomial, principal_power, real_form
+from .roots import Status, companion_matrix, is_schur_stable
 
 _MAX_BISECT = 200
 _EXPANSION_CAP = 2.0 ** 16
@@ -305,21 +303,6 @@ def _onset_statuses(direction: str) -> tuple[Status, Status]:
     )
 
 
-def _certify_branches(f: MonicPolynomial, p: float) -> None:
-    """If the located onset is (exactly) a small-denominator rational, check
-    that the verdict holds on every branch, not only the principal one."""
-    frac = Fraction(p).limit_denominator(6)
-    if float(frac) != p or frac.denominator == 1:
-        return
-    verdict = branch_set_stable(hadamard_power(f, frac))
-    if verdict.status is Status.UNSTABLE:
-        warnings.warn(
-            f"onset p = {frac}: principal branch is marginal but another "
-            "branch is unstable; branch root positions differ",
-            stacklevel=3,
-        )
-
-
 def exact_onset(
     f: MonicPolynomial,
     direction: str,
@@ -375,7 +358,6 @@ def exact_onset(
                 f"verdict stays within the boundary band around p = {mid}"
             )
     value = 0.5 * (lo + hi)
-    _certify_branches(f, value)
     return ThresholdResult(Kind.EXACT_ONSET, value, Method.BISECTION, (lo, hi))
 
 
@@ -420,15 +402,6 @@ def auto_onset(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRes
     return exact_onset(f, "decreasing", (stable_end, unstable_end), tol)
 
 
-def _companion(coeffs_asc: np.ndarray) -> np.ndarray:
-    n = len(coeffs_asc)
-    K = np.zeros((n, n))
-    if n > 1:
-        K[1:, :-1] = np.eye(n - 1)
-    K[:, -1] = -coeffs_asc
-    return K
-
-
 def _compound2(K: np.ndarray) -> np.ndarray:
     """Second multiplicative compound: all 2x2 minors; its eigenvalues are the
     pairwise products (i < j) of the eigenvalues of K."""
@@ -463,7 +436,7 @@ def guardian_map(f: MonicPolynomial, p: float) -> float:
             f"got {r.degree}"
         )
     asc = np.array([c.real for c in r.coeffs])
-    K = _companion(asc)
+    K = companion_matrix(asc)
     C = _compound2(K)
     det = float(np.linalg.det(C - np.eye(C.shape[0])))
     return float(r(1.0).real * r(-1.0).real * det)

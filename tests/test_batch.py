@@ -1,0 +1,302 @@
+"""Batched root finding: equality with per-polynomial solves, chunking,
+error attribution and the work it does."""
+
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from conftest import random_monic
+from hadstab import (
+    InvalidInputError,
+    MonicPolynomial,
+    RationalExponent,
+    UnconvergedError,
+    UnsupportedDegreeError,
+    branch_set_stable,
+    find_roots,
+    hadamard_power,
+    principal_power,
+    report,
+    roots,
+)
+from hadstab.roots import MAX_ROOT_DEGREE, find_roots_many
+
+F1 = report.EXPERIMENT_POLYS[1]["f"]
+
+
+def _bits(rs):
+    """A root set as raw bytes, so equality is bit for bit (signed zeros too)."""
+    return (
+        np.array(rs.roots, dtype=complex).tobytes(),
+        np.array(rs.residuals, dtype=float).tobytes(),
+        rs.converged,
+    )
+
+
+def _seed_horner(cs, z):
+    acc = np.full_like(z, cs[0])
+    for c in cs[1:]:
+        acc = acc * z + c
+    return acc
+
+
+def _seed_find_roots(f, horner=_seed_horner):
+    """The per-polynomial solver that the batched one replaced, kept as the
+    reference: Aberth and companion candidates, scored per polynomial.
+    Returns the sorted roots and residuals as raw bytes."""
+    n = f.degree
+    asc = np.array(list(f.coeffs) + [1.0 + 0j])
+    if not f.support:
+        return np.zeros(n, dtype=complex).tobytes(), np.zeros(n).tobytes()
+    desc = asc[::-1]
+    deriv = desc[:-1] * np.arange(n, 0, -1)
+
+    def aberth():
+        if n == 1:
+            return np.array([-asc[0]])
+        moduli = np.abs(asc[:-1])
+        fuji = max((n * m) ** (1.0 / (n - k)) for k, m in enumerate(moduli) if m > 0)
+        radius = min(1.0 + float(moduli.max()), 2.0 * fuji)
+        angles = 2.0 * np.pi * (np.arange(n) + 0.375) / n + 0.5 / n
+        z = 0.9 * radius * np.exp(1j * angles)
+        for _ in range(200):
+            pv, dpv = horner(desc, z), horner(deriv, z)
+            stalled = dpv == 0
+            if stalled.any():
+                z = z + np.where(stalled, 1e-8 * (1 + np.abs(z)), 0.0)
+                continue
+            w = pv / dpv
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, np.inf)
+            denom = 1.0 - w * (1.0 / diff).sum(axis=1)
+            delta = w / np.where(denom == 0, 1e-30, denom)
+            z = z - delta
+            if np.max(np.abs(delta)) <= 1e-14 * (1.0 + np.max(np.abs(z))):
+                return z
+        return None
+
+    def companion():
+        K = np.zeros((n, n), dtype=complex)
+        K[1:, :-1] = np.eye(n - 1)
+        K[:, -1] = -asc[:-1]
+        z = np.linalg.eigvals(K)
+        for _ in range(3):
+            dpv = horner(deriv, z)
+            safe = dpv != 0
+            step = np.where(safe, horner(desc, z) / np.where(safe, dpv, 1.0), 0.0)
+            z = z - np.where(np.abs(step) < 0.5 * (1 + np.abs(z)), step, 0.0)
+        return z
+
+    def residuals(z):
+        scale, zp = np.ones(n), np.ones_like(z)
+        for c in asc[:-1]:
+            scale = scale + abs(c) * np.abs(zp)
+            zp = zp * z
+        return np.abs(horner(desc, z)) / (scale + np.abs(zp))
+
+    def reconstructs(z):
+        err = np.abs(np.poly(z)[::-1] - asc) / np.maximum(1.0, np.abs(asc))
+        return bool(np.max(err) <= 1e-8)
+
+    best = None
+    for cand in [z for z in (aberth(), companion()) if z is not None]:
+        res = residuals(cand)
+        score = (not reconstructs(cand), float(np.max(res)))
+        if best is None or score < best[0]:
+            best = (score, cand, res)
+    _, z, res = best
+    order = np.argsort(np.abs(z), kind="stable")
+    return z[order].tobytes(), res[order].tobytes()
+
+
+def _known_roots(rng, n, radius):
+    zs = [
+        radius * rng.uniform(0.3, 1.0) * complex(math.cos(t), math.sin(t))
+        for t in (rng.uniform(0.0, 2.0 * math.pi) for _ in range(n))
+    ]
+    return MonicPolynomial(tuple(complex(c) for c in np.poly(np.array(zs))[::-1][:-1]))
+
+
+def _dyadic_clusters():
+    """(s - (1 - 2^-e))^k wherever every coefficient is exact in binary64."""
+    out = []
+    for e in range(2, 10):
+        for k in range(2, 9):
+            a = 1 - Fraction(1, 2**e)
+            exact = [math.comb(k, j) * (-a) ** (k - j) for j in range(k)]
+            if all(Fraction(float(c)) == c for c in exact):
+                out.append(MonicPolynomial(tuple(complex(float(c)) for c in exact)))
+    return out
+
+
+def _corpus():
+    """Same-degree groups covering every path through the batched solver."""
+    rng = random.Random(20240817)
+    groups = [[random_monic(rng, 1) for _ in range(12)]]
+    zero = MonicPolynomial((0j,) * 6)
+    mixed = [random_monic(rng, 6, density=0.6) for _ in range(10)]
+    groups.append([zero, *mixed[:4], zero, zero, *mixed[4:], zero])
+    for n in (3, 5, 8, 13, 20):
+        groups.append([random_monic(rng, n, real=n % 2 == 0) for _ in range(25)])
+    groups.append([_known_roots(rng, 100, r) for r in (0.9, 1.1, 0.95, 1.2)])
+    clusters = _dyadic_clusters()
+    for k in sorted({f.degree for f in clusters}):
+        groups.append([f for f in clusters if f.degree == k])
+    groups.append([principal_power(F1, p / 3) for p in range(-30, 60)])
+    return groups
+
+
+CORPUS = _corpus()
+
+
+class TestBatchEqualsSingle:
+    def test_corpus_covers_unsettled_rows_across_chunks(self):
+        big = next(g for g in CORPUS if g[0].degree == 100)
+        assert len(big) > roots._CHUNK_ELEMENTS // 100**2
+        asc = np.array([f.coeffs + (1.0 + 0j,) for f in big])
+        _, settled = roots._aberth(asc)
+        assert not settled.any()
+
+    def test_equals_seed_solver(self):
+        for group in CORPUS:
+            for rs, f in zip(find_roots_many(group), group):
+                assert _bits(rs)[:2] == _seed_find_roots(f)
+
+    def test_bit_identical_on_corpus(self):
+        for group in CORPUS:
+            batch = find_roots_many(group)
+            assert len(batch) == len(group)
+            for f, rs in zip(group, batch):
+                assert _bits(rs) == _bits(find_roots(f))
+
+    @pytest.mark.parametrize("elements", [1, 2 * 36, 7 * 36])
+    def test_chunk_boundaries_do_not_change_results(self, monkeypatch, elements):
+        rng = random.Random(5)
+        group = [random_monic(rng, 6) for _ in range(20)]
+        whole = [_bits(rs) for rs in find_roots_many(group)]
+        monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", elements)
+        assert [_bits(rs) for rs in find_roots_many(group)] == whole
+
+    def test_stalled_rows_match_seed_and_single_solves(self, monkeypatch):
+        stalls = []
+
+        def vanishing_derivative(horner):
+            # Zero derivative values (leading coefficient n, not 1) by a rule
+            # on the bits of z alone, so a row stalls on the same sweeps in
+            # any batch and in the seed solver.
+            def evaluate(desc, z):
+                out = horner(desc, z)
+                if np.all(desc[..., 0] != 1):
+                    hit = np.ascontiguousarray(z).view(np.uint64)[..., ::2] % 5 == 0
+                    stalls.append(int(hit.sum()))
+                    out = np.where(hit, 0, out)
+                return out
+
+            return evaluate
+
+        monkeypatch.setattr(roots, "_horner", vanishing_derivative(roots._horner))
+        seed_horner = vanishing_derivative(_seed_horner)
+        for group in CORPUS[1:4]:
+            batch = find_roots_many(group)
+            for f, rs in zip(group, batch):
+                assert _bits(rs) == _bits(find_roots(f))
+                assert _bits(rs)[:2] == _seed_find_roots(f, seed_horner)
+        assert sum(stalls) > 0
+
+    def test_accepts_a_lazy_stream(self):
+        group = CORPUS[2]
+        assert [_bits(rs) for rs in find_roots_many(iter(group))] == [
+            _bits(rs) for rs in find_roots_many(group)
+        ]
+
+
+class TestBatchContract:
+    def test_empty(self):
+        assert find_roots_many([]) == []
+
+    def test_mixed_degrees_rejected(self):
+        with pytest.raises(InvalidInputError):
+            find_roots_many([MonicPolynomial((0.5,)), MonicPolynomial((0.5, 0.1))])
+
+    def test_degree_cap_before_allocation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated an array above the degree cap")
+
+        f = MonicPolynomial((0.5,) + (0j,) * MAX_ROOT_DEGREE)
+        monkeypatch.setattr(roots.np, "zeros", refuse)
+        monkeypatch.setattr(roots.np, "array", refuse)
+        with pytest.raises(UnsupportedDegreeError, match=str(MAX_ROOT_DEGREE)):
+            find_roots(f)
+
+    def test_first_failing_row_is_reported(self, monkeypatch):
+        rng = random.Random(9)
+        group = [random_monic(rng, 4) for _ in range(9)]
+        bad = {id(group[5]), id(group[7])}
+        monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 2 * 16)
+        monkeypatch.setattr(roots, "_reconstructs", lambda asc, z: False)
+        monkeypatch.setattr(
+            roots, "residual_tolerance", lambda f: -1.0 if id(f) in bad else 1.0
+        )
+        with pytest.raises(UnconvergedError) as info:
+            find_roots_many(group)
+        assert info.value.row == 5
+        assert len(info.value.partial.roots) == 4
+
+
+class TestBranchSetChunks:
+    def test_later_chunk_failure_names_the_branch(self, monkeypatch):
+        f = MonicPolynomial((0.3, 0.2j, 0.0, -0.25))
+        bset = hadamard_power(f, RationalExponent(1, 2))
+        assert len(bset) == 8
+        target = 5  # third chunk of two rows
+        monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 2 * 16)
+        monkeypatch.setattr(roots, "_reconstructs", lambda asc, z: False)
+        monkeypatch.setattr(
+            roots,
+            "residual_tolerance",
+            lambda g: -1.0 if g is bset.members[target] else 1.0,
+        )
+        with pytest.raises(UnconvergedError) as info:
+            branch_set_stable(bset)
+        assert str(info.value).startswith(
+            f"branch {target} (index {bset.branch_index[target]}): "
+            "root iteration failed to certify"
+        )
+
+
+class TestWorkCounters:
+    """Deterministic work per call, counted without wall time."""
+
+    @pytest.fixture
+    def eigvals_calls(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        return calls
+
+    def test_sweep_of_100_powers_is_one_stacked_solve(self, eigvals_calls):
+        records = report.sweep(F1, [float(p) for p in range(1, 101)])
+        assert len(records) == 100
+        assert eigvals_calls == [(100, 5, 5)]
+
+    def test_sweep_chunks_by_degree(self, eigvals_calls):
+        rng = random.Random(3)
+        f = random_monic(rng, 40, modulus_range=(0.05, 0.9))
+        report.sweep(f, [0.05 * p for p in range(1, 101)])
+        rows = roots._CHUNK_ELEMENTS // 40**2
+        expected = [min(rows, 100 - start) for start in range(0, 100, rows)]
+        assert [shape[0] for shape in eigvals_calls] == expected
+
+    def test_branch_set_is_one_stacked_solve(self, eigvals_calls):
+        f = MonicPolynomial((0.3, 0.2j, 0.1, -0.25, 0.05))
+        bset = hadamard_power(f, RationalExponent(2, 3))
+        branch_set_stable(bset)
+        assert eigvals_calls == [(3**5, 5, 5)]

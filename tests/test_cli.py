@@ -1,9 +1,11 @@
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from hadstab.cli import main
+from hadstab.roots import MAX_ROOT_DEGREE
 
 F1_JSON = {
     "degree": 5,
@@ -92,6 +94,21 @@ class TestAnalyze:
     def test_unknown_flag(self, capsys, files):
         assert main(["analyze", "--poly", files["f1"], "--bogus"]) == 2
 
+    def test_fractional_input_above_root_degree_cap(self, capsys, tmp_path):
+        # Powers 1025/2 and 1/2 reduce to degree 1025 at base 1/2: within the
+        # commensurate cap, above the root finder's.
+        degree = MAX_ROOT_DEGREE + 1
+        path = tmp_path / "fine.json"
+        path.write_text(
+            json.dumps(
+                {"terms": [{"pow": [degree, 2]}, {"pow": [1, 2], "coeff": [0.5, 0]}]}
+            )
+        )
+        assert main(["analyze", "--poly", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"got {degree}" in captured.err
+
     def test_deterministic_output(self, capsys, files):
         _, a = run(capsys, "analyze", "--poly", files["f1"])
         code = main(["analyze", "--poly", files["f1"]])
@@ -114,6 +131,24 @@ class TestPower:
         assert out["branch_count"] == 8
         assert len(out["branches"]) == 8
         assert out["combined"]["status"] in {"Stable", "Unstable", "Marginal"}
+
+    def test_all_branches_solved_once(self, capsys, files, monkeypatch):
+        shapes = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            shapes.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        code, out = run(
+            capsys, "power", "--poly", files["f1"], "--p", "1/2", "--all-branches"
+        )
+        assert code == 0
+        # The principal branch, then all eight members in one stacked solve.
+        assert shapes == [(1, 5, 5), (8, 5, 5)]
+        worst = max(b["max_modulus"] for b in out["branches"])
+        assert out["combined"]["max_modulus"] == worst
 
     def test_bad_exponent(self, capsys, files):
         assert main(["power", "--poly", files["f1"], "--p", "1.5"]) == 2
