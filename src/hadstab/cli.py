@@ -35,6 +35,7 @@ from .poly import (
 )
 from .roots import (
     RootSet,
+    StabilityVerdict,
     branch_root_sets,
     classify,
     combined_verdict,
@@ -70,14 +71,8 @@ def _emit(payload: dict) -> None:
 
 
 def _verdict_payload(rs: RootSet) -> dict:
-    status = classify(rs.max_modulus)
-    return {
-        "status": status.value,
-        "stable": status.value == "Stable",
-        "max_modulus": rs.max_modulus,
-        "margin": rs.max_modulus - 1.0,
-        "roots": [[z.real, z.imag] for z in rs.roots],
-    }
+    m = rs.max_modulus
+    return {**rs.to_json(), **StabilityVerdict(classify(m), m).to_json()}
 
 
 def cmd_analyze(args) -> int:
@@ -120,7 +115,7 @@ def cmd_power(args) -> int:
         out["combined"] = combined_verdict(root_sets).to_json()
         out["branches"] = [
             {"branch": list(idx), **_verdict_payload(rs)}
-            for idx, rs in zip(bset.branch_index, root_sets)
+            for idx, rs in zip(bset.indices(), root_sets)
         ]
     _emit(out)
     return 0

@@ -2,7 +2,7 @@
 
 Everything here manipulates monic polynomials through their coefficient
 vectors: the Hadamard (coefficient-wise) product, integer and rational
-Hadamard powers with full branch enumeration, the binomial-reciprocal weight
+Hadamard powers with lazy branch enumeration, the binomial-reciprocal weight
 polynomial, complex conjugation, the real form ``conj(f) * f``, and the
 reduction of commensurate fractional-order polynomials to ordinary ones.
 
@@ -13,18 +13,35 @@ so list index k matches the power of s it multiplies.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidInputError, UnsupportedInputError
 
 # Degree cap for the commensurate reduction; beyond this the common power base
 # is so fine that the integer-order polynomial is useless in practice.
 MAX_COMMENSURATE_DEGREE = 10_000
+
+# Largest branch set a rational Hadamard power may have; beyond it the
+# branches cannot all be root-found in reasonable time.
+MAX_BRANCHES = 1 << 16
+
+
+def _finite_coeffs(values: Iterable) -> tuple[complex, ...]:
+    cs = tuple(complex(c) for c in values)
+    if not all(map(cmath.isfinite, cs)):
+        raise InvalidInputError("coefficients must be finite")
+    return cs
+
+
+def _is_number(x) -> bool:
+    """A JSON number; booleans are ints to Python but not numbers here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -33,13 +50,14 @@ class MonicPolynomial:
 
     ``coeffs`` holds exactly n entries ``(a_0, ..., a_{n-1})``; the leading
     coefficient 1 is implicit.  A coefficient belongs to the support iff it is
-    exactly zero in both parts; no epsilon is involved.
+    exactly zero in both parts; no epsilon is involved.  NaN and infinite
+    coefficients are rejected.
     """
 
     coeffs: tuple[complex, ...]
 
     def __post_init__(self):
-        cs = tuple(complex(c) for c in self.coeffs)
+        cs = _finite_coeffs(self.coeffs)
         if len(cs) < 1:
             raise InvalidInputError("monic polynomial needs degree >= 1")
         object.__setattr__(self, "coeffs", cs)
@@ -82,7 +100,7 @@ class MonicPolynomial:
             pairs = obj["coeffs"]
         except KeyError as exc:
             raise InvalidInputError(f"polynomial JSON missing key {exc}") from None
-        if not isinstance(degree, int) or degree < 1:
+        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
             raise InvalidInputError("degree must be a positive integer")
         if not isinstance(pairs, Sequence) or len(pairs) != degree:
             raise InvalidInputError("coeffs must list exactly `degree` [re, im] pairs")
@@ -91,7 +109,7 @@ class MonicPolynomial:
             if (
                 not isinstance(pair, Sequence)
                 or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)
+                or not all(map(_is_number, pair))
             ):
                 raise InvalidInputError("each coefficient must be an [re, im] pair")
             coeffs.append(complex(pair[0], pair[1]))
@@ -171,31 +189,67 @@ class BranchSet:
 
     One member per choice of m-th root at every nonzero coefficient, so
     ``m ** |support|`` members in all; zero coefficients stay zero on every
-    branch (0^p = 0 by convention) and contribute no branching.
-    ``branch_index[i]`` records, per support index in ascending order, which
-    root ``l in {0, ..., m-1}`` member i picked.
+    branch (0^p = 0 by convention) and contribute no branching.  A branch
+    index records, per support index in ascending order, which root
+    ``l in {0, ..., m-1}`` the member picked.  Members are built on demand,
+    in ``itertools.product`` order of their indices; none is stored.
     """
 
     base: MonicPolynomial
     exponent: RationalExponent
-    members: tuple[MonicPolynomial, ...]
-    branch_index: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        expected = self.exponent.den ** len(self.base.support)
-        if len(self.members) != expected or len(self.branch_index) != expected:
-            raise InvalidInputError("branch set size must be m ** |support|")
+    def __len__(self) -> int:
+        return self.exponent.den ** len(self.base.support)
+
+    def __iter__(self) -> Iterator[MonicPolynomial]:
+        return self.members(self.indices())
+
+    def indices(self) -> Iterator[tuple[int, ...]]:
+        """Branch indices of all members, in enumeration order."""
+        return itertools.product(range(self.exponent.den), repeat=len(self.base.support))
+
+    def rotation_representatives(self) -> Iterator[tuple[int, ...]]:
+        """Branch indices that meet every orbit of the rotations s -> w s.
+
+        Rotating a member by an m-th root of unity w = e^{2 pi i j/m} and
+        renormalizing to monic gives the member whose index is l_k + j(k-n)
+        mod m at each support index k, and keeps every root modulus.  At the
+        support index k* with the smallest g = gcd(n-k*, m) (lowest k on
+        ties) every orbit takes a value below g, so only those indices are
+        enumerated; for prime m each orbit is met exactly once.  The order is
+        that of ``indices``, principal branch first.
+        """
+        n, m = self.base.degree, self.exponent.den
+        support = self.base.support
+        ranges = [range(m)] * len(support)
+        if support:
+            pos = min(range(len(support)), key=lambda i: math.gcd(n - support[i], m))
+            ranges[pos] = range(math.gcd(n - support[pos], m))
+        return itertools.product(*ranges)
+
+    def members(self, indices: Iterable[Sequence[int]]) -> Iterator[MonicPolynomial]:
+        """The member for each branch index, built as the iteration reaches it."""
+        f, m = self.base, self.exponent.den
+        pval = self.exponent.num / m
+        support = f.support
+        values = [
+            [_power_coeff(f.coeffs[k], pval, 2.0 * math.pi * l / m) for l in range(m)]
+            for k in support
+        ]
+        for ls in indices:
+            cs = [0j] * f.degree
+            for k, choices, l in zip(support, values, ls):
+                cs[k] = choices[l]
+            yield MonicPolynomial(tuple(cs))
+
+    def position(self, index: Sequence[int]) -> int:
+        """Where the member with this branch index comes in ``indices``."""
+        return functools.reduce(lambda i, l: i * self.exponent.den + l, index, 0)
 
     @property
     def principal(self) -> MonicPolynomial:
         """The member with l = 0 at every coefficient."""
-        return self.members[0]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
+        return next(self.members([(0,) * len(self.base.support)]))
 
 
 def _power_coeff(a: complex, p: float, extra_angle: float = 0.0) -> complex:
@@ -239,24 +293,20 @@ def hadamard_power(f: MonicPolynomial, p) -> BranchSet:
     """All branches of the coefficient-wise power f^[p] for rational p.
 
     For integer p the set is a singleton.  For p = k/m in lowest terms every
-    nonzero coefficient has m admissible values, enumerated per coefficient as
+    nonzero coefficient has m admissible values,
     ``|a|^p (cos(p arg a + 2 pi l / m) + i sin(...))`` for l = 0..m-1, giving
-    ``m ** |support|`` member polynomials.  p = 0 sends every nonzero
-    coefficient to 1 and keeps zeros at zero.
+    ``m ** |support|`` member polynomials, built lazily by the returned
+    BranchSet.  p = 0 sends every nonzero coefficient to 1 and keeps zeros at
+    zero.  Sets of more than MAX_BRANCHES members raise
+    UnsupportedInputError.
     """
-    p = RationalExponent.coerce(p)
-    m = p.den
-    pval = p.num / p.den
-    support = f.support
-    members = []
-    index = []
-    for ls in itertools.product(range(m), repeat=len(support)):
-        cs = [0j] * f.degree
-        for k, l in zip(support, ls):
-            cs[k] = _power_coeff(f.coeffs[k], pval, 2.0 * math.pi * l / m)
-        members.append(MonicPolynomial(tuple(cs)))
-        index.append(tuple(ls))
-    return BranchSet(f, p, tuple(members), tuple(index))
+    bset = BranchSet(f, RationalExponent.coerce(p))
+    if len(bset) > MAX_BRANCHES:
+        raise UnsupportedInputError(
+            f"f^[{bset.exponent}] has {bset.exponent.den}^{len(f.support)} "
+            f"branches; at most {MAX_BRANCHES} are supported"
+        )
+    return bset
 
 
 def principal_power(f: MonicPolynomial, p: float) -> MonicPolynomial:
@@ -321,8 +371,8 @@ class FractionalPolynomial:
     def __post_init__(self):
         if not self.terms:
             raise InvalidInputError("fractional polynomial needs at least the leading term")
-        terms = tuple((_as_power(p), complex(c)) for p, c in self.terms)
-        powers = [p for p, _ in terms]
+        powers = [_as_power(p) for p, _ in self.terms]
+        terms = tuple(zip(powers, _finite_coeffs(c for _, c in self.terms)))
         if any(p2 >= p1 for p1, p2 in zip(powers, powers[1:])):
             raise InvalidInputError("powers must be strictly decreasing")
         if powers[-1] < 0 or (len(powers) > 1 and powers[-2] <= 0):
@@ -368,13 +418,18 @@ class FractionalPolynomial:
             if (
                 not isinstance(pw, Sequence)
                 or len(pw) != 2
-                or not all(isinstance(x, int) for x in pw)
+                or not all(isinstance(x, int) and not isinstance(x, bool) for x in pw)
+                or pw[1] == 0
             ):
-                raise InvalidInputError("'pow' must be a pair of integers")
+                raise InvalidInputError("'pow' must be a pair of integers, denominator nonzero")
             power = Fraction(pw[0], pw[1])
             if "coeff" in entry:
                 pair = entry["coeff"]
-                if not isinstance(pair, Sequence) or len(pair) != 2:
+                if (
+                    not isinstance(pair, Sequence)
+                    or len(pair) != 2
+                    or not all(map(_is_number, pair))
+                ):
                     raise InvalidInputError("'coeff' must be an [re, im] pair")
                 coeff = complex(pair[0], pair[1])
                 if i == 0 and coeff != 1:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -351,23 +351,27 @@ def is_schur_stable(f: MonicPolynomial) -> StabilityVerdict:
     return StabilityVerdict(classify(m), m)
 
 
-def _branch_solves(b: BranchSet) -> Iterator[RootSet]:
-    """Root sets of b's members in order; a failure names its branch."""
+def _branch_solves(
+    b: BranchSet, indices: Callable[[], Iterator[tuple[int, ...]]]
+) -> Iterator[RootSet]:
+    """Root sets of b's members at ``indices()``, in order; a failure names
+    its branch by its position in the full enumeration and its index."""
     try:
-        yield from _solve(b.members)
+        yield from _solve(b.members(indices()))
     except UnconvergedError as exc:
-        i = exc.row
+        index = next(islice(indices(), exc.row, None))
         raise UnconvergedError(
-            f"branch {i} (index {b.branch_index[i]}): {exc}", partial=exc.partial
+            f"branch {b.position(index)} (index {index}): {exc}", partial=exc.partial
         ) from exc
 
 
 def branch_root_sets(b: BranchSet) -> list[RootSet]:
-    """Root sets of every member of b, solved as one batch.
+    """Root sets of every member of b, in enumeration order, solved as one
+    batch.
 
     A member that fails to certify raises UnconvergedError naming the branch.
     """
-    return list(_branch_solves(b))
+    return list(_branch_solves(b, b.indices))
 
 
 def combined_verdict(root_sets: Iterable[RootSet]) -> StabilityVerdict:
@@ -394,13 +398,28 @@ def combined_verdict(root_sets: Iterable[RootSet]) -> StabilityVerdict:
     return StabilityVerdict(Status.MARGINAL, worst)
 
 
+def _through_first_unstable(root_sets: Iterable[RootSet]) -> Iterator[RootSet]:
+    for rs in root_sets:
+        yield rs
+        if classify(rs.max_modulus) is Status.UNSTABLE:
+            return
+
+
 def branch_set_stable(b: BranchSet) -> StabilityVerdict:
     """Stability of a rational power means stability of every branch.
 
-    Members are solved in batches and folded into the verdict as they come,
-    so only one chunk of root sets is held at a time.
+    Only one member per rotation orbit is solved
+    (``BranchSet.rotation_representatives``): rotations keep every root
+    modulus.  Members are solved in batches and folded into the verdict as
+    they come, so one chunk of root sets is held at a time, and no chunk is
+    built after the first Unstable member.  For Stable and Marginal sets
+    ``max_modulus`` is the worst over all members; for Unstable sets it is
+    the worst over the members solved, a lower bound that still exceeds
+    1 + BOUNDARY_BAND.
     """
-    return combined_verdict(_branch_solves(b))
+    return combined_verdict(
+        _through_first_unstable(_branch_solves(b, b.rotation_representatives))
+    )
 
 
 def fujiwara_bound(f: MonicPolynomial, w: SimplexWeights) -> float:

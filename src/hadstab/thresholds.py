@@ -303,6 +303,10 @@ def _onset_statuses(direction: str) -> tuple[Status, Status]:
     )
 
 
+def _principal_status(f: MonicPolynomial, p: float) -> Status:
+    return is_schur_stable(principal_power(f, p)).status
+
+
 def exact_onset(
     f: MonicPolynomial,
     direction: str,
@@ -324,22 +328,29 @@ def exact_onset(
     if not lo < hi:
         raise InvalidInputError(f"empty search interval [{lo}, {hi}]")
     lo_status, hi_status = _onset_statuses(direction)
-
-    def status_at(p: float) -> Status:
-        return is_schur_stable(principal_power(f, p)).status
-
-    actual_lo, actual_hi = status_at(lo), status_at(hi)
+    actual_lo, actual_hi = _principal_status(f, lo), _principal_status(f, hi)
     if actual_lo is not lo_status or actual_hi is not hi_status:
         raise BracketError(
             f"interval [{lo}, {hi}] has verdicts ({actual_lo.value}, "
             f"{actual_hi.value}), need ({lo_status.value}, {hi_status.value})"
         )
+    return _bisect_onset(f, lo, hi, lo_status, hi_status, tol)
 
+
+def _bisect_onset(
+    f: MonicPolynomial,
+    lo: float,
+    hi: float,
+    lo_status: Status,
+    hi_status: Status,
+    tol: float,
+) -> ThresholdResult:
+    """``exact_onset`` on a bracket whose end verdicts are already known."""
     for _ in range(_MAX_BISECT):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        st = status_at(mid)
+        st = _principal_status(f, mid)
         if st is lo_status:
             lo = mid
         elif st is hi_status:
@@ -349,8 +360,8 @@ def exact_onset(
             hi2 = min(hi, mid + 0.5 * tol)
             if (
                 lo2 < hi2
-                and status_at(lo2) is lo_status
-                and status_at(hi2) is hi_status
+                and _principal_status(f, lo2) is lo_status
+                and _principal_status(f, hi2) is hi_status
             ):
                 lo, hi = lo2, hi2
                 break
@@ -367,17 +378,17 @@ def auto_onset(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRes
     mode 'max' searches increasing p: the stable end starts at 64 and doubles
     until the verdict there is Stable, the unstable end is the first strictly
     Unstable point on a ladder rising from 0 (the zeroth power itself can sit
-    exactly on the unit circle).  mode 'min' mirrors to negative powers.
-    Raises BracketError when either end cannot be found.
+    exactly on the unit circle).  mode 'min' mirrors to negative powers.  The
+    bracket is then bisected as by ``exact_onset``, without solving its ends
+    again.  Raises BracketError when either end cannot be found.
     """
     _mode_kind(mode)
+    if tol <= 0:
+        raise InvalidInputError("tol must be positive")
     sign = 1.0 if mode == "max" else -1.0
 
-    def status_at(p: float) -> Status:
-        return is_schur_stable(principal_power(f, p)).status
-
     stable_end = sign * 64.0
-    while status_at(stable_end) is not Status.STABLE:
+    while _principal_status(f, stable_end) is not Status.STABLE:
         stable_end *= 2.0
         if abs(stable_end) > _EXPANSION_CAP:
             raise BracketError("no stable power found while expanding the bracket")
@@ -390,7 +401,7 @@ def auto_onset(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRes
         step *= 2.0
     for candidate in ladder:
         p = sign * candidate
-        if status_at(p) is Status.UNSTABLE:
+        if _principal_status(f, p) is Status.UNSTABLE:
             unstable_end = p
             break
     if unstable_end is None:
@@ -398,8 +409,12 @@ def auto_onset(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRes
             "no strictly unstable power found between 0 and the stable region"
         )
     if mode == "max":
-        return exact_onset(f, "increasing", (unstable_end, stable_end), tol)
-    return exact_onset(f, "decreasing", (stable_end, unstable_end), tol)
+        return _bisect_onset(
+            f, unstable_end, stable_end, Status.UNSTABLE, Status.STABLE, tol
+        )
+    return _bisect_onset(
+        f, stable_end, unstable_end, Status.STABLE, Status.UNSTABLE, tol
+    )
 
 
 def _compound2(K: np.ndarray) -> np.ndarray:

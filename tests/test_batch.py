@@ -14,15 +14,17 @@ from hadstab import (
     MonicPolynomial,
     RationalExponent,
     UnconvergedError,
+    Status,
     UnsupportedDegreeError,
     branch_set_stable,
     find_roots,
     hadamard_power,
+    is_schur_stable,
     principal_power,
     report,
     roots,
 )
-from hadstab.roots import MAX_ROOT_DEGREE, find_roots_many
+from hadstab.roots import MAX_ROOT_DEGREE, classify, find_roots_many
 
 F1 = report.EXPERIMENT_POLYS[1]["f"]
 
@@ -248,22 +250,24 @@ class TestBatchContract:
 
 class TestBranchSetChunks:
     def test_later_chunk_failure_names_the_branch(self, monkeypatch):
-        f = MonicPolynomial((0.3, 0.2j, 0.0, -0.25))
+        f = MonicPolynomial((0.05, 0.04j, 0.03, -0.02))
         bset = hadamard_power(f, RationalExponent(1, 2))
-        assert len(bset) == 8
-        target = 5  # third chunk of two rows
+        assert branch_set_stable(bset).status is Status.STABLE
+        reps = list(bset.rotation_representatives())
+        assert (len(bset), len(reps)) == (16, 8)
+        target = reps[5]  # third chunk of two rows
+        bad = next(bset.members([target]))
         monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 2 * 16)
         monkeypatch.setattr(roots, "_reconstructs", lambda asc, z: False)
         monkeypatch.setattr(
-            roots,
-            "residual_tolerance",
-            lambda g: -1.0 if g is bset.members[target] else 1.0,
+            roots, "residual_tolerance", lambda g: -1.0 if g == bad else 1.0
         )
         with pytest.raises(UnconvergedError) as info:
             branch_set_stable(bset)
+        # Named by its position among all 16 members, not among the 8 solved.
+        assert bset.position(target) == 9
         assert str(info.value).startswith(
-            f"branch {target} (index {bset.branch_index[target]}): "
-            "root iteration failed to certify"
+            f"branch 9 (index {target}): root iteration failed to certify"
         )
 
 
@@ -299,4 +303,29 @@ class TestWorkCounters:
         f = MonicPolynomial((0.3, 0.2j, 0.1, -0.25, 0.05))
         bset = hadamard_power(f, RationalExponent(2, 3))
         branch_set_stable(bset)
-        assert eigvals_calls == [(3**5, 5, 5)]
+        # One member per rotation orbit: 3^4 of the 3^5 branches.
+        assert eigvals_calls == [(3**4, 5, 5)]
+
+    def test_principal_unstable_set_is_one_chunk(self, eigvals_calls):
+        f = MonicPolynomial((1.5, 0.0, 1.2j, -0.9, 1.1, 0.8 - 0.4j, 1.3, 0.7))
+        bset = hadamard_power(f, RationalExponent(1, 3))
+        assert len(bset) == 3**7
+        assert branch_set_stable(bset).status is Status.UNSTABLE
+        # 729 representatives in chunks of 128 rows; the principal branch
+        # decides in the first.
+        assert eigvals_calls == [(roots._CHUNK_ELEMENTS // 8**2, 8, 8)]
+        assert is_schur_stable(bset.principal).status is Status.UNSTABLE
+
+    def test_no_chunk_after_the_first_unstable_branch(self, eigvals_calls, monkeypatch):
+        f = MonicPolynomial((0.01 + 0.01j, 0.02 + 0.02j, 0.01 + 0.06j, -0.01 + 0.01j))
+        bset = hadamard_power(f, RationalExponent(1, 3))
+        statuses = [
+            classify(rs.max_modulus)
+            for rs in find_roots_many(bset.members(bset.rotation_representatives()))
+        ]
+        assert len(statuses) == 27
+        assert statuses.index(Status.UNSTABLE) == 15
+        eigvals_calls.clear()
+        monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 4 * 16)
+        assert branch_set_stable(bset).status is Status.UNSTABLE
+        assert eigvals_calls == [(4, 4, 4)] * 4  # rows 0-15 of 27

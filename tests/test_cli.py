@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from hadstab import MAX_BRANCHES
 from hadstab.cli import main
 from hadstab.roots import MAX_ROOT_DEGREE
 
@@ -109,6 +110,25 @@ class TestAnalyze:
         assert captured.out == ""
         assert f"got {degree}" in captured.err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"degree": 2, "coeffs": [[NaN, 0], [0.5, 0]]}',
+            '{"degree": 1, "coeffs": [[0.5, -Infinity]]}',
+            '{"degree": 1, "coeffs": [[true, false]]}',
+            '{"terms": [{"pow": [3, 2]}, {"pow": [1, 2], "coeff": [NaN, 0]}]}',
+            '{"terms": [{"pow": [3, 2]}, {"pow": [true, 2], "coeff": [0.5, 0]}]}',
+        ],
+    )
+    def test_non_finite_and_boolean_input(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["analyze", "--poly", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_deterministic_output(self, capsys, files):
         _, a = run(capsys, "analyze", "--poly", files["f1"])
         code = main(["analyze", "--poly", files["f1"]])
@@ -149,6 +169,17 @@ class TestPower:
         assert shapes == [(1, 5, 5), (8, 5, 5)]
         worst = max(b["max_modulus"] for b in out["branches"])
         assert out["combined"]["max_modulus"] == worst
+
+    def test_branch_cap(self, capsys, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"degree": 17, "coeffs": [[0.01, 0]] * 17}))
+        code, out = run(capsys, "power", "--poly", str(path), "--p", "1/2")
+        assert code == 0
+        assert out["branch_count"] == 2**17
+        assert main(["power", "--poly", str(path), "--p", "1/2", "--all-branches"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"at most {MAX_BRANCHES}" in captured.err
 
     def test_bad_exponent(self, capsys, files):
         assert main(["power", "--poly", files["f1"], "--p", "1.5"]) == 2

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hadstab import (
-    BranchSet,
+    MAX_BRANCHES,
     FractionalPolynomial,
     InvalidInputError,
     MonicPolynomial,
@@ -21,6 +22,7 @@ from hadstab import (
     real_form,
     szego_product,
     szego_weight,
+    poly,
     to_integer_order,
 )
 
@@ -78,11 +80,23 @@ class TestMonicPolynomial:
             {"degree": 2, "coeffs": [[1, 0]]},
             {"degree": 1, "coeffs": [[1, 0, 0]]},
             {"degree": 1, "coeffs": ["x"]},
+            {"degree": 1, "coeffs": [[True, False]]},
+            {"degree": 1, "coeffs": [[0.5, True]]},
+            {"degree": True, "coeffs": [[0.5, 0]]},
+            {"degree": 1, "coeffs": [[float("nan"), 0]]},
+            {"degree": 1, "coeffs": [[0, float("-inf")]]},
         ],
     )
     def test_malformed_json(self, obj):
         with pytest.raises(InvalidInputError):
             MonicPolynomial.from_json(obj)
+
+    @pytest.mark.parametrize(
+        "c", [float("nan"), float("inf"), complex(0.5, float("nan")), complex("-infj")]
+    )
+    def test_non_finite_coefficients_rejected(self, c):
+        with pytest.raises(InvalidInputError, match="finite"):
+            MonicPolynomial((0.5, c))
 
 
 class TestRationalExponent:
@@ -183,7 +197,7 @@ class TestHadamardPower:
         bset = hadamard_power(f, RationalExponent(1, 2))
         assert len(bset) == 2
         key = lambda z: (z.real, z.imag)
-        got = sorted((m.coeffs[1] for m in bset.members), key=key)
+        got = sorted((m.coeffs[1] for m in bset), key=key)
         want = sorted(
             [
                 complex(math.cos(math.pi / 4), math.sin(math.pi / 4)),
@@ -193,7 +207,7 @@ class TestHadamardPower:
         )
         for x, y in zip(got, want):
             assert x == pytest.approx(y, abs=1e-15)
-        assert all(m.coeffs[0] == 0 for m in bset.members)
+        assert all(m.coeffs[0] == 0 for m in bset)
 
     def test_integer_square(self):
         bset = hadamard_power(F1, 2)
@@ -211,7 +225,7 @@ class TestHadamardPower:
     def test_branch_count(self):
         bset = hadamard_power(F1, RationalExponent(1, 3))
         assert len(bset) == 3 ** 3
-        assert len(set(bset.branch_index)) == 27
+        assert len(set(bset.indices())) == 27
 
     def test_zero_coefficients_never_branch(self):
         bset = hadamard_power(F1, RationalExponent(1, 2))
@@ -378,13 +392,62 @@ class TestFractionalPolynomial:
                 {"terms": [{"pow": [3, 2]}, {"pow": [1, 2]}]}
             )
 
-
-class TestBranchSetInvariants:
-    def test_size_validation(self):
+    @pytest.mark.parametrize(
+        "term",
+        [
+            {"pow": [True, 2], "coeff": [0.5, 0]},
+            {"pow": [1, True], "coeff": [0.5, 0]},
+            {"pow": [1, 0], "coeff": [0.5, 0]},
+            {"pow": [1, 2], "coeff": [True, 0]},
+            {"pow": [1, 2], "coeff": ["0.5", 0]},
+            {"pow": [1, 2], "coeff": [float("nan"), 0]},
+            {"pow": [1, 2], "coeff": [0.5, float("inf")]},
+        ],
+    )
+    def test_json_bad_term_rejected(self, term):
         with pytest.raises(InvalidInputError):
-            BranchSet(
-                F1,
-                RationalExponent(1, 2),
-                (F1,),
-                ((0, 0, 0),),
-            )
+            FractionalPolynomial.from_json({"terms": [{"pow": [3, 2]}, term]})
+
+
+class TestBranchSetLaziness:
+    def test_members_follow_product_order(self):
+        bset = hadamard_power(F1, RationalExponent(2, 3))
+        indices = list(bset.indices())
+        assert indices == list(itertools.product(range(3), repeat=3))
+        assert [bset.position(ls) for ls in indices] == list(range(27))
+        assert list(bset) == list(bset.members(indices))
+        assert bset.principal == next(iter(bset))
+
+    def test_cap_raises_before_enumerating(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a branch coefficient was computed")
+
+        monkeypatch.setattr(poly, "_power_coeff", refuse)
+        full = MonicPolynomial((0.5,) * 17)
+        with pytest.raises(UnsupportedInputError, match=str(MAX_BRANCHES)):
+            hadamard_power(full, RationalExponent(1, 2))
+        assert len(hadamard_power(MonicPolynomial((0.5,) * 16), Fraction(1, 2))) == MAX_BRANCHES
+
+    @pytest.mark.parametrize(
+        "n, support",
+        [(1, (0,)), (3, (1, 2)), (4, (0, 2)), (4, (0, 1, 2, 3)),
+         (5, (1, 3, 4)), (6, (0, 3)), (6, (0, 2, 4))],
+    )
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_rotation_representatives_meet_every_orbit(self, n, support, m):
+        """Every index rotates (l_k -> l_k + j(k-n) mod m) onto a
+        representative, and for prime m onto exactly one."""
+        f = MonicPolynomial(tuple(0.5 if k in support else 0.0 for k in range(n)))
+        bset = hadamard_power(f, RationalExponent(1, m))
+        reps = list(bset.rotation_representatives())
+        assert reps[0] == (0,) * len(support)
+        assert set(reps) <= set(bset.indices())
+        for ls in bset.indices():
+            orbit = {
+                tuple((l + j * (k - n)) % m for k, l in zip(support, ls))
+                for j in range(m)
+            }
+            met = orbit & set(reps)
+            assert met
+            if m in (2, 3, 5):
+                assert len(met) == 1

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hadstab import (
     real_form,
     synthesize_witness,
 )
+from hadstab.roots import branch_root_sets, combined_verdict
 
 F1 = MonicPolynomial((0.7, 0.2, 0.9, 0.0, 0.0))
 
@@ -124,13 +126,45 @@ class TestBranchSetStable:
         assert verdict.max_modulus == pytest.approx(2.0, abs=1e-9)
 
     def test_worst_modulus_is_max_over_members(self):
-        f = MonicPolynomial((-0.4, 0.3, 0.0))
-        bset = hadamard_power(f, RationalExponent(1, 2))
-        verdict = branch_set_stable(bset)
-        worst = max(is_schur_stable(m).max_modulus for m in bset)
-        assert verdict.max_modulus == pytest.approx(worst, rel=1e-12)
+        """The worst over all members for Stable sets; for Unstable sets,
+        which stop at the first Unstable member, a lower bound on it that
+        still lies above the boundary band."""
+        for coeffs, status in [
+            ((-0.4, 0.3, 0.0), Status.UNSTABLE),
+            ((-0.04, 0.03j, 0.0), Status.STABLE),
+        ]:
+            bset = hadamard_power(MonicPolynomial(coeffs), RationalExponent(1, 2))
+            verdict = branch_set_stable(bset)
+            worst = max(is_schur_stable(m).max_modulus for m in bset)
+            assert verdict.status is status
+            if status is Status.UNSTABLE:
+                assert 1.0 + BOUNDARY_BAND < verdict.max_modulus <= worst
+            else:
+                assert verdict.max_modulus == pytest.approx(worst, rel=1e-12)
 
-
+    def test_orbit_reduction_matches_full_enumeration(self):
+        rng = random.Random(41)
+        counts = {s: 0 for s in Status}
+        for i in range(150):
+            m = 2 + i % 5
+            real = i % 2 == 0
+            f = random_monic(
+                rng, rng.randint(1, 6), modulus_range=(0.02, 1.5),
+                density=0.8, real=real,
+            )
+            if real:  # both signs, so rotations meet negative coefficients
+                f = MonicPolynomial(tuple(c * rng.choice((1, -1)) for c in f.coeffs))
+            p = RationalExponent(rng.randint(1, 2 * m), m)
+            bset = hadamard_power(f, p)
+            if len(bset) > 400:
+                continue
+            reduced = branch_set_stable(bset)
+            full = combined_verdict(branch_root_sets(bset))
+            assert reduced.status is full.status, (f, p)
+            if full.status is Status.STABLE:
+                assert reduced.max_modulus == pytest.approx(full.max_modulus, rel=1e-12)
+            counts[full.status] += 1
+        assert counts[Status.STABLE] >= 30 and counts[Status.UNSTABLE] >= 30
 class TestFujiwaraBound:
     def test_tight_single_term(self):
         f = MonicPolynomial((0.5, 0.0))

@@ -27,6 +27,7 @@ from hadstab import (
     principal_power,
     pstar_exact,
     pstar_grid,
+    roots,
 )
 
 F1 = MonicPolynomial((0.7, 0.2, 0.9, 0.0, 0.0))
@@ -293,6 +294,21 @@ class TestExactOnset:
         auto = auto_onset(F1, "max", tol=1e-6)
         manual = exact_onset(F1, "increasing", (0.0, 64.0), tol=1e-6)
         assert auto.value == pytest.approx(manual.value, abs=1e-6)
+
+    def test_auto_onset_root_finds(self, monkeypatch):
+        """Bracket search plus bisection, without solving the bracket ends a
+        second time: one root-find per chunk of one row."""
+        calls = []
+        solve_chunk = roots._solve_chunk
+
+        def counting(polys, offset):
+            calls.append(len(polys))
+            return solve_chunk(polys, offset)
+
+        monkeypatch.setattr(roots, "_solve_chunk", counting)
+        res = auto_onset(F1, "max", tol=1e-6)
+        assert calls == [1] * 28
+        assert res.bracket == (3.3545713424682617, 3.354572296142578)
 
     def test_example_two_integer_transition(self):
         for p in (1, 2, 3):
