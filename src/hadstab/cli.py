@@ -202,7 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("power", help="rational coefficient-wise power")
     p.add_argument("--poly", required=True)
-    p.add_argument("--p", required=True, help="exponent K/M (integer shorthand ok)")
+    p.add_argument(
+        "--p",
+        required=True,
+        help="exponent K/M (integer shorthand ok); write a negative one as --p=-1/2",
+    )
     p.add_argument("--all-branches", action="store_true", dest="all_branches")
     p.set_defaults(func=cmd_power)
 

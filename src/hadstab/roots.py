@@ -1,10 +1,13 @@
 """Root finding and exact Schur stability decisions.
 
 Two root candidates are computed for every polynomial and scored against each
-other: Ehrlich-Aberth simultaneous iteration started on a circle sized from
-the a-priori root bounds, and companion-matrix eigenvalues refined by a few
-Newton steps.  The candidate that reconstructs the coefficients wins, and
-among equals the one with the smaller worst residual; the iteration wins ties.
+other: Ehrlich-Aberth simultaneous iteration, and companion-matrix eigenvalues
+refined by a few Newton steps.  The iteration starts from the Newton polygon
+of the coefficient moduli: each edge of the upper convex hull of
+(k, log|a_k|) puts as many points as it is long on a circle of its own
+radius, so the start already sits near the root moduli (Bini 1996).  The
+candidate that reconstructs the coefficients wins, and among equals the one
+with the smaller worst residual; the iteration wins ties.
 Every returned root set is certified by reconstructing the monic polynomial
 from the roots and comparing coefficients; per-root residuals are scaled
 backward errors, so clusters of near-multiple roots degrade per-root accuracy
@@ -21,6 +24,7 @@ sized from the degree, which bounds the memory of the stacked arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -42,6 +46,9 @@ MAX_ROOT_DEGREE = 1024
 
 _MAX_SWEEPS = 200
 _RECONSTRUCTION_TOL = 1e-8
+# Radius of the circle for roots at the origin, relative to the smallest
+# Newton-polygon circle.
+_ZERO_CIRCLE = 0.5
 # A chunk of rows holds at most this many n x n matrix entries (128 KiB of
 # complex values per stacked array), and always at least one row.
 _CHUNK_ELEMENTS = 1 << 13
@@ -125,14 +132,51 @@ def _horner(desc: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _initial_radius(moduli: list[float]) -> float:
-    n = len(moduli)
-    cauchy = 1.0 + max(moduli)
-    # Root bound with uniform weights 1/n; often much tighter than Cauchy.
-    fuji = max(
-        (n * m) ** (1.0 / (n - k)) for k, m in enumerate(moduli) if m > 0
-    )
-    return min(cauchy, 2.0 * fuji)
+def _newton_polygon(logs: list[float]) -> list[tuple[int, int, float]]:
+    """Starting circles (first index, point count, radius) for one row of
+    log|a_0| .. log|a_n|, with -inf for a zero coefficient.
+
+    Each edge k1 -> k2 of the upper convex hull of (k, log|a_k|) holds
+    k2 - k1 roots near the radius (|a_k1| / |a_k2|)^(1/(k2 - k1)) (Bini,
+    Numer. Algorithms 13, 1996).  Zero low coefficients a_0 .. a_{j-1} put j
+    roots at the origin; their points go on a circle inside the first one,
+    because coincident points would divide by zero.
+    """
+    hull: list[tuple[int, float]] = []
+    for k, y in enumerate(logs):
+        if y == -math.inf:
+            continue
+        # Drop the last vertex while it lies on or below the chord to (k, y);
+        # collinear points go too, so neighbouring circles never coincide.
+        while len(hull) > 1:
+            (k0, y0), (k1, y1) = hull[-2], hull[-1]
+            if (y1 - y0) * (k - k0) > (y - y0) * (k1 - k0):
+                break
+            hull.pop()
+        hull.append((k, y))
+    circles = [
+        (k1, k2 - k1, math.exp((y1 - y2) / (k2 - k1)))
+        for (k1, y1), (k2, y2) in zip(hull, hull[1:])
+    ]
+    if hull[0][0] > 0:
+        circles.insert(0, (0, hull[0][0], _ZERO_CIRCLE * circles[0][2]))
+    return circles
+
+
+def _start(asc: np.ndarray) -> np.ndarray:
+    """Aberth starting points for every row: Newton-polygon circles, each
+    turned by its own offset so that no two circles line up."""
+    k, n = asc.shape[0], asc.shape[1] - 1
+    with np.errstate(divide="ignore"):  # log 0 = -inf marks a zero coefficient
+        logs = np.log(np.abs(asc)).tolist()
+    circles = [c for row in logs for c in _newton_polygon(row)]
+    # One row per point: its circle's first index, point count and radius.
+    first, size, radius = np.repeat(circles, [c[1] for c in circles], axis=0).T
+    j = np.arange(k * n) % n - first  # position on the point's circle
+    # The 0.375 offset breaks conjugate symmetry so real-coefficient inputs do
+    # not lock the iteration onto the real axis.
+    angles = 2.0 * np.pi * ((j + 0.375) / size + first / n) + 0.5 / n
+    return (radius * np.exp(1j * angles)).reshape(k, n)
 
 
 def _aberth(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,15 +190,7 @@ def _aberth(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return -asc[:, :1], np.ones(k, dtype=bool)
     desc = asc[:, ::-1]
     deriv = desc[:, :-1] * np.arange(n, 0, -1)
-    # Per row in Python floats (libm pow): np.power on arrays can differ
-    # from it in the last bit.
-    radius = np.array(
-        [_initial_radius(row) for row in np.abs(asc[:, :-1]).tolist()]
-    )
-    # Angular offset breaks conjugate symmetry so real-coefficient inputs do
-    # not lock the iteration onto the real axis.
-    angles = 2.0 * np.pi * (np.arange(n) + 0.375) / n + 0.5 / n
-    z = (0.9 * radius)[:, None] * np.exp(1j * angles)
+    z = _start(asc)
     out = np.empty((k, n), dtype=complex)
     settled = np.zeros(k, dtype=bool)
     rows = np.arange(k)  # original row of each row still iterating
@@ -249,6 +285,9 @@ def _pick_iteration(
     return not ok_c, ok_c
 
 
+# Iterates far from the roots can overflow; such rows fail to certify on
+# their own, so numpy's warnings would only be noise on stderr.
+@np.errstate(all="ignore")
 def _solve_chunk(polys: list[MonicPolynomial], offset: int) -> list[RootSet]:
     """Root sets of one chunk; ``offset`` is the batch row of ``polys[0]``."""
     n = polys[0].degree

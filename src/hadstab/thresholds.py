@@ -29,6 +29,7 @@ from .errors import (
     InvalidInputError,
     MarginalZoneError,
     NotApplicableError,
+    UnconvergedError,
     UnsupportedDegreeError,
 )
 from .poly import MonicPolynomial, principal_power, real_form
@@ -380,7 +381,8 @@ def auto_onset(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRes
     Unstable point on a ladder rising from 0 (the zeroth power itself can sit
     exactly on the unit circle).  mode 'min' mirrors to negative powers.  The
     bracket is then bisected as by ``exact_onset``, without solving its ends
-    again.  Raises BracketError when either end cannot be found.
+    again.  Raises BracketError when either end cannot be found, including
+    when the verdict at a stable-end candidate cannot be certified.
     """
     _mode_kind(mode)
     if tol <= 0:
@@ -388,10 +390,16 @@ def auto_onset(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRes
     sign = 1.0 if mode == "max" else -1.0
 
     stable_end = sign * 64.0
-    while _principal_status(f, stable_end) is not Status.STABLE:
-        stable_end *= 2.0
-        if abs(stable_end) > _EXPANSION_CAP:
-            raise BracketError("no stable power found while expanding the bracket")
+    try:
+        while _principal_status(f, stable_end) is not Status.STABLE:
+            stable_end *= 2.0
+            if abs(stable_end) > _EXPANSION_CAP:
+                raise BracketError("no stable power found while expanding the bracket")
+    except UnconvergedError as exc:
+        raise BracketError(
+            f"no stable power found while expanding the bracket: the verdict "
+            f"at p = {stable_end} cannot be certified ({exc})"
+        ) from exc
 
     unstable_end = None
     ladder = [0.0, 1e-3, 1e-2, 0.1, 0.25, 0.5]

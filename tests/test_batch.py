@@ -56,14 +56,39 @@ def _seed_find_roots(f, horner=_seed_horner):
     desc = asc[::-1]
     deriv = desc[:-1] * np.arange(n, 0, -1)
 
+    def start():
+        # Newton polygon by gift wrapping: from each vertex, the next one ends
+        # the steepest chord (the farthest on ties).  Edge k1 -> k2 gives
+        # k2 - k1 points on a circle turned by 2 pi k1 / n; roots at the
+        # origin go on half the first edge's radius.
+        z = np.empty(n, dtype=complex)
+
+        def circle(k1, count, radius):
+            phase = (np.arange(count) + 0.375) / count + k1 / n
+            z[k1 : k1 + count] = radius * np.exp(1j * (2.0 * np.pi * phase + 0.5 / n))
+
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.abs(asc)).tolist()
+        points = [(k, y) for k, y in enumerate(logs) if y > -math.inf]
+        (k1, y1), rest = points[0], points[1:]
+        zeros = k1  # a_0 .. a_{k1-1} vanish
+        while rest:
+            k2, y2 = rest[0]
+            for k, y in rest[1:]:
+                if (y - y1) * (k2 - k1) >= (y2 - y1) * (k - k1):
+                    k2, y2 = k, y
+            radius = math.exp((y1 - y2) / (k2 - k1))
+            if zeros and k1 == zeros:
+                circle(0, zeros, 0.5 * radius)
+            circle(k1, k2 - k1, radius)
+            rest = [(k, y) for k, y in rest if k > k2]
+            k1, y1 = k2, y2
+        return z
+
     def aberth():
         if n == 1:
             return np.array([-asc[0]])
-        moduli = np.abs(asc[:-1])
-        fuji = max((n * m) ** (1.0 / (n - k)) for k, m in enumerate(moduli) if m > 0)
-        radius = min(1.0 + float(moduli.max()), 2.0 * fuji)
-        angles = 2.0 * np.pi * (np.arange(n) + 0.375) / n + 0.5 / n
-        z = 0.9 * radius * np.exp(1j * angles)
+        z = start()
         for _ in range(200):
             pv, dpv = horner(desc, z), horner(deriv, z)
             stalled = dpv == 0

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hadstab
 from hadstab import MAX_BRANCHES
 from hadstab.cli import main
 from hadstab.roots import MAX_ROOT_DEGREE
@@ -181,6 +186,12 @@ class TestPower:
         assert captured.out == ""
         assert f"at most {MAX_BRANCHES}" in captured.err
 
+    def test_negative_exponent(self, capsys, files):
+        # "--p -1/2" reads as an option; the value must be attached.
+        code, out = run(capsys, "power", "--poly", files["f1"], "--p=-1/2")
+        assert code == 0
+        assert out["exponent"] == "-1/2"
+
     def test_bad_exponent(self, capsys, files):
         assert main(["power", "--poly", files["f1"], "--p", "1.5"]) == 2
 
@@ -247,6 +258,21 @@ class TestThreshold:
 
     def test_not_applicable_exit_code(self, capsys, files):
         assert main(["threshold", "--poly", files["g1"], "--mode", "max"]) == 1
+
+    def test_uncertifiable_bracket_is_not_applicable(self, tmp_path):
+        # Run as a process: numpy's RuntimeWarnings would reach its stderr.
+        path = tmp_path / "growing.json"
+        path.write_text(json.dumps({"degree": 3, "coeffs": [[0.05, 0], [1.3, 0], [0.2, 0]]}))
+        env = {**os.environ, "PYTHONPATH": str(Path(hadstab.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "hadstab.cli", "threshold", "--poly", str(path),
+             "--mode", "max", "--method", "onset"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("not applicable: no stable power found")
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_default_method_is_grid(self, capsys, files):
         code, out = run(

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hadstab import (
     real_form,
     synthesize_witness,
 )
+from hadstab import roots
 from hadstab.roots import branch_root_sets, combined_verdict
 
 F1 = MonicPolynomial((0.7, 0.2, 0.9, 0.0, 0.0))
@@ -79,6 +81,83 @@ class TestFindRoots:
         obj = find_roots(MonicPolynomial((1.0, 0.0))).to_json()
         assert set(obj) == {"roots", "max_modulus"}
         assert len(obj["roots"]) == 2
+
+
+def _from_dyadic_roots(zs, bits=40):
+    """Monic polynomial with roots rounded to Gaussian dyadics x/2^bits + i
+    y/2^bits, multiplied out exactly in integers and rounded once per
+    coefficient, and the exact largest modulus of those roots."""
+    scale = 1 << bits
+    dyadic = [(round(z.real * scale), round(z.imag * scale)) for z in zs]
+    re, im = [1], [0]  # ascending coefficients of prod (s - (x + iy))
+    for x, y in dyadic:
+        re, im = (
+            [-x * a + y * b + c for a, b, c in zip(re + [0], im + [0], [0] + re)],
+            [-x * b - y * a + c for a, b, c in zip(re + [0], im + [0], [0] + im)],
+        )
+    n = len(dyadic)
+    coeffs = tuple(
+        complex(re[k] / scale ** (n - k), im[k] / scale ** (n - k)) for k in range(n)
+    )
+    top = max(math.hypot(x, y) for x, y in dyadic) / scale
+    return MonicPolynomial(coeffs), top
+
+
+def _jittered_circle(rng, n, radius):
+    offset = rng.uniform(0.0, 2.0 * math.pi)
+    return [
+        radius
+        * (1.0 + rng.uniform(-0.005, 0.005))
+        * complex(math.cos(t), math.sin(t))
+        for t in (offset + 2.0 * math.pi * (j + rng.uniform(-0.2, 0.2)) / n for j in range(n))
+    ]
+
+
+class TestAberthStart:
+    """The Newton-polygon start: high-degree solves settle in few sweeps."""
+
+    @pytest.fixture
+    def horner_calls(self, monkeypatch):
+        calls = []
+        horner = roots._horner
+
+        def counting(desc, z):
+            calls.append(len(desc))
+            return horner(desc, z)
+
+        monkeypatch.setattr(roots, "_horner", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "degree, radius",
+        [(120, 1.3), (128, 0.95), (137, 0.6), (150, 1.4), (160, 1.25), (160, 0.8)],
+    )
+    def test_high_degree_settles_and_certifies(self, horner_calls, degree, radius):
+        rng = random.Random(degree * 1000 + round(radius * 100))
+        zs = _jittered_circle(rng, degree - degree // 4, radius)
+        zs += _jittered_circle(rng, degree // 4, radius * rng.uniform(0.3, 0.9))
+        f, top = _from_dyadic_roots(zs)
+        _, settled = roots._aberth(np.array([f.coeffs + (1.0 + 0j,)]))
+        assert settled.all()
+        assert len(horner_calls) // 2 <= 40  # two evaluations per sweep
+        rs = find_roots(f)  # raises UnconvergedError unless certified
+        assert abs(rs.max_modulus - top) <= 1e-9
+
+    def test_zero_low_coefficients_settle_without_warnings(self, rng):
+        # a_0 = a_1 = 0: two roots at the origin, whose starting points must
+        # not coincide.
+        rows = [
+            (0j, 0j) + random_monic(rng, n, modulus_range=(0.1, 2.0)).coeffs[2:]
+            for n in (4, 5, 8, 13, 20)
+            for _ in range(4)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for coeffs in rows:
+                _, settled = roots._aberth(np.array([coeffs + (1.0 + 0j,)]))
+                assert settled.all()
+                rs = find_roots(MonicPolynomial(coeffs))
+                assert max(abs(z) for z in rs.roots[:2]) <= 1e-12
 
 
 class TestStabilityVerdict:

@@ -310,6 +310,26 @@ class TestExactOnset:
         assert calls == [1] * 28
         assert res.bracket == (3.3545713424682617, 3.354572296142578)
 
+    def test_exact_onset_root_finds(self, monkeypatch):
+        """Both bracket ends, then one root-find per bisection step."""
+        calls = []
+        solve_chunk = roots._solve_chunk
+
+        def counting(polys, offset):
+            calls.append(len(polys))
+            return solve_chunk(polys, offset)
+
+        monkeypatch.setattr(roots, "_solve_chunk", counting)
+        exact_onset(F1, "increasing", (0.0, 5.0), 1e-6)
+        assert calls == [1] * 25
+
+    def test_auto_onset_uncertifiable_stable_end(self):
+        # 1.3^p grows without bound, so no power is stable; the solve at
+        # p = 2048 overflows and cannot be certified.
+        f = MonicPolynomial((0.05, 1.3, 0.2))
+        with pytest.raises(BracketError, match="p = 2048.0"):
+            auto_onset(f, "max")
+
     def test_example_two_integer_transition(self):
         for p in (1, 2, 3):
             assert is_schur_stable(principal_power(F2, p)).status is Status.UNSTABLE
