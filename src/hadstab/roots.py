@@ -16,10 +16,11 @@ without breaking the certificate.
 Polynomials of one degree are solved as a batch (``find_roots_many``): the
 Aberth sweeps run on a ``(k, n)`` iterate in which each row leaves the loop
 once it settles, the eigenvalues come from one stacked ``(k, n, n)`` solve,
-and the residuals of all rows are computed together.  Every step is
-elementwise per row, so a row's result does not depend on the batch it was
-solved in; ``find_roots`` is a batch of one.  Rows are processed in chunks
-sized from the degree, which bounds the memory of the stacked arrays.
+and the residuals, scores and reconstructions of all rows are computed
+together.  Every step is elementwise per row, so a row's result does not
+depend on the batch it was solved in; ``find_roots`` is a batch of one.
+Rows are processed in chunks sized from the degree, which bounds the memory
+of the stacked arrays.
 """
 
 from __future__ import annotations
@@ -257,32 +258,21 @@ def _scaled_residuals(asc: np.ndarray, moduli: np.ndarray, z: np.ndarray) -> np.
     return vals / scale
 
 
-def _reconstructs(asc: np.ndarray, z: np.ndarray) -> bool:
-    recon = np.poly(z)[::-1]  # ascending, monic
-    ref = np.abs(asc)
-    err = np.abs(recon - asc) / np.maximum(1.0, ref)
-    return bool(np.max(err) <= _RECONSTRUCTION_TOL)
+def _reconstructs(asc: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Per row, whether the monic polynomial with the roots ``z`` reproduces
+    the ascending coefficients ``asc``.
 
-
-def _pick_iteration(
-    asc: np.ndarray, za: np.ndarray, zc: np.ndarray, max_a: float, max_c: float
-) -> tuple[bool, bool]:
-    """Whether the settled iteration's roots ``za`` beat the eigenvalue roots
-    ``zc``, and whether the winner reconstructs ``asc``.
-
-    A candidate scores (fails to reconstruct, max residual); the lower score
-    wins and the iteration wins ties.  The residual order decides which
-    reconstruction to check first, so usually only one is computed.
+    The product of (s - z_j) is expanded for all rows at once, one root per
+    step, as ``np.poly`` expands one row; its BLAS dot products may round
+    the coefficients differently in the last bit.
     """
-    if max_c < max_a:
-        if _reconstructs(asc, zc):
-            return False, True
-        ok_a = _reconstructs(asc, za)
-        return ok_a, ok_a
-    if _reconstructs(asc, za):
-        return True, True
-    ok_c = _reconstructs(asc, zc)
-    return not ok_c, ok_c
+    k, n = z.shape
+    desc = np.zeros((k, n + 1), dtype=complex)
+    desc[:, 0] = 1.0
+    for j in range(n):
+        desc[:, 1 : j + 2] -= desc[:, : j + 1] * z[:, j, None]
+    err = np.abs(desc[:, ::-1] - asc) / np.maximum(1.0, np.abs(asc))
+    return err.max(axis=1) <= _RECONSTRUCTION_TOL
 
 
 # Iterates far from the roots can overflow; such rows fail to certify on
@@ -305,32 +295,46 @@ def _solve_chunk(polys: list[MonicPolynomial], offset: int) -> list[RootSet]:
     res_c = _scaled_residuals(asc, moduli, zc)
     res_a = np.zeros_like(res_c)
     res_a[settled] = _scaled_residuals(asc[settled], moduli[settled], za[settled])
-    max_a, max_c = res_a.max(axis=1), res_c.max(axis=1)
+    # A candidate scores (fails to reconstruct, max residual): the lower
+    # score wins and a settled iteration wins ties.  The residual order picks
+    # the reconstruction checked first; the other is checked only where the
+    # first fails, and an unsettled iteration is never a candidate.
+    first_a = settled & ~(res_c.max(axis=1) < res_a.max(axis=1))
+    ok_first = _reconstructs(asc, np.where(first_a[:, None], za, zc))
+    retry = settled & ~ok_first
+    ok_other = np.zeros_like(ok_first)
+    if retry.any():
+        z_other = np.where(first_a[:, None], zc, za)
+        ok_other[retry] = _reconstructs(asc[retry], z_other[retry])
+    # Where the first check fails, the iteration wins if it came first and
+    # the eigenvalues fail too, or if it came second and reconstructs.
+    take_a = np.where(ok_first, first_a, first_a != ok_other)
+    reconstructed = ok_first | ok_other
 
-    for j, i in enumerate(live):
-        if settled[j]:
-            take_a, reconstructed = _pick_iteration(
-                asc[j], za[j], zc[j], max_a[j], max_c[j]
-            )
-        else:
-            take_a, reconstructed = False, _reconstructs(asc[j], zc[j])
-        z, res = (za[j], res_a[j]) if take_a else (zc[j], res_c[j])
-
-        order = np.argsort(np.abs(z), kind="stable")
-        z = z[order]
-        res = res[order]
-        converged = res <= residual_tolerance(polys[i])
-        rootset = RootSet(
-            tuple(z.tolist()), tuple(res.tolist()), tuple(converged.tolist())
-        )
-        if not reconstructed and not converged.all():
+    z = np.where(take_a[:, None], za, zc)
+    res = np.where(take_a[:, None], res_a, res_c)
+    order = np.argsort(np.abs(z), axis=1, kind="stable")
+    z = np.take_along_axis(z, order, axis=1)
+    res = np.take_along_axis(res, order, axis=1)
+    tol = np.array([residual_tolerance(polys[i]) for i in live])
+    converged = res <= tol[:, None]
+    failed = ~reconstructed & ~converged.all(axis=1)
+    rows = zip(live, z.tolist(), res.tolist(), converged.tolist())
+    for j, (i, zs, residuals, flags) in enumerate(rows):
+        rootset = RootSet(tuple(zs), tuple(residuals), tuple(flags))
+        if failed[j]:
             raise UnconvergedError(
-                f"root iteration failed to certify (max residual {res.max():.3e})",
+                f"root iteration failed to certify (max residual {res[j].max():.3e})",
                 partial=rootset,
                 row=offset + i,
             )
         out[i] = rootset
     return out
+
+
+def chunk_rows(degree: int) -> int:
+    """Rows of this degree solved together as one stacked chunk."""
+    return max(1, _CHUNK_ELEMENTS // (degree * degree))
 
 
 def _solve(polys: Iterable[MonicPolynomial]) -> Iterator[RootSet]:
@@ -344,7 +348,7 @@ def _solve(polys: Iterable[MonicPolynomial]) -> Iterator[RootSet]:
         raise UnsupportedDegreeError(
             f"root finding needs degree <= {MAX_ROOT_DEGREE}, got {n}"
         )
-    size = max(1, _CHUNK_ELEMENTS // (n * n))
+    size = chunk_rows(n)
     chunk, offset = [first, *islice(it, size - 1)], 0
     while chunk:
         if any(f.degree != n for f in chunk):
@@ -384,10 +388,19 @@ def classify(max_modulus: float) -> Status:
     return Status.MARGINAL
 
 
+def _verdict(rs: RootSet) -> StabilityVerdict:
+    return StabilityVerdict(classify(rs.max_modulus), rs.max_modulus)
+
+
 def is_schur_stable(f: MonicPolynomial) -> StabilityVerdict:
     """Exact stability decision: all roots strictly inside the unit disc."""
-    m = find_roots(f).max_modulus
-    return StabilityVerdict(classify(m), m)
+    return _verdict(find_roots(f))
+
+
+def is_schur_stable_many(polys: Iterable[MonicPolynomial]) -> list[StabilityVerdict]:
+    """``is_schur_stable`` of each polynomial of one degree, solved in batches
+    by ``find_roots_many``, whose errors it raises."""
+    return [_verdict(rs) for rs in find_roots_many(polys)]
 
 
 def _branch_solves(

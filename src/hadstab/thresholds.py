@@ -33,9 +33,11 @@ from .errors import (
     UnsupportedDegreeError,
 )
 from .poly import MonicPolynomial, principal_power, real_form
-from .roots import Status, companion_matrix, is_schur_stable
+from .roots import Status, chunk_rows, companion_matrix, is_schur_stable_many
 
 _MAX_BISECT = 200
+# Onset bisection solves the midpoints of up to this many levels as one batch.
+_LOOKAHEAD = 3
 _EXPANSION_CAP = 2.0 ** 16
 # Maximum degree of the real carrier polynomial in guardian_map; the compound
 # matrix has dimension C(degree, 2).
@@ -304,8 +306,24 @@ def _onset_statuses(direction: str) -> tuple[Status, Status]:
     )
 
 
+def _status(g: MonicPolynomial) -> Status:
+    return is_schur_stable_many([g])[0].status
+
+
 def _principal_status(f: MonicPolynomial, p: float) -> Status:
-    return is_schur_stable(principal_power(f, p)).status
+    return _status(principal_power(f, p))
+
+
+def _batch_statuses(f: MonicPolynomial, ps: list[float]) -> list[Status] | None:
+    """Principal-branch verdicts at the powers ``ps`` from one batch, or None
+    when any of them fails.  The caller then solves the powers it needs one
+    at a time, so only a failure it reaches raises, as it would have alone.
+    """
+    try:
+        powers = [principal_power(f, p) for p in ps]
+        return [v.status for v in is_schur_stable_many(powers)]
+    except (InvalidInputError, UnconvergedError):  # overflow, or no certificate
+        return None
 
 
 def exact_onset(
@@ -321,7 +339,8 @@ def exact_onset(
     at the left end and Stable at the right end); it is validated, not
     assumed.  A Marginal verdict at the midpoint triggers a close-out attempt
     at mid +- tol/2; if the band cannot be escaped the onset is uncertifiable
-    at this tolerance and MarginalZoneError is raised.
+    at this tolerance and MarginalZoneError is raised.  Where the maximum
+    modulus crosses 1 more than once, the result is one of the crossings.
     """
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
@@ -338,6 +357,25 @@ def exact_onset(
     return _bisect_onset(f, lo, hi, lo_status, hi_status, tol)
 
 
+def _midpoint_tree(lo: float, hi: float, tol: float, levels: int) -> dict[int, float]:
+    """Midpoints of the next ``levels`` bisection levels below [lo, hi].
+
+    Nodes are numbered in heap order: node i splits its bracket at its
+    midpoint into node 2i+1 below and node 2i+2 above.  A node whose bracket
+    is already within ``tol`` is left out with all below it, because
+    bisection stops there.
+    """
+    brackets = {0: (lo, hi)}
+    mids = {}
+    for node in range(2**levels - 1):
+        if node not in brackets or brackets[node][1] - brackets[node][0] <= tol:
+            continue
+        a, b = brackets[node]
+        mids[node] = mid = 0.5 * (a + b)
+        brackets[2 * node + 1], brackets[2 * node + 2] = (a, mid), (mid, b)
+    return mids
+
+
 def _bisect_onset(
     f: MonicPolynomial,
     lo: float,
@@ -346,29 +384,52 @@ def _bisect_onset(
     hi_status: Status,
     tol: float,
 ) -> ThresholdResult:
-    """``exact_onset`` on a bracket whose end verdicts are already known."""
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        st = _principal_status(f, mid)
-        if st is lo_status:
-            lo = mid
-        elif st is hi_status:
-            hi = mid
-        else:
-            lo2 = max(lo, mid - 0.5 * tol)
-            hi2 = min(hi, mid + 0.5 * tol)
-            if (
-                lo2 < hi2
-                and _principal_status(f, lo2) is lo_status
-                and _principal_status(f, hi2) is hi_status
-            ):
-                lo, hi = lo2, hi2
-                break
-            raise MarginalZoneError(
-                f"verdict stays within the boundary band around p = {mid}"
-            )
+    """``exact_onset`` on a bracket whose end verdicts are already known.
+
+    Each round solves the midpoints of the next levels, every one the walk
+    could reach, as one batch; the walk then makes the same lo/hi decisions
+    as plain bisection, so brackets and values do not depend on the
+    lookahead.  A round takes ``_LOOKAHEAD`` levels, or fewer where their
+    2^L - 1 midpoints would not fit in one chunk of the root solver: split
+    into chunks, the batch would gain nothing, and the points the walk skips
+    would be extra solves.  At one level a round is a step of plain
+    bisection.  ``_MAX_BISECT`` caps the steps walked, not the points solved.
+    A Marginal midpoint closes out one point at a time, and a round whose
+    batch fails walks one point at a time, so a point the walk never reaches
+    cannot raise.
+    """
+    # The largest L <= _LOOKAHEAD with 2^L - 1 <= chunk_rows.
+    levels = min(_LOOKAHEAD, (chunk_rows(f.degree) + 1).bit_length() - 1)
+    steps = 0
+    while steps < _MAX_BISECT and hi - lo > tol:
+        mids = _midpoint_tree(lo, hi, tol, min(levels, _MAX_BISECT - steps))
+        solved = _batch_statuses(f, list(mids.values()))
+        statuses = None if solved is None else dict(zip(mids, solved))
+        node = 0
+        while node in mids:
+            mid = mids[node]
+            st = _principal_status(f, mid) if statuses is None else statuses[node]
+            steps += 1
+            if st is lo_status:
+                lo, node = mid, 2 * node + 2
+            elif st is hi_status:
+                hi, node = mid, 2 * node + 1
+            else:
+                lo2 = max(lo, mid - 0.5 * tol)
+                hi2 = min(hi, mid + 0.5 * tol)
+                if (
+                    lo2 < hi2
+                    and _principal_status(f, lo2) is lo_status
+                    and _principal_status(f, hi2) is hi_status
+                ):
+                    return _onset_result(lo2, hi2)
+                raise MarginalZoneError(
+                    f"verdict stays within the boundary band around p = {mid}"
+                )
+    return _onset_result(lo, hi)
+
+
+def _onset_result(lo: float, hi: float) -> ThresholdResult:
     value = 0.5 * (lo + hi)
     return ThresholdResult(Kind.EXACT_ONSET, value, Method.BISECTION, (lo, hi))
 
@@ -382,7 +443,8 @@ def auto_onset(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRes
     exactly on the unit circle).  mode 'min' mirrors to negative powers.  The
     bracket is then bisected as by ``exact_onset``, without solving its ends
     again.  Raises BracketError when either end cannot be found, including
-    when the verdict at a stable-end candidate cannot be certified.
+    when a stable-end candidate's principal power overflows or its verdict
+    cannot be certified.
     """
     _mode_kind(mode)
     if tol <= 0:
@@ -390,16 +452,25 @@ def auto_onset(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRes
     sign = 1.0 if mode == "max" else -1.0
 
     stable_end = sign * 64.0
-    try:
-        while _principal_status(f, stable_end) is not Status.STABLE:
-            stable_end *= 2.0
-            if abs(stable_end) > _EXPANSION_CAP:
-                raise BracketError("no stable power found while expanding the bracket")
-    except UnconvergedError as exc:
-        raise BracketError(
-            f"no stable power found while expanding the bracket: the verdict "
-            f"at p = {stable_end} cannot be certified ({exc})"
-        ) from exc
+    while True:
+        try:
+            power = principal_power(f, stable_end)
+        except InvalidInputError as exc:  # a coefficient overflows
+            raise BracketError(
+                f"no stable power found while expanding the bracket: the "
+                f"principal power at p = {stable_end} is out of range ({exc})"
+            ) from exc
+        try:
+            if _status(power) is Status.STABLE:
+                break
+        except UnconvergedError as exc:
+            raise BracketError(
+                f"no stable power found while expanding the bracket: the verdict "
+                f"at p = {stable_end} cannot be certified ({exc})"
+            ) from exc
+        stable_end *= 2.0
+        if abs(stable_end) > _EXPANSION_CAP:
+            raise BracketError("no stable power found while expanding the bracket")
 
     unstable_end = None
     ladder = [0.0, 1e-3, 1e-2, 0.1, 0.25, 0.5]

@@ -233,6 +233,41 @@ class TestBatchEqualsSingle:
                 assert _bits(rs)[:2] == _seed_find_roots(f, seed_horner)
         assert sum(stalls) > 0
 
+    def test_reconstruction_matches_np_poly(self):
+        """The row-wise product expansion decides as ``np.poly`` does, on
+        roots that reconstruct and on roots pushed past the tolerance.
+
+        The two expansions round differently (numpy's convolution goes
+        through BLAS dot products).  Each is within about n eps times the
+        coefficients of prod(s + |z_j|) of the exact product, so a row whose
+        ``np.poly`` error is within twice that of the tolerance may be
+        decided either way, and is not compared."""
+        eps = np.finfo(float).eps
+        tol = roots._RECONSTRUCTION_TOL
+        outcomes = set()
+        for group in CORPUS:
+            live = [f for f in group if f.support]
+            asc = np.array([f.coeffs + (1.0 + 0j,) for f in live])
+            scale = np.maximum(1.0, np.abs(asc))
+            n = asc.shape[1] - 1
+            zc = np.linalg.eigvals(roots.companion_matrix(asc[:, :-1]))
+            for shift in (0.0, 1e-10, 1e-9, 1e-8, 1e-6):
+                z = zc * (1.0 + shift)
+                err = np.array(
+                    [np.max(np.abs(np.poly(zi)[::-1] - ai) / si)
+                     for ai, zi, si in zip(asc, z, scale)]
+                )
+                slack = 2 * n * eps * np.array(
+                    [np.max(np.poly(-np.abs(zi)).real[::-1] / si)
+                     for zi, si in zip(z, scale)]
+                )
+                clear = np.abs(err - tol) > slack
+                want = err <= tol
+                got = roots._reconstructs(asc, z)
+                assert (got == want)[clear].all()
+                outcomes.update(want[clear].tolist())
+        assert outcomes == {True, False}
+
     def test_accepts_a_lazy_stream(self):
         group = CORPUS[2]
         assert [_bits(rs) for rs in find_roots_many(iter(group))] == [
@@ -263,7 +298,9 @@ class TestBatchContract:
         group = [random_monic(rng, 4) for _ in range(9)]
         bad = {id(group[5]), id(group[7])}
         monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 2 * 16)
-        monkeypatch.setattr(roots, "_reconstructs", lambda asc, z: False)
+        monkeypatch.setattr(
+            roots, "_reconstructs", lambda asc, z: np.zeros(len(z), dtype=bool)
+        )
         monkeypatch.setattr(
             roots, "residual_tolerance", lambda f: -1.0 if id(f) in bad else 1.0
         )
@@ -283,7 +320,9 @@ class TestBranchSetChunks:
         target = reps[5]  # third chunk of two rows
         bad = next(bset.members([target]))
         monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 2 * 16)
-        monkeypatch.setattr(roots, "_reconstructs", lambda asc, z: False)
+        monkeypatch.setattr(
+            roots, "_reconstructs", lambda asc, z: np.zeros(len(z), dtype=bool)
+        )
         monkeypatch.setattr(
             roots, "residual_tolerance", lambda g: -1.0 if g == bad else 1.0
         )
@@ -315,6 +354,21 @@ class TestWorkCounters:
         records = report.sweep(F1, [float(p) for p in range(1, 101)])
         assert len(records) == 100
         assert eigvals_calls == [(100, 5, 5)]
+
+    def test_sweep_of_100_powers_certifies_as_arrays(self, monkeypatch):
+        calls = []
+        reconstructs = roots._reconstructs
+
+        def counting(asc, z):
+            calls.append(len(z))
+            return reconstructs(asc, z)
+
+        monkeypatch.setattr(roots, "_reconstructs", counting)
+        report.sweep(F1, [float(p) for p in range(1, 101)])
+        # The first-choice candidate of every row, then the other candidate
+        # of the rows whose first choice fails.
+        assert 1 <= len(calls) <= 2
+        assert calls[0] == 100
 
     def test_sweep_chunks_by_degree(self, eigvals_calls):
         rng = random.Random(3)

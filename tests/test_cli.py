@@ -274,6 +274,25 @@ class TestThreshold:
         assert proc.stderr.startswith("not applicable: no stable power found")
         assert "RuntimeWarning" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "coeffs", [(1.5,), (0.5, 1.1), (0.05, 1.9, 0.2), (0.05, 2.5, 0.2)]
+    )
+    def test_overflowing_stable_end_is_not_applicable(self, capsys, tmp_path, coeffs):
+        # No positive power is stable, and the stable end doubles until a
+        # coefficient of the principal power overflows.
+        path = tmp_path / "growing.json"
+        poly = {"degree": len(coeffs), "coeffs": [[c, 0] for c in coeffs]}
+        path.write_text(json.dumps(poly))
+        code = main(
+            ["threshold", "--poly", str(path), "--mode", "max", "--method", "onset"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("not applicable: no stable power found")
+        assert "overflows" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_default_method_is_grid(self, capsys, files):
         code, out = run(
             capsys, "threshold", "--poly", files["f1"], "--mode", "max",

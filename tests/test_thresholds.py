@@ -1,18 +1,24 @@
 import itertools
 import math
+import random
 
 import pytest
 
 from conftest import random_monic
+import hadstab.thresholds as th
 from hadstab import (
     BracketError,
+    HadstabError,
     HalfLine,
     InvalidInputError,
     Kind,
+    MarginalZoneError,
     Method,
     MonicPolynomial,
     NotApplicableError,
     Status,
+    ThresholdResult,
+    UnconvergedError,
     UnsupportedDegreeError,
     auto_onset,
     beta_star,
@@ -296,8 +302,8 @@ class TestExactOnset:
         assert auto.value == pytest.approx(manual.value, abs=1e-6)
 
     def test_auto_onset_root_finds(self, monkeypatch):
-        """Bracket search plus bisection, without solving the bracket ends a
-        second time: one root-find per chunk of one row."""
+        """Bracket search one point at a time, then bisection three levels
+        per batch, without solving the bracket ends a second time."""
         calls = []
         solve_chunk = roots._solve_chunk
 
@@ -307,11 +313,14 @@ class TestExactOnset:
 
         monkeypatch.setattr(roots, "_solve_chunk", counting)
         res = auto_onset(F1, "max", tol=1e-6)
-        assert calls == [1] * 28
+        # Stable end at 64, unstable end at 0, then 26 bisection steps: eight
+        # rounds of 7 midpoints and a last round of 2 levels.
+        assert calls == [1, 1] + [7] * 8 + [3]
         assert res.bracket == (3.3545713424682617, 3.354572296142578)
 
     def test_exact_onset_root_finds(self, monkeypatch):
-        """Both bracket ends, then one root-find per bisection step."""
+        """Both bracket ends one at a time, then 23 bisection steps in rounds
+        of three levels."""
         calls = []
         solve_chunk = roots._solve_chunk
 
@@ -321,7 +330,7 @@ class TestExactOnset:
 
         monkeypatch.setattr(roots, "_solve_chunk", counting)
         exact_onset(F1, "increasing", (0.0, 5.0), 1e-6)
-        assert calls == [1] * 25
+        assert calls == [1, 1] + [7] * 7 + [3]
 
     def test_auto_onset_uncertifiable_stable_end(self):
         # 1.3^p grows without bound, so no power is stable; the solve at
@@ -350,7 +359,9 @@ class TestExactOnset:
                 return StabilityVerdict(Status.UNSTABLE, 1.5)
             return StabilityVerdict(Status.STABLE, 0.5)
 
-        monkeypatch.setattr(th, "is_schur_stable", fake_verdict)
+        monkeypatch.setattr(
+            th, "is_schur_stable_many", lambda polys: [fake_verdict(g) for g in polys]
+        )
         f = MonicPolynomial((0.5, 0.0))
         res = th.exact_onset(f, "increasing", (0.0, 4.0), tol=1e-4)
         lo, hi = res.bracket
@@ -370,10 +381,133 @@ class TestExactOnset:
                 return StabilityVerdict(Status.UNSTABLE, 1.5)
             return StabilityVerdict(Status.STABLE, 0.5)
 
-        monkeypatch.setattr(th, "is_schur_stable", fake_verdict)
+        monkeypatch.setattr(
+            th, "is_schur_stable_many", lambda polys: [fake_verdict(g) for g in polys]
+        )
         f = MonicPolynomial((0.5, 0.0))
         with pytest.raises(MarginalZoneError):
             th.exact_onset(f, "increasing", (0.0, 4.0), tol=1e-4)
+
+
+def _sequential_bisect_onset(f, lo, hi, lo_status, hi_status, tol):
+    """Plain bisection, one root-find per step, kept as the reference for the
+    batched lookahead in ``thresholds._bisect_onset``."""
+    status = lambda p: is_schur_stable(principal_power(f, p)).status
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        st = status(mid)
+        if st is lo_status:
+            lo = mid
+        elif st is hi_status:
+            hi = mid
+        else:
+            lo2 = max(lo, mid - 0.5 * tol)
+            hi2 = min(hi, mid + 0.5 * tol)
+            if lo2 < hi2 and status(lo2) is lo_status and status(hi2) is hi_status:
+                lo, hi = lo2, hi2
+                break
+            raise MarginalZoneError(
+                f"verdict stays within the boundary band around p = {mid}"
+            )
+    value = 0.5 * (lo + hi)
+    return ThresholdResult(Kind.EXACT_ONSET, value, Method.BISECTION, (lo, hi))
+
+
+def _outcome(search, *args):
+    """A search's result, or its error as (type, message, row)."""
+    try:
+        return search(*args)
+    except HadstabError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+
+
+def _failing_solve(monkeypatch, bad):
+    """Make every root-find of the polynomial ``bad`` raise UnconvergedError,
+    batched or alone; returns the list of rows that raised."""
+    raised = []
+    solve_chunk = roots._solve_chunk
+
+    def chunk(polys, offset):
+        for i, g in enumerate(polys):
+            if g == bad:
+                raised.append(offset + i)
+                raise UnconvergedError("forced failure", row=offset + i)
+        return solve_chunk(polys, offset)
+
+    monkeypatch.setattr(roots, "_solve_chunk", chunk)
+    return raised
+
+
+class TestLookaheadBisection:
+    """The batched lookahead walks exactly the steps of plain bisection."""
+
+    def test_equals_sequential_bisection(self, monkeypatch):
+        def onsets(f):
+            """Lookahead and reference outcomes agree; count the onsets."""
+            found = 0
+            for mode in ("max", "min"):
+                for tol in (1e-6, 1e-4):
+                    got = _outcome(auto_onset, f, mode, tol)
+                    with monkeypatch.context() as m:
+                        m.setattr(th, "_bisect_onset", _sequential_bisect_onset)
+                        want = _outcome(auto_onset, f, mode, tol)
+                    assert got == want
+                    if isinstance(want, ThresholdResult):
+                        assert (got.value, got.bracket) == (want.value, want.bracket)
+                        found += 1
+            return found
+
+        assert [onsets(f) for f in (F1, G1, F2)] == [2, 2, 2]
+        rng = random.Random(4711)
+        seeded = 0
+        for i in range(60):
+            moduli = (0.05, 0.95) if i % 2 == 0 else (1.05, 4.0)
+            f = random_monic(rng, 3 + i % 5, moduli, density=0.7, real=i % 4 < 2)
+            seeded += onsets(f) > 0
+            if seeded == 30:
+                break
+        assert seeded == 30
+
+    def test_failing_point_off_the_walk_does_not_raise(self, monkeypatch):
+        # From [0, 64] the walk visits 32, 16 and 8; 48 is solved in the
+        # same batch but never reached.
+        want = exact_onset(F1, "increasing", (0.0, 64.0), 1e-6)
+        raised = _failing_solve(monkeypatch, principal_power(F1, 48.0))
+        assert exact_onset(F1, "increasing", (0.0, 64.0), 1e-6) == want
+        assert raised == [2]  # row 2 of the batch 32, 16, 48, 8, 24, 40, 56
+
+    def test_failing_point_on_the_walk_raises_as_alone(self, monkeypatch):
+        _failing_solve(monkeypatch, principal_power(F1, 16.0))
+        got = _outcome(exact_onset, F1, "increasing", (0.0, 64.0), 1e-6)
+        monkeypatch.setattr(th, "_bisect_onset", _sequential_bisect_onset)
+        want = _outcome(exact_onset, F1, "increasing", (0.0, 64.0), 1e-6)
+        assert got == want == (UnconvergedError, "forced failure", 0)
+
+    @pytest.mark.parametrize("rows, levels", [(1, 1), (2, 1), (3, 2), (6, 2), (7, 3)])
+    def test_levels_fit_one_chunk(self, monkeypatch, rows, levels):
+        """Where a chunk of the root solver holds fewer rows than three
+        levels of midpoints, a round takes as many levels as fit; one level
+        is plain bisection, one single-row solve per step."""
+        want = _sequential_bisect_onset(
+            F1, 0.0, 5.0, Status.UNSTABLE, Status.STABLE, 1e-6
+        )
+        monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", rows * F1.degree**2)
+        calls = []
+        solve_chunk = roots._solve_chunk
+
+        def counting(polys, offset):
+            calls.append(len(polys))
+            return solve_chunk(polys, offset)
+
+        monkeypatch.setattr(roots, "_solve_chunk", counting)
+        got = exact_onset(F1, "increasing", (0.0, 5.0), 1e-6)
+        assert (got.value, got.bracket) == (want.value, want.bracket)
+        assert calls[:2] == [1, 1]  # the bracket ends
+        assert max(calls[2:]) == 2**levels - 1
+        if levels == 1:
+            assert calls[2:] == [1] * 23
 
 
 class TestOrderingChain:
