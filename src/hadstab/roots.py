@@ -1,26 +1,25 @@
 """Root finding and exact Schur stability decisions.
 
-Two root candidates are computed for every polynomial and scored against each
-other: Ehrlich-Aberth simultaneous iteration, and companion-matrix eigenvalues
-refined by a few Newton steps.  The iteration starts from the Newton polygon
-of the coefficient moduli: each edge of the upper convex hull of
-(k, log|a_k|) puts as many points as it is long on a circle of its own
-radius, so the start already sits near the root moduli (Bini 1996).  The
-candidate that reconstructs the coefficients wins, and among equals the one
-with the smaller worst residual; the iteration wins ties.
-Every returned root set is certified by reconstructing the monic polynomial
-from the roots and comparing coefficients; per-root residuals are scaled
-backward errors, so clusters of near-multiple roots degrade per-root accuracy
-without breaking the certificate.
+Each polynomial is solved by one root candidate, and by the other only where
+the first fails to certify.  Up to degree 32 the first is companion-matrix
+eigenvalues refined by a few Newton steps, the cheaper one there (Edelman &
+Murakami 1995); above it, Ehrlich-Aberth simultaneous iteration, started from
+the Newton polygon of the coefficient moduli: each edge of the upper convex
+hull of (k, log|a_k|) puts as many points as it is long on a circle of its
+own radius, near the root moduli (Bini 1996).  Roots certify when they
+reconstruct the monic polynomial's coefficients or every per-root residual
+is within tolerance; an iteration that did not settle never certifies.
+Residuals are scaled backward errors, so clusters of near-multiple roots
+degrade per-root accuracy without breaking the certificate.
 
 Polynomials of one degree are solved as a batch (``find_roots_many``): the
 Aberth sweeps run on a ``(k, n)`` iterate in which each row leaves the loop
 once it settles, the eigenvalues come from one stacked ``(k, n, n)`` solve,
-and the residuals, scores and reconstructions of all rows are computed
-together.  Every step is elementwise per row, so a row's result does not
-depend on the batch it was solved in; ``find_roots`` is a batch of one.
-Rows are processed in chunks sized from the degree, which bounds the memory
-of the stacked arrays.
+and the residuals and reconstructions of all rows are computed together.
+Every step is elementwise per row, so a row's result does not depend on the
+batch it was solved in; ``find_roots`` is a batch of one.  Rows are
+processed in chunks sized from the degree, which bounds the memory of the
+stacked arrays.
 """
 
 from __future__ import annotations
@@ -41,9 +40,10 @@ from .poly import BranchSet, MonicPolynomial
 # must be able to see the crossing instead of a premature classification.
 BOUNDARY_BAND = 1e-9
 
-# Largest degree the root finder accepts.  Both candidates hold n x n complex
-# arrays (16 n^2 bytes each) and the eigenvalue solve costs O(n^3).
+# Largest degree the root finder accepts.  Each candidate holds n x n complex
+# arrays per row (16 n^2 bytes each); the eigenvalue solve costs O(n^3).
 MAX_ROOT_DEGREE = 1024
+_EIGVALS_MAX_DEGREE = 32  # eigenvalues first up to here, Aberth first above
 
 _MAX_SWEEPS = 200
 _RECONSTRUCTION_TOL = 1e-8
@@ -183,8 +183,8 @@ def _start(asc: np.ndarray) -> np.ndarray:
 def _aberth(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ehrlich-Aberth sweeps on every row of ascending coefficients.
 
-    Returns the (k, n) iterates and a (k,) mask of the rows that settled;
-    a row stops iterating as soon as it settles.
+    Returns the (k, n) iterates, the last one for a row that never settles,
+    and a (k,) mask of the rows that settled, which stop iterating at once.
     """
     k, n = asc.shape[0], asc.shape[1] - 1
     if n == 1:
@@ -229,21 +229,25 @@ def _aberth(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             if not keep.any():
                 break
             rows, z, desc, deriv = rows[keep], z[keep], desc[keep], deriv[keep]
+    else:
+        out[rows] = z
     return out, settled
 
 
-def _newton_polish(asc: np.ndarray, z: np.ndarray, steps: int = 3) -> np.ndarray:
+def _eigenvalues(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Companion eigenvalues of every row refined by three Newton steps, and
+    an all-True settled mask."""
+    z = np.linalg.eigvals(companion_matrix(asc[:, :-1]))
     desc = asc[:, ::-1]
-    n = asc.shape[1] - 1
-    deriv = desc[:, :-1] * np.arange(n, 0, -1)
-    for _ in range(steps):
+    deriv = desc[:, :-1] * np.arange(z.shape[1], 0, -1)
+    for _ in range(3):
         dpv = _horner(deriv, z)
         safe = dpv != 0
         step = np.where(safe, _horner(desc, z) / np.where(safe, dpv, 1.0), 0.0)
         # Reject steps that blow up (multiple-root clusters).
         step = np.where(np.abs(step) < 0.5 * (1 + np.abs(z)), step, 0.0)
         z = z - step
-    return z
+    return z, np.ones(len(z), dtype=bool)
 
 
 def _scaled_residuals(asc: np.ndarray, moduli: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -275,6 +279,15 @@ def _reconstructs(asc: np.ndarray, z: np.ndarray) -> np.ndarray:
     return err.max(axis=1) <= _RECONSTRUCTION_TOL
 
 
+def _candidate(solve, asc, moduli, tol):
+    """Roots and residuals from ``solve``, its settled rows, and the rows it
+    certifies (settled, and reconstructing or with residuals within tol)."""
+    z, settled = solve(asc)
+    res = _scaled_residuals(asc, moduli, z)
+    ok = (res <= tol[:, None]).all(axis=1) | _reconstructs(asc, z)
+    return z, res, settled, settled & ok
+
+
 # Iterates far from the roots can overflow; such rows fail to certify on
 # their own, so numpy's warnings would only be noise on stderr.
 @np.errstate(all="ignore")
@@ -290,39 +303,25 @@ def _solve_chunk(polys: list[MonicPolynomial], offset: int) -> list[RootSet]:
     # Python's abs (libm hypot): np.abs on complex arrays can differ from it
     # in the last bit, and the residual scale has always used it.
     moduli = np.array([[abs(c) for c in polys[i].coeffs] for i in live])
-    za, settled = _aberth(asc)
-    zc = _newton_polish(asc, np.linalg.eigvals(companion_matrix(asc[:, :-1])))
-    res_c = _scaled_residuals(asc, moduli, zc)
-    res_a = np.zeros_like(res_c)
-    res_a[settled] = _scaled_residuals(asc[settled], moduli[settled], za[settled])
-    # A candidate scores (fails to reconstruct, max residual): the lower
-    # score wins and a settled iteration wins ties.  The residual order picks
-    # the reconstruction checked first; the other is checked only where the
-    # first fails, and an unsettled iteration is never a candidate.
-    first_a = settled & ~(res_c.max(axis=1) < res_a.max(axis=1))
-    ok_first = _reconstructs(asc, np.where(first_a[:, None], za, zc))
-    retry = settled & ~ok_first
-    ok_other = np.zeros_like(ok_first)
-    if retry.any():
-        z_other = np.where(first_a[:, None], zc, za)
-        ok_other[retry] = _reconstructs(asc[retry], z_other[retry])
-    # Where the first check fails, the iteration wins if it came first and
-    # the eigenvalues fail too, or if it came second and reconstructs.
-    take_a = np.where(ok_first, first_a, first_a != ok_other)
-    reconstructed = ok_first | ok_other
-
-    z = np.where(take_a[:, None], za, zc)
-    res = np.where(take_a[:, None], res_a, res_c)
+    tol = np.array([residual_tolerance(polys[i]) for i in live])
+    first, fallback = (
+        (_eigenvalues, _aberth) if n <= _EIGVALS_MAX_DEGREE else (_aberth, _eigenvalues)
+    )
+    z, res, _, certified = _candidate(first, asc, moduli, tol)
+    retry = np.flatnonzero(~certified)
+    if retry.size:
+        z2, res2, settled, ok = _candidate(fallback, asc[retry], moduli[retry], tol[retry])
+        certified[retry] = ok
+        # An iterate that did not settle is never returned, even as a partial.
+        z[retry[settled]], res[retry[settled]] = z2[settled], res2[settled]
     order = np.argsort(np.abs(z), axis=1, kind="stable")
     z = np.take_along_axis(z, order, axis=1)
     res = np.take_along_axis(res, order, axis=1)
-    tol = np.array([residual_tolerance(polys[i]) for i in live])
     converged = res <= tol[:, None]
-    failed = ~reconstructed & ~converged.all(axis=1)
     rows = zip(live, z.tolist(), res.tolist(), converged.tolist())
     for j, (i, zs, residuals, flags) in enumerate(rows):
         rootset = RootSet(tuple(zs), tuple(residuals), tuple(flags))
-        if failed[j]:
+        if not certified[j]:
             raise UnconvergedError(
                 f"root iteration failed to certify (max residual {res[j].max():.3e})",
                 partial=rootset,
@@ -374,8 +373,7 @@ def find_roots(f: MonicPolynomial) -> RootSet:
     """All roots of f, nondecreasing in modulus, certified by reconstruction.
 
     Raises UnconvergedError (with the partial result attached) when neither
-    the simultaneous iteration nor the eigenvalue candidate produces a root
-    set that reproduces the coefficients.
+    the first candidate for the degree nor the fallback certifies.
     """
     return find_roots_many([f])[0]
 

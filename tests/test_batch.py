@@ -46,15 +46,17 @@ def _seed_horner(cs, z):
 
 
 def _seed_find_roots(f, horner=_seed_horner):
-    """The per-polynomial solver that the batched one replaced, kept as the
-    reference: Aberth and companion candidates, scored per polynomial.
-    Returns the sorted roots and residuals as raw bytes."""
+    """The solver's rule written for one polynomial at a time, kept as the
+    reference: the companion candidate first up to degree 32 and Aberth
+    above, the other only if the first does not certify.  Returns the sorted
+    roots and residuals as raw bytes."""
     n = f.degree
     asc = np.array(list(f.coeffs) + [1.0 + 0j])
     if not f.support:
         return np.zeros(n, dtype=complex).tobytes(), np.zeros(n).tobytes()
     desc = asc[::-1]
     deriv = desc[:-1] * np.arange(n, 0, -1)
+    tol = 1e-10 * (1.0 + max(abs(c) for c in f.coeffs))
 
     def start():
         # Newton polygon by gift wrapping: from each vertex, the next one ends
@@ -128,13 +130,16 @@ def _seed_find_roots(f, horner=_seed_horner):
         err = np.abs(np.poly(z)[::-1] - asc) / np.maximum(1.0, np.abs(asc))
         return bool(np.max(err) <= 1e-8)
 
-    best = None
-    for cand in [z for z in (aberth(), companion()) if z is not None]:
-        res = residuals(cand)
-        score = (not reconstructs(cand), float(np.max(res)))
-        if best is None or score < best[0]:
-            best = (score, cand, res)
-    _, z, res = best
+    def certifies(z):
+        return bool(np.all(residuals(z) <= tol)) or reconstructs(z)
+
+    first, second = (companion, aberth) if n <= 32 else (aberth, companion)
+    z = first()
+    if z is None or not certifies(z):
+        other = second()  # None where the iteration did not settle
+        if other is not None:
+            z = other
+    res = residuals(z)
     order = np.argsort(np.abs(z), kind="stable")
     return z[order].tobytes(), res[order].tobytes()
 
@@ -173,10 +178,56 @@ def _corpus():
     for k in sorted({f.degree for f in clusters}):
         groups.append([f for f in clusters if f.degree == k])
     groups.append([principal_power(F1, p / 3) for p in range(-30, 60)])
+    # Above degree 32 Aberth comes first: rows that settle, in two chunks.
+    groups.append([random_monic(rng, 40, (0.05, 0.9)) for _ in range(7)])
     return groups
 
 
 CORPUS = _corpus()
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """Shapes of the stacked companion matrices passed to ``eigvals``."""
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return calls
+
+
+@pytest.fixture
+def aberth_calls(monkeypatch):
+    """Shapes of the stacked coefficient rows passed to ``roots._aberth``."""
+    calls = []
+    aberth = roots._aberth
+
+    def counting(asc):
+        calls.append(asc.shape)
+        return aberth(asc)
+
+    monkeypatch.setattr(roots, "_aberth", counting)
+    return calls
+
+
+def _spoiled(solve, *targets):
+    """A candidate that returns NaN roots for the rows of ``targets``."""
+    rows = [np.array(f.coeffs + (1.0 + 0j,)) for f in targets]
+
+    def spoiled(asc):
+        z, settled = solve(asc)
+        hit = np.array([any((a == r).all() for r in rows) for a in asc])
+        return np.where(hit[:, None], np.nan, z), settled
+
+    return spoiled
+
+
+def _sorted_roots(z):
+    return z[np.argsort(np.abs(z), kind="stable")].tobytes()
 
 
 class TestBatchEqualsSingle:
@@ -226,7 +277,9 @@ class TestBatchEqualsSingle:
 
         monkeypatch.setattr(roots, "_horner", vanishing_derivative(roots._horner))
         seed_horner = vanishing_derivative(_seed_horner)
-        for group in CORPUS[1:4]:
+        # Eigenvalues first at degree 3-6 (the stalls hit the Newton polish),
+        # Aberth first at degree 40.
+        for group in CORPUS[1:4] + CORPUS[-1:]:
             batch = find_roots_many(group)
             for f, rs in zip(group, batch):
                 assert _bits(rs) == _bits(find_roots(f))
@@ -310,6 +363,66 @@ class TestBatchContract:
         assert len(info.value.partial.roots) == 4
 
 
+class TestFallback:
+    """The other candidate runs only on the rows that the first candidate
+    for the degree fails to certify."""
+
+    def test_eigenvalue_failure_falls_back_to_aberth(self, monkeypatch, aberth_calls):
+        rng = random.Random(11)
+        group = [random_monic(rng, 5) for _ in range(6)]
+        whole = find_roots_many(group)
+        assert aberth_calls == []
+        monkeypatch.setattr(roots, "_eigenvalues", _spoiled(roots._eigenvalues, group[2]))
+        spoiled = find_roots_many(group)
+        assert aberth_calls == [(1, 6)]  # that row alone
+        za, settled = roots._aberth(np.array([group[2].coeffs + (1.0 + 0j,)]))
+        assert settled[0]
+        assert _bits(spoiled[2])[0] == _sorted_roots(za[0])
+        assert abs(spoiled[2].max_modulus - whole[2].max_modulus) < 1e-12
+        for i in (0, 1, 3, 4, 5):
+            assert _bits(spoiled[i]) == _bits(whole[i])
+
+    def test_unsettled_iteration_falls_back_to_eigenvalues(
+        self, eigvals_calls, aberth_calls
+    ):
+        big = next(g for g in CORPUS if g[0].degree == 100)
+        batch = find_roots_many(big)  # one row per chunk at degree 100
+        assert aberth_calls == [(1, 101)] * len(big)
+        assert eigvals_calls == [(1, 100, 100)] * len(big)
+        for f, rs in zip(big, batch):
+            zc, _ = roots._eigenvalues(np.array([f.coeffs + (1.0 + 0j,)]))
+            assert _bits(rs)[0] == _sorted_roots(zc[0])
+
+    def test_fallback_runs_on_failed_rows_only(self, monkeypatch, eigvals_calls):
+        group = CORPUS[-1]  # degree 40, chunks of 5 and 2 rows
+        whole = find_roots_many(group)
+        assert eigvals_calls == []
+        monkeypatch.setattr(roots, "_aberth", _spoiled(roots._aberth, group[1], group[6]))
+        spoiled = find_roots_many(group)
+        assert eigvals_calls == [(1, 40, 40), (1, 40, 40)]
+        for i in (1, 6):
+            zc, _ = roots._eigenvalues(np.array([group[i].coeffs + (1.0 + 0j,)]))
+            assert _bits(spoiled[i])[0] == _sorted_roots(zc[0])
+        for i in (0, 2, 3, 4, 5):
+            assert _bits(spoiled[i]) == _bits(whole[i])
+
+    @pytest.mark.parametrize("degree", [5, 40])
+    def test_neither_candidate_certifies(self, monkeypatch, degree):
+        rng = random.Random(degree)
+        group = [random_monic(rng, degree, (0.05, 0.9)) for _ in range(7)]
+        monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 4 * degree**2)
+        monkeypatch.setattr(roots, "_MAX_SWEEPS", 0)  # no row settles
+        monkeypatch.setattr(roots, "_eigenvalues", _spoiled(roots._eigenvalues, group[6]))
+        with pytest.raises(UnconvergedError, match="failed to certify") as info:
+            find_roots_many(group)
+        assert info.value.row == 6  # second chunk, row 2
+        # The partial holds the eigenvalues, never an iterate that did not
+        # settle.
+        partial = info.value.partial.roots
+        assert len(partial) == degree
+        assert all(math.isnan(z.real) for z in partial)
+
+
 class TestBranchSetChunks:
     def test_later_chunk_failure_names_the_branch(self, monkeypatch):
         f = MonicPolynomial((0.05, 0.04j, 0.03, -0.02))
@@ -338,18 +451,6 @@ class TestBranchSetChunks:
 class TestWorkCounters:
     """Deterministic work per call, counted without wall time."""
 
-    @pytest.fixture
-    def eigvals_calls(self, monkeypatch):
-        calls = []
-        eigvals = np.linalg.eigvals
-
-        def counting(a):
-            calls.append(a.shape)
-            return eigvals(a)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counting)
-        return calls
-
     def test_sweep_of_100_powers_is_one_stacked_solve(self, eigvals_calls):
         records = report.sweep(F1, [float(p) for p in range(1, 101)])
         assert len(records) == 100
@@ -365,18 +466,33 @@ class TestWorkCounters:
 
         monkeypatch.setattr(roots, "_reconstructs", counting)
         report.sweep(F1, [float(p) for p in range(1, 101)])
-        # The first-choice candidate of every row, then the other candidate
-        # of the rows whose first choice fails.
+        # The first candidate (eigenvalues at degree 5) of every row, then
+        # the fallback of the rows that it fails to certify.
         assert 1 <= len(calls) <= 2
         assert calls[0] == 100
 
-    def test_sweep_chunks_by_degree(self, eigvals_calls):
+    def test_sweep_chunks_by_degree(self, eigvals_calls, aberth_calls):
         rng = random.Random(3)
         f = random_monic(rng, 40, modulus_range=(0.05, 0.9))
         report.sweep(f, [0.05 * p for p in range(1, 101)])
         rows = roots._CHUNK_ELEMENTS // 40**2
         expected = [min(rows, 100 - start) for start in range(0, 100, rows)]
-        assert [shape[0] for shape in eigvals_calls] == expected
+        # Aberth is the first candidate above degree 32 and certifies every
+        # row, so the eigenvalue fallback never runs.
+        assert aberth_calls == [(k, 41) for k in expected]
+        assert eigvals_calls == []
+
+    def test_dyadic_clusters_never_iterate(self, eigvals_calls, aberth_calls):
+        """Exact multiple roots, on which Aberth never settles, are certified
+        by their eigenvalues, the first candidate at these degrees."""
+        clusters = _dyadic_clusters()
+        assert len(clusters) == 50
+        for k in sorted({f.degree for f in clusters}):
+            find_roots_many([f for f in clusters if f.degree == k])
+        for f in clusters:
+            find_roots(f)
+        assert aberth_calls == []
+        assert len(eigvals_calls) == 7 + len(clusters)
 
     def test_branch_set_is_one_stacked_solve(self, eigvals_calls):
         f = MonicPolynomial((0.3, 0.2j, 0.1, -0.25, 0.05))
