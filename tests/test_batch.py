@@ -45,11 +45,18 @@ def _seed_horner(cs, z):
     return acc
 
 
-def _seed_find_roots(f, horner=_seed_horner):
+def _seed_evaluate(V, cs):
+    """Ascending coefficients ``cs`` at the points of the power table ``V``."""
+    return (V[: len(cs)] * cs[:, None]).sum(axis=0)
+
+
+def _seed_find_roots(f, horner=_seed_horner, evaluate=_seed_evaluate):
     """The solver's rule written for one polynomial at a time, kept as the
     reference: the companion candidate first up to degree 32 and Aberth
-    above, the other only if the first does not certify.  Returns the sorted
-    roots and residuals as raw bytes."""
+    above, the other only if the first does not certify.  Aberth and the
+    residuals evaluate from a table of powers of the points, the Newton
+    polish by Horner's rule.  Returns the sorted roots and residuals as raw
+    bytes."""
     n = f.degree
     asc = np.array(list(f.coeffs) + [1.0 + 0j])
     if not f.support:
@@ -57,6 +64,14 @@ def _seed_find_roots(f, horner=_seed_horner):
     desc = asc[::-1]
     deriv = desc[:-1] * np.arange(n, 0, -1)
     tol = 1e-10 * (1.0 + max(abs(c) for c in f.coeffs))
+
+    def powers(z):
+        # z^(m+1) .. z^(2m) as z^1 .. z^m times z^m.
+        V = [np.ones_like(z), z]
+        while len(V) <= n:
+            m = len(V) - 1
+            V += [v * V[m] for v in V[1 : min(m, n - m) + 1]]
+        return np.array(V)
 
     def start():
         # Newton polygon by gift wrapping: from each vertex, the next one ends
@@ -92,7 +107,8 @@ def _seed_find_roots(f, horner=_seed_horner):
             return np.array([-asc[0]])
         z = start()
         for _ in range(200):
-            pv, dpv = horner(desc, z), horner(deriv, z)
+            V = powers(z)
+            pv, dpv = evaluate(V, asc), evaluate(V, asc[1:] * np.arange(1, n + 1))
             stalled = dpv == 0
             if stalled.any():
                 z = z + np.where(stalled, 1e-8 * (1 + np.abs(z)), 0.0)
@@ -120,11 +136,9 @@ def _seed_find_roots(f, horner=_seed_horner):
         return z
 
     def residuals(z):
-        scale, zp = np.ones(n), np.ones_like(z)
-        for c in asc[:-1]:
-            scale = scale + abs(c) * np.abs(zp)
-            zp = zp * z
-        return np.abs(horner(desc, z)) / (scale + np.abs(zp))
+        V = powers(z)
+        moduli = np.array([abs(c) for c in asc[:-1]] + [1.0])
+        return np.abs(evaluate(V, asc)) / (1.0 + evaluate(np.abs(V), moduli))
 
     def reconstructs(z):
         err = np.abs(np.poly(z)[::-1] - asc) / np.maximum(1.0, np.abs(asc))
@@ -259,32 +273,48 @@ class TestBatchEqualsSingle:
         assert [_bits(rs) for rs in find_roots_many(group)] == whole
 
     def test_stalled_rows_match_seed_and_single_solves(self, monkeypatch):
-        stalls = []
+        stalls = {"horner": 0, "table": 0}
 
-        def vanishing_derivative(horner):
-            # Zero derivative values (leading coefficient n, not 1) by a rule
-            # on the bits of z alone, so a row stalls on the same sweeps in
-            # any batch and in the seed solver.
+        def vanishing(z, out):
+            # Zero derivative values by a rule on the bits of z alone, so a
+            # row stalls on the same sweeps in any batch and in the seed
+            # solver.
+            hit = np.ascontiguousarray(z).view(np.uint64)[..., ::2] % 5 == 0
+            return int(hit.sum()), np.where(hit, 0, out)
+
+        def horner_hook(horner):
+            # The derivative's leading coefficient is n, not 1.
             def evaluate(desc, z):
                 out = horner(desc, z)
                 if np.all(desc[..., 0] != 1):
-                    hit = np.ascontiguousarray(z).view(np.uint64)[..., ::2] % 5 == 0
-                    stalls.append(int(hit.sum()))
-                    out = np.where(hit, 0, out)
+                    count, out = vanishing(z, out)
+                    stalls["horner"] += count
                 return out
 
             return evaluate
 
-        monkeypatch.setattr(roots, "_horner", vanishing_derivative(roots._horner))
-        seed_horner = vanishing_derivative(_seed_horner)
-        # Eigenvalues first at degree 3-6 (the stalls hit the Newton polish),
-        # Aberth first at degree 40.
+        def table_hook(evaluate):
+            def hooked(V, c):
+                out = evaluate(V, c)
+                if np.all(c[..., -1] != 1):
+                    count, out = vanishing(V[1], out)  # V[1] holds the points
+                    stalls["table"] += count
+                return out
+
+            return hooked
+
+        monkeypatch.setattr(roots, "_horner", horner_hook(roots._horner))
+        monkeypatch.setattr(roots, "_evaluate", table_hook(roots._evaluate))
+        seed = dict(horner=horner_hook(_seed_horner), evaluate=table_hook(_seed_evaluate))
+        # Eigenvalues first at degree 3-6 (the stalls hit the Newton polish
+        # by Horner's rule), Aberth first at degree 40 (they hit the
+        # derivative from the power table).
         for group in CORPUS[1:4] + CORPUS[-1:]:
             batch = find_roots_many(group)
             for f, rs in zip(group, batch):
                 assert _bits(rs) == _bits(find_roots(f))
-                assert _bits(rs)[:2] == _seed_find_roots(f, seed_horner)
-        assert sum(stalls) > 0
+                assert _bits(rs)[:2] == _seed_find_roots(f, **seed)
+        assert stalls["horner"] > 0 and stalls["table"] > 0
 
     def test_reconstruction_matches_np_poly(self):
         """The row-wise product expansion decides as ``np.poly`` does, on
@@ -320,6 +350,27 @@ class TestBatchEqualsSingle:
                 assert (got == want)[clear].all()
                 outcomes.update(want[clear].tolist())
         assert outcomes == {True, False}
+
+    def test_scaled_residuals_match_the_horner_loop(self):
+        """Residuals from the power table agree with Horner's rule over the
+        scale summed power by power, within 4 (n + 1) eps of the scale: at
+        the roots, and away from them where |p| is not at rounding level."""
+        eps = np.finfo(float).eps
+        for group in CORPUS:
+            live = [f for f in group if f.support]
+            asc = np.array([f.coeffs + (1.0 + 0j,) for f in live])
+            moduli = np.array([[abs(c) for c in f.coeffs] + [1.0] for f in live])
+            n = asc.shape[1] - 1
+            z = np.array([rs.roots for rs in find_roots_many(live)])
+            for points in (z, 1.1 * z, 0.7 * z + 0.1j):
+                vals = np.abs(roots._horner(asc[:, ::-1], points))
+                scale, zp = np.ones_like(vals), np.ones_like(points)
+                for m in moduli[:, :-1].T:
+                    scale = scale + m[:, None] * np.abs(zp)
+                    zp = zp * points
+                want = vals / (scale + np.abs(zp))
+                got = roots._scaled_residuals(asc, moduli, points)
+                assert (np.abs(got - want) <= 4 * (n + 1) * eps).all()
 
     def test_accepts_a_lazy_stream(self):
         group = CORPUS[2]
@@ -461,15 +512,23 @@ class TestWorkCounters:
         reconstructs = roots._reconstructs
 
         def counting(asc, z):
-            calls.append(len(z))
+            calls.append({tuple(row[:-1]) for row in asc.tolist()})
             return reconstructs(asc, z)
 
         monkeypatch.setattr(roots, "_reconstructs", counting)
-        report.sweep(F1, [float(p) for p in range(1, 101)])
-        # The first candidate (eigenvalues at degree 5) of every row, then
-        # the fallback of the rows that it fails to certify.
-        assert 1 <= len(calls) <= 2
-        assert calls[0] == 100
+        powers = [float(p) for p in range(1, 101)]
+        whole = report.sweep(F1, powers)
+        # The residuals of every row certify, so none is reconstructed.
+        assert calls == []
+        # Rows whose residuals cannot certify go to the reconstruction as
+        # one stack, and no other row does.
+        bad = [principal_power(F1, p) for p in powers[::7]]
+        tolerance = roots.residual_tolerance
+        monkeypatch.setattr(
+            roots, "residual_tolerance", lambda f: -1.0 if f in bad else tolerance(f)
+        )
+        assert report.sweep(F1, powers) == whole
+        assert calls == [{f.coeffs for f in bad}]
 
     def test_sweep_chunks_by_degree(self, eigvals_calls, aberth_calls):
         rng = random.Random(3)

@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hadstab import (
     RationalExponent,
     SimplexWeights,
     Status,
+    UnconvergedError,
     branch_set_stable,
     find_roots,
     fujiwara_bound,
@@ -117,29 +119,30 @@ class TestAberthStart:
     """The Newton-polygon start: high-degree solves settle in few sweeps."""
 
     @pytest.fixture
-    def horner_calls(self, monkeypatch):
+    def power_tables(self, monkeypatch):
+        """Number of power tables built, one per Aberth sweep."""
         calls = []
-        horner = roots._horner
+        powers = roots._powers
 
-        def counting(desc, z):
-            calls.append(len(desc))
-            return horner(desc, z)
+        def counting(z, n):
+            calls.append(z.shape)
+            return powers(z, n)
 
-        monkeypatch.setattr(roots, "_horner", counting)
+        monkeypatch.setattr(roots, "_powers", counting)
         return calls
 
     @pytest.mark.parametrize(
         "degree, radius",
         [(120, 1.3), (128, 0.95), (137, 0.6), (150, 1.4), (160, 1.25), (160, 0.8)],
     )
-    def test_high_degree_settles_and_certifies(self, horner_calls, degree, radius):
+    def test_high_degree_settles_and_certifies(self, power_tables, degree, radius):
         rng = random.Random(degree * 1000 + round(radius * 100))
         zs = _jittered_circle(rng, degree - degree // 4, radius)
         zs += _jittered_circle(rng, degree // 4, radius * rng.uniform(0.3, 0.9))
         f, top = _from_dyadic_roots(zs)
         _, settled = roots._aberth(np.array([f.coeffs + (1.0 + 0j,)]))
         assert settled.all()
-        assert len(horner_calls) // 2 <= 40  # two evaluations per sweep
+        assert 1 <= len(power_tables) <= 40  # sweeps
         rs = find_roots(f)  # raises UnconvergedError unless certified
         assert abs(rs.max_modulus - top) <= 1e-9
 
@@ -158,6 +161,83 @@ class TestAberthStart:
                 assert settled.all()
                 rs = find_roots(MonicPolynomial(coeffs))
                 assert max(abs(z) for z in rs.roots[:2]) <= 1e-12
+
+
+def _exact_powers(z, n):
+    """z^0 .. z^n in exact rational arithmetic, as (re, im) Fractions."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    out = [(Fraction(1), Fraction(0))]
+    for _ in range(n):
+        a, b = out[-1]
+        out.append((a * x - b * y, a * y + b * x))
+    return out
+
+
+class TestPowerTable:
+    """The power table from which Aberth and the residuals evaluate."""
+
+    def test_exact_on_dyadic_points(self):
+        # Every power up to 32 of these points is exact in binary64.
+        points = [0.5, -0.75, 0.5 + 0.5j, 1j, -2.0, 0.0, 1.5j, 0.25 - 0.25j]
+        for n in (1, 2, 5, 16, 17, 32):
+            z = np.array([points[:4], points[4:]], dtype=complex)
+            V = roots._powers(z, n)
+            assert V.shape == (n + 1, 2, 4)
+            for (i, j), zij in np.ndenumerate(z):
+                for k, (re, im) in enumerate(_exact_powers(zij, n)):
+                    assert V[k, i, j] == complex(float(re), float(im)), (zij, k)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 31, 64, 160, 1024])
+    def test_matches_repeated_multiplication(self, n):
+        rng = np.random.default_rng(n)
+        radius = rng.uniform(0.5, 2.0, (3, n)) ** (1.0 / max(1.0, math.log2(n)))
+        z = radius * np.exp(2j * np.pi * rng.uniform(size=(3, n)))
+        V = roots._powers(z, n)
+        ref = np.ones_like(V)
+        for k in range(1, n + 1):
+            ref[k] = ref[k - 1] * z
+        k = np.arange(n + 1)[:, None, None]
+        eps = np.finfo(float).eps
+        assert (np.abs(V - ref) <= k * eps * np.abs(ref)).all()
+
+    @pytest.mark.parametrize("degree", [1, 5, 33, 40])
+    def test_batch_rows_equal_single_rows(self, degree):
+        rng = random.Random(degree)
+        polys = [random_monic(rng, degree, (0.05, 0.9)) for _ in range(5)]
+        asc = np.array([f.coeffs + (1.0 + 0j,) for f in polys])
+        moduli = np.array([[abs(c) for c in f.coeffs] + [1.0] for f in polys])
+        z, settled = roots._aberth(asc)
+        assert settled.all()
+        V = roots._powers(z, degree)
+        pv = roots._evaluate(V, asc)
+        res = roots._scaled_residuals(asc, moduli, z)
+        for i in range(len(polys)):
+            row = slice(i, i + 1)
+            zi, _ = roots._aberth(asc[row])
+            assert zi.tobytes() == z[row].tobytes()
+            assert roots._powers(z[row], degree).tobytes() == V[:, row].tobytes()
+            assert roots._evaluate(V[:, row], asc[row]).tobytes() == pv[row].tobytes()
+            assert (
+                roots._scaled_residuals(asc[row], moduli[row], z[row]).tobytes()
+                == res[row].tobytes()
+            )
+
+    @pytest.mark.parametrize("degree", [100, 160])
+    def test_overflowing_iterate_is_quiet(self, degree):
+        # One root near -1500: 1500^100 overflows, so no evaluation of p at
+        # that root is finite.
+        f = MonicPolynomial((1.0,) + (0j,) * (degree - 2) + (1500.0,))
+        asc = np.array([f.coeffs + (1.0 + 0j,)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(roots._powers(roots._start(asc), degree)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                rs = find_roots(f)
+            except UnconvergedError as exc:
+                assert len(exc.partial.roots) == degree
+            else:
+                assert abs(rs.max_modulus - 1500.0) < 1e-6
 
 
 class TestStabilityVerdict:
