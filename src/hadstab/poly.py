@@ -192,7 +192,8 @@ class BranchSet:
     branch (0^p = 0 by convention) and contribute no branching.  A branch
     index records, per support index in ascending order, which root
     ``l in {0, ..., m-1}`` the member picked.  Members are built on demand,
-    in ``itertools.product`` order of their indices; none is stored.
+    in ``itertools.product`` order of their indices; none is stored, only
+    the m values of each nonzero coefficient (``table``).
     """
 
     base: MonicPolynomial
@@ -227,17 +228,30 @@ class BranchSet:
             ranges[pos] = range(math.gcd(n - support[pos], m))
         return itertools.product(*ranges)
 
-    def members(self, indices: Iterable[Sequence[int]]) -> Iterator[MonicPolynomial]:
-        """The member for each branch index, built as the iteration reaches it."""
+    @functools.cached_property
+    def table(
+        self,
+    ) -> tuple[tuple[tuple[complex, ...], ...], tuple[tuple[float, ...], ...]]:
+        """Per support index in ascending order, the m values its coefficient
+        takes (root l = 0..m-1) and their moduli.
+
+        The moduli are Python's ``abs`` of the values, as ``abs`` of a
+        member's coefficients would give them.  Built on first use; a power
+        that overflows raises InvalidInputError then.
+        """
         f, m = self.base, self.exponent.den
         pval = self.exponent.num / m
-        support = f.support
-        values = [
-            [_power_coeff(f.coeffs[k], pval, 2.0 * math.pi * l / m) for l in range(m)]
-            for k in support
-        ]
+        values = tuple(
+            tuple(_power_coeff(f.coeffs[k], pval, 2.0 * math.pi * l / m) for l in range(m))
+            for k in f.support
+        )
+        return values, tuple(tuple(abs(c) for c in row) for row in values)
+
+    def members(self, indices: Iterable[Sequence[int]]) -> Iterator[MonicPolynomial]:
+        """The member for each branch index, built as the iteration reaches it."""
+        support, values = self.base.support, self.table[0]
         for ls in indices:
-            cs = [0j] * f.degree
+            cs = [0j] * self.base.degree
             for k, choices, l in zip(support, values, ls):
                 cs[k] = choices[l]
             yield MonicPolynomial(tuple(cs))

@@ -27,7 +27,9 @@ and the residuals and reconstructions of all rows are computed together.
 Every step is elementwise per row, so a row's result does not depend on the
 batch it was solved in; ``find_roots`` is a batch of one.  Rows are
 processed in chunks sized from the degree, which bounds the memory of the
-stacked arrays.
+stacked arrays.  ``branch_set_stable`` feeds the same core (``_solve_rows``)
+with rows gathered from a branch set's coefficient table, without building a
+polynomial or a root set per member.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -326,22 +328,30 @@ def _candidate(solve, asc, moduli, tol):
     return z, res, settled, settled & ok
 
 
-# Iterates far from the roots can overflow; such rows fail to certify on
-# their own, so numpy's warnings would only be noise on stderr.
-@np.errstate(all="ignore")
-def _solve_chunk(polys: list[MonicPolynomial], offset: int) -> list[RootSet]:
-    """Root sets of one chunk; ``offset`` is the batch row of ``polys[0]``."""
-    n = polys[0].degree
-    # s^n has n roots at the origin and needs no iteration.
-    out = [RootSet((0j,) * n, (0.0,) * n, (True,) * n)] * len(polys)
-    live = [i for i, f in enumerate(polys) if f.support]
-    if not live:
-        return out
-    asc = np.array([polys[i].coeffs + (1.0 + 0j,) for i in live])
-    # Python's abs (libm hypot): np.abs on complex arrays can differ from it
-    # in the last bit, and the residual scale has always used it.
-    moduli = np.array([[abs(c) for c in polys[i].coeffs] + [1.0] for i in live])
-    tol = np.array([residual_tolerance(polys[i]) for i in live])
+def _solve_rows(
+    asc: np.ndarray, moduli: np.ndarray, tol: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unsorted roots, their scaled residuals and a certified mask for every
+    row of ascending monic coefficients ``asc`` (k, n + 1), with ``moduli``
+    their moduli and ``tol`` (k,) the residual tolerance of each row.
+
+    A row with a_0 .. a_{n-1} all zero is s^n: n roots at the origin, no
+    iteration.  The other rows go to the first candidate for the degree, and
+    those it does not certify to the fallback.  Iterates far from the roots
+    can overflow; such rows fail to certify on their own, so callers run it
+    under ``np.errstate(all="ignore")``: numpy's warnings would only be noise
+    on stderr.
+    """
+    k, n = asc.shape[0], asc.shape[1] - 1
+    live = asc[:, :-1].any(axis=1)
+    if not live.all():
+        z, res = np.zeros((k, n), dtype=complex), np.zeros((k, n))
+        certified = np.ones(k, dtype=bool)
+        if live.any():
+            z[live], res[live], certified[live] = _solve_rows(
+                asc[live], moduli[live], tol[live]
+            )
+        return z, res, certified
     first, fallback = (
         (_eigenvalues, _aberth) if n <= _EIGVALS_MAX_DEGREE else (_aberth, _eigenvalues)
     )
@@ -352,26 +362,51 @@ def _solve_chunk(polys: list[MonicPolynomial], offset: int) -> list[RootSet]:
         certified[retry] = ok
         # An iterate that did not settle is never returned, even as a partial.
         z[retry[settled]], res[retry[settled]] = z2[settled], res2[settled]
+    return z, res, certified
+
+
+def _root_sets(z: np.ndarray, res: np.ndarray, tol: np.ndarray) -> list[RootSet]:
+    """Each row of ``_solve_rows`` output as a RootSet sorted by modulus."""
     order = np.argsort(np.abs(z), axis=1, kind="stable")
     z = np.take_along_axis(z, order, axis=1)
     res = np.take_along_axis(res, order, axis=1)
     converged = res <= tol[:, None]
-    rows = zip(live, z.tolist(), res.tolist(), converged.tolist())
-    for j, (i, zs, residuals, flags) in enumerate(rows):
-        rootset = RootSet(tuple(zs), tuple(residuals), tuple(flags))
-        if not certified[j]:
-            raise UnconvergedError(
-                f"root iteration failed to certify (max residual {res[j].max():.3e})",
-                partial=rootset,
-                row=offset + i,
-            )
-        out[i] = rootset
+    return [
+        RootSet(tuple(zs), tuple(residuals), tuple(flags))
+        for zs, residuals, flags in zip(z.tolist(), res.tolist(), converged.tolist())
+    ]
+
+
+def _uncertified(res: np.ndarray) -> str:
+    return f"root iteration failed to certify (max residual {res.max():.3e})"
+
+
+@np.errstate(all="ignore")  # see _solve_rows
+def _solve_chunk(polys: list[MonicPolynomial], offset: int) -> list[RootSet]:
+    """Root sets of one chunk; ``offset`` is the batch row of ``polys[0]``."""
+    asc = np.array([f.coeffs + (1.0 + 0j,) for f in polys])
+    # Python's abs (libm hypot): np.abs on complex arrays can differ from it
+    # in the last bit, and the residual scale has always used it.
+    moduli = np.array([[abs(c) for c in f.coeffs] + [1.0] for f in polys])
+    tol = np.array([residual_tolerance(f) for f in polys])
+    z, res, certified = _solve_rows(asc, moduli, tol)
+    out = _root_sets(z, res, tol)
+    if not certified.all():
+        i = int(np.argmin(certified))
+        raise UnconvergedError(_uncertified(res[i]), partial=out[i], row=offset + i)
     return out
 
 
 def chunk_rows(degree: int) -> int:
     """Rows of this degree solved together as one stacked chunk."""
     return max(1, _CHUNK_ELEMENTS // (degree * degree))
+
+
+def _check_degree(n: int) -> None:
+    if n > MAX_ROOT_DEGREE:
+        raise UnsupportedDegreeError(
+            f"root finding needs degree <= {MAX_ROOT_DEGREE}, got {n}"
+        )
 
 
 def _solve(polys: Iterable[MonicPolynomial]) -> Iterator[RootSet]:
@@ -381,10 +416,7 @@ def _solve(polys: Iterable[MonicPolynomial]) -> Iterator[RootSet]:
     if first is None:
         return
     n = first.degree
-    if n > MAX_ROOT_DEGREE:
-        raise UnsupportedDegreeError(
-            f"root finding needs degree <= {MAX_ROOT_DEGREE}, got {n}"
-        )
+    _check_degree(n)
     size = chunk_rows(n)
     chunk, offset = [first, *islice(it, size - 1)], 0
     while chunk:
@@ -439,27 +471,19 @@ def is_schur_stable_many(polys: Iterable[MonicPolynomial]) -> list[StabilityVerd
     return [_verdict(rs) for rs in find_roots_many(polys)]
 
 
-def _branch_solves(
-    b: BranchSet, indices: Callable[[], Iterator[tuple[int, ...]]]
-) -> Iterator[RootSet]:
-    """Root sets of b's members at ``indices()``, in order; a failure names
-    its branch by its position in the full enumeration and its index."""
-    try:
-        yield from _solve(b.members(indices()))
-    except UnconvergedError as exc:
-        index = next(islice(indices(), exc.row, None))
-        raise UnconvergedError(
-            f"branch {b.position(index)} (index {index}): {exc}", partial=exc.partial
-        ) from exc
-
-
 def branch_root_sets(b: BranchSet) -> list[RootSet]:
     """Root sets of every member of b, in enumeration order, solved as one
     batch.
 
     A member that fails to certify raises UnconvergedError naming the branch.
     """
-    return list(_branch_solves(b, b.indices))
+    try:
+        return find_roots_many(b)
+    except UnconvergedError as exc:
+        index = next(islice(b.indices(), exc.row, None))
+        raise UnconvergedError(
+            f"branch {exc.row} (index {index}): {exc}", partial=exc.partial
+        ) from exc
 
 
 def combined_verdict(root_sets: Iterable[RootSet]) -> StabilityVerdict:
@@ -486,28 +510,75 @@ def combined_verdict(root_sets: Iterable[RootSet]) -> StabilityVerdict:
     return StabilityVerdict(Status.MARGINAL, worst)
 
 
-def _through_first_unstable(root_sets: Iterable[RootSet]) -> Iterator[RootSet]:
-    for rs in root_sets:
-        yield rs
-        if classify(rs.max_modulus) is Status.UNSTABLE:
-            return
+def _branch_blocks(
+    b: BranchSet,
+) -> Iterator[tuple[list[tuple[int, ...]], np.ndarray, np.ndarray, np.ndarray]]:
+    """Rotation representatives of b as blocks of rows (indices, asc,
+    moduli, tol), ready for ``_solve_rows``: the principal branch alone, then
+    ``chunk_rows`` rows at a time.
+
+    Rows are gathered from ``b.table``; ``tol`` is ``residual_tolerance`` of
+    each member, 1e-10 (1 + max_k |a_k|).
+    """
+    n, support = b.base.degree, list(b.base.support)
+    shape = (len(support), b.exponent.den)
+    values = np.array(b.table[0], dtype=complex).reshape(shape)
+    moduli = np.array(b.table[1]).reshape(shape)
+    at = np.arange(len(support))
+    it = b.rotation_representatives()
+    block = list(islice(it, 1))
+    while block:
+        ls = np.array(block, dtype=np.intp).reshape(len(block), len(support))
+        asc = np.zeros((len(block), n + 1), dtype=complex)
+        mod = np.zeros((len(block), n + 1))
+        asc[:, support] = values[at, ls]
+        mod[:, support] = moduli[at, ls]
+        asc[:, n] = mod[:, n] = 1.0
+        yield block, asc, mod, 1e-10 * (1.0 + mod[:, :n].max(axis=1))
+        block = list(islice(it, chunk_rows(n)))
 
 
+@np.errstate(all="ignore")  # see _solve_rows
 def branch_set_stable(b: BranchSet) -> StabilityVerdict:
     """Stability of a rational power means stability of every branch.
 
     Only one member per rotation orbit is solved
     (``BranchSet.rotation_representatives``): rotations keep every root
-    modulus.  Members are solved in batches and folded into the verdict as
-    they come, so one chunk of root sets is held at a time, and no chunk is
-    built after the first Unstable member.  For Stable and Marginal sets
-    ``max_modulus`` is the worst over all members; for Unstable sets it is
-    the worst over the members solved, a lower bound that still exceeds
-    1 + BOUNDARY_BAND.
+    modulus.  The principal branch is solved first and alone, then the
+    other representatives in blocks of ``chunk_rows`` rows, each gathered
+    straight from the coefficient table into arrays; no member polynomial or
+    root set is built.  The fold stops at the first Unstable member, and no
+    block is built after it.  For Stable and Marginal sets ``max_modulus``
+    is the worst over all members; for Unstable sets it is the worst over
+    the representatives up to and including the first Unstable one, a lower
+    bound that still exceeds 1 + BOUNDARY_BAND.
+
+    A member that fails to certify raises UnconvergedError naming its branch
+    by its position in the full enumeration and its index, with its sorted
+    root set as the partial result.
     """
-    return combined_verdict(
-        _through_first_unstable(_branch_solves(b, b.rotation_representatives))
-    )
+    _check_degree(b.base.degree)
+    worst, all_stable = 0.0, True
+    for block, asc, moduli, tol in _branch_blocks(b):
+        z, res, certified = _solve_rows(asc, moduli, tol)
+        # np.hypot, not np.abs: it equals Python's abs bit for bit.  The
+        # comparisons below are ``classify`` on every row at once.
+        mods = np.hypot(z.real, z.imag).max(axis=1)
+        stop = ~certified | (mods > 1.0 + BOUNDARY_BAND)
+        if stop.any():
+            i = int(np.argmax(stop))
+            if not certified[i]:
+                index = block[i]
+                raise UnconvergedError(
+                    f"branch {b.position(index)} (index {index}): "
+                    + _uncertified(res[i]),
+                    partial=_root_sets(z[i : i + 1], res[i : i + 1], tol[i : i + 1])[0],
+                )
+            worst = max(worst, float(mods[: i + 1].max()))
+            return StabilityVerdict(Status.UNSTABLE, worst)
+        worst = max(worst, float(mods.max()))
+        all_stable = all_stable and bool((mods < 1.0 - BOUNDARY_BAND).all())
+    return StabilityVerdict(Status.STABLE if all_stable else Status.MARGINAL, worst)
 
 
 def fujiwara_bound(f: MonicPolynomial, w: SimplexWeights) -> float:

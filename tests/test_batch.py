@@ -481,15 +481,20 @@ class TestBranchSetChunks:
         assert branch_set_stable(bset).status is Status.STABLE
         reps = list(bset.rotation_representatives())
         assert (len(bset), len(reps)) == (16, 8)
-        target = reps[5]  # third chunk of two rows
-        bad = next(bset.members([target]))
+        target = reps[5]  # fourth block: the principal alone, then pairs
+        bad = np.array(next(bset.members([target])).coeffs + (1.0 + 0j,))
         monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 2 * 16)
         monkeypatch.setattr(
             roots, "_reconstructs", lambda asc, z: np.zeros(len(z), dtype=bool)
         )
-        monkeypatch.setattr(
-            roots, "residual_tolerance", lambda g: -1.0 if g == bad else 1.0
-        )
+        residuals = roots._scaled_residuals
+
+        def spoiled(asc, moduli, z):
+            res = residuals(asc, moduli, z)
+            res[(asc == bad).all(axis=1)] = 1.0
+            return res
+
+        monkeypatch.setattr(roots, "_scaled_residuals", spoiled)
         with pytest.raises(UnconvergedError) as info:
             branch_set_stable(bset)
         # Named by its position among all 16 members, not among the 8 solved.
@@ -497,6 +502,86 @@ class TestBranchSetChunks:
         assert str(info.value).startswith(
             f"branch 9 (index {target}): root iteration failed to certify"
         )
+        partial = info.value.partial
+        assert partial.residuals == (1.0,) * 4 and partial.converged == (False,) * 4
+        moduli = [abs(z) for z in partial.roots]
+        assert moduli == sorted(moduli)
+
+
+def _reference_verdict(bset):
+    """The verdict rule on root sets of the rotation representatives, one
+    member polynomial at a time: stop at the first Unstable member, the worst
+    modulus through it, else over all of them."""
+    worst, all_stable = 0.0, True
+    for rs in find_roots_many(bset.members(bset.rotation_representatives())):
+        worst = max(worst, rs.max_modulus)
+        status = classify(rs.max_modulus)
+        if status is Status.UNSTABLE:
+            return status, worst
+        all_stable = all_stable and status is Status.STABLE
+    return (Status.STABLE if all_stable else Status.MARGINAL), worst
+
+
+def _branch_corpus():
+    """Seeded branch sets for m = 2..6: real inputs of both signs and complex
+    ones, zero coefficients, support up to 7, plus s^3 (empty support) and
+    s^2 + 1 at 1/2, whose branches s^2 +- 1 are Marginal."""
+    rng = random.Random(58)
+    cases = [
+        (MonicPolynomial((0j, 0j, 0j)), RationalExponent(1, 3)),
+        (MonicPolynomial((1.0, 0.0)), RationalExponent(1, 2)),
+    ]
+    for i in range(200):
+        m = 2 + i % 5
+        real = i % 3 == 0
+        if i % 10 == 9:  # degree 8 with one zero coefficient
+            m = 2 + i % 20 // 10
+            coeffs = list(random_monic(rng, 8, (0.02, 1.5), real=real).coeffs)
+            coeffs[rng.randrange(8)] = 0j
+            f = MonicPolynomial(tuple(coeffs))
+        else:
+            f = random_monic(rng, rng.randint(1, 7), (0.02, 1.5), density=0.7, real=real)
+        if real:
+            f = MonicPolynomial(tuple(c * rng.choice((1, -1)) for c in f.coeffs))
+        p = RationalExponent(rng.randint(1, 2 * m), m)
+        if p.den ** len(f.support) <= 3**7:
+            cases.append((f, p))
+    return cases
+
+
+class TestBranchSetAgreement:
+    def test_equals_member_solves(self):
+        """Status and max_modulus equal, bit for bit, the verdict folded from
+        ``find_roots_many`` on the member polynomials."""
+        counts = {s: 0 for s in Status}
+        supports = set()
+        for f, p in _branch_corpus():
+            bset = hadamard_power(f, p)
+            verdict = branch_set_stable(bset)
+            status, worst = _reference_verdict(bset)
+            assert verdict.status is status, (f, p)
+            assert type(verdict.max_modulus) is float
+            assert verdict.max_modulus == worst, (f, p)
+            counts[status] += 1
+            supports.add(len(f.support))
+        assert counts[Status.MARGINAL] >= 1
+        assert counts[Status.STABLE] >= 40 and counts[Status.UNSTABLE] >= 40
+        assert {0, 7} <= supports
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "f",
+        [
+            # The root near -1e45 overflows z^8 (eigenvalues first), and the
+            # one near -1e8 overflows z^40 (Aberth first).
+            MonicPolynomial((0.2,) + (0j,) * 6 + (1e90,)),
+            MonicPolynomial((1.0,) + (0j,) * 38 + (1e16,)),
+        ],
+    )
+    def test_overflow_warns_nothing(self, f):
+        bset = hadamard_power(f, RationalExponent(1, 2))
+        with pytest.raises(UnconvergedError, match=r"^branch 0 \(index \(0, 0\)\)"):
+            branch_set_stable(bset)
 
 
 class TestWorkCounters:
@@ -554,20 +639,21 @@ class TestWorkCounters:
         assert len(eigvals_calls) == 7 + len(clusters)
 
     def test_branch_set_is_one_stacked_solve(self, eigvals_calls):
-        f = MonicPolynomial((0.3, 0.2j, 0.1, -0.25, 0.05))
+        f = MonicPolynomial((0.03, 0.02j, 0.01, -0.025, 0.005))
         bset = hadamard_power(f, RationalExponent(2, 3))
-        branch_set_stable(bset)
-        # One member per rotation orbit: 3^4 of the 3^5 branches.
-        assert eigvals_calls == [(3**4, 5, 5)]
+        assert branch_set_stable(bset).status is Status.STABLE
+        # One member per rotation orbit: 3^4 of the 3^5 branches, the
+        # principal branch first and alone.
+        assert eigvals_calls == [(1, 5, 5), (3**4 - 1, 5, 5)]
 
     def test_principal_unstable_set_is_one_chunk(self, eigvals_calls):
         f = MonicPolynomial((1.5, 0.0, 1.2j, -0.9, 1.1, 0.8 - 0.4j, 1.3, 0.7))
         bset = hadamard_power(f, RationalExponent(1, 3))
         assert len(bset) == 3**7
         assert branch_set_stable(bset).status is Status.UNSTABLE
-        # 729 representatives in chunks of 128 rows; the principal branch
-        # decides in the first.
-        assert eigvals_calls == [(roots._CHUNK_ELEMENTS // 8**2, 8, 8)]
+        # 729 representatives; the principal branch is solved alone and
+        # decides.
+        assert eigvals_calls == [(1, 8, 8)]
         assert is_schur_stable(bset.principal).status is Status.UNSTABLE
 
     def test_no_chunk_after_the_first_unstable_branch(self, eigvals_calls, monkeypatch):
@@ -582,4 +668,5 @@ class TestWorkCounters:
         eigvals_calls.clear()
         monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 4 * 16)
         assert branch_set_stable(bset).status is Status.UNSTABLE
-        assert eigvals_calls == [(4, 4, 4)] * 4  # rows 0-15 of 27
+        # The principal branch, then rows 1-16 of 27 in blocks of 4.
+        assert eigvals_calls == [(1, 4, 4)] + [(4, 4, 4)] * 4
