@@ -152,12 +152,7 @@ def cmd_threshold(args) -> int:
 
 def cmd_sweep(args) -> int:
     f, _ = _load_poly(args.poly)
-    if args.step <= 0:
-        raise InvalidInputError("--step must be positive")
-    powers = []
-    count = int((args.to - getattr(args, "from")) / args.step + 1e-9) + 1
-    for i in range(max(0, count)):
-        powers.append(getattr(args, "from") + i * args.step)
+    powers = report.sweep_powers(getattr(args, "from"), args.to, args.step)
     records = report.sweep(f, powers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

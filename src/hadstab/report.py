@@ -13,11 +13,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .errors import InvalidInputError
 from .poly import MonicPolynomial, principal_power
 from .roots import Status, classify, find_roots_many
 from .thresholds import auto_onset, pstar_exact, pstar_grid
 
 SVG_NS = "http://www.w3.org/2000/svg"
+
+# Most powers one sweep range may hold; each is a principal power to solve
+# and a row of the CSV and SVG.
+MAX_SWEEP_POWERS = 1 << 16
 
 
 def round12(x: float) -> float:
@@ -52,6 +57,29 @@ class SweepRecord:
     stable: bool
     max_modulus: float
     roots: tuple[complex, ...]
+
+
+def sweep_powers(start: float, stop: float, step: float) -> list[float]:
+    """The powers start, start + step, ... through stop (to within 1e-9
+    steps); none when stop is a step or more below start.
+
+    A bound or step that is not finite, a step that is not positive, and a
+    range of more than MAX_SWEEP_POWERS powers raise InvalidInputError
+    before any list is built.
+    """
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise InvalidInputError(
+            f"sweep bounds and step must be finite, got {start}, {stop}, {step}"
+        )
+    if step <= 0:
+        raise InvalidInputError("step must be positive")
+    span = (stop - start) / step + 1e-9  # may overflow to inf
+    if span >= MAX_SWEEP_POWERS:
+        raise InvalidInputError(
+            f"sweep from {start} to {stop} by {step} has about {span:.3g} powers; "
+            f"at most {MAX_SWEEP_POWERS} are supported"
+        )
+    return [start + i * step for i in range(max(0, int(span) + 1))]
 
 
 def sweep(f: MonicPolynomial, powers: Sequence[float]) -> list[SweepRecord]:

@@ -42,6 +42,9 @@ _EXPANSION_CAP = 2.0 ** 16
 # Maximum degree of the real carrier polynomial in guardian_map; the compound
 # matrix has dimension C(degree, 2).
 _GUARDIAN_DEGREE_CAP = 12
+# Largest weight grid pstar_grid searches: |support| * grid_n per-index
+# ratios, held as float64 and sorted (32 MiB at the cap).
+MAX_GRID_RATIOS = 1 << 22
 
 
 class Kind(str, Enum):
@@ -90,6 +93,13 @@ class ThresholdResult:
 class KStarResult(NamedTuple):
     kstar: int
     unstable_for: HalfLine
+
+
+def _check_tol(tol: float) -> None:
+    # Written so that NaN fails too: a NaN or infinite tolerance would end
+    # every bisection before its first step.
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidInputError(f"tol must be positive and finite, got {tol}")
 
 
 def _mode_kind(mode: str) -> Kind:
@@ -142,6 +152,11 @@ def _lattice_optimum(moduli: list[float], mode: str, resolution: int) -> float:
     d = len(moduli)
     if R < max(2, d):
         raise InvalidInputError(f"grid_n must be at least max(2, |support|) = {max(2, d)}")
+    if d * R > MAX_GRID_RATIOS:
+        raise InvalidInputError(
+            f"grid_n = {R} over {d} support indices needs {d * R} ratios; "
+            f"at most {MAX_GRID_RATIOS} are supported"
+        )
     logs = np.log(np.array(moduli))
     ratios = np.log(np.arange(1, R + 1) / R)[None, :] / logs[:, None]
     candidates = np.unique(ratios)
@@ -189,7 +204,9 @@ def pstar_grid(f: MonicPolynomial, mode: str, grid_n: int) -> ThresholdResult:
     beyond the returned value has all branches Schur stable.  mode 'min'
     (all moduli > 1) maximizes the smallest ratio and guards powers below the
     returned value.  The grid approaches the exact threshold from the stable
-    side, so grid >= exact for 'max' and grid <= exact for 'min'.
+    side, so grid >= exact for 'max' and grid <= exact for 'min'.  A grid
+    of more than MAX_GRID_RATIOS ratios (|support| * grid_n) raises
+    InvalidInputError before any array is built.
     """
     kind = _mode_kind(mode)
     if not f.support:
@@ -214,8 +231,7 @@ def pstar_exact(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRe
     sign change.
     """
     kind = _mode_kind(mode)
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
+    _check_tol(tol)
     if not f.support:
         return _vacuous(mode, Method.EQUATION_SOLVE)
     moduli = _theorem1_moduli(f, mode)
@@ -342,8 +358,7 @@ def exact_onset(
     at this tolerance and MarginalZoneError is raised.  Where the maximum
     modulus crosses 1 more than once, the result is one of the crossings.
     """
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
+    _check_tol(tol)
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not lo < hi:
         raise InvalidInputError(f"empty search interval [{lo}, {hi}]")
@@ -447,8 +462,7 @@ def auto_onset(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRes
     cannot be certified.
     """
     _mode_kind(mode)
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
+    _check_tol(tol)
     sign = 1.0 if mode == "max" else -1.0
 
     stable_end = sign * 64.0
@@ -542,8 +556,7 @@ def guardian_onset(
     tol: float = 1e-6,
 ) -> ThresholdResult:
     """Locate a stability onset as a sign change of the guardian map."""
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
+    _check_tol(tol)
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not lo < hi:
         raise InvalidInputError(f"empty search interval [{lo}, {hi}]")

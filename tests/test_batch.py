@@ -50,11 +50,18 @@ def _seed_evaluate(V, cs):
     return (V[: len(cs)] * cs[:, None]).sum(axis=0)
 
 
-def _seed_find_roots(f, horner=_seed_horner, evaluate=_seed_evaluate):
+def _seed_values(pd, V):
+    """p and p' (the rows of ``pd``, ascending) at the points of the power
+    table ``V``, as one matrix product."""
+    return pd @ V
+
+
+def _seed_find_roots(f, horner=_seed_horner, values=_seed_values):
     """The solver's rule written for one polynomial at a time, kept as the
     reference: the companion candidate first up to degree 32 and Aberth
     above, the other only if the first does not certify.  Aberth and the
-    residuals evaluate from a table of powers of the points, the Newton
+    residuals evaluate from a table of powers of the points (Aberth by one
+    matrix product for p and p', the residuals term by term), the Newton
     polish by Horner's rule.  Returns the sorted roots and residuals as raw
     bytes."""
     n = f.degree
@@ -106,9 +113,9 @@ def _seed_find_roots(f, horner=_seed_horner, evaluate=_seed_evaluate):
         if n == 1:
             return np.array([-asc[0]])
         z = start()
+        pd = np.array([asc, np.append(asc[1:] * np.arange(1, n + 1), 0.0)])
         for _ in range(200):
-            V = powers(z)
-            pv, dpv = evaluate(V, asc), evaluate(V, asc[1:] * np.arange(1, n + 1))
+            pv, dpv = values(pd, powers(z))
             stalled = dpv == 0
             if stalled.any():
                 z = z + np.where(stalled, 1e-8 * (1 + np.abs(z)), 0.0)
@@ -116,7 +123,7 @@ def _seed_find_roots(f, horner=_seed_horner, evaluate=_seed_evaluate):
             w = pv / dpv
             diff = z[:, None] - z[None, :]
             np.fill_diagonal(diff, np.inf)
-            denom = 1.0 - w * (1.0 / diff).sum(axis=1)
+            denom = 1.0 - w * np.reciprocal(diff).sum(axis=1)
             delta = w / np.where(denom == 0, 1e-30, denom)
             z = z - delta
             if np.max(np.abs(delta)) <= 1e-14 * (1.0 + np.max(np.abs(z))):
@@ -138,7 +145,7 @@ def _seed_find_roots(f, horner=_seed_horner, evaluate=_seed_evaluate):
     def residuals(z):
         V = powers(z)
         moduli = np.array([abs(c) for c in asc[:-1]] + [1.0])
-        return np.abs(evaluate(V, asc)) / (1.0 + evaluate(np.abs(V), moduli))
+        return np.abs(_seed_evaluate(V, asc)) / (1.0 + _seed_evaluate(np.abs(V), moduli))
 
     def reconstructs(z):
         err = np.abs(np.poly(z)[::-1] - asc) / np.maximum(1.0, np.abs(asc))
@@ -273,7 +280,7 @@ class TestBatchEqualsSingle:
         assert [_bits(rs) for rs in find_roots_many(group)] == whole
 
     def test_stalled_rows_match_seed_and_single_solves(self, monkeypatch):
-        stalls = {"horner": 0, "table": 0}
+        stalls = {"horner": 0}  # and Aberth's stalls per degree
 
         def vanishing(z, out):
             # Zero derivative values by a rule on the bits of z alone, so a
@@ -293,19 +300,20 @@ class TestBatchEqualsSingle:
 
             return evaluate
 
-        def table_hook(evaluate):
-            def hooked(V, c):
-                out = evaluate(V, c)
-                if np.all(c[..., -1] != 1):
-                    count, out = vanishing(V[1], out)  # V[1] holds the points
-                    stalls["table"] += count
+        def table_hook(values):
+            # p' is the second of the two rows of values per point set.
+            def hooked(pd, V):
+                out = values(pd, V)
+                count, out[..., 1, :] = vanishing(V[1], out[..., 1, :])  # V[1]: the points
+                n = V.shape[-1]
+                stalls[n] = stalls.get(n, 0) + count
                 return out
 
             return hooked
 
         monkeypatch.setattr(roots, "_horner", horner_hook(roots._horner))
-        monkeypatch.setattr(roots, "_evaluate", table_hook(roots._evaluate))
-        seed = dict(horner=horner_hook(_seed_horner), evaluate=table_hook(_seed_evaluate))
+        monkeypatch.setattr(roots, "_values_and_slopes", table_hook(roots._values_and_slopes))
+        seed = dict(horner=horner_hook(_seed_horner), values=table_hook(_seed_values))
         # Eigenvalues first at degree 3-6 (the stalls hit the Newton polish
         # by Horner's rule), Aberth first at degree 40 (they hit the
         # derivative from the power table).
@@ -314,7 +322,7 @@ class TestBatchEqualsSingle:
             for f, rs in zip(group, batch):
                 assert _bits(rs) == _bits(find_roots(f))
                 assert _bits(rs)[:2] == _seed_find_roots(f, **seed)
-        assert stalls["horner"] > 0 and stalls["table"] > 0
+        assert stalls["horner"] > 0 and stalls[40] > 0
 
     def test_reconstruction_matches_np_poly(self):
         """The row-wise product expansion decides as ``np.poly`` does, on

@@ -11,7 +11,9 @@ import pytest
 import hadstab
 from hadstab import MAX_BRANCHES
 from hadstab.cli import main
+from hadstab.report import MAX_SWEEP_POWERS
 from hadstab.roots import MAX_ROOT_DEGREE
+from hadstab.thresholds import MAX_GRID_RATIOS
 
 F1_JSON = {
     "degree": 5,
@@ -293,6 +295,29 @@ class TestThreshold:
         assert "overflows" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("method", ["onset", "exact"])
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_is_input_error(self, capsys, files, method, tol):
+        code = main(
+            ["threshold", "--poly", files["f1"], "--mode", "max", "--method", method,
+             "--tol", tol]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: tol must be positive and finite")
+
+    def test_grid_cap_is_input_error(self, capsys, files):
+        # F1 has 3 support indices.
+        grid_n = MAX_GRID_RATIOS // 3 + 1
+        code = main(
+            ["threshold", "--poly", files["f1"], "--mode", "max", "--grid-n", str(grid_n)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "at most" in captured.err
+
     def test_default_method_is_grid(self, capsys, files):
         code, out = run(
             capsys, "threshold", "--poly", files["f1"], "--mode", "max",
@@ -342,6 +367,39 @@ class TestSweep:
             )
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ("nan", "2", "1"),
+            ("1", "nan", "1"),
+            ("1", "2", "nan"),
+            ("-inf", "2", "1"),
+            ("1", "inf", "1"),
+            ("1", "2", "inf"),
+        ],
+    )
+    def test_non_finite_bounds_are_input_errors(self, capsys, files, tmp_path, bounds):
+        start, stop, step = bounds
+        code = main(
+            ["sweep", "--poly", files["f1"], f"--from={start}", f"--to={stop}",
+             f"--step={step}", "--out", str(tmp_path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: sweep bounds and step must be finite")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_power_cap_is_input_error(self, capsys, files, tmp_path):
+        code = main(
+            ["sweep", "--poly", files["f1"], "--from", "0", "--to", str(MAX_SWEEP_POWERS),
+             "--step", "1", "--out", str(tmp_path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"at most {MAX_SWEEP_POWERS}" in captured.err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_byte_identical_reruns(self, capsys, files, tmp_path):
         args = [

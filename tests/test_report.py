@@ -3,14 +3,16 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from hadstab import MonicPolynomial
+from hadstab import InvalidInputError, MonicPolynomial
 from hadstab.cli import main
 from hadstab.report import (
     EXPERIMENT_POLYS,
+    MAX_SWEEP_POWERS,
     reproduce_example,
     round12,
     sweep,
     sweep_csv,
+    sweep_powers,
     sweep_svg,
 )
 
@@ -62,6 +64,35 @@ class TestSweep:
         markers, _ = svg_elements(sweep_svg(records))
         fills = {m.get("fill") for m in markers}
         assert fills == {"#000000", "#9e9e9e"}
+
+
+class TestSweepPowers:
+    def test_inclusive_range(self):
+        assert sweep_powers(1.0, 4.0, 1.0) == [1.0, 2.0, 3.0, 4.0]
+        assert sweep_powers(0.0, 0.3, 0.1) == [0.0, 0.1, 0.2, 0.30000000000000004]
+        assert sweep_powers(5.0, 1.0, 1.0) == []
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            (float("nan"), 2.0, 1.0),
+            (1.0, float("nan"), 1.0),
+            (1.0, 2.0, float("nan")),
+            (float("-inf"), 2.0, 1.0),
+            (1.0, float("inf"), 1.0),
+            (1.0, 2.0, float("inf")),
+        ],
+    )
+    def test_non_finite_rejected(self, bounds):
+        with pytest.raises(InvalidInputError, match="finite"):
+            sweep_powers(*bounds)
+
+    def test_power_cap(self):
+        assert len(sweep_powers(1.0, MAX_SWEEP_POWERS, 1.0)) == MAX_SWEEP_POWERS
+        with pytest.raises(InvalidInputError, match="at most"):
+            sweep_powers(0.0, MAX_SWEEP_POWERS, 1.0)  # cap + 1 powers
+        with pytest.raises(InvalidInputError, match="at most"):
+            sweep_powers(-1e308, 1e308, 1e-300)  # the count overflows
 
 
 class TestRound12:

@@ -173,6 +173,15 @@ def _exact_powers(z, n):
     return out
 
 
+def _with_slopes(asc):
+    """Ascending coefficients of p and p' stacked per row, p' padded with a
+    zero, as ``roots._aberth`` passes them to ``_values_and_slopes``."""
+    pd = np.zeros((len(asc), 2, asc.shape[1]), dtype=complex)
+    pd[:, 0] = asc
+    pd[:, 1, :-1] = asc[:, 1:] * np.arange(1, asc.shape[1])
+    return pd
+
+
 class TestPowerTable:
     """The power table from which Aberth and the residuals evaluate."""
 
@@ -200,7 +209,8 @@ class TestPowerTable:
         eps = np.finfo(float).eps
         assert (np.abs(V - ref) <= k * eps * np.abs(ref)).all()
 
-    @pytest.mark.parametrize("degree", [1, 5, 33, 40])
+    # 64, 100 and 160: sizes where BLAS blocks the matrix products differently.
+    @pytest.mark.parametrize("degree", [1, 5, 33, 40, 64, 100, 160])
     def test_batch_rows_equal_single_rows(self, degree):
         rng = random.Random(degree)
         polys = [random_monic(rng, degree, (0.05, 0.9)) for _ in range(5)]
@@ -210,6 +220,8 @@ class TestPowerTable:
         assert settled.all()
         V = roots._powers(z, degree)
         pv = roots._evaluate(V, asc)
+        pd = _with_slopes(asc)
+        both = roots._values_and_slopes(pd, V)
         res = roots._scaled_residuals(asc, moduli, z)
         for i in range(len(polys)):
             row = slice(i, i + 1)
@@ -217,10 +229,28 @@ class TestPowerTable:
             assert zi.tobytes() == z[row].tobytes()
             assert roots._powers(z[row], degree).tobytes() == V[:, row].tobytes()
             assert roots._evaluate(V[:, row], asc[row]).tobytes() == pv[row].tobytes()
+            assert roots._values_and_slopes(pd[row], V[:, row]).tobytes() == both[row].tobytes()
             assert (
                 roots._scaled_residuals(asc[row], moduli[row], z[row]).tobytes()
                 == res[row].tobytes()
             )
+
+    @pytest.mark.parametrize("degree", [2, 5, 40, 100, 160])
+    def test_products_match_ascending_sums(self, degree):
+        """Aberth's p and p' from one matrix product per row agree with the
+        elementwise ascending sums over the table, within 4 (n + 1) eps of
+        sum_k |c_k| |z|^k."""
+        rng = random.Random(degree)
+        polys = [random_monic(rng, degree, (0.05, 3.0)) for _ in range(3)]
+        pd = _with_slopes(np.array([f.coeffs + (1.0 + 0j,) for f in polys]))
+        z = roots._start(pd[:, 0]) * 1.05
+        V = roots._powers(z, degree)
+        got = roots._values_and_slopes(pd, V)
+        eps = np.finfo(float).eps
+        for i, c in enumerate((pd[:, 0], pd[:, 1])):
+            scale = roots._evaluate(np.abs(V), np.abs(c))
+            err = np.abs(got[:, i] - roots._evaluate(V, c))
+            assert (err <= 4 * (degree + 1) * eps * scale).all()
 
     @pytest.mark.parametrize("degree", [100, 160])
     def test_overflowing_iterate_is_quiet(self, degree):

@@ -570,6 +570,39 @@ class TestGuardianMap:
             guardian_onset(F1, (4.0, 5.0))
 
 
+class TestInputBounds:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda tol: auto_onset(F1, "max", tol),
+            lambda tol: exact_onset(F1, "increasing", (0.0, 5.0), tol),
+            lambda tol: pstar_exact(F1, "max", tol),
+            lambda tol: guardian_onset(F1, (3.0, 4.0), tol),
+        ],
+        ids=["auto_onset", "exact_onset", "pstar_exact", "guardian_onset"],
+    )
+    def test_tolerance_must_be_positive_and_finite(self, search, tol):
+        with pytest.raises(InvalidInputError, match="tol must be positive and finite"):
+            search(tol)
+
+    def test_grid_cap(self, monkeypatch):
+        # F1 has 3 support indices: 100 grid points need 300 ratios.
+        monkeypatch.setattr(th, "MAX_GRID_RATIOS", 300)
+        assert pstar_grid(F1, "max", 100).grid_resolution == 100
+        with pytest.raises(InvalidInputError, match="at most 300"):
+            pstar_grid(F1, "max", 101)
+
+    def test_grid_cap_before_allocation(self, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("ratio table built")
+
+        monkeypatch.setattr(th.np, "arange", no_table)
+        f = MonicPolynomial((0.5,))  # one support index: grid_n ratios
+        with pytest.raises(InvalidInputError, match="at most"):
+            pstar_grid(f, "max", th.MAX_GRID_RATIOS + 1)
+
+
 class TestThresholdResultJson:
     def test_plain(self):
         obj = pstar_grid(F1, "max", 100).to_json()
