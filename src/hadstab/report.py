@@ -61,7 +61,7 @@ class SweepRecord:
 
 def sweep_powers(start: float, stop: float, step: float) -> list[float]:
     """The powers start, start + step, ... through stop (to within 1e-9
-    steps); none when stop is a step or more below start.
+    steps); none when stop is below start by more than that.
 
     A bound or step that is not finite, a step that is not positive, and a
     range of more than MAX_SWEEP_POWERS powers raise InvalidInputError
@@ -79,7 +79,9 @@ def sweep_powers(start: float, stop: float, step: float) -> list[float]:
             f"sweep from {start} to {stop} by {step} has about {span:.3g} powers; "
             f"at most {MAX_SWEEP_POWERS} are supported"
         )
-    return [start + i * step for i in range(max(0, int(span) + 1))]
+    if span < 0:  # stop is below start
+        return []
+    return [start + i * step for i in range(math.floor(span) + 1)]
 
 
 def sweep(f: MonicPolynomial, powers: Sequence[float]) -> list[SweepRecord]:

@@ -7,8 +7,11 @@ Four families of results live here:
   (``pstar_exact``);
 * instability bounds from the binomial necessary condition (``beta_star``)
   and the lowest-support-index sign test (``kstar_test``);
-* the exact stability onset, located by bisecting the maximum root modulus of
-  the principal power branch (``exact_onset`` / ``auto_onset``);
+* the exact stability onset, located by bisecting the stability status of
+  the principal power branch (``exact_onset`` / ``auto_onset``).  Each status
+  comes from ``roots.schur_cohn_statuses``: the Schur-Cohn recursion on the
+  coefficients decides it, and the root finder only where the recursion
+  cannot;
 * a determinant-based boundary indicator (``guardian_map`` /
   ``guardian_onset``) that vanishes exactly when a root reaches the unit
   circle and changes sign across simple crossings.
@@ -33,10 +36,10 @@ from .errors import (
     UnsupportedDegreeError,
 )
 from .poly import MonicPolynomial, principal_power, real_form
-from .roots import Status, chunk_rows, companion_matrix, is_schur_stable_many
+from .roots import Status, chunk_rows, companion_matrix, schur_cohn_statuses
 
 _MAX_BISECT = 200
-# Onset bisection solves the midpoints of up to this many levels as one batch.
+# Onset bisection decides the midpoints of up to this many levels as one batch.
 _LOOKAHEAD = 3
 _EXPANSION_CAP = 2.0 ** 16
 # Maximum degree of the real carrier polynomial in guardian_map; the compound
@@ -100,6 +103,16 @@ def _check_tol(tol: float) -> None:
     # every bisection before its first step.
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidInputError(f"tol must be positive and finite, got {tol}")
+
+
+def _check_interval(search_interval: tuple[float, float]) -> tuple[float, float]:
+    """The bounds of a search interval, which must be finite and nonempty."""
+    lo, hi = float(search_interval[0]), float(search_interval[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidInputError(f"search interval [{lo}, {hi}] must be finite")
+    if not lo < hi:
+        raise InvalidInputError(f"empty search interval [{lo}, {hi}]")
+    return lo, hi
 
 
 def _mode_kind(mode: str) -> Kind:
@@ -323,7 +336,7 @@ def _onset_statuses(direction: str) -> tuple[Status, Status]:
 
 
 def _status(g: MonicPolynomial) -> Status:
-    return is_schur_stable_many([g])[0].status
+    return schur_cohn_statuses([g])[0]
 
 
 def _principal_status(f: MonicPolynomial, p: float) -> Status:
@@ -331,13 +344,12 @@ def _principal_status(f: MonicPolynomial, p: float) -> Status:
 
 
 def _batch_statuses(f: MonicPolynomial, ps: list[float]) -> list[Status] | None:
-    """Principal-branch verdicts at the powers ``ps`` from one batch, or None
+    """Principal-branch statuses at the powers ``ps`` from one batch, or None
     when any of them fails.  The caller then solves the powers it needs one
     at a time, so only a failure it reaches raises, as it would have alone.
     """
     try:
-        powers = [principal_power(f, p) for p in ps]
-        return [v.status for v in is_schur_stable_many(powers)]
+        return schur_cohn_statuses([principal_power(f, p) for p in ps])
     except (InvalidInputError, UnconvergedError):  # overflow, or no certificate
         return None
 
@@ -350,18 +362,18 @@ def exact_onset(
 ) -> ThresholdResult:
     """Bisect the power at which the maximum root modulus crosses 1.
 
-    The stability indicator is evaluated on the principal branch of f^[p].
-    The interval must already bracket the change ('increasing' means Unstable
-    at the left end and Stable at the right end); it is validated, not
-    assumed.  A Marginal verdict at the midpoint triggers a close-out attempt
-    at mid +- tol/2; if the band cannot be escaped the onset is uncertifiable
-    at this tolerance and MarginalZoneError is raised.  Where the maximum
-    modulus crosses 1 more than once, the result is one of the crossings.
+    The stability indicator is the status of the principal branch of f^[p],
+    decided by the Schur-Cohn recursion with the root finder as its fallback
+    (``roots.schur_cohn_statuses``).  The interval must be finite and must
+    already bracket the change ('increasing' means Unstable at the left end
+    and Stable at the right end); it is validated, not assumed.  A Marginal
+    verdict at the midpoint triggers a close-out attempt at mid +- tol/2; if
+    the band cannot be escaped the onset is uncertifiable at this tolerance
+    and MarginalZoneError is raised.  Where the maximum modulus crosses 1
+    more than once, the result is one of the crossings.
     """
     _check_tol(tol)
-    lo, hi = float(search_interval[0]), float(search_interval[1])
-    if not lo < hi:
-        raise InvalidInputError(f"empty search interval [{lo}, {hi}]")
+    lo, hi = _check_interval(search_interval)
     lo_status, hi_status = _onset_statuses(direction)
     actual_lo, actual_hi = _principal_status(f, lo), _principal_status(f, hi)
     if actual_lo is not lo_status or actual_hi is not hi_status:
@@ -401,13 +413,15 @@ def _bisect_onset(
 ) -> ThresholdResult:
     """``exact_onset`` on a bracket whose end verdicts are already known.
 
-    Each round solves the midpoints of the next levels, every one the walk
-    could reach, as one batch; the walk then makes the same lo/hi decisions
-    as plain bisection, so brackets and values do not depend on the
-    lookahead.  A round takes ``_LOOKAHEAD`` levels, or fewer where their
-    2^L - 1 midpoints would not fit in one chunk of the root solver: split
-    into chunks, the batch would gain nothing, and the points the walk skips
-    would be extra solves.  At one level a round is a step of plain
+    Each round decides the statuses of the midpoints of the next levels,
+    every one the walk could reach, as one ``schur_cohn_statuses`` batch:
+    the recursion decides them, and the rows it cannot go to the root finder
+    together.  The walk then makes the same lo/hi decisions as plain
+    bisection, so brackets and values do not depend on the lookahead.  A
+    round takes ``_LOOKAHEAD`` levels, or fewer where their 2^L - 1
+    midpoints would not fit in one chunk of the root solver: split into
+    chunks, a fallback batch would gain nothing, and the points the walk
+    skips would be extra solves.  At one level a round is a step of plain
     bisection.  ``_MAX_BISECT`` caps the steps walked, not the points solved.
     A Marginal midpoint closes out one point at a time, and a round whose
     batch fails walks one point at a time, so a point the walk never reaches
@@ -557,9 +571,7 @@ def guardian_onset(
 ) -> ThresholdResult:
     """Locate a stability onset as a sign change of the guardian map."""
     _check_tol(tol)
-    lo, hi = float(search_interval[0]), float(search_interval[1])
-    if not lo < hi:
-        raise InvalidInputError(f"empty search interval [{lo}, {hi}]")
+    lo, hi = _check_interval(search_interval)
     flo, fhi = guardian_map(f, lo), guardian_map(f, hi)
     if flo == 0.0 or fhi == 0.0 or (flo > 0) == (fhi > 0):
         raise BracketError(

@@ -359,6 +359,18 @@ class TestSweep:
         assert not (out_dir / "sweep.svg").exists()
         assert out["svg"] is None
 
+    def test_stop_below_start_by_less_than_a_step(self, capsys, files, tmp_path):
+        code, out = run(
+            capsys,
+            "sweep", "--poly", files["f1"],
+            "--from", "1", "--to", "0.5", "--step", "1",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert out["records"] == 0
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1  # header
+        assert out["svg"] is None
+
     def test_bad_step(self, capsys, files, tmp_path):
         assert (
             main(

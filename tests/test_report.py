@@ -72,6 +72,12 @@ class TestSweepPowers:
         assert sweep_powers(0.0, 0.3, 0.1) == [0.0, 0.1, 0.2, 0.30000000000000004]
         assert sweep_powers(5.0, 1.0, 1.0) == []
 
+    def test_stop_below_start_by_less_than_a_step(self):
+        # The count (stop - start) / step lies in (-1, 0): no power, not start.
+        assert sweep_powers(1.0, 0.5, 1.0) == []
+        assert sweep_powers(1.0, 0.0, 1.0) == []
+        assert sweep_powers(1.0, 1.0, 1.0) == [1.0]
+
     @pytest.mark.parametrize(
         "bounds",
         [

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import warnings
@@ -20,7 +21,10 @@ from hadstab import (
     fujiwara_bound,
     hadamard_power,
     is_schur_stable,
+    is_schur_stable_many,
+    principal_power,
     real_form,
+    schur_cohn_statuses,
     synthesize_witness,
 )
 from hadstab import roots
@@ -295,6 +299,133 @@ class TestStabilityVerdict:
                 continue
             b = is_schur_stable(real_form(f))
             assert a.status is b.status
+
+
+def _cluster(n=7, r=Fraction(127, 128)):
+    """(s - r)^n, whose coefficients are exactly representable."""
+    return MonicPolynomial(
+        tuple(complex(math.comb(n, k) * (-r) ** (n - k)) for k in range(n))
+    )
+
+
+def _no_roots(monkeypatch):
+    def refuse(polys):
+        raise AssertionError("root finder called")
+
+    monkeypatch.setattr(roots, "is_schur_stable_many", refuse)
+
+
+class TestSchurCohnStatuses:
+    def test_agrees_with_roots(self):
+        """300 seeded inputs of degree 3-8, contracting and expanding, real
+        and complex, each at 64 powers on [-4, 6]: every status the
+        recursion decides is the root finder's."""
+        rng = random.Random(1905)
+        rows = undecided = 0
+        for i in range(300):
+            moduli = (0.05, 0.95) if i % 2 == 0 else (1.05, 4.0)
+            f = random_monic(rng, 3 + i % 6, moduli, density=0.7, real=i % 4 < 2)
+            polys = [principal_power(f, p) for p in np.linspace(-4.0, 6.0, 64)]
+            got = roots._recursion_statuses(np.array([g.coeffs + (1.0 + 0j,) for g in polys]))
+            want = [v.status for v in is_schur_stable_many(polys)]
+            assert [w for g, w in zip(got, want) if g is not None] == [
+                g for g in got if g is not None
+            ]
+            rows += len(got)
+            undecided += got.count(None)
+        assert rows == 19200
+        assert undecided <= 20  # these go to the root finder
+
+    def test_known_wrong_cluster_goes_to_roots(self):
+        """Roots call the 7-fold cluster at 1 - 2^-7 Unstable.  The recursion
+        cannot certify either edge of the band there, so the status stays
+        the root finder's."""
+        f = _cluster()
+        asc = np.array(f.coeffs + (1.0 + 0j,))
+        for rho in (1.0 - BOUNDARY_BAND, 1.0 + BOUNDARY_BAND):
+            _, decided = roots._schur_cohn((asc * rho ** np.arange(8))[:, None])
+            assert not decided[0]
+        assert schur_cohn_statuses([f]) == [is_schur_stable(f).status]
+
+    def test_marginal_without_roots(self, monkeypatch):
+        _no_roots(monkeypatch)
+        assert schur_cohn_statuses([MonicPolynomial((1.0, 0.0))]) == [Status.MARGINAL]
+
+    def test_decides_without_roots(self, monkeypatch):
+        _no_roots(monkeypatch)
+        polys = [MonicPolynomial((0.25, 0.0)), MonicPolynomial((-0.5, 2.0))]
+        assert schur_cohn_statuses(polys) == [Status.STABLE, Status.UNSTABLE]
+
+    def test_undecided_rows_grow_with_degree(self):
+        """The measurement behind the degree cap: of 200 rows with roots
+        uniform in discs of radius 0.5 to 1.5, the recursion leaves 0
+        undecided at degree 8, 17 at 16, 143 at 32 and 194 at 48."""
+        rng = random.Random(32)
+        undecided = []
+        for n in (8, 16, 32, 48):
+            rows = []
+            for _ in range(200):
+                r = rng.uniform(0.5, 1.5)
+                zs = [
+                    r * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+                    for _ in range(n)
+                ]
+                rows.append(np.poly(zs)[::-1])
+            _, decided = roots._schur_cohn(np.array(rows).T)
+            undecided.append(int(np.count_nonzero(~decided)))
+        assert undecided[0] == 0
+        assert undecided == sorted(set(undecided))
+        assert undecided[2] > 100 and undecided[3] > 180
+
+    def test_degree_cap(self, monkeypatch):
+        """Rows above the cap never enter the recursion; rows at it do, and
+        s^n + 0.5 is decided there."""
+        cap = roots._SCHUR_COHN_MAX_DEGREE
+        degrees = []
+        core = roots._schur_cohn
+
+        def recording(a):
+            degrees.append(a.shape[0] - 1)
+            return core(a)
+
+        monkeypatch.setattr(roots, "_schur_cohn", recording)
+        above = MonicPolynomial((0.5,) + (0j,) * cap)
+        assert schur_cohn_statuses([above]) == [is_schur_stable(above).status]
+        assert degrees == []
+        at = MonicPolynomial((0.5,) + (0j,) * (cap - 1))
+        _no_roots(monkeypatch)
+        assert schur_cohn_statuses([at]) == [Status.STABLE]
+        assert degrees == [cap]
+
+    def test_batch_equals_single(self):
+        rng = random.Random(77)
+        polys = [random_monic(rng, 5, (0.3, 3.0)) for _ in range(40)]
+        polys += [
+            MonicPolynomial((1.0, 0j, 0j, 0j, 0j)),  # on the circle
+            _cluster(5),  # undecided, solved by roots
+            MonicPolynomial((0.5, 0j, 0j, 0j, 0j)),
+        ]
+        batch = schur_cohn_statuses(polys)
+        assert batch == [schur_cohn_statuses([g])[0] for g in polys]
+        assert batch == [v.status for v in is_schur_stable_many(polys)]
+        assert set(batch) == set(Status)
+
+    def test_fallback_error_names_the_row(self, monkeypatch):
+        bad = _cluster()
+
+        def failing(polys, offset):
+            raise UnconvergedError("forced failure", row=offset)
+
+        monkeypatch.setattr(roots, "_solve_chunk", failing)
+        decided = MonicPolynomial((0.25,) + (0j,) * 6)
+        with pytest.raises(UnconvergedError) as err:
+            schur_cohn_statuses([decided, decided, bad])
+        assert err.value.row == 2
+
+    def test_one_degree(self):
+        with pytest.raises(InvalidInputError, match="one degree"):
+            schur_cohn_statuses([MonicPolynomial((0.5,)), MonicPolynomial((0.5, 0.0))])
+        assert schur_cohn_statuses([]) == []
 
 
 class TestBranchSetStable:

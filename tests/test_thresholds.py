@@ -303,34 +303,25 @@ class TestExactOnset:
 
     def test_auto_onset_root_finds(self, monkeypatch):
         """Bracket search one point at a time, then bisection three levels
-        per batch, without solving the bracket ends a second time."""
-        calls = []
-        solve_chunk = roots._solve_chunk
-
-        def counting(polys, offset):
-            calls.append(len(polys))
-            return solve_chunk(polys, offset)
-
-        monkeypatch.setattr(roots, "_solve_chunk", counting)
+        per batch, without deciding the bracket ends a second time.  The
+        recursion decides every status, so no root is found."""
+        calls = _count_status_rows(monkeypatch)
+        solves = _count_root_solves(monkeypatch)
         res = auto_onset(F1, "max", tol=1e-6)
         # Stable end at 64, unstable end at 0, then 26 bisection steps: eight
         # rounds of 7 midpoints and a last round of 2 levels.
         assert calls == [1, 1] + [7] * 8 + [3]
+        assert solves == []
         assert res.bracket == (3.3545713424682617, 3.354572296142578)
 
     def test_exact_onset_root_finds(self, monkeypatch):
         """Both bracket ends one at a time, then 23 bisection steps in rounds
-        of three levels."""
-        calls = []
-        solve_chunk = roots._solve_chunk
-
-        def counting(polys, offset):
-            calls.append(len(polys))
-            return solve_chunk(polys, offset)
-
-        monkeypatch.setattr(roots, "_solve_chunk", counting)
+        of three levels, all decided without roots."""
+        calls = _count_status_rows(monkeypatch)
+        solves = _count_root_solves(monkeypatch)
         exact_onset(F1, "increasing", (0.0, 5.0), 1e-6)
         assert calls == [1, 1] + [7] * 7 + [3]
+        assert solves == []
 
     def test_auto_onset_uncertifiable_stable_end(self):
         # 1.3^p grows without bound, so no power is stable; the solve at
@@ -348,19 +339,14 @@ class TestExactOnset:
 
     def test_marginal_midpoint_close_out(self, monkeypatch):
         # a narrow marginal band around the crossing is stepped over
-        import hadstab.thresholds as th
-        from hadstab import StabilityVerdict
-
-        def fake_verdict(poly):
+        def fake_status(poly):
             p = math.log(abs(poly.coeffs[0])) / math.log(0.5)
             if abs(p - 2.0) < 1e-9:
-                return StabilityVerdict(Status.MARGINAL, 1.0)
-            if p < 2.0:
-                return StabilityVerdict(Status.UNSTABLE, 1.5)
-            return StabilityVerdict(Status.STABLE, 0.5)
+                return Status.MARGINAL
+            return Status.UNSTABLE if p < 2.0 else Status.STABLE
 
         monkeypatch.setattr(
-            th, "is_schur_stable_many", lambda polys: [fake_verdict(g) for g in polys]
+            th, "schur_cohn_statuses", lambda polys: [fake_status(g) for g in polys]
         )
         f = MonicPolynomial((0.5, 0.0))
         res = th.exact_onset(f, "increasing", (0.0, 4.0), tol=1e-4)
@@ -370,19 +356,14 @@ class TestExactOnset:
 
     def test_marginal_zone_error(self, monkeypatch):
         # a marginal band wider than the tolerance cannot be certified
-        import hadstab.thresholds as th
-        from hadstab import MarginalZoneError, StabilityVerdict
-
-        def fake_verdict(poly):
+        def fake_status(poly):
             p = math.log(abs(poly.coeffs[0])) / math.log(0.5)
             if abs(p - 2.0) < 0.5:
-                return StabilityVerdict(Status.MARGINAL, 1.0)
-            if p < 2.0:
-                return StabilityVerdict(Status.UNSTABLE, 1.5)
-            return StabilityVerdict(Status.STABLE, 0.5)
+                return Status.MARGINAL
+            return Status.UNSTABLE if p < 2.0 else Status.STABLE
 
         monkeypatch.setattr(
-            th, "is_schur_stable_many", lambda polys: [fake_verdict(g) for g in polys]
+            th, "schur_cohn_statuses", lambda polys: [fake_status(g) for g in polys]
         )
         f = MonicPolynomial((0.5, 0.0))
         with pytest.raises(MarginalZoneError):
@@ -423,9 +404,39 @@ def _outcome(search, *args):
         return type(exc), str(exc), getattr(exc, "row", None)
 
 
+def _count_status_rows(monkeypatch):
+    """Record the row count of every status batch the onset searches ask
+    ``roots.schur_cohn_statuses`` for."""
+    calls = []
+    statuses = th.schur_cohn_statuses
+
+    def counting(polys):
+        polys = list(polys)
+        calls.append(len(polys))
+        return statuses(polys)
+
+    monkeypatch.setattr(th, "schur_cohn_statuses", counting)
+    return calls
+
+
+def _count_root_solves(monkeypatch):
+    """Record the row count of every chunk the root finder solves."""
+    calls = []
+    solve_chunk = roots._solve_chunk
+
+    def counting(polys, offset):
+        calls.append(len(polys))
+        return solve_chunk(polys, offset)
+
+    monkeypatch.setattr(roots, "_solve_chunk", counting)
+    return calls
+
+
 def _failing_solve(monkeypatch, bad):
-    """Make every root-find of the polynomial ``bad`` raise UnconvergedError,
+    """Send every status to the root finder, past the recursion, and make
+    every root-find of the polynomial ``bad`` raise UnconvergedError,
     batched or alone; returns the list of rows that raised."""
+    monkeypatch.setattr(roots, "_SCHUR_COHN_MAX_DEGREE", 0)
     raised = []
     solve_chunk = roots._solve_chunk
 
@@ -489,19 +500,12 @@ class TestLookaheadBisection:
     def test_levels_fit_one_chunk(self, monkeypatch, rows, levels):
         """Where a chunk of the root solver holds fewer rows than three
         levels of midpoints, a round takes as many levels as fit; one level
-        is plain bisection, one single-row solve per step."""
+        is plain bisection, one single-row status batch per step."""
         want = _sequential_bisect_onset(
             F1, 0.0, 5.0, Status.UNSTABLE, Status.STABLE, 1e-6
         )
         monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", rows * F1.degree**2)
-        calls = []
-        solve_chunk = roots._solve_chunk
-
-        def counting(polys, offset):
-            calls.append(len(polys))
-            return solve_chunk(polys, offset)
-
-        monkeypatch.setattr(roots, "_solve_chunk", counting)
+        calls = _count_status_rows(monkeypatch)
         got = exact_onset(F1, "increasing", (0.0, 5.0), 1e-6)
         assert (got.value, got.bracket) == (want.value, want.bracket)
         assert calls[:2] == [1, 1]  # the bracket ends
@@ -585,6 +589,21 @@ class TestInputBounds:
     def test_tolerance_must_be_positive_and_finite(self, search, tol):
         with pytest.raises(InvalidInputError, match="tol must be positive and finite"):
             search(tol)
+
+    @pytest.mark.parametrize(
+        "interval", [(0.0, math.inf), (-math.inf, 5.0), (math.nan, 5.0), (0.0, math.nan)]
+    )
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda interval: exact_onset(F1, "increasing", interval),
+            lambda interval: guardian_onset(F1, interval),
+        ],
+        ids=["exact_onset", "guardian_onset"],
+    )
+    def test_interval_must_be_finite(self, search, interval):
+        with pytest.raises(InvalidInputError, match=r"search interval \[.*\] must be finite"):
+            search(interval)
 
     def test_grid_cap(self, monkeypatch):
         # F1 has 3 support indices: 100 grid points need 300 ratios.
