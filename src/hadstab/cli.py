@@ -9,8 +9,10 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import report
@@ -64,6 +66,23 @@ def _load_poly(path: str) -> tuple[MonicPolynomial, float | None]:
         alpha, poly = to_integer_order(FractionalPolynomial.from_json(obj))
         return poly, float(alpha)
     return MonicPolynomial.from_json(obj), None
+
+
+@contextmanager
+def _writing(out_dir: Path):
+    """Report an OSError from creating or writing ``out_dir`` as an input
+    error (exit 2): the --out path is unusable."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {out_dir}: {exc}") from exc
+
+
+def _make_out_dir(path: str) -> Path:
+    out_dir = Path(path)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def _emit(payload: dict) -> None:
@@ -153,15 +172,14 @@ def cmd_threshold(args) -> int:
 def cmd_sweep(args) -> int:
     f, _ = _load_poly(args.poly)
     powers = report.sweep_powers(getattr(args, "from"), args.to, args.step)
+    out_dir = _make_out_dir(args.out)  # before the solve, so a bad --out fails fast
     records = report.sweep(f, powers)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
-    csv_path.write_text(report.sweep_csv(records, f.degree))
-    svg_path = None
-    if records:
-        svg_path = out_dir / "sweep.svg"
-        svg_path.write_text(report.sweep_svg(records))
+    svg_path = out_dir / "sweep.svg" if records else None
+    with _writing(out_dir):
+        csv_path.write_text(report.sweep_csv(records, f.degree))
+        if svg_path is not None:
+            svg_path.write_text(report.sweep_svg(records))
     _emit(
         {
             "records": len(records),
@@ -174,8 +192,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    out_dir = Path(args.out)
-    payload = report.reproduce_example(args.example, out_dir)
+    out_dir = _make_out_dir(args.out)
+    with _writing(out_dir):
+        payload = report.reproduce_example(args.example, out_dir)
     _emit({"out": str(out_dir), "comparison": payload["comparison"]})
     return 0
 
@@ -193,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="stability verdict and coefficient criteria")
     p.add_argument("--poly", required=True, help="polynomial JSON file")
     p.add_argument("--witness", action="store_true", help="include weight witnesses")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("power", help="rational coefficient-wise power")
     p.add_argument("--poly", required=True)
@@ -203,14 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="exponent K/M (integer shorthand ok); write a negative one as --p=-1/2",
     )
     p.add_argument("--all-branches", action="store_true", dest="all_branches")
-    p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("product", help="coefficient-wise product of two polynomials")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--szego", action="store_true", help="apply binomial weights")
     p.add_argument("--criterion", choices=["a", "b", "c"])
-    p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("threshold", help="power thresholds")
     p.add_argument("--poly", required=True)
@@ -218,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["grid", "exact", "onset"], default="grid")
     p.add_argument("--grid-n", type=int, default=1000, dest="grid_n")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("sweep", help="stability sweep over a power range")
     p.add_argument("--poly", required=True)
@@ -226,24 +241,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("reproduce", help="rerun a built-in experiment")
     p.add_argument("--example", type=int, required=True, choices=[1, 2])
     p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_reproduce)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs far more than
+    an exact threshold, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # The command function is looked up when it runs, not bound into the
+    # cached parser, so that a function rebound on this module is the one
+    # called.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

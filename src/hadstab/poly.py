@@ -21,6 +21,8 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .errors import InvalidInputError, UnsupportedInputError
 
 # Degree cap for the commensurate reduction; beyond this the common power base
@@ -279,6 +281,8 @@ def _power_coeff(a: complex, p: float, extra_angle: float = 0.0) -> complex:
         raise InvalidInputError(
             f"|{a}|^{p} overflows the floating-point range"
         ) from None
+    if not math.isfinite(ang):  # p is NaN or infinite; math.cos(inf) raises
+        raise InvalidInputError("coefficients must be finite")
     return mag * complex(math.cos(ang), math.sin(ang))
 
 
@@ -331,6 +335,39 @@ def principal_power(f: MonicPolynomial, p: float) -> MonicPolynomial:
     used by power sweeps and onset bisection.
     """
     return MonicPolynomial(tuple(_power_coeff(a, p) for a in f.coeffs))
+
+
+def principal_rows(f: MonicPolynomial, ps: Sequence[float]) -> np.ndarray:
+    """``principal_power(f, p)`` for every p in ``ps``, as the rows of one
+    ``(len(ps), n + 1)`` complex array of ascending coefficients with the
+    leading 1.
+
+    |a_k| and arg(a_k) are taken once per coefficient; each element is then
+    ``_power_coeff``'s own expression, so its bits are those of
+    ``principal_power`` on every host.  (numpy's ``power`` differs from
+    ``**`` in the last bit on some pairs, and its vectorized ``cos`` and
+    ``sin`` may differ from libm's.)  A power that overflows a coefficient,
+    or makes one non-finite, raises the InvalidInputError ``principal_power``
+    raises for the first such power.
+    """
+    n = f.degree
+    rows = np.zeros((len(ps), n + 1), dtype=complex)
+    rows[:, n] = 1.0
+    cos, sin = math.cos, math.sin
+    try:
+        for k in f.support:
+            r, theta = abs(f.coeffs[k]), cmath.phase(f.coeffs[k])
+            # _power_coeff with extra_angle = 0.0, which turns a -0.0 angle
+            # into 0.0.
+            angles = [p * theta + 0.0 for p in ps]
+            rows[:, k] = [r**p * complex(cos(a), sin(a)) for p, a in zip(ps, angles)]
+        finite = bool(np.isfinite(rows).all())
+    except (OverflowError, ValueError):  # |a_k|^p overflows; cos(inf)
+        finite = False
+    if not finite:
+        for p in ps:
+            principal_power(f, p)  # raises for the first power that fails
+    return rows
 
 
 def conjugate(f: MonicPolynomial) -> MonicPolynomial:

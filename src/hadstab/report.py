@@ -1,5 +1,10 @@
 """Sweep records, CSV/SVG rendering, and the built-in experiment reports.
 
+A sweep computes the principal powers of all its powers as one array of
+coefficient rows (``poly.principal_rows``), solves them as one batch
+(``roots.find_root_rows``) and reads each record from its row of sorted
+roots; no polynomial or root set is built per power.
+
 All emitted artifacts are deterministic: numbers are rounded to 12
 significant digits before formatting, records are sorted by power, and no
 timestamps enter data files.
@@ -13,9 +18,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InvalidInputError
-from .poly import MonicPolynomial, principal_power
-from .roots import Status, classify, find_roots_many
+from .poly import MonicPolynomial, principal_rows
+from .roots import Status, classify, find_root_rows
 from .thresholds import auto_onset, pstar_exact, pstar_grid
 
 SVG_NS = "http://www.w3.org/2000/svg"
@@ -87,17 +94,20 @@ def sweep_powers(start: float, stop: float, step: float) -> list[float]:
 def sweep(f: MonicPolynomial, powers: Sequence[float]) -> list[SweepRecord]:
     """Evaluate the principal power branch at every requested power.
 
-    Every power of f has the degree of f, so all are solved as one batch.
+    Every power of f has the degree of f, so all are solved as one batch:
+    the coefficient rows of all powers (``principal_rows``) go to
+    ``find_root_rows``, and each record is read from its row of roots, as
+    ``find_roots`` would have returned them.  An UnconvergedError's ``row``
+    is the power's position in sorted order.
     """
     ps = sorted(powers)
-    root_sets = find_roots_many(principal_power(f, p) for p in ps)
-    records = []
-    for p, rs in zip(ps, root_sets):
-        m = rs.max_modulus
-        records.append(
-            SweepRecord(p, classify(m) is Status.STABLE, m, rs.roots)
-        )
-    return records
+    z, _, _ = find_root_rows(principal_rows(f, ps))
+    # np.hypot equals the abs of RootSet.max_modulus bit for bit.
+    moduli = np.hypot(z.real, z.imag).max(axis=1).tolist()
+    return [
+        SweepRecord(p, classify(m) is Status.STABLE, m, tuple(zs))
+        for p, m, zs in zip(ps, moduli, z.tolist())
+    ]
 
 
 def sweep_csv(records: Sequence[SweepRecord], degree: int) -> str:

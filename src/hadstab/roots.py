@@ -28,24 +28,28 @@ Newton steps after the eigenvalues keep Horner's rule: at a multiple-root
 cluster the table's derivative can fall to rounding level and throw a root
 out of the cluster.
 
-Polynomials of one degree are solved as a batch (``find_roots_many``): the
-Aberth sweeps run on a ``(k, n)`` iterate in which each row leaves the loop
-once it settles, the eigenvalues come from one stacked ``(k, n, n)`` solve,
-and the residuals and reconstructions of all rows are computed together.
-Every step is elementwise per row or a matrix product of the same shape for
-every row, so a row's result does not depend on the batch it was solved in;
-``find_roots`` is a batch of one.  Rows are processed in chunks sized from
-the degree, which bounds the memory of the stacked arrays.
-``branch_set_stable`` feeds the same core (``_solve_rows``) with rows
-gathered from a branch set's coefficient table, without building a
-polynomial or a root set per member.
+Polynomials of one degree are solved as a batch of coefficient rows
+(``find_root_rows``): the Aberth sweeps run on a ``(k, n)`` iterate in which
+each row leaves the loop once it settles, the eigenvalues come from one
+stacked ``(k, n, n)`` solve, and the residuals and reconstructions of all
+rows are computed together.  Every step is elementwise per row or a matrix
+product of the same shape for every row, so a row's result does not depend
+on the batch it was solved in.  Rows are processed in chunks sized from the
+degree, which bounds the memory of the stacked arrays.  The coefficient
+moduli of the residual scale come from ``np.hypot``, which equals Python's
+``abs`` bit for bit.  ``find_roots_many`` and ``find_roots`` pack
+polynomials into rows for it and wrap its sorted rows in root sets;
+``report.sweep`` reads its rows directly.  ``branch_set_stable`` feeds the
+certificate core (``_solve_rows``) with rows gathered from a branch set's
+coefficient table, without building a polynomial or a root set per member.
 
-Callers that read only a status, the onset searches, use
-``schur_cohn_statuses``: the Schur-Cohn recursion decides it from the
-coefficients alone, on all rows of a batch at once and with a running bound
-on its rounding error, at both edges of the boundary band.  The rows it
-cannot decide, and every row above degree 32, go to ``is_schur_stable_many``,
-so the roots stay the one root-finding path and the only source of moduli.
+Callers that read only a status, the onset searches, use ``row_statuses``:
+the Schur-Cohn recursion decides it from the coefficients alone, on all rows
+of a batch at once and with a running bound on its rounding error, at both
+edges of the boundary band.  The rows it cannot decide, and every row above
+degree 32, go to ``find_root_rows`` as rows, so the roots stay the one
+root-finding path and the only source of moduli.  ``schur_cohn_statuses``
+packs polynomials into rows for it.
 """
 
 from __future__ import annotations
@@ -137,8 +141,10 @@ class StabilityVerdict:
         }
 
 
-def residual_tolerance(f: MonicPolynomial) -> float:
-    return 1e-10 * (1.0 + max((abs(c) for c in f.coeffs), default=0.0))
+def _tolerances(moduli: np.ndarray) -> np.ndarray:
+    """The residual tolerance 1e-10 (1 + max_k |a_k|) of every row of
+    coefficient moduli |a_0| .. |a_n|."""
+    return 1e-10 * (1.0 + moduli[:, :-1].max(axis=1))
 
 
 def companion_matrix(coeffs: np.ndarray) -> np.ndarray:
@@ -402,11 +408,14 @@ def _solve_rows(
     return z, res, certified
 
 
-def _root_sets(z: np.ndarray, res: np.ndarray, tol: np.ndarray) -> list[RootSet]:
-    """Each row of ``_solve_rows`` output as a RootSet sorted by modulus."""
+def _sort_rows(z: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``_solve_rows`` output sorted by root modulus."""
     order = np.argsort(np.abs(z), axis=1, kind="stable")
-    z = np.take_along_axis(z, order, axis=1)
-    res = np.take_along_axis(res, order, axis=1)
+    return np.take_along_axis(z, order, axis=1), np.take_along_axis(res, order, axis=1)
+
+
+def _root_sets(z: np.ndarray, res: np.ndarray, tol: np.ndarray) -> list[RootSet]:
+    """Each row of sorted roots as a RootSet."""
     converged = res <= tol[:, None]
     return [
         RootSet(tuple(zs), tuple(residuals), tuple(flags))
@@ -414,24 +423,32 @@ def _root_sets(z: np.ndarray, res: np.ndarray, tol: np.ndarray) -> list[RootSet]
     ]
 
 
+def _partial(z: np.ndarray, res: np.ndarray, tol: np.ndarray, i: int) -> RootSet:
+    """Row i of ``_solve_rows`` output as a sorted RootSet: the partial
+    result of an UnconvergedError."""
+    zs, rs = _sort_rows(z[i : i + 1], res[i : i + 1])
+    return _root_sets(zs, rs, tol[i : i + 1])[0]
+
+
 def _uncertified(res: np.ndarray) -> str:
     return f"root iteration failed to certify (max residual {res.max():.3e})"
 
 
 @np.errstate(all="ignore")  # see _solve_rows
-def _solve_chunk(polys: list[MonicPolynomial], offset: int) -> list[RootSet]:
-    """Root sets of one chunk; ``offset`` is the batch row of ``polys[0]``."""
-    asc = np.array([f.coeffs + (1.0 + 0j,) for f in polys])
-    # Python's abs (libm hypot): np.abs on complex arrays can differ from it
-    # in the last bit, and the residual scale has always used it.
-    moduli = np.array([[abs(c) for c in f.coeffs] + [1.0] for f in polys])
-    tol = np.array([residual_tolerance(f) for f in polys])
+def _solve_chunk(asc: np.ndarray, offset: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``find_root_rows`` of one chunk; ``offset`` is the row of ``asc[0]``
+    in the whole batch."""
+    # np.hypot, not np.abs: it equals Python's abs (libm hypot) bit for bit,
+    # and the residual scale has always used that.
+    moduli = np.hypot(asc.real, asc.imag)
+    tol = _tolerances(moduli)
     z, res, certified = _solve_rows(asc, moduli, tol)
-    out = _root_sets(z, res, tol)
     if not certified.all():
         i = int(np.argmin(certified))
-        raise UnconvergedError(_uncertified(res[i]), partial=out[i], row=offset + i)
-    return out
+        raise UnconvergedError(
+            _uncertified(res[i]), partial=_partial(z, res, tol, i), row=offset + i
+        )
+    return (*_sort_rows(z, res), tol)
 
 
 def chunk_rows(degree: int) -> int:
@@ -446,34 +463,51 @@ def _check_degree(n: int) -> None:
         )
 
 
-def _solve(polys: Iterable[MonicPolynomial]) -> Iterator[RootSet]:
-    """Root sets in input order, solving one chunk of rows at a time."""
-    it = iter(polys)
-    first = next(it, None)
-    if first is None:
-        return
-    n = first.degree
+def find_root_rows(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots of every row of ascending monic coefficients ``asc`` (k, n + 1),
+    each row sorted by modulus as ``find_roots`` sorts it, with their scaled
+    residuals and each row's residual tolerance: (k, n), (k, n) and (k,)
+    arrays.
+
+    Rows are solved ``chunk_rows(n)`` at a time.  Raises UnconvergedError for
+    the first row that fails to certify, with ``row`` its position in
+    ``asc`` and its sorted root set as the partial result; a degree above
+    MAX_ROOT_DEGREE raises UnsupportedDegreeError before anything is solved.
+    """
+    k, n = asc.shape[0], asc.shape[1] - 1
+    if not k:
+        return np.zeros((0, n), dtype=complex), np.zeros((0, n)), np.zeros(0)
     _check_degree(n)
     size = chunk_rows(n)
-    chunk, offset = [first, *islice(it, size - 1)], 0
-    while chunk:
-        if any(f.degree != n for f in chunk):
-            raise InvalidInputError("find_roots_many needs polynomials of one degree")
-        yield from _solve_chunk(chunk, offset)
-        offset += len(chunk)
-        chunk = list(islice(it, size))
+    if k <= size:
+        return _solve_chunk(asc, 0)
+    parts = [_solve_chunk(asc[i : i + size], i) for i in range(0, k, size)]
+    return tuple(np.concatenate(columns) for columns in zip(*parts))
+
+
+def _coefficient_rows(polys: list[MonicPolynomial], caller: str) -> np.ndarray:
+    """Ascending coefficients of polynomials of one degree, with the leading
+    1, as one array; the degree cap is checked before it is built."""
+    n = polys[0].degree
+    _check_degree(n)
+    if any(f.degree != n for f in polys):
+        raise InvalidInputError(f"{caller} needs polynomials of one degree")
+    return np.array([f.coeffs + (1.0 + 0j,) for f in polys])
 
 
 def find_roots_many(polys: Iterable[MonicPolynomial]) -> list[RootSet]:
     """Root sets of polynomials of one degree, each exactly as ``find_roots``
-    returns it, solved in batches.
+    returns it, solved in batches (``find_root_rows``).
 
     Raises UnconvergedError for the first polynomial, in input order, whose
     root set fails to certify; its ``row`` is that polynomial's position.
     Degrees above MAX_ROOT_DEGREE raise UnsupportedDegreeError before any
     array is allocated.
     """
-    return list(_solve(polys))
+    polys = list(polys)
+    if not polys:
+        return []
+    return _root_sets(*find_root_rows(_coefficient_rows(polys, "find_roots_many")))
 
 
 def find_roots(f: MonicPolynomial) -> RootSet:
@@ -586,34 +620,38 @@ def _recursion_statuses(asc: np.ndarray) -> list[Status | None]:
     return statuses
 
 
-def schur_cohn_statuses(polys: Iterable[MonicPolynomial]) -> list[Status]:
-    """The status ``is_schur_stable_many`` gives each polynomial of one
-    degree, decided from the coefficients by the Schur-Cohn recursion where
-    it can be, with no roots.
+def row_statuses(asc: np.ndarray) -> list[Status]:
+    """The status ``is_schur_stable`` gives each row of ascending monic
+    coefficients ``asc`` (k, n + 1), decided from the coefficients by the
+    Schur-Cohn recursion where it can be, with no roots.
 
     The rows the recursion leaves undecided, and every row of degree above
-    ``_SCHUR_COHN_MAX_DEGREE``, go to ``is_schur_stable_many`` as one batch;
-    its UnconvergedError is raised with ``row`` the polynomial's position in
-    ``polys``.
+    ``_SCHUR_COHN_MAX_DEGREE``, go to ``find_root_rows`` as one batch and are
+    classified by their largest root modulus; its UnconvergedError is raised
+    with ``row`` the row's position in ``asc``.
     """
-    polys = list(polys)
-    if not polys:
-        return []
-    n = polys[0].degree
-    if any(f.degree != n for f in polys):
-        raise InvalidInputError("schur_cohn_statuses needs polynomials of one degree")
-    statuses: list[Status | None] = [None] * len(polys)
-    if n <= _SCHUR_COHN_MAX_DEGREE:
-        statuses = _recursion_statuses(np.array([f.coeffs + (1.0 + 0j,) for f in polys]))
+    k, n = asc.shape[0], asc.shape[1] - 1
+    statuses: list[Status | None] = [None] * k
+    if k and n <= _SCHUR_COHN_MAX_DEGREE:
+        statuses = _recursion_statuses(asc)
     rest = [i for i, st in enumerate(statuses) if st is None]
     if rest:
         try:
-            verdicts = is_schur_stable_many([polys[i] for i in rest])
+            z, _, _ = find_root_rows(asc[rest])
         except UnconvergedError as exc:
             raise UnconvergedError(str(exc), partial=exc.partial, row=rest[exc.row]) from exc
-        for i, v in zip(rest, verdicts):
-            statuses[i] = v.status
+        # np.hypot equals the abs of RootSet.max_modulus bit for bit.
+        for i, m in zip(rest, np.hypot(z.real, z.imag).max(axis=1).tolist()):
+            statuses[i] = classify(m)
     return statuses
+
+
+def schur_cohn_statuses(polys: Iterable[MonicPolynomial]) -> list[Status]:
+    """``row_statuses`` of polynomials of one degree, in input order."""
+    polys = list(polys)
+    if not polys:
+        return []
+    return row_statuses(_coefficient_rows(polys, "schur_cohn_statuses"))
 
 
 def branch_root_sets(b: BranchSet) -> list[RootSet]:
@@ -662,8 +700,8 @@ def _branch_blocks(
     moduli, tol), ready for ``_solve_rows``: the principal branch alone, then
     ``chunk_rows`` rows at a time.
 
-    Rows are gathered from ``b.table``; ``tol`` is ``residual_tolerance`` of
-    each member, 1e-10 (1 + max_k |a_k|).
+    Rows are gathered from ``b.table``; ``tol`` is each member's residual
+    tolerance (``_tolerances``).
     """
     n, support = b.base.degree, list(b.base.support)
     shape = (len(support), b.exponent.den)
@@ -679,7 +717,7 @@ def _branch_blocks(
         asc[:, support] = values[at, ls]
         mod[:, support] = moduli[at, ls]
         asc[:, n] = mod[:, n] = 1.0
-        yield block, asc, mod, 1e-10 * (1.0 + mod[:, :n].max(axis=1))
+        yield block, asc, mod, _tolerances(mod)
         block = list(islice(it, chunk_rows(n)))
 
 
@@ -717,7 +755,7 @@ def branch_set_stable(b: BranchSet) -> StabilityVerdict:
                 raise UnconvergedError(
                     f"branch {b.position(index)} (index {index}): "
                     + _uncertified(res[i]),
-                    partial=_root_sets(z[i : i + 1], res[i : i + 1], tol[i : i + 1])[0],
+                    partial=_partial(z, res, tol, i),
                 )
             worst = max(worst, float(mods[: i + 1].max()))
             return StabilityVerdict(Status.UNSTABLE, worst)

@@ -8,10 +8,12 @@ Four families of results live here:
 * instability bounds from the binomial necessary condition (``beta_star``)
   and the lowest-support-index sign test (``kstar_test``);
 * the exact stability onset, located by bisecting the stability status of
-  the principal power branch (``exact_onset`` / ``auto_onset``).  Each status
-  comes from ``roots.schur_cohn_statuses``: the Schur-Cohn recursion on the
-  coefficients decides it, and the root finder only where the recursion
-  cannot;
+  the principal power branch (``exact_onset`` / ``auto_onset``).  The
+  principal powers of a batch are one array of coefficient rows
+  (``poly.principal_rows``), and their statuses come from
+  ``roots.row_statuses``: the Schur-Cohn recursion on the coefficients
+  decides them, and the root finder only where the recursion cannot.  No
+  polynomial object is built per power;
 * a determinant-based boundary indicator (``guardian_map`` /
   ``guardian_onset``) that vanishes exactly when a root reaches the unit
   circle and changes sign across simple crossings.
@@ -35,12 +37,12 @@ from .errors import (
     UnconvergedError,
     UnsupportedDegreeError,
 )
-from .poly import MonicPolynomial, principal_power, real_form
-from .roots import Status, chunk_rows, companion_matrix, schur_cohn_statuses
+from .poly import MonicPolynomial, principal_power, principal_rows, real_form
+from .roots import Status, chunk_rows, companion_matrix, row_statuses
 
 _MAX_BISECT = 200
 # Onset bisection decides the midpoints of up to this many levels as one batch.
-_LOOKAHEAD = 3
+_LOOKAHEAD = 5
 _EXPANSION_CAP = 2.0 ** 16
 # Maximum degree of the real carrier polynomial in guardian_map; the compound
 # matrix has dimension C(degree, 2).
@@ -335,12 +337,8 @@ def _onset_statuses(direction: str) -> tuple[Status, Status]:
     )
 
 
-def _status(g: MonicPolynomial) -> Status:
-    return schur_cohn_statuses([g])[0]
-
-
 def _principal_status(f: MonicPolynomial, p: float) -> Status:
-    return _status(principal_power(f, p))
+    return row_statuses(principal_rows(f, [p]))[0]
 
 
 def _batch_statuses(f: MonicPolynomial, ps: list[float]) -> list[Status] | None:
@@ -349,7 +347,7 @@ def _batch_statuses(f: MonicPolynomial, ps: list[float]) -> list[Status] | None:
     at a time, so only a failure it reaches raises, as it would have alone.
     """
     try:
-        return schur_cohn_statuses([principal_power(f, p) for p in ps])
+        return row_statuses(principal_rows(f, ps))
     except (InvalidInputError, UnconvergedError):  # overflow, or no certificate
         return None
 
@@ -364,7 +362,7 @@ def exact_onset(
 
     The stability indicator is the status of the principal branch of f^[p],
     decided by the Schur-Cohn recursion with the root finder as its fallback
-    (``roots.schur_cohn_statuses``).  The interval must be finite and must
+    (``roots.row_statuses``).  The interval must be finite and must
     already bracket the change ('increasing' means Unstable at the left end
     and Stable at the right end); it is validated, not assumed.  A Marginal
     verdict at the midpoint triggers a close-out attempt at mid +- tol/2; if
@@ -414,16 +412,18 @@ def _bisect_onset(
     """``exact_onset`` on a bracket whose end verdicts are already known.
 
     Each round decides the statuses of the midpoints of the next levels,
-    every one the walk could reach, as one ``schur_cohn_statuses`` batch:
-    the recursion decides them, and the rows it cannot go to the root finder
-    together.  The walk then makes the same lo/hi decisions as plain
-    bisection, so brackets and values do not depend on the lookahead.  A
-    round takes ``_LOOKAHEAD`` levels, or fewer where their 2^L - 1
-    midpoints would not fit in one chunk of the root solver: split into
-    chunks, a fallback batch would gain nothing, and the points the walk
-    skips would be extra solves.  At one level a round is a step of plain
-    bisection.  ``_MAX_BISECT`` caps the steps walked, not the points solved.
-    A Marginal midpoint closes out one point at a time, and a round whose
+    every one the walk could reach, as one ``row_statuses`` batch of
+    principal rows: the recursion decides them, and the rows it cannot go to
+    the root finder together.  The walk then makes the same lo/hi decisions
+    as plain bisection, so brackets and values do not depend on the
+    lookahead.  A round takes ``_LOOKAHEAD`` levels, 31 midpoints: a
+    recursion batch costs about the same from 1 to 50 rows at degree 5.
+    It takes fewer where their 2^L - 1 midpoints would not fit in one chunk
+    of the root solver, for the rows that fall to it: split into chunks, a
+    fallback batch would gain nothing, and the points the walk skips would
+    be extra solves.  At one level a round is a step of plain bisection.
+    ``_MAX_BISECT`` caps the steps walked, not the points solved.  A
+    Marginal midpoint closes out one point at a time, and a round whose
     batch fails walks one point at a time, so a point the walk never reaches
     cannot raise.
     """
@@ -482,14 +482,14 @@ def auto_onset(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRes
     stable_end = sign * 64.0
     while True:
         try:
-            power = principal_power(f, stable_end)
+            row = principal_rows(f, [stable_end])
         except InvalidInputError as exc:  # a coefficient overflows
             raise BracketError(
                 f"no stable power found while expanding the bracket: the "
                 f"principal power at p = {stable_end} is out of range ({exc})"
             ) from exc
         try:
-            if _status(power) is Status.STABLE:
+            if row_statuses(row)[0] is Status.STABLE:
                 break
         except UnconvergedError as exc:
             raise BracketError(

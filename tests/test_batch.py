@@ -16,6 +16,7 @@ from hadstab import (
     UnconvergedError,
     Status,
     UnsupportedDegreeError,
+    auto_onset,
     branch_set_stable,
     find_roots,
     hadamard_power,
@@ -247,6 +248,20 @@ def _spoiled(solve, *targets):
     return spoiled
 
 
+def _tolerances_failing(bad, otherwise=None):
+    """A ``roots._tolerances`` that gives -1 to every row whose coefficient
+    moduli |a_0| .. |a_{n-1}| are in ``bad``, so that no residual certifies
+    it, and ``otherwise`` (default: the real tolerance) to the others."""
+    tolerances = roots._tolerances
+
+    def failing(moduli):
+        tol = tolerances(moduli) if otherwise is None else np.full(len(moduli), otherwise)
+        hit = [tuple(row[:-1]) in bad for row in moduli.tolist()]
+        return np.where(hit, -1.0, tol)
+
+    return failing
+
+
 def _sorted_roots(z):
     return z[np.argsort(np.abs(z), kind="stable")].tobytes()
 
@@ -408,14 +423,12 @@ class TestBatchContract:
     def test_first_failing_row_is_reported(self, monkeypatch):
         rng = random.Random(9)
         group = [random_monic(rng, 4) for _ in range(9)]
-        bad = {id(group[5]), id(group[7])}
+        bad = {tuple(abs(c) for c in group[i].coeffs) for i in (5, 7)}
         monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 2 * 16)
         monkeypatch.setattr(
             roots, "_reconstructs", lambda asc, z: np.zeros(len(z), dtype=bool)
         )
-        monkeypatch.setattr(
-            roots, "residual_tolerance", lambda f: -1.0 if id(f) in bad else 1.0
-        )
+        monkeypatch.setattr(roots, "_tolerances", _tolerances_failing(bad, 1.0))
         with pytest.raises(UnconvergedError) as info:
             find_roots_many(group)
         assert info.value.row == 5
@@ -592,6 +605,75 @@ class TestBranchSetAgreement:
             branch_set_stable(bset)
 
 
+def _sweep_per_polynomial(f, powers):
+    """``report.sweep`` by the per-polynomial path: one principal power and
+    one root set per power."""
+    ps = sorted(powers)
+    return [
+        report.SweepRecord(p, classify(rs.max_modulus) is Status.STABLE, rs.max_modulus, rs.roots)
+        for p, rs in zip(ps, find_roots_many(principal_power(f, p) for p in ps))
+    ]
+
+
+class TestSweepRows:
+    """``report.sweep`` reads principal rows and sorted root rows, never a
+    polynomial or a root set per power."""
+
+    def test_equals_per_polynomial_path(self):
+        rng = random.Random(606)
+        for n in (3, 4, 5, 6, 7, 8, 40):
+            for real in (True, False):
+                if n == 40:  # 5 rows per chunk: the sweep spans 20 chunks
+                    f = random_monic(rng, n, (0.05, 0.9), real=real)
+                    powers = [0.05 * p for p in range(1, 101)]
+                else:
+                    f = random_monic(rng, n, (0.05, 3.0), density=0.8, real=real)
+                    powers = [0.25 * p for p in range(-40, 41)] + [0.0, 1 / 3]
+                rng.shuffle(powers)
+                got, want = report.sweep(f, powers), _sweep_per_polynomial(f, powers)
+                assert got == want
+                assert [np.array(r.roots).tobytes() for r in got] == [
+                    np.array(r.roots).tobytes() for r in want
+                ]
+                assert [r.max_modulus for r in got] == [r.max_modulus for r in want]
+
+    def test_uncertified_row_is_its_sorted_position(self, monkeypatch):
+        bad = principal_power(F1, 3.0)
+        monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 2 * 25)  # two rows per chunk
+        monkeypatch.setattr(
+            roots, "_reconstructs", lambda asc, z: np.zeros(len(z), dtype=bool)
+        )
+        moduli = {tuple(abs(c) for c in bad.coeffs)}
+        monkeypatch.setattr(roots, "_tolerances", _tolerances_failing(moduli))
+        with pytest.raises(UnconvergedError) as alone:
+            find_roots(bad)
+        with pytest.raises(UnconvergedError) as info:
+            report.sweep(F1, [5.0, 1.0, 3.0, 2.0, 4.0])
+        assert info.value.row == 2
+        assert _bits(info.value.partial) == _bits(alone.value.partial)
+
+    def test_no_polynomial_per_power(self, monkeypatch):
+        built = []
+        post_init = MonicPolynomial.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(MonicPolynomial, "__post_init__", counting)
+        assert len(report.sweep(F1, [float(p) for p in range(1, 101)])) == 100
+        auto_onset(F1, "max")
+        auto_onset(report.EXPERIMENT_POLYS[2]["g"], "min")
+        assert built == []
+        MonicPolynomial((0.5,))
+        assert len(built) == 1  # the seam counts
+
+    def test_non_finite_power_is_input_error(self):
+        for p in (math.nan, math.inf):
+            with pytest.raises(InvalidInputError, match="coefficients must be finite"):
+                report.sweep(F1, [1.0, p])
+
+
 class TestWorkCounters:
     """Deterministic work per call, counted without wall time."""
 
@@ -616,10 +698,8 @@ class TestWorkCounters:
         # Rows whose residuals cannot certify go to the reconstruction as
         # one stack, and no other row does.
         bad = [principal_power(F1, p) for p in powers[::7]]
-        tolerance = roots.residual_tolerance
-        monkeypatch.setattr(
-            roots, "residual_tolerance", lambda f: -1.0 if f in bad else tolerance(f)
-        )
+        moduli = {tuple(abs(c) for c in f.coeffs) for f in bad}
+        monkeypatch.setattr(roots, "_tolerances", _tolerances_failing(moduli))
         assert report.sweep(F1, powers) == whole
         assert calls == [{f.coeffs for f in bad}]
 

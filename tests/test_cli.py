@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hadstab
-from hadstab import MAX_BRANCHES
+from hadstab import MAX_BRANCHES, cli
 from hadstab.cli import main
 from hadstab.report import MAX_SWEEP_POWERS
 from hadstab.roots import MAX_ROOT_DEGREE
@@ -446,6 +446,92 @@ class TestReproduce:
 
     def test_no_command_is_input_error(self, capsys):
         assert main([]) == 2
+
+
+class TestOutputDirectory:
+    """An unusable --out exits 2 before anything is solved."""
+
+    @pytest.mark.parametrize("command", ["sweep", "reproduce"])
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_unusable_out_is_input_error(
+        self, capsys, files, tmp_path, monkeypatch, command, under_file
+    ):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        out = blocker / "sub" if under_file else blocker
+
+        def refuse(*args):
+            raise AssertionError("solved before --out was checked")
+
+        monkeypatch.setattr(hadstab.report, "sweep", refuse)
+        monkeypatch.setattr(hadstab.report, "reproduce_example", refuse)
+        if command == "sweep":
+            argv = ["sweep", "--poly", files["f1"], "--from", "1", "--to", "3", "--step", "1"]
+        else:
+            argv = ["reproduce", "--example", "1"]
+        code = main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in captured.err
+        assert blocker.read_text() == "kept"
+
+    @pytest.mark.parametrize("command", ["sweep", "reproduce"])
+    def test_unwritable_artifact_is_input_error(self, capsys, files, tmp_path, command):
+        # The directory exists, but an artifact's name is taken by a directory.
+        name = "sweep.csv" if command == "sweep" else "report.json"
+        (tmp_path / name).mkdir()
+        if command == "sweep":
+            argv = ["sweep", "--poly", files["f1"], "--from", "1", "--to", "3", "--step", "1"]
+        else:
+            argv = ["reproduce", "--example", "1"]
+        code = main(argv + ["--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; reusing it changes no
+    exit code and no byte of stdout or stderr."""
+
+    def test_repeated_calls_match_a_fresh_parser(self, capsys, files, tmp_path, monkeypatch):
+        argvs = [
+            ["threshold", "--poly", files["f1"], "--mode", "max", "--method", "exact"],
+            ["threshold", "--poly", files["f1"], "--mode", "sideways"],  # usage error
+            ["threshold", "--poly", files["f1"]],  # a required option missing
+            ["--help"],
+            ["sweep", "--help"],
+            ["analyze", "--poly", str(tmp_path / "missing.json")],  # input error
+            ["threshold", "--poly", files["g1"], "--mode", "max"],  # not applicable
+            ["power", "--poly", files["f1"], "--p", "3/2"],
+            [],
+        ]
+
+        def outcomes():
+            seen = []
+            for argv in argvs * 2:
+                code = main(list(argv))
+                captured = capsys.readouterr()
+                seen.append((code, captured.out, captured.err))
+            return seen
+
+        reused = outcomes()
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh one per call
+        fresh = outcomes()
+        assert reused == fresh
+        assert [code for code, _, _ in reused[: len(argvs)]] == [0, 2, 2, 0, 0, 2, 1, 0, 2]
+        assert reused[: len(argvs)] == reused[len(argvs) :]
+
+    def test_rebound_command_is_called(self, capsys, files, monkeypatch):
+        main(["threshold", "--poly", files["f1"], "--mode", "max"])  # parser built
+        calls = []
+        monkeypatch.setattr(cli, "cmd_threshold", lambda args: calls.append(args.mode) or 0)
+        assert main(["threshold", "--poly", files["f1"], "--mode", "max"]) == 0
+        assert calls == ["max"]
 
 
 class TestExitCodes:

@@ -1,7 +1,9 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from hadstab import (
     hadamard_power,
     hadamard_product,
     principal_power,
+    principal_rows,
     real_form,
     szego_product,
     szego_weight,
@@ -281,6 +284,88 @@ class TestHadamardPower:
         principal = hadamard_power(F1, p).principal
         direct = principal_power(F1, p.value)
         assert principal == direct
+
+
+def _rows_of(f, ps):
+    """The reference for ``principal_rows``: one ``principal_power`` per p."""
+    return np.array([principal_power(f, p).coeffs + (1.0 + 0j,) for p in ps]).reshape(
+        len(ps), f.degree + 1
+    )
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and (a.view(np.uint64) == b.view(np.uint64)).all()
+
+
+class TestPrincipalRows:
+    POWERS = [0.0, -0.0, 1.0, 2.0, 3.0, -1.0, -2.5, 0.5, 1 / 3, -7 / 3, 12.75, 100.0, -100.0]
+
+    def test_bit_identical_to_principal_power(self):
+        """Seeded real and complex inputs with zero coefficients and negative
+        reals, at zero, negative, fractional and integer powers, one power
+        and many: every bit of every row is ``principal_power``'s."""
+        rng = random.Random(1212)
+        checked = 0
+        for i in range(200):
+            n = 2 + i % 9
+            coeffs = []
+            for _ in range(n):
+                u = rng.random()
+                if u < 0.2:
+                    coeffs.append(0j)
+                elif u < 0.5:
+                    coeffs.append(complex(rng.choice((-1, 1)) * rng.uniform(0.05, 3.0)))
+                else:
+                    m, t = rng.uniform(0.05, 3.0), rng.uniform(-math.pi, math.pi)
+                    coeffs.append(m * complex(math.cos(t), math.sin(t)))
+            f = MonicPolynomial(tuple(coeffs))
+            ps = self.POWERS + [rng.uniform(-20.0, 20.0) for _ in range(20)]
+            assert _same_bits(principal_rows(f, ps), _rows_of(f, ps))
+            for p in ps[:3] + ps[-3:]:
+                assert _same_bits(principal_rows(f, [p]), _rows_of(f, [p]))
+            checked += len(ps)
+        assert checked == 200 * 33
+
+    def test_examples_and_integer_powers(self):
+        for f in (F1, G1, MonicPolynomial((-0.9j, 0.7, 0.0, 0.2 - 0.4j))):
+            ps = [float(p) for p in range(-100, 101)] + [2, -3]  # ints too
+            assert _same_bits(principal_rows(f, ps), _rows_of(f, ps))
+
+    def test_empty_powers(self):
+        rows = principal_rows(F1, [])
+        assert rows.shape == (0, 6) and rows.dtype == complex
+
+    def test_empty_support(self):
+        rows = principal_rows(MonicPolynomial((0j, 0j)), [float("nan"), 2.0])
+        assert _same_bits(rows, np.array([[0, 0, 1], [0, 0, 1]], dtype=complex))
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("f", [F1, MonicPolynomial((0.7j, 2.0, -0.9))])
+    def test_non_finite_power(self, f, p):
+        with pytest.raises(InvalidInputError, match="coefficients must be finite"):
+            principal_power(f, p)
+        with pytest.raises(InvalidInputError, match="coefficients must be finite"):
+            principal_rows(f, [1.0, p, 2.0])
+
+    def test_first_overflow_is_reported(self):
+        f = MonicPolynomial((1e-3, 2.0, 10.0))
+        # 10^400 overflows at p = 400 before 2^2000 at p = 2000; at p = -200
+        # 1e-3^-200 overflows first, at index 0.
+        for ps, text in [
+            ([1.0, 2000.0, 400.0], r"\|\(2\+0j\)\|\^2000.0 overflows"),
+            ([1.0, 400.0, 2000.0], r"\|\(10\+0j\)\|\^400.0 overflows"),
+            ([-200.0, 400.0], r"\|\(0.001\+0j\)\|\^-200.0 overflows"),
+        ]:
+            with pytest.raises(InvalidInputError, match=text):
+                principal_rows(f, ps)
+            with pytest.raises(InvalidInputError, match=text):
+                for p in ps:
+                    principal_power(f, p)
+
+    def test_non_finite_before_a_later_overflow(self):
+        f = MonicPolynomial((1e-3, 2.0, 10.0))
+        with pytest.raises(InvalidInputError, match="coefficients must be finite"):
+            principal_rows(f, [math.nan, 400.0])
 
 
 class TestConjugateAndRealForm:

@@ -302,25 +302,25 @@ class TestExactOnset:
         assert auto.value == pytest.approx(manual.value, abs=1e-6)
 
     def test_auto_onset_root_finds(self, monkeypatch):
-        """Bracket search one point at a time, then bisection three levels
+        """Bracket search one point at a time, then bisection five levels
         per batch, without deciding the bracket ends a second time.  The
         recursion decides every status, so no root is found."""
         calls = _count_status_rows(monkeypatch)
         solves = _count_root_solves(monkeypatch)
         res = auto_onset(F1, "max", tol=1e-6)
-        # Stable end at 64, unstable end at 0, then 26 bisection steps: eight
-        # rounds of 7 midpoints and a last round of 2 levels.
-        assert calls == [1, 1] + [7] * 8 + [3]
+        # Stable end at 64, unstable end at 0, then 26 bisection steps: five
+        # rounds of 31 midpoints and a last round of 1 level.
+        assert calls == [1, 1] + [31] * 5 + [1]
         assert solves == []
         assert res.bracket == (3.3545713424682617, 3.354572296142578)
 
     def test_exact_onset_root_finds(self, monkeypatch):
         """Both bracket ends one at a time, then 23 bisection steps in rounds
-        of three levels, all decided without roots."""
+        of five levels, all decided without roots."""
         calls = _count_status_rows(monkeypatch)
         solves = _count_root_solves(monkeypatch)
         exact_onset(F1, "increasing", (0.0, 5.0), 1e-6)
-        assert calls == [1, 1] + [7] * 7 + [3]
+        assert calls == [1, 1] + [31] * 4 + [7]
         assert solves == []
 
     def test_auto_onset_uncertifiable_stable_end(self):
@@ -339,15 +339,13 @@ class TestExactOnset:
 
     def test_marginal_midpoint_close_out(self, monkeypatch):
         # a narrow marginal band around the crossing is stepped over
-        def fake_status(poly):
-            p = math.log(abs(poly.coeffs[0])) / math.log(0.5)
+        def fake_status(row):
+            p = math.log(abs(row[0])) / math.log(0.5)
             if abs(p - 2.0) < 1e-9:
                 return Status.MARGINAL
             return Status.UNSTABLE if p < 2.0 else Status.STABLE
 
-        monkeypatch.setattr(
-            th, "schur_cohn_statuses", lambda polys: [fake_status(g) for g in polys]
-        )
+        monkeypatch.setattr(th, "row_statuses", lambda asc: [fake_status(r) for r in asc])
         f = MonicPolynomial((0.5, 0.0))
         res = th.exact_onset(f, "increasing", (0.0, 4.0), tol=1e-4)
         lo, hi = res.bracket
@@ -356,15 +354,13 @@ class TestExactOnset:
 
     def test_marginal_zone_error(self, monkeypatch):
         # a marginal band wider than the tolerance cannot be certified
-        def fake_status(poly):
-            p = math.log(abs(poly.coeffs[0])) / math.log(0.5)
+        def fake_status(row):
+            p = math.log(abs(row[0])) / math.log(0.5)
             if abs(p - 2.0) < 0.5:
                 return Status.MARGINAL
             return Status.UNSTABLE if p < 2.0 else Status.STABLE
 
-        monkeypatch.setattr(
-            th, "schur_cohn_statuses", lambda polys: [fake_status(g) for g in polys]
-        )
+        monkeypatch.setattr(th, "row_statuses", lambda asc: [fake_status(r) for r in asc])
         f = MonicPolynomial((0.5, 0.0))
         with pytest.raises(MarginalZoneError):
             th.exact_onset(f, "increasing", (0.0, 4.0), tol=1e-4)
@@ -406,16 +402,15 @@ def _outcome(search, *args):
 
 def _count_status_rows(monkeypatch):
     """Record the row count of every status batch the onset searches ask
-    ``roots.schur_cohn_statuses`` for."""
+    ``roots.row_statuses`` for."""
     calls = []
-    statuses = th.schur_cohn_statuses
+    statuses = th.row_statuses
 
-    def counting(polys):
-        polys = list(polys)
-        calls.append(len(polys))
-        return statuses(polys)
+    def counting(asc):
+        calls.append(len(asc))
+        return statuses(asc)
 
-    monkeypatch.setattr(th, "schur_cohn_statuses", counting)
+    monkeypatch.setattr(th, "row_statuses", counting)
     return calls
 
 
@@ -424,9 +419,9 @@ def _count_root_solves(monkeypatch):
     calls = []
     solve_chunk = roots._solve_chunk
 
-    def counting(polys, offset):
-        calls.append(len(polys))
-        return solve_chunk(polys, offset)
+    def counting(asc, offset):
+        calls.append(len(asc))
+        return solve_chunk(asc, offset)
 
     monkeypatch.setattr(roots, "_solve_chunk", counting)
     return calls
@@ -440,12 +435,12 @@ def _failing_solve(monkeypatch, bad):
     raised = []
     solve_chunk = roots._solve_chunk
 
-    def chunk(polys, offset):
-        for i, g in enumerate(polys):
-            if g == bad:
+    def chunk(asc, offset):
+        for i, row in enumerate(asc.tolist()):
+            if tuple(row[:-1]) == bad.coeffs:
                 raised.append(offset + i)
                 raise UnconvergedError("forced failure", row=offset + i)
-        return solve_chunk(polys, offset)
+        return solve_chunk(asc, offset)
 
     monkeypatch.setattr(roots, "_solve_chunk", chunk)
     return raised
@@ -487,7 +482,7 @@ class TestLookaheadBisection:
         want = exact_onset(F1, "increasing", (0.0, 64.0), 1e-6)
         raised = _failing_solve(monkeypatch, principal_power(F1, 48.0))
         assert exact_onset(F1, "increasing", (0.0, 64.0), 1e-6) == want
-        assert raised == [2]  # row 2 of the batch 32, 16, 48, 8, 24, 40, 56
+        assert raised == [2]  # row 2 of the batch 32, 16, 48, 8, 24, 40, 56, ...
 
     def test_failing_point_on_the_walk_raises_as_alone(self, monkeypatch):
         _failing_solve(monkeypatch, principal_power(F1, 16.0))
@@ -496,9 +491,11 @@ class TestLookaheadBisection:
         want = _outcome(exact_onset, F1, "increasing", (0.0, 64.0), 1e-6)
         assert got == want == (UnconvergedError, "forced failure", 0)
 
-    @pytest.mark.parametrize("rows, levels", [(1, 1), (2, 1), (3, 2), (6, 2), (7, 3)])
+    @pytest.mark.parametrize(
+        "rows, levels", [(1, 1), (2, 1), (3, 2), (6, 2), (7, 3), (30, 4), (31, 5)]
+    )
     def test_levels_fit_one_chunk(self, monkeypatch, rows, levels):
-        """Where a chunk of the root solver holds fewer rows than three
+        """Where a chunk of the root solver holds fewer rows than five
         levels of midpoints, a round takes as many levels as fit; one level
         is plain bisection, one single-row status batch per step."""
         want = _sequential_bisect_onset(
