@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 from . import report
@@ -68,20 +67,11 @@ def _load_poly(path: str) -> tuple[MonicPolynomial, float | None]:
     return MonicPolynomial.from_json(obj), None
 
 
-@contextmanager
-def _writing(out_dir: Path):
-    """Report an OSError from creating or writing ``out_dir`` as an input
-    error (exit 2): the --out path is unusable."""
-    try:
-        yield
-    except OSError as exc:
-        raise InvalidInputError(f"cannot write {out_dir}: {exc}") from exc
-
-
 def _make_out_dir(path: str) -> Path:
+    """Create --out before anything is solved, so that a bad one fails fast
+    (exit 2, "cannot write ...")."""
     out_dir = Path(path)
-    with _writing(out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
+    report.write_artifacts(out_dir, {})
     return out_dir
 
 
@@ -172,20 +162,18 @@ def cmd_threshold(args) -> int:
 def cmd_sweep(args) -> int:
     f, _ = _load_poly(args.poly)
     powers = report.sweep_powers(getattr(args, "from"), args.to, args.step)
-    out_dir = _make_out_dir(args.out)  # before the solve, so a bad --out fails fast
+    out_dir = _make_out_dir(args.out)
     records = report.sweep(f, powers)
-    csv_path = out_dir / "sweep.csv"
-    svg_path = out_dir / "sweep.svg" if records else None
-    with _writing(out_dir):
-        csv_path.write_text(report.sweep_csv(records, f.degree))
-        if svg_path is not None:
-            svg_path.write_text(report.sweep_svg(records))
+    artifacts = {"sweep.csv": report.sweep_csv(records, f.degree)}
+    if records:
+        artifacts["sweep.svg"] = report.sweep_svg(records)
+    report.write_artifacts(out_dir, artifacts)
     _emit(
         {
             "records": len(records),
             "unstable_powers": [r.p for r in records if not r.stable],
-            "csv": str(csv_path),
-            "svg": None if svg_path is None else str(svg_path),
+            "csv": str(out_dir / "sweep.csv"),
+            "svg": str(out_dir / "sweep.svg") if records else None,
         }
     )
     return 0
@@ -193,8 +181,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_reproduce(args) -> int:
     out_dir = _make_out_dir(args.out)
-    with _writing(out_dir):
-        payload = report.reproduce_example(args.example, out_dir)
+    payload = report.reproduce_example(args.example, out_dir)
     _emit({"out": str(out_dir), "comparison": payload["comparison"]})
     return 0
 

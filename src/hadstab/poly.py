@@ -268,22 +268,31 @@ class BranchSet:
         return next(self.members([(0,) * len(self.base.support)]))
 
 
+def _polar_power(r: float, theta: float, p: float, extra_angle: float = 0.0) -> complex:
+    """r^p (cos(p theta + extra) + i sin(p theta + extra)): the one expression
+    behind every principal and branch coefficient, so that
+    ``principal_rows`` has ``principal_power``'s bits."""
+    ang = p * theta + extra_angle
+    return r**p * complex(math.cos(ang), math.sin(ang))
+
+
 def _power_coeff(a: complex, p: float, extra_angle: float = 0.0) -> complex:
     """|a|^p (cos(p arg a + extra) + i sin(p arg a + extra)); 0 maps to 0."""
     if a == 0:
         return 0j
-    r = abs(a)
-    theta = cmath.phase(a)  # principal argument in (-pi, pi]
-    ang = p * theta + extra_angle
     try:
-        mag = r ** p
+        # principal argument in (-pi, pi]
+        c = _polar_power(abs(a), cmath.phase(a), p, extra_angle)
+        finite = cmath.isfinite(c)
     except OverflowError:
         raise InvalidInputError(
             f"|{a}|^{p} overflows the floating-point range"
         ) from None
-    if not math.isfinite(ang):  # p is NaN or infinite; math.cos(inf) raises
+    except ValueError:  # math.cos of an infinite angle
+        finite = False
+    if not finite:  # p is NaN or infinite, or p arg a overflows
         raise InvalidInputError("coefficients must be finite")
-    return mag * complex(math.cos(ang), math.sin(ang))
+    return c
 
 
 def hadamard_product(f: MonicPolynomial, g: MonicPolynomial) -> MonicPolynomial:
@@ -343,24 +352,20 @@ def principal_rows(f: MonicPolynomial, ps: Sequence[float]) -> np.ndarray:
     leading 1.
 
     |a_k| and arg(a_k) are taken once per coefficient; each element is then
-    ``_power_coeff``'s own expression, so its bits are those of
-    ``principal_power`` on every host.  (numpy's ``power`` differs from
-    ``**`` in the last bit on some pairs, and its vectorized ``cos`` and
-    ``sin`` may differ from libm's.)  A power that overflows a coefficient,
+    ``_polar_power``, the expression ``_power_coeff`` evaluates, so its bits
+    are those of ``principal_power`` on every host.  (numpy's ``power``
+    differs from ``**`` in the last bit on some pairs, and its vectorized
+    ``cos`` and ``sin`` may differ from libm's.)  A power that overflows a coefficient,
     or makes one non-finite, raises the InvalidInputError ``principal_power``
     raises for the first such power.
     """
     n = f.degree
     rows = np.zeros((len(ps), n + 1), dtype=complex)
     rows[:, n] = 1.0
-    cos, sin = math.cos, math.sin
     try:
         for k in f.support:
             r, theta = abs(f.coeffs[k]), cmath.phase(f.coeffs[k])
-            # _power_coeff with extra_angle = 0.0, which turns a -0.0 angle
-            # into 0.0.
-            angles = [p * theta + 0.0 for p in ps]
-            rows[:, k] = [r**p * complex(cos(a), sin(a)) for p, a in zip(ps, angles)]
+            rows[:, k] = [_polar_power(r, theta, p) for p in ps]
         finite = bool(np.isfinite(rows).all())
     except (OverflowError, ValueError):  # |a_k|^p overflows; cos(inf)
         finite = False

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .poly import MonicPolynomial, principal_rows
-from .roots import Status, classify, find_root_rows
+from .roots import Status, check_degree, classify, find_root_rows
 from .thresholds import auto_onset, pstar_exact, pstar_grid
 
 SVG_NS = "http://www.w3.org/2000/svg"
@@ -66,6 +66,20 @@ class SweepRecord:
     roots: tuple[complex, ...]
 
 
+def write_artifacts(out_dir: Path, artifacts: dict[str, str]) -> None:
+    """Create ``out_dir`` if needed and write each named text into it.
+
+    An OSError from either means the directory is unusable and is raised as
+    InvalidInputError ("cannot write <out_dir>: ...").
+    """
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in artifacts.items():
+            (out_dir / name).write_text(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {out_dir}: {exc}") from exc
+
+
 def sweep_powers(start: float, stop: float, step: float) -> list[float]:
     """The powers start, start + step, ... through stop (to within 1e-9
     steps); none when stop is below start by more than that.
@@ -98,8 +112,11 @@ def sweep(f: MonicPolynomial, powers: Sequence[float]) -> list[SweepRecord]:
     the coefficient rows of all powers (``principal_rows``) go to
     ``find_root_rows``, and each record is read from its row of roots, as
     ``find_roots`` would have returned them.  An UnconvergedError's ``row``
-    is the power's position in sorted order.
+    is the power's position in sorted order; a degree above
+    ``MAX_ROOT_DEGREE`` raises UnsupportedDegreeError before any row is
+    built.
     """
+    check_degree(f.degree)
     ps = sorted(powers)
     z, _, _ = find_root_rows(principal_rows(f, ps))
     # np.hypot equals the abs of RootSet.max_modulus bit for bit.
@@ -207,7 +224,7 @@ def reproduce_example(example: int, out_dir: Path, grid_n: int = 1000) -> dict:
     if example not in EXPERIMENT_POLYS:
         raise ValueError(f"unknown example {example!r}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    write_artifacts(out_dir, {})  # before the solve, so a bad directory fails fast
     f = EXPERIMENT_POLYS[example]["f"]
     g = EXPERIMENT_POLYS[example]["g"]
     refs = REFERENCE_VALUES[example]
@@ -251,16 +268,21 @@ def reproduce_example(example: int, out_dir: Path, grid_n: int = 1000) -> dict:
         },
     }
 
-    (out_dir / "report.json").write_text(dumps(report))
     table_lines = ["quantity,computed,reference,abs_deviation"]
     for row in rows:
         table_lines.append(
             f"{row['quantity']},{fmt12(row['computed'])},"
             f"{fmt12(row['reference'])},{fmt12(row['abs_deviation'])}"
         )
-    (out_dir / "table.csv").write_text("\n".join(table_lines) + "\n")
-    (out_dir / "sweep_f.csv").write_text(sweep_csv(sweep_f, f.degree))
-    (out_dir / "sweep_g.csv").write_text(sweep_csv(sweep_g, g.degree))
-    (out_dir / "sweep_f.svg").write_text(sweep_svg(sweep_f))
-    (out_dir / "sweep_g.svg").write_text(sweep_svg(sweep_g))
+    write_artifacts(
+        out_dir,
+        {
+            "report.json": dumps(report),
+            "table.csv": "\n".join(table_lines) + "\n",
+            "sweep_f.csv": sweep_csv(sweep_f, f.degree),
+            "sweep_g.csv": sweep_csv(sweep_g, g.degree),
+            "sweep_f.svg": sweep_svg(sweep_f),
+            "sweep_g.svg": sweep_svg(sweep_g),
+        },
+    )
     return report

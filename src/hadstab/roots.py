@@ -456,7 +456,8 @@ def chunk_rows(degree: int) -> int:
     return max(1, _CHUNK_ELEMENTS // (degree * degree))
 
 
-def _check_degree(n: int) -> None:
+def check_degree(n: int) -> None:
+    """Raise UnsupportedDegreeError for a degree above MAX_ROOT_DEGREE."""
     if n > MAX_ROOT_DEGREE:
         raise UnsupportedDegreeError(
             f"root finding needs degree <= {MAX_ROOT_DEGREE}, got {n}"
@@ -477,7 +478,7 @@ def find_root_rows(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     k, n = asc.shape[0], asc.shape[1] - 1
     if not k:
         return np.zeros((0, n), dtype=complex), np.zeros((0, n)), np.zeros(0)
-    _check_degree(n)
+    check_degree(n)
     size = chunk_rows(n)
     if k <= size:
         return _solve_chunk(asc, 0)
@@ -489,7 +490,7 @@ def _coefficient_rows(polys: list[MonicPolynomial], caller: str) -> np.ndarray:
     """Ascending coefficients of polynomials of one degree, with the leading
     1, as one array; the degree cap is checked before it is built."""
     n = polys[0].degree
-    _check_degree(n)
+    check_degree(n)
     if any(f.degree != n for f in polys):
         raise InvalidInputError(f"{caller} needs polynomials of one degree")
     return np.array([f.coeffs + (1.0 + 0j,) for f in polys])
@@ -740,7 +741,7 @@ def branch_set_stable(b: BranchSet) -> StabilityVerdict:
     by its position in the full enumeration and its index, with its sorted
     root set as the partial result.
     """
-    _check_degree(b.base.degree)
+    check_degree(b.base.degree)
     worst, all_stable = 0.0, True
     for block, asc, moduli, tol in _branch_blocks(b):
         z, res, certified = _solve_rows(asc, moduli, tol)

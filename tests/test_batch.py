@@ -668,6 +668,15 @@ class TestSweepRows:
         MonicPolynomial((0.5,))
         assert len(built) == 1  # the seam counts
 
+    def test_degree_cap_before_allocation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built rows above the degree cap")
+
+        f = MonicPolynomial((0.5,) + (0j,) * MAX_ROOT_DEGREE)
+        monkeypatch.setattr(report, "principal_rows", refuse)
+        with pytest.raises(UnsupportedDegreeError, match=str(MAX_ROOT_DEGREE)):
+            report.sweep(f, [float(p) for p in range(1000)])
+
     def test_non_finite_power_is_input_error(self):
         for p in (math.nan, math.inf):
             with pytest.raises(InvalidInputError, match="coefficients must be finite"):

@@ -492,6 +492,20 @@ class TestOutputDirectory:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
 
+    @pytest.mark.parametrize("command", ["sweep", "reproduce"])
+    def test_solver_error_is_not_a_write_error(self, files, tmp_path, monkeypatch, command):
+        # Only creating and writing --out map an OSError to "cannot write".
+        def failing(*args, **kwargs):
+            raise OSError("not from --out")
+
+        monkeypatch.setattr(hadstab.report, "sweep", failing)
+        if command == "sweep":
+            argv = ["sweep", "--poly", files["f1"], "--from", "1", "--to", "3", "--step", "1"]
+        else:
+            argv = ["reproduce", "--example", "1"]
+        with pytest.raises(OSError, match="not from --out"):
+            main(argv + ["--out", str(tmp_path)])
+
 
 class TestParserReuse:
     """``main`` builds its parser once per process; reusing it changes no

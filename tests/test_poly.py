@@ -362,6 +362,14 @@ class TestPrincipalRows:
                 for p in ps:
                     principal_power(f, p)
 
+    def test_overflowing_angle(self):
+        # 0.5^1e308 underflows to 0, but 1e308 * pi overflows the angle to inf.
+        f = MonicPolynomial((-0.5, 0.25))
+        with pytest.raises(InvalidInputError, match="coefficients must be finite"):
+            principal_power(f, 1e308)
+        with pytest.raises(InvalidInputError, match="coefficients must be finite"):
+            principal_rows(f, [1.0, 1e308])
+
     def test_non_finite_before_a_later_overflow(self):
         f = MonicPolynomial((1e-3, 2.0, 10.0))
         with pytest.raises(InvalidInputError, match="coefficients must be finite"):

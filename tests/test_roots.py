@@ -309,10 +309,10 @@ def _cluster(n=7, r=Fraction(127, 128)):
 
 
 def _no_roots(monkeypatch):
-    def refuse(polys):
+    def refuse(asc):
         raise AssertionError("root finder called")
 
-    monkeypatch.setattr(roots, "is_schur_stable_many", refuse)
+    monkeypatch.setattr(roots, "find_root_rows", refuse)
 
 
 class TestSchurCohnStatuses:
