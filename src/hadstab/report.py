@@ -219,7 +219,9 @@ def reproduce_example(example: int, out_dir: Path, grid_n: int = 1000) -> dict:
 
     The output directory receives report.json, table.csv (computed vs
     reference values with absolute deviations) and per-polynomial sweep
-    CSV/SVG files over the integer powers 1..100 (f) and -100..-1 (g).
+    CSV/SVG files over the integer powers 1..100 (f) and -100..-1 (g).  A
+    directory that cannot be created or written raises InvalidInputError
+    (``write_artifacts``).
     """
     if example not in EXPERIMENT_POLYS:
         raise ValueError(f"unknown example {example!r}")
