@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,8 +39,6 @@ from .roots import (
     RootSet,
     StabilityVerdict,
     branch_root_sets,
-    classify,
-    combined_verdict,
     find_roots,
     fujiwara_bound,
 )
@@ -80,8 +79,21 @@ def _emit(payload: dict) -> None:
 
 
 def _verdict_payload(rs: RootSet) -> dict:
-    m = rs.max_modulus
-    return {**rs.to_json(), **StabilityVerdict(classify(m), m).to_json()}
+    return {**rs.to_json(), **StabilityVerdict.of(rs.max_modulus).to_json()}
+
+
+_MAX_COUNT_DIGITS = 4300  # Python's default limit on printing an int
+
+
+def _branch_count(p: RationalExponent, size: int) -> int:
+    """p.den ** size, refused (InvalidInputError) when too long to print.
+    Decided from size log10(den), good to a digit, before a long count is
+    formed (seconds at den ~ 10^4299 and size 1024), then on the count."""
+    if size * math.log10(p.den) <= _MAX_COUNT_DIGITS + 1:
+        count = p.den**size
+        if count < 10**_MAX_COUNT_DIGITS:
+            return count
+    raise InvalidInputError(f"f^[{p}] has {p.den}^{size} branches, too many to print")
 
 
 def cmd_analyze(args) -> int:
@@ -110,18 +122,18 @@ def cmd_analyze(args) -> int:
 def cmd_power(args) -> int:
     f, _ = _load_poly(args.poly)
     p = RationalExponent.parse(args.p)
-    branch_count = p.den ** len(f.support)
+    branch_count = _branch_count(p, len(f.support))
     principal = principal_power(f, p.value)
-    principal_payload = _verdict_payload(find_roots(principal))
     out = {
         "exponent": str(p),
         "branch_count": branch_count,
-        "principal": {"poly": principal.to_json(), **principal_payload},
+        "principal": {"poly": principal.to_json(), **_verdict_payload(find_roots(principal))},
     }
     if args.all_branches:
         bset = hadamard_power(f, p)
         root_sets = branch_root_sets(bset)
-        out["combined"] = combined_verdict(root_sets).to_json()
+        worst = max(rs.max_modulus for rs in root_sets)
+        out["combined"] = StabilityVerdict.of(worst).to_json()
         out["branches"] = [
             {"branch": list(idx), **_verdict_payload(rs)}
             for idx, rs in zip(bset.indices(), root_sets)

@@ -142,6 +142,10 @@ class RationalExponent:
         if g > 1:
             num //= g
             den //= g
+        try:
+            num / den  # ``value`` must be a float
+        except OverflowError:
+            raise InvalidInputError("exponent overflows the floating-point range") from None
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -164,13 +168,12 @@ class RationalExponent:
         """Parse 'K/M' or integer shorthand 'K'."""
         parts = text.strip().split("/")
         try:
-            if len(parts) == 1:
-                return cls(int(parts[0]))
-            if len(parts) == 2:
-                return cls(int(parts[0]), int(parts[1]))
+            ints = [int(part) for part in parts]
         except ValueError:
-            pass
-        raise InvalidInputError(f"cannot parse rational exponent {text!r}")
+            ints = []
+        if not 1 <= len(ints) <= 2:
+            raise InvalidInputError(f"cannot parse rational exponent {text!r}")
+        return cls(*ints)
 
     @classmethod
     def coerce(cls, p) -> "RationalExponent":
@@ -231,27 +234,23 @@ class BranchSet:
         return itertools.product(*ranges)
 
     @functools.cached_property
-    def table(
-        self,
-    ) -> tuple[tuple[tuple[complex, ...], ...], tuple[tuple[float, ...], ...]]:
+    def table(self) -> tuple[tuple[complex, ...], ...]:
         """Per support index in ascending order, the m values its coefficient
-        takes (root l = 0..m-1) and their moduli.
+        takes (root l = 0..m-1).
 
-        The moduli are Python's ``abs`` of the values, as ``abs`` of a
-        member's coefficients would give them.  Built on first use; a power
-        that overflows raises InvalidInputError then.
+        Built on first use; a power that overflows raises InvalidInputError
+        then.
         """
         f, m = self.base, self.exponent.den
         pval = self.exponent.num / m
-        values = tuple(
+        return tuple(
             tuple(_power_coeff(f.coeffs[k], pval, 2.0 * math.pi * l / m) for l in range(m))
             for k in f.support
         )
-        return values, tuple(tuple(abs(c) for c in row) for row in values)
 
     def members(self, indices: Iterable[Sequence[int]]) -> Iterator[MonicPolynomial]:
         """The member for each branch index, built as the iteration reaches it."""
-        support, values = self.base.support, self.table[0]
+        support, values = self.base.support, self.table
         for ls in indices:
             cs = [0j] * self.base.degree
             for k, choices, l in zip(support, values, ls):
@@ -325,13 +324,15 @@ def hadamard_power(f: MonicPolynomial, p) -> BranchSet:
     ``m ** |support|`` member polynomials, built lazily by the returned
     BranchSet.  p = 0 sends every nonzero coefficient to 1 and keeps zeros at
     zero.  Sets of more than MAX_BRANCHES members raise
-    UnsupportedInputError.
+    UnsupportedInputError, decided without forming a count far above it:
+    with m >= 2, 17 nonzero coefficients are already too many.
     """
     bset = BranchSet(f, RationalExponent.coerce(p))
-    if len(bset) > MAX_BRANCHES:
+    m, s = bset.exponent.den, len(f.support)
+    if s and (m > MAX_BRANCHES or m ** min(s, MAX_BRANCHES.bit_length()) > MAX_BRANCHES):
         raise UnsupportedInputError(
-            f"f^[{bset.exponent}] has {bset.exponent.den}^{len(f.support)} "
-            f"branches; at most {MAX_BRANCHES} are supported"
+            f"f^[{bset.exponent}] has {m}^{s} branches; at most {MAX_BRANCHES} "
+            "are supported"
         )
     return bset
 

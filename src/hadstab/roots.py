@@ -39,9 +39,14 @@ degree, which bounds the memory of the stacked arrays.  The coefficient
 moduli of the residual scale come from ``np.hypot``, which equals Python's
 ``abs`` bit for bit.  ``find_roots_many`` and ``find_roots`` pack
 polynomials into rows for it and wrap its sorted rows in root sets;
-``report.sweep`` reads its rows directly.  ``branch_set_stable`` feeds the
-certificate core (``_solve_rows``) with rows gathered from a branch set's
-coefficient table, without building a polynomial or a root set per member.
+``report.sweep`` reads its rows directly.
+
+Branch sets take one row path: ``_branch_blocks`` gathers members from the
+set's coefficient table into rows for the certificate core (``_solve_rows``),
+for the rotation representatives (``branch_set_stable``) or every member
+(``branch_root_sets``).  Every verdict, of one polynomial or of a set, is
+``StabilityVerdict.of`` the worst root modulus: some member is Unstable
+exactly when the worst modulus is, and every member Stable exactly when it is.
 
 Callers that read only a status, the onset searches, use ``row_statuses``:
 the Schur-Cohn recursion decides it from the coefficients alone, on all rows
@@ -54,6 +59,7 @@ packs polynomials into rows for it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -123,10 +129,23 @@ class RootSet:
         }
 
 
+def classify(max_modulus: float) -> Status:
+    if max_modulus < 1.0 - BOUNDARY_BAND:
+        return Status.STABLE
+    if max_modulus > 1.0 + BOUNDARY_BAND:
+        return Status.UNSTABLE
+    return Status.MARGINAL
+
+
 @dataclass(frozen=True)
 class StabilityVerdict:
     status: Status
     max_modulus: float
+
+    @classmethod
+    def of(cls, max_modulus: float) -> "StabilityVerdict":
+        """The verdict of a largest root modulus, or of the worst over a set."""
+        return cls(classify(max_modulus), max_modulus)
 
     @property
     def margin(self) -> float:
@@ -319,8 +338,18 @@ def _aberth(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _eigenvalues(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Companion eigenvalues of every row refined by three Newton steps, and
-    an all-True settled mask."""
-    z = np.linalg.eigvals(companion_matrix(asc[:, :-1]))
+    the rows whose eigenvalue iteration converged.  If LAPACK fails on the
+    stack, its matrices are solved one at a time (the same bits), and those
+    that fail again are left unsettled with NaN roots."""
+    K = companion_matrix(asc[:, :-1])
+    try:
+        z, settled = np.linalg.eigvals(K), np.ones(len(K), dtype=bool)
+    except np.linalg.LinAlgError:
+        z = np.full(K.shape[:2], np.nan, dtype=complex)
+        settled = np.zeros(len(K), dtype=bool)
+        for i, k in enumerate(K):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                z[i], settled[i] = np.linalg.eigvals(k), True
     # Horner's rule, not the power table: at the 4-fold cluster
     # (s - (1 - 2^-8))^4 the table's p' falls to 3e-14 and a step throws a
     # root 1.8e-2 away, where Horner's keeps it within 2.4e-4.
@@ -333,7 +362,7 @@ def _eigenvalues(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Reject steps that blow up (multiple-root clusters).
         step = np.where(np.abs(step) < 0.5 * (1 + np.abs(z)), step, 0.0)
         z = z - step
-    return z, np.ones(len(z), dtype=bool)
+    return z, settled
 
 
 def _scaled_residuals(asc: np.ndarray, moduli: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -520,27 +549,15 @@ def find_roots(f: MonicPolynomial) -> RootSet:
     return find_roots_many([f])[0]
 
 
-def classify(max_modulus: float) -> Status:
-    if max_modulus < 1.0 - BOUNDARY_BAND:
-        return Status.STABLE
-    if max_modulus > 1.0 + BOUNDARY_BAND:
-        return Status.UNSTABLE
-    return Status.MARGINAL
-
-
-def _verdict(rs: RootSet) -> StabilityVerdict:
-    return StabilityVerdict(classify(rs.max_modulus), rs.max_modulus)
-
-
 def is_schur_stable(f: MonicPolynomial) -> StabilityVerdict:
     """Exact stability decision: all roots strictly inside the unit disc."""
-    return _verdict(find_roots(f))
+    return StabilityVerdict.of(find_roots(f).max_modulus)
 
 
 def is_schur_stable_many(polys: Iterable[MonicPolynomial]) -> list[StabilityVerdict]:
     """``is_schur_stable`` of each polynomial of one degree, solved in batches
     by ``find_roots_many``, whose errors it raises."""
-    return [_verdict(rs) for rs in find_roots_many(polys)]
+    return [StabilityVerdict.of(rs.max_modulus) for rs in find_roots_many(polys)]
 
 
 @np.errstate(all="ignore")  # a column whose scale overflows is left undecided
@@ -655,74 +672,59 @@ def schur_cohn_statuses(polys: Iterable[MonicPolynomial]) -> list[Status]:
     return row_statuses(_coefficient_rows(polys, "schur_cohn_statuses"))
 
 
-def branch_root_sets(b: BranchSet) -> list[RootSet]:
-    """Root sets of every member of b, in enumeration order, solved as one
-    batch.
-
-    A member that fails to certify raises UnconvergedError naming the branch.
-    """
-    try:
-        return find_roots_many(b)
-    except UnconvergedError as exc:
-        index = next(islice(b.indices(), exc.row, None))
-        raise UnconvergedError(
-            f"branch {exc.row} (index {index}): {exc}", partial=exc.partial
-        ) from exc
-
-
-def combined_verdict(root_sets: Iterable[RootSet]) -> StabilityVerdict:
-    """Stability of a rational power from the root sets of all its branches.
-
-    Stable iff every member is Stable, Unstable if any member is, Marginal
-    otherwise; the reported modulus is the worst across members.
-    """
-    worst = 0.0
-    any_unstable = False
-    all_stable = True
-    for rs in root_sets:
-        m = rs.max_modulus
-        worst = max(worst, m)
-        status = classify(m)
-        if status is Status.UNSTABLE:
-            any_unstable = True
-        if status is not Status.STABLE:
-            all_stable = False
-    if any_unstable:
-        return StabilityVerdict(Status.UNSTABLE, worst)
-    if all_stable:
-        return StabilityVerdict(Status.STABLE, worst)
-    return StabilityVerdict(Status.MARGINAL, worst)
-
-
 def _branch_blocks(
-    b: BranchSet,
-) -> Iterator[tuple[list[tuple[int, ...]], np.ndarray, np.ndarray, np.ndarray]]:
-    """Rotation representatives of b as blocks of rows (indices, asc,
-    moduli, tol), ready for ``_solve_rows``: the principal branch alone, then
-    ``chunk_rows`` rows at a time.
+    b: BranchSet, indices: Iterator[tuple[int, ...]], first: int, limit: float = math.inf
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Solve the members of b named by the branch ``indices``, gathered from
+    ``b.table`` into blocks of rows (``first`` rows, then ``chunk_rows``) with
+    no member polynomial built; yield per block the unsorted roots, residuals,
+    tolerances and largest root modulus of its rows.
 
-    Rows are gathered from ``b.table``; ``tol`` is each member's residual
-    tolerance (``_tolerances``).
+    The first row whose modulus exceeds ``limit`` ends the block and the
+    stream.  A row before it that fails to certify raises UnconvergedError
+    naming its branch by its position in the full enumeration and its index,
+    with its sorted root set as the partial result.
     """
     n, support = b.base.degree, list(b.base.support)
-    shape = (len(support), b.exponent.den)
-    values = np.array(b.table[0], dtype=complex).reshape(shape)
-    moduli = np.array(b.table[1]).reshape(shape)
+    check_degree(n)
+    values = np.array(b.table, dtype=complex).reshape(len(support), b.exponent.den)
     at = np.arange(len(support))
-    it = b.rotation_representatives()
-    block = list(islice(it, 1))
+    block = list(islice(indices, first))
     while block:
         ls = np.array(block, dtype=np.intp).reshape(len(block), len(support))
         asc = np.zeros((len(block), n + 1), dtype=complex)
-        mod = np.zeros((len(block), n + 1))
         asc[:, support] = values[at, ls]
-        mod[:, support] = moduli[at, ls]
-        asc[:, n] = mod[:, n] = 1.0
-        yield block, asc, mod, _tolerances(mod)
-        block = list(islice(it, chunk_rows(n)))
+        asc[:, n] = 1.0
+        # np.hypot, not np.abs, as in _solve_chunk: it equals Python's abs,
+        # and so the root sets' max_modulus, bit for bit.
+        mod = np.hypot(asc.real, asc.imag)
+        tol = _tolerances(mod)
+        with np.errstate(all="ignore"):  # see _solve_rows
+            z, res, certified = _solve_rows(asc, mod, tol)
+            mods = np.hypot(z.real, z.imag).max(axis=1)
+            stop = ~certified | (mods > limit)
+            k = int(np.argmax(stop)) + 1 if stop.any() else len(block)
+            if not certified[k - 1]:
+                index = block[k - 1]
+                raise UnconvergedError(
+                    f"branch {b.position(index)} (index {index}): "
+                    + _uncertified(res[k - 1]),
+                    partial=_partial(z, res, tol, k - 1),
+                )
+        yield z[:k], res[:k], tol[:k], mods[:k]
+        block = [] if stop.any() else list(islice(indices, chunk_rows(n)))
 
 
-@np.errstate(all="ignore")  # see _solve_rows
+def branch_root_sets(b: BranchSet) -> list[RootSet]:
+    """Root sets of every member of b, in enumeration order, each exactly as
+    ``find_roots`` returns it; a member that fails to certify raises
+    UnconvergedError naming the branch."""
+    sets: list[RootSet] = []
+    for z, res, tol, _ in _branch_blocks(b, b.indices(), chunk_rows(b.base.degree)):
+        sets += _root_sets(*_sort_rows(z, res), tol)
+    return sets
+
+
 def branch_set_stable(b: BranchSet) -> StabilityVerdict:
     """Stability of a rational power means stability of every branch.
 
@@ -732,37 +734,20 @@ def branch_set_stable(b: BranchSet) -> StabilityVerdict:
     other representatives in blocks of ``chunk_rows`` rows, each gathered
     straight from the coefficient table into arrays; no member polynomial or
     root set is built.  The fold stops at the first Unstable member, and no
-    block is built after it.  For Stable and Marginal sets ``max_modulus``
-    is the worst over all members; for Unstable sets it is the worst over
-    the representatives up to and including the first Unstable one, a lower
-    bound that still exceeds 1 + BOUNDARY_BAND.
+    block is built after it.  The verdict is that of the worst modulus
+    (``StabilityVerdict.of``): over all members for Stable and Marginal
+    sets; for Unstable sets over the representatives up to and including the
+    first Unstable one, a lower bound that still exceeds 1 + BOUNDARY_BAND.
 
     A member that fails to certify raises UnconvergedError naming its branch
     by its position in the full enumeration and its index, with its sorted
     root set as the partial result.
     """
-    check_degree(b.base.degree)
-    worst, all_stable = 0.0, True
-    for block, asc, moduli, tol in _branch_blocks(b):
-        z, res, certified = _solve_rows(asc, moduli, tol)
-        # np.hypot, not np.abs: it equals Python's abs bit for bit.  The
-        # comparisons below are ``classify`` on every row at once.
-        mods = np.hypot(z.real, z.imag).max(axis=1)
-        stop = ~certified | (mods > 1.0 + BOUNDARY_BAND)
-        if stop.any():
-            i = int(np.argmax(stop))
-            if not certified[i]:
-                index = block[i]
-                raise UnconvergedError(
-                    f"branch {b.position(index)} (index {index}): "
-                    + _uncertified(res[i]),
-                    partial=_partial(z, res, tol, i),
-                )
-            worst = max(worst, float(mods[: i + 1].max()))
-            return StabilityVerdict(Status.UNSTABLE, worst)
+    worst = 0.0
+    reps = b.rotation_representatives()
+    for *_, mods in _branch_blocks(b, reps, 1, limit=1.0 + BOUNDARY_BAND):
         worst = max(worst, float(mods.max()))
-        all_stable = all_stable and bool((mods < 1.0 - BOUNDARY_BAND).all())
-    return StabilityVerdict(Status.STABLE if all_stable else Status.MARGINAL, worst)
+    return StabilityVerdict.of(worst)
 
 
 def fujiwara_bound(f: MonicPolynomial, w: SimplexWeights) -> float:

@@ -25,7 +25,7 @@ from hadstab import (
     report,
     roots,
 )
-from hadstab.roots import MAX_ROOT_DEGREE, classify, find_roots_many
+from hadstab.roots import MAX_ROOT_DEGREE, branch_root_sets, classify, find_roots_many
 
 F1 = report.EXPERIMENT_POLYS[1]["f"]
 
@@ -588,6 +588,24 @@ class TestBranchSetAgreement:
         assert counts[Status.MARGINAL] >= 1
         assert counts[Status.STABLE] >= 40 and counts[Status.UNSTABLE] >= 40
         assert {0, 7} <= supports
+
+    def test_root_sets_equal_member_solves(self):
+        """``branch_root_sets``, gathered from the branch table, equals
+        ``find_roots_many`` on the member polynomials bit for bit, in
+        enumeration order."""
+        for f, p in _branch_corpus()[::4]:
+            bset = hadamard_power(f, p)
+            expected = [_bits(rs) for rs in find_roots_many(bset)]
+            assert [_bits(rs) for rs in branch_root_sets(bset)] == expected, (f, p)
+
+    def test_root_sets_across_chunks(self, monkeypatch):
+        """The same with three rows a chunk: 27 members in nine blocks."""
+        f = MonicPolynomial((0.05, 0.04j, 0.03, -0.02))
+        bset = hadamard_power(f, RationalExponent(1, 3))
+        expected = [_bits(rs) for rs in find_roots_many(bset)]
+        monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 3 * 16)
+        assert roots.chunk_rows(4) == 3
+        assert [_bits(rs) for rs in branch_root_sets(bset)] == expected
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

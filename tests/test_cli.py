@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -9,7 +10,18 @@ import numpy as np
 import pytest
 
 import hadstab
-from hadstab import MAX_BRANCHES, cli
+from hadstab import (
+    MAX_BRANCHES,
+    MonicPolynomial,
+    RationalExponent,
+    StabilityVerdict,
+    Status,
+    cli,
+    find_roots,
+    hadamard_power,
+    report,
+    roots,
+)
 from hadstab.cli import main
 from hadstab.report import MAX_SWEEP_POWERS
 from hadstab.roots import MAX_ROOT_DEGREE
@@ -188,6 +200,119 @@ class TestPower:
         assert captured.out == ""
         assert f"at most {MAX_BRANCHES}" in captured.err
 
+    def test_branch_payloads_and_combined_rule(self, capsys, tmp_path):
+        """Over seeded exponents, each ``branches[i]`` is the payload of its
+        member's own ``find_roots``, and ``combined`` is Unstable if any member
+        is, Stable if every member is, Marginal otherwise, with the worst
+        modulus of all members.  s^2 + 1 at 1/2 has the Marginal members
+        s^2 +- 1."""
+        rng = random.Random(97)
+        cases = [(MonicPolynomial((1.0, 0.0)), RationalExponent(1, 2))]
+        for i in range(40):
+            m = 2 + i % 3
+            coeffs = tuple(
+                complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9) if i % 2 else 0.0)
+                for _ in range(rng.randint(1, 5))
+            )
+            cases.append((MonicPolynomial(coeffs), RationalExponent(rng.randint(1, 2 * m), m)))
+        path = tmp_path / "f.json"
+        seen = set()
+        for f, p in cases:
+            path.write_text(json.dumps(f.to_json()))
+            code, out = run(capsys, "power", "--poly", str(path), "--p", str(p), "--all-branches")
+            assert code == 0
+            bset = hadamard_power(f, p)
+            root_sets = [find_roots(member) for member in bset]
+            assert out["branch_count"] == len(out["branches"]) == len(root_sets)
+            for entry, index, rs in zip(out["branches"], bset.indices(), root_sets):
+                expected = {"branch": list(index), **cli._verdict_payload(rs)}
+                assert entry == json.loads(report.dumps(expected)), (f, p)
+            statuses = {entry["status"] for entry in out["branches"]}
+            if "Unstable" in statuses:
+                status = Status.UNSTABLE
+            elif statuses == {"Stable"}:
+                status = Status.STABLE
+            else:
+                status = Status.MARGINAL
+            worst = max(rs.max_modulus for rs in root_sets)
+            combined = StabilityVerdict(status, worst).to_json()
+            assert out["combined"] == json.loads(report.dumps(combined)), (f, p)
+            seen.add(status)
+        assert seen == set(Status)
+
+    @pytest.mark.parametrize("chunk_elements", [None, 2 * 5 * 5])
+    def test_uncertified_member_names_its_branch(
+        self, capsys, files, monkeypatch, chunk_elements
+    ):
+        """A member that fails to certify exits 3 naming its position among
+        all members and its index, whether it is solved in the first block
+        or, two rows at a time, in the third."""
+        bset = hadamard_power(MonicPolynomial.from_json(F1_JSON), RationalExponent(1, 2))
+        target = list(bset.indices())[5]
+        bad = np.array(next(bset.members([target])).coeffs + (1.0 + 0j,))
+        if chunk_elements:
+            monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", chunk_elements)
+        monkeypatch.setattr(
+            roots, "_reconstructs", lambda asc, z: np.zeros(len(z), dtype=bool)
+        )
+        residuals = roots._scaled_residuals
+
+        def spoiled(asc, moduli, z):
+            res = residuals(asc, moduli, z)
+            res[(asc == bad).all(axis=1)] = 1.0
+            return res
+
+        monkeypatch.setattr(roots, "_scaled_residuals", spoiled)
+        argv = ["power", "--poly", files["f1"], "--p", "1/2", "--all-branches"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"numerical failure: branch 5 (index {target}): root iteration "
+            "failed to certify (max residual 1.000e+00)\n"
+        )
+
+    def test_huge_denominator(self, capsys, tmp_path):
+        """1/10^20 on two coefficients has 10^40 branches: printed as a
+        count, refused (exit 2) under --all-branches."""
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"degree": 2, "coeffs": [[0.1, 0], [0.1, 0]]}))
+        p = "1/" + str(10**20)
+        code, out = run(capsys, "power", "--poly", str(path), "--p", p)
+        assert code == 0
+        assert out["branch_count"] == 10**40
+        assert main(["power", "--poly", str(path), "--p", p, "--all-branches"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"at most {MAX_BRANCHES}" in captured.err
+
+    @pytest.mark.parametrize(
+        "degree, p, printed",
+        [
+            (2, "1" + "0" * 400, False),  # the value overflows a float
+            (10, "1/1" + "0" * 500, False),  # a count of 5001 digits
+            (10, "1/" + str(10**430), False),  # 4301 digits
+            (10, "1/" + str(10**430 - 1), True),  # 4300 digits
+            (1024, "1/1" + "0" * 4298, False),  # refused before it is formed
+        ],
+        ids=["value-overflow", "5001-digits", "4301-digits", "4300-digits", "degree-1024"],
+    )
+    def test_exponent_overflow(self, capsys, tmp_path, degree, p, printed):
+        """An exponent whose value is not a float, or whose branch count has
+        too many digits to print, exits 2; a count that prints is unchanged."""
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"degree": degree, "coeffs": [[0.5, 0]] * degree}))
+        code = main(["power", "--poly", str(path), "--p", p])
+        captured = capsys.readouterr()
+        if printed:
+            assert code == 0
+            den = RationalExponent.parse(p).den
+            assert json.loads(captured.out)["branch_count"] == den**degree
+        else:
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+
     def test_negative_exponent(self, capsys, files):
         # "--p -1/2" reads as an option; the value must be attached.
         code, out = run(capsys, "power", "--poly", files["f1"], "--p=-1/2")
@@ -226,6 +351,20 @@ class TestProduct:
 
 
 class TestThreshold:
+    def test_eigenvalue_failure_is_not_a_traceback(self, capsys, tmp_path):
+        """The degree-7 input whose principal power at p = 128 LAPACK cannot
+        solve (``tests/test_roots.py``, F220): the onset search ends in exit
+        0 or in BracketError (exit 1), never in a raised LinAlgError."""
+        coeffs = (0.0, 2.5457630447573854, 1.7460793442894533, 2.1800808902204083,
+                  1.3158851629179142, 3.4557940835957077, 3.2527793174347632)
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"degree": 7, "coeffs": [[c, 0] for c in coeffs]}))
+        code = main(["threshold", "--poly", str(path), "--mode", "max", "--method", "onset"])
+        captured = capsys.readouterr()
+        assert code in (0, 1)
+        if code == 1:
+            assert captured.err.startswith("not applicable: no stable power found")
+
     def test_grid(self, capsys, files):
         code, out = run(
             capsys,

@@ -129,6 +129,18 @@ class TestRationalExponent:
         with pytest.raises(InvalidInputError):
             RationalExponent(1, 0)
 
+    def test_value_overflow_is_invalid_input(self):
+        """A value beyond the float range is refused when the exponent is
+        made, so ``value`` never raises OverflowError; a huge numerator and
+        denominator with a representable ratio are kept."""
+        for num, den in [(10**400, 1), (-(10**400), 3)]:
+            with pytest.raises(InvalidInputError, match="overflows"):
+                RationalExponent(num, den)
+        with pytest.raises(InvalidInputError, match="overflows"):
+            RationalExponent.parse("1" + "0" * 400)
+        assert RationalExponent(10**400 + 1, 10**400).value == 1.0
+        assert RationalExponent.parse("1/1" + "0" * 500).value == 0.0
+
 
 class TestHadamardProduct:
     def test_all_ones_is_identity(self):
@@ -520,6 +532,37 @@ class TestBranchSetLaziness:
         with pytest.raises(UnsupportedInputError, match=str(MAX_BRANCHES)):
             hadamard_power(full, RationalExponent(1, 2))
         assert len(hadamard_power(MonicPolynomial((0.5,) * 16), Fraction(1, 2))) == MAX_BRANCHES
+
+    @pytest.mark.parametrize(
+        "den, support, refused",
+        [
+            (10**20, 2, True),  # len() would overflow an index-sized int
+            (10**20, 0, False),  # no nonzero coefficient: one member
+            (MAX_BRANCHES, 1, False),
+            (MAX_BRANCHES + 1, 1, True),
+            (256, 2, False),
+            (257, 2, True),
+            (2, 16, False),
+            (2, 17, True),
+            (3, 10, False),
+            (3, 11, True),
+            (1, 10_000, False),
+        ],
+    )
+    def test_cap_decided_without_len(self, monkeypatch, den, support, refused):
+        """The cap is decided without ``len`` and without forming the count
+        when the denominator alone exceeds it."""
+
+        def no_len(self):
+            raise AssertionError("len() of a branch set was taken")
+
+        monkeypatch.setattr(poly.BranchSet, "__len__", no_len)
+        f = MonicPolynomial((0.1,) * support + (0j,) * 2)
+        if refused:
+            with pytest.raises(UnsupportedInputError, match=f"at most {MAX_BRANCHES}"):
+                hadamard_power(f, Fraction(1, den))
+        else:
+            assert hadamard_power(f, Fraction(1, den)).exponent.den == den
 
     @pytest.mark.parametrize(
         "n, support",

@@ -10,12 +10,14 @@ import pytest
 from conftest import random_monic
 from hadstab import (
     BOUNDARY_BAND,
+    BracketError,
     InvalidInputError,
     MonicPolynomial,
     RationalExponent,
     SimplexWeights,
     Status,
     UnconvergedError,
+    auto_onset,
     branch_set_stable,
     find_roots,
     fujiwara_bound,
@@ -23,14 +25,22 @@ from hadstab import (
     is_schur_stable,
     is_schur_stable_many,
     principal_power,
+    principal_rows,
     real_form,
     schur_cohn_statuses,
     synthesize_witness,
 )
 from hadstab import roots
-from hadstab.roots import branch_root_sets, combined_verdict
+from hadstab.roots import classify, find_roots_many
 
 F1 = MonicPolynomial((0.7, 0.2, 0.9, 0.0, 0.0))
+# Its principal power at p = 128 has coefficients up to about 1e69, and
+# LAPACK's eigenvalue iteration fails to converge on its companion matrix
+# (numpy 2.4, scipy-openblas).
+F220 = MonicPolynomial(
+    (0.0, 2.5457630447573854, 1.7460793442894533, 2.1800808902204083,
+     1.3158851629179142, 3.4557940835957077, 3.2527793174347632)
+)
 
 
 class TestFindRoots:
@@ -463,6 +473,8 @@ class TestBranchSetStable:
                 assert verdict.max_modulus == pytest.approx(worst, rel=1e-12)
 
     def test_orbit_reduction_matches_full_enumeration(self):
+        """Against an independent reference: ``classify`` of the largest
+        modulus over ``find_roots_many`` of every member polynomial."""
         rng = random.Random(41)
         counts = {s: 0 for s in Status}
         for i in range(150):
@@ -479,11 +491,12 @@ class TestBranchSetStable:
             if len(bset) > 400:
                 continue
             reduced = branch_set_stable(bset)
-            full = combined_verdict(branch_root_sets(bset))
-            assert reduced.status is full.status, (f, p)
-            if full.status is Status.STABLE:
-                assert reduced.max_modulus == pytest.approx(full.max_modulus, rel=1e-12)
-            counts[full.status] += 1
+            worst = max(rs.max_modulus for rs in find_roots_many(bset))
+            status = classify(worst)
+            assert reduced.status is status, (f, p)
+            if status is Status.STABLE:
+                assert reduced.max_modulus == pytest.approx(worst, rel=1e-12)
+            counts[status] += 1
         assert counts[Status.STABLE] >= 30 and counts[Status.UNSTABLE] >= 30
 class TestFujiwaraBound:
     def test_tight_single_term(self):
@@ -513,3 +526,70 @@ class TestFujiwaraBound:
             )
             bound = fujiwara_bound(f, weights)
             assert find_roots(f).max_modulus <= bound * (1 + 1e-9)
+
+
+def _eigvals_failing_on(monkeypatch, rows):
+    """Make ``np.linalg.eigvals`` fail, as LAPACK can, on any stack holding
+    the companion matrix of one of ``rows`` (ascending, with the leading 1)."""
+    eigvals = np.linalg.eigvals
+    bad = [roots.companion_matrix(row[:-1]) for row in rows]
+
+    def failing(a):
+        stack = a.reshape((-1,) + a.shape[-2:])
+        if any(np.array_equal(m, b) for m in stack for b in bad):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+
+
+class TestEigenvalueFailure:
+    """A companion matrix on which LAPACK fails leaves its row unsettled, for
+    the fallback and then UnconvergedError; no LinAlgError escapes."""
+
+    def test_row_unsettled_others_keep_their_bits(self, monkeypatch):
+        rows = principal_rows(F1, [0.5, 1.0, 2.0, 3.0])
+        with np.errstate(all="ignore"):
+            ref, _ = roots._eigenvalues(rows)
+            _eigvals_failing_on(monkeypatch, rows[1:2])
+            z, settled = roots._eigenvalues(rows)
+        assert settled.tolist() == [True, False, True, True]
+        assert np.isnan(z[1]).all()
+        keep = [0, 2, 3]
+        assert np.array_equal(z[keep].view(np.uint64), ref[keep].view(np.uint64))
+
+    def test_fallback_certifies_the_row(self, monkeypatch):
+        f = principal_power(F1, 2.0)
+        expected = find_roots(f)
+        _eigvals_failing_on(monkeypatch, [np.array(f.coeffs + (1.0,))])
+        aberth, rows = roots._aberth, []
+        monkeypatch.setattr(roots, "_aberth", lambda asc: rows.append(len(asc)) or aberth(asc))
+        got = find_roots(f)
+        assert rows == [1]
+        assert all(got.converged)
+        assert got.max_modulus == pytest.approx(expected.max_modulus, rel=1e-12)
+
+    def test_no_candidate_raises_unconverged(self, monkeypatch):
+        f = principal_power(F1, 2.0)
+        _eigvals_failing_on(monkeypatch, [np.array(f.coeffs + (1.0,))])
+        monkeypatch.setattr(
+            roots,
+            "_aberth",
+            lambda asc: (np.full((len(asc), asc.shape[1] - 1), np.nan, dtype=complex),
+                         np.zeros(len(asc), dtype=bool)),
+        )
+        with pytest.raises(UnconvergedError, match="failed to certify"):
+            find_roots(f)
+
+    def test_input_where_lapack_fails(self):
+        """Whatever LAPACK build decides F220 at p = 128, the outcome is a
+        root set or UnconvergedError, and the onset search's an onset or
+        BracketError."""
+        try:
+            find_roots(principal_power(F220, 128.0))
+        except UnconvergedError:
+            pass
+        try:
+            auto_onset(F220, "max")
+        except BracketError:
+            pass
