@@ -198,11 +198,22 @@ class BranchSet:
     index records, per support index in ascending order, which root
     ``l in {0, ..., m-1}`` the member picked.  Members are built on demand,
     in ``itertools.product`` order of their indices; none is stored, only
-    the m values of each nonzero coefficient (``table``).
+    the m values of each nonzero coefficient (``table``).  Sets of more than
+    MAX_BRANCHES members raise UnsupportedInputError, decided without forming
+    the count (at m >= 2, 17 nonzero coefficients are too many), so ``len``
+    always fits an index.
     """
 
     base: MonicPolynomial
     exponent: RationalExponent
+
+    def __post_init__(self):
+        m, s = self.exponent.den, len(self.base.support)
+        if s and (m > MAX_BRANCHES or m ** min(s, MAX_BRANCHES.bit_length()) > MAX_BRANCHES):
+            raise UnsupportedInputError(
+                f"f^[{self.exponent}] has {m}^{s} branches; at most {MAX_BRANCHES} "
+                "are supported"
+            )
 
     def __len__(self) -> int:
         return self.exponent.den ** len(self.base.support)
@@ -234,28 +245,35 @@ class BranchSet:
         return itertools.product(*ranges)
 
     @functools.cached_property
-    def table(self) -> tuple[tuple[complex, ...], ...]:
-        """Per support index in ascending order, the m values its coefficient
-        takes (root l = 0..m-1).
-
-        Built on first use; a power that overflows raises InvalidInputError
-        then.
+    def table(self) -> np.ndarray:
+        """The (|support|, m) array of the m values (root l = 0..m-1) of each
+        nonzero coefficient, (0, 0) with no support.  Built on first use; a
+        power that overflows raises InvalidInputError then.
         """
         f, m = self.base, self.exponent.den
         pval = self.exponent.num / m
-        return tuple(
-            tuple(_power_coeff(f.coeffs[k], pval, 2.0 * math.pi * l / m) for l in range(m))
+        values = [
+            [_power_coeff(f.coeffs[k], pval, 2.0 * math.pi * l / m) for l in range(m)]
             for k in f.support
-        )
+        ]
+        return np.array(values, dtype=complex).reshape(len(values), m if values else 0)
+
+    def rows(self, indices: Sequence[Sequence[int]]) -> np.ndarray:
+        """The members for the branch ``indices``, gathered from ``table`` as
+        the rows of ascending coefficients, with the leading 1, of one
+        (len(indices), n + 1) complex array."""
+        support = list(self.base.support)
+        ls = np.array(indices, dtype=np.intp).reshape(len(indices), len(support))
+        asc = np.zeros((len(indices), self.base.degree + 1), dtype=complex)
+        asc[:, support] = self.table[np.arange(len(support)), ls]
+        asc[:, -1] = 1.0
+        return asc
 
     def members(self, indices: Iterable[Sequence[int]]) -> Iterator[MonicPolynomial]:
-        """The member for each branch index, built as the iteration reaches it."""
-        support, values = self.base.support, self.table
+        """The member for each branch index, built from its row (``rows``) as
+        the iteration reaches it."""
         for ls in indices:
-            cs = [0j] * self.base.degree
-            for k, choices, l in zip(support, values, ls):
-                cs[k] = choices[l]
-            yield MonicPolynomial(tuple(cs))
+            yield MonicPolynomial(tuple(self.rows([ls])[0, :-1].tolist()))
 
     def position(self, index: Sequence[int]) -> int:
         """Where the member with this branch index comes in ``indices``."""
@@ -324,17 +342,9 @@ def hadamard_power(f: MonicPolynomial, p) -> BranchSet:
     ``m ** |support|`` member polynomials, built lazily by the returned
     BranchSet.  p = 0 sends every nonzero coefficient to 1 and keeps zeros at
     zero.  Sets of more than MAX_BRANCHES members raise
-    UnsupportedInputError, decided without forming a count far above it:
-    with m >= 2, 17 nonzero coefficients are already too many.
+    UnsupportedInputError (see ``BranchSet``).
     """
-    bset = BranchSet(f, RationalExponent.coerce(p))
-    m, s = bset.exponent.den, len(f.support)
-    if s and (m > MAX_BRANCHES or m ** min(s, MAX_BRANCHES.bit_length()) > MAX_BRANCHES):
-        raise UnsupportedInputError(
-            f"f^[{bset.exponent}] has {m}^{s} branches; at most {MAX_BRANCHES} "
-            "are supported"
-        )
-    return bset
+    return BranchSet(f, RationalExponent.coerce(p))
 
 
 def principal_power(f: MonicPolynomial, p: float) -> MonicPolynomial:

@@ -3,7 +3,8 @@
 A sweep computes the principal powers of all its powers as one array of
 coefficient rows (``poly.principal_rows``), solves them as one batch
 (``roots.find_root_rows``) and reads each record from its row of sorted
-roots; no polynomial or root set is built per power.
+roots and the row's largest root modulus, which the solve returns with it;
+no polynomial or root set is built per power, and no array is handled here.
 
 All emitted artifacts are deterministic: numbers are rounded to 12
 significant digits before formatting, records are sorted by power, and no
@@ -17,8 +18,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 from .errors import InvalidInputError
 from .poly import MonicPolynomial, principal_rows
@@ -118,12 +117,10 @@ def sweep(f: MonicPolynomial, powers: Sequence[float]) -> list[SweepRecord]:
     """
     check_degree(f.degree)
     ps = sorted(powers)
-    z, _, _ = find_root_rows(principal_rows(f, ps))
-    # np.hypot equals the abs of RootSet.max_modulus bit for bit.
-    moduli = np.hypot(z.real, z.imag).max(axis=1).tolist()
+    z, _, _, worst = find_root_rows(principal_rows(f, ps))
     return [
         SweepRecord(p, classify(m) is Status.STABLE, m, tuple(zs))
-        for p, m, zs in zip(ps, moduli, z.tolist())
+        for p, m, zs in zip(ps, worst.tolist(), z.tolist())
     ]
 
 

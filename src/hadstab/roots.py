@@ -35,18 +35,19 @@ stacked ``(k, n, n)`` solve, and the residuals and reconstructions of all
 rows are computed together.  Every step is elementwise per row or a matrix
 product of the same shape for every row, so a row's result does not depend
 on the batch it was solved in.  Rows are processed in chunks sized from the
-degree, which bounds the memory of the stacked arrays.  The coefficient
-moduli of the residual scale come from ``np.hypot``, which equals Python's
-``abs`` bit for bit.  ``find_roots_many`` and ``find_roots`` pack
-polynomials into rows for it and wrap its sorted rows in root sets;
-``report.sweep`` reads its rows directly.
+degree, which bounds the memory of the stacked arrays.  ``find_root_rows``
+is the one place that certifies rows, raises for the first that fails, and
+takes each row's worst root modulus (by ``np.hypot``, which equals Python's
+``abs`` bit for bit); given a limit, it stops after the first row above it.
+``find_roots_many`` and ``find_roots`` pack polynomials into rows for it and
+wrap its sorted rows in root sets; ``report.sweep`` reads its rows directly.
 
-Branch sets take one row path: ``_branch_blocks`` gathers members from the
-set's coefficient table into rows for the certificate core (``_solve_rows``),
-for the rotation representatives (``branch_set_stable``) or every member
-(``branch_root_sets``).  Every verdict, of one polynomial or of a set, is
-``StabilityVerdict.of`` the worst root modulus: some member is Unstable
-exactly when the worst modulus is, and every member Stable exactly when it is.
+Branch sets take the same path: ``_branch_blocks`` streams the rows that
+``BranchSet.rows`` gathers, for the rotation representatives
+(``branch_set_stable``) or every member (``branch_root_sets``).  Every
+verdict, of one polynomial or of a set, is ``StabilityVerdict.of`` the worst
+root modulus: some member is Unstable exactly when the worst modulus is, and
+every member Stable exactly when it is.
 
 Callers that read only a status, the onset searches, use ``row_statuses``:
 the Schur-Cohn recursion decides it from the coefficients alone, on all rows
@@ -437,12 +438,6 @@ def _solve_rows(
     return z, res, certified
 
 
-def _sort_rows(z: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of ``_solve_rows`` output sorted by root modulus."""
-    order = np.argsort(np.abs(z), axis=1, kind="stable")
-    return np.take_along_axis(z, order, axis=1), np.take_along_axis(res, order, axis=1)
-
-
 def _root_sets(z: np.ndarray, res: np.ndarray, tol: np.ndarray) -> list[RootSet]:
     """Each row of sorted roots as a RootSet."""
     converged = res <= tol[:, None]
@@ -452,32 +447,31 @@ def _root_sets(z: np.ndarray, res: np.ndarray, tol: np.ndarray) -> list[RootSet]
     ]
 
 
-def _partial(z: np.ndarray, res: np.ndarray, tol: np.ndarray, i: int) -> RootSet:
-    """Row i of ``_solve_rows`` output as a sorted RootSet: the partial
-    result of an UnconvergedError."""
-    zs, rs = _sort_rows(z[i : i + 1], res[i : i + 1])
-    return _root_sets(zs, rs, tol[i : i + 1])[0]
-
-
-def _uncertified(res: np.ndarray) -> str:
-    return f"root iteration failed to certify (max residual {res.max():.3e})"
-
-
 @np.errstate(all="ignore")  # see _solve_rows
-def _solve_chunk(asc: np.ndarray, offset: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve_chunk(
+    asc: np.ndarray, offset: int, limit: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``find_root_rows`` of one chunk; ``offset`` is the row of ``asc[0]``
-    in the whole batch."""
+    in the whole batch.  Returns fewer rows than ``asc`` holds when one
+    exceeds ``limit``: the last row returned is then the first such row."""
     # np.hypot, not np.abs: it equals Python's abs (libm hypot) bit for bit,
-    # and the residual scale has always used that.
+    # and so the residual scale and RootSet.max_modulus.
     moduli = np.hypot(asc.real, asc.imag)
     tol = _tolerances(moduli)
     z, res, certified = _solve_rows(asc, moduli, tol)
-    if not certified.all():
-        i = int(np.argmin(certified))
+    worst = np.hypot(z.real, z.imag).max(axis=1)
+    stop = ~certified | (worst > limit)
+    k = int(np.argmax(stop)) + 1 if stop.any() else len(asc)
+    # Each row by root modulus, as find_roots sorts it.
+    at = np.arange(k)[:, None], np.argsort(np.abs(z[:k]), axis=1, kind="stable")
+    z, res = z[at], res[at]
+    if not certified[k - 1]:
         raise UnconvergedError(
-            _uncertified(res[i]), partial=_partial(z, res, tol, i), row=offset + i
+            f"root iteration failed to certify (max residual {res[-1].max():.3e})",
+            partial=_root_sets(z[-1:], res[-1:], tol[k - 1 : k])[0],
+            row=offset + k - 1,
         )
-    return (*_sort_rows(z, res), tol)
+    return z, res, tol[:k], worst[:k]
 
 
 def chunk_rows(degree: int) -> int:
@@ -493,25 +487,34 @@ def check_degree(n: int) -> None:
         )
 
 
-def find_root_rows(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Roots of every row of ascending monic coefficients ``asc`` (k, n + 1),
+def find_root_rows(
+    asc: np.ndarray, limit: float = math.inf
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Roots of the rows of ascending monic coefficients ``asc`` (k, n + 1),
     each row sorted by modulus as ``find_roots`` sorts it, with their scaled
-    residuals and each row's residual tolerance: (k, n), (k, n) and (k,)
+    residuals, each row's residual tolerance and its largest root modulus
+    (bit for bit ``RootSet.max_modulus``): (j, n), (j, n), (j,) and (j,)
     arrays.
 
-    Rows are solved ``chunk_rows(n)`` at a time.  Raises UnconvergedError for
-    the first row that fails to certify, with ``row`` its position in
+    The rows are solved ``chunk_rows(n)`` at a time and returned through the
+    first whose largest modulus exceeds ``limit``, so j = k unless one does;
+    no chunk after it is solved.  Raises UnconvergedError for the first row
+    before that point that fails to certify, with ``row`` its position in
     ``asc`` and its sorted root set as the partial result; a degree above
     MAX_ROOT_DEGREE raises UnsupportedDegreeError before anything is solved.
     """
     k, n = asc.shape[0], asc.shape[1] - 1
     if not k:
-        return np.zeros((0, n), dtype=complex), np.zeros((0, n)), np.zeros(0)
+        return np.zeros((0, n), dtype=complex), np.zeros((0, n)), np.zeros(0), np.zeros(0)
     check_degree(n)
     size = chunk_rows(n)
     if k <= size:
-        return _solve_chunk(asc, 0)
-    parts = [_solve_chunk(asc[i : i + size], i) for i in range(0, k, size)]
+        return _solve_chunk(asc, 0, limit)
+    parts = []
+    for i in range(0, k, size):
+        parts.append(_solve_chunk(asc[i : i + size], i, limit))
+        if parts[-1][3][-1] > limit:
+            break
     return tuple(np.concatenate(columns) for columns in zip(*parts))
 
 
@@ -537,7 +540,8 @@ def find_roots_many(polys: Iterable[MonicPolynomial]) -> list[RootSet]:
     polys = list(polys)
     if not polys:
         return []
-    return _root_sets(*find_root_rows(_coefficient_rows(polys, "find_roots_many")))
+    z, res, tol, _ = find_root_rows(_coefficient_rows(polys, "find_roots_many"))
+    return _root_sets(z, res, tol)
 
 
 def find_roots(f: MonicPolynomial) -> RootSet:
@@ -655,11 +659,10 @@ def row_statuses(asc: np.ndarray) -> list[Status]:
     rest = [i for i, st in enumerate(statuses) if st is None]
     if rest:
         try:
-            z, _, _ = find_root_rows(asc[rest])
+            worst = find_root_rows(asc[rest])[3]
         except UnconvergedError as exc:
             raise UnconvergedError(str(exc), partial=exc.partial, row=rest[exc.row]) from exc
-        # np.hypot equals the abs of RootSet.max_modulus bit for bit.
-        for i, m in zip(rest, np.hypot(z.real, z.imag).max(axis=1).tolist()):
+        for i, m in zip(rest, worst.tolist()):
             statuses[i] = classify(m)
     return statuses
 
@@ -675,54 +678,33 @@ def schur_cohn_statuses(polys: Iterable[MonicPolynomial]) -> list[Status]:
 def _branch_blocks(
     b: BranchSet, indices: Iterator[tuple[int, ...]], first: int, limit: float = math.inf
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Solve the members of b named by the branch ``indices``, gathered from
-    ``b.table`` into blocks of rows (``first`` rows, then ``chunk_rows``) with
-    no member polynomial built; yield per block the unsorted roots, residuals,
-    tolerances and largest root modulus of its rows.
-
-    The first row whose modulus exceeds ``limit`` ends the block and the
-    stream.  A row before it that fails to certify raises UnconvergedError
-    naming its branch by its position in the full enumeration and its index,
-    with its sorted root set as the partial result.
+    """``find_root_rows`` of the members of b named by the branch
+    ``indices``, gathered by ``b.rows`` in blocks of ``first`` rows, then
+    ``chunk_rows``, and yielded per block; the first row above ``limit`` ends
+    the stream.  An uncertified row before it raises UnconvergedError naming
+    its branch by its position in the full enumeration and its index.
     """
-    n, support = b.base.degree, list(b.base.support)
-    check_degree(n)
-    values = np.array(b.table, dtype=complex).reshape(len(support), b.exponent.den)
-    at = np.arange(len(support))
+    n = b.base.degree
+    check_degree(n)  # before the table is built
     block = list(islice(indices, first))
     while block:
-        ls = np.array(block, dtype=np.intp).reshape(len(block), len(support))
-        asc = np.zeros((len(block), n + 1), dtype=complex)
-        asc[:, support] = values[at, ls]
-        asc[:, n] = 1.0
-        # np.hypot, not np.abs, as in _solve_chunk: it equals Python's abs,
-        # and so the root sets' max_modulus, bit for bit.
-        mod = np.hypot(asc.real, asc.imag)
-        tol = _tolerances(mod)
-        with np.errstate(all="ignore"):  # see _solve_rows
-            z, res, certified = _solve_rows(asc, mod, tol)
-            mods = np.hypot(z.real, z.imag).max(axis=1)
-            stop = ~certified | (mods > limit)
-            k = int(np.argmax(stop)) + 1 if stop.any() else len(block)
-            if not certified[k - 1]:
-                index = block[k - 1]
-                raise UnconvergedError(
-                    f"branch {b.position(index)} (index {index}): "
-                    + _uncertified(res[k - 1]),
-                    partial=_partial(z, res, tol, k - 1),
-                )
-        yield z[:k], res[:k], tol[:k], mods[:k]
-        block = [] if stop.any() else list(islice(indices, chunk_rows(n)))
+        try:
+            rows = find_root_rows(b.rows(block), limit)
+        except UnconvergedError as exc:
+            index = block[exc.row]
+            raise UnconvergedError(
+                f"branch {b.position(index)} (index {index}): {exc}", partial=exc.partial
+            ) from exc
+        yield rows
+        block = [] if rows[3][-1] > limit else list(islice(indices, chunk_rows(n)))
 
 
 def branch_root_sets(b: BranchSet) -> list[RootSet]:
     """Root sets of every member of b, in enumeration order, each exactly as
     ``find_roots`` returns it; a member that fails to certify raises
     UnconvergedError naming the branch."""
-    sets: list[RootSet] = []
-    for z, res, tol, _ in _branch_blocks(b, b.indices(), chunk_rows(b.base.degree)):
-        sets += _root_sets(*_sort_rows(z, res), tol)
-    return sets
+    blocks = _branch_blocks(b, b.indices(), chunk_rows(b.base.degree))
+    return [rs for z, res, tol, _ in blocks for rs in _root_sets(z, res, tol)]
 
 
 def branch_set_stable(b: BranchSet) -> StabilityVerdict:
@@ -743,11 +725,8 @@ def branch_set_stable(b: BranchSet) -> StabilityVerdict:
     by its position in the full enumeration and its index, with its sorted
     root set as the partial result.
     """
-    worst = 0.0
-    reps = b.rotation_representatives()
-    for *_, mods in _branch_blocks(b, reps, 1, limit=1.0 + BOUNDARY_BAND):
-        worst = max(worst, float(mods.max()))
-    return StabilityVerdict.of(worst)
+    blocks = _branch_blocks(b, b.rotation_representatives(), 1, limit=1.0 + BOUNDARY_BAND)
+    return StabilityVerdict.of(max(float(worst.max()) for *_, worst in blocks))
 
 
 def fujiwara_bound(f: MonicPolynomial, w: SimplexWeights) -> float:

@@ -43,6 +43,7 @@ from .roots import Status, chunk_rows, companion_matrix, row_statuses
 _MAX_BISECT = 200
 # Onset bisection decides the midpoints of up to this many levels as one batch.
 _LOOKAHEAD = 5
+# auto_onset's stable end doubles from 64 at most up to this power.
 _EXPANSION_CAP = 2.0 ** 16
 # Maximum degree of the real carrier polynomial in guardian_map; the compound
 # matrix has dimension C(degree, 2).
@@ -243,7 +244,9 @@ def pstar_exact(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRe
     contradicting the simplex budget.  Mode 'min' is the mirror image.
     The sum is strictly monotone under either hypothesis, so p0 is unique and
     bisection (then narrowed far below ``tol``) brackets it with a certified
-    sign change.
+    sign change.  The bracket's far end doubles from 64 until the sign
+    changes, which it does once m^p underflows to 0; an m^p that overflows
+    puts the sum above 1.
     """
     kind = _mode_kind(mode)
     _check_tol(tol)
@@ -251,22 +254,20 @@ def pstar_exact(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRe
         return _vacuous(mode, Method.EQUATION_SOLVE)
     moduli = _theorem1_moduli(f, mode)
 
-    def s(p: float) -> float:
-        return math.fsum(m ** p for m in moduli) - 1.0
+    def high_side(p: float) -> bool:  # True where sum_k m^p > 1
+        try:
+            return math.fsum(m ** p for m in moduli) > 1.0
+        except OverflowError:
+            return True
 
-    # mode 'max': s is strictly decreasing; 'min': strictly increasing.
+    # mode 'max': the sum is strictly decreasing in p; 'min': increasing.
     lo, hi = -64.0, 64.0
     decreasing = mode == "max"
 
-    def high_side(p: float) -> bool:  # True where s(p) > 0
-        return s(p) > 0.0
-
-    while high_side(lo) != decreasing and abs(lo) < _EXPANSION_CAP:
+    while high_side(lo) != decreasing:
         lo *= 2.0
-    while high_side(hi) == decreasing and abs(hi) < _EXPANSION_CAP:
+    while high_side(hi) == decreasing:
         hi *= 2.0
-    if high_side(lo) != decreasing or high_side(hi) == decreasing:
-        raise NotApplicableError("sum equation has no sign change in the search range")
 
     target = min(tol, 1e-12)
     for _ in range(_MAX_BISECT):

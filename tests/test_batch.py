@@ -435,6 +435,81 @@ class TestBatchContract:
         assert len(info.value.partial.roots) == 4
 
 
+def _count_chunks(monkeypatch):
+    """Record the offset of every chunk ``roots._solve_chunk`` solves."""
+    offsets = []
+    solve_chunk = roots._solve_chunk
+
+    def counting(asc, offset, limit):
+        offsets.append(offset)
+        return solve_chunk(asc, offset, limit)
+
+    monkeypatch.setattr(roots, "_solve_chunk", counting)
+    return offsets
+
+
+def _prefix_length(worst, limit):
+    """Rows through the first whose largest modulus exceeds ``limit``."""
+    above = np.flatnonzero(worst > limit)
+    return int(above[0]) + 1 if above.size else len(worst)
+
+
+class TestRowLimit:
+    """``find_root_rows(asc, limit)`` is the unlimited solve cut after the
+    first row whose largest modulus exceeds ``limit``; no row after it is
+    solved or can raise."""
+
+    # F1's principal powers from p = 59/3 down: Stable rows, then Unstable.
+    POWERS = [principal_power(F1, p / 3) for p in range(59, -31, -1)]
+
+    @pytest.mark.parametrize("elements", [1 << 13, 3 * 25, 25])
+    def test_prefix_of_the_unlimited_solve(self, monkeypatch, elements):
+        monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", elements)
+        rng = random.Random(71)
+        for group in (self.POWERS, [random_monic(rng, 5, (0.05, 1.2)) for _ in range(40)]):
+            asc = np.array([f.coeffs + (1.0 + 0j,) for f in group])
+            full = roots.find_root_rows(asc)
+            worst = full[3]
+            assert worst.tolist() == [rs.max_modulus for rs in find_roots_many(group)]
+            size = roots.chunk_rows(5)
+            # Cut at the first row, at rows inside the group (a row equal to
+            # the limit does not cut), and nowhere.
+            ranked = np.sort(worst).tolist()
+            limits = (0.0, 1.0 + roots.BOUNDARY_BAND, ranked[10], ranked[-2], ranked[-1],
+                      math.inf)
+            lengths = set()
+            for limit in limits:
+                j = _prefix_length(worst, limit)
+                lengths.add(j)
+                chunks = _count_chunks(monkeypatch)
+                got = roots.find_root_rows(asc, limit)
+                assert [a.tobytes() for a in got] == [a[:j].tobytes() for a in full]
+                assert len(chunks) == -(-j // size)
+            assert len(lengths) >= 3  # the limits cut at different rows
+
+    @pytest.mark.parametrize("after", [1, 3], ids=["same chunk", "later chunk"])
+    def test_uncertified_row_after_the_stop_does_not_raise(self, monkeypatch, after):
+        asc = np.array([f.coeffs + (1.0 + 0j,) for f in self.POWERS])
+        limit = 1.0 + roots.BOUNDARY_BAND
+        monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 3 * 25)
+        full = roots.find_root_rows(asc)
+        j = _prefix_length(full[3], limit)
+        assert 0 < j < len(asc) and j % 3 != 0  # the stop row is not last in its chunk
+        bad = j - 1 + after
+        monkeypatch.setattr(
+            roots, "_reconstructs", lambda asc, z: np.zeros(len(z), dtype=bool)
+        )
+        monkeypatch.setattr(
+            roots, "_tolerances",
+            _tolerances_failing({tuple(abs(c) for c in self.POWERS[bad].coeffs)}),
+        )
+        got = roots.find_root_rows(asc, limit)
+        assert [a.tobytes() for a in got] == [a[:j].tobytes() for a in full]
+        with pytest.raises(UnconvergedError) as info:
+            roots.find_root_rows(asc)
+        assert info.value.row == bad
+
+
 class TestFallback:
     """The other candidate runs only on the rows that the first candidate
     for the degree fails to certify."""
@@ -527,6 +602,54 @@ class TestBranchSetChunks:
         assert partial.residuals == (1.0,) * 4 and partial.converged == (False,) * 4
         moduli = [abs(z) for z in partial.roots]
         assert moduli == sorted(moduli)
+
+    # 27 rotation representatives whose first Unstable one is the 16th.
+    SET = hadamard_power(
+        MonicPolynomial((0.01 + 0.01j, 0.02 + 0.02j, 0.01 + 0.06j, -0.01 + 0.01j)),
+        RationalExponent(1, 3),
+    )
+
+    def _spoil(self, monkeypatch, target):
+        """Make the member with branch index ``target`` fail to certify."""
+        bad = self.SET.rows([target])[0]
+        monkeypatch.setattr(
+            roots, "_reconstructs", lambda asc, z: np.zeros(len(z), dtype=bool)
+        )
+        residuals = roots._scaled_residuals
+
+        def spoiled(asc, moduli, z):
+            res = residuals(asc, moduli, z)
+            res[(asc == bad).all(axis=1)] = 1.0
+            return res
+
+        monkeypatch.setattr(roots, "_scaled_residuals", spoiled)
+
+    @pytest.mark.parametrize(
+        "rows_per_chunk, rep",
+        [(512, 16), (512, 26), (4, 16), (4, 20)],
+        ids=["one chunk, next row", "one chunk, last row", "same chunk", "later chunk"],
+    )
+    def test_uncertified_member_after_the_first_unstable_is_not_reached(
+        self, monkeypatch, rows_per_chunk, rep
+    ):
+        reps = list(self.SET.rotation_representatives())
+        assert len(reps) == 27
+        expected = branch_set_stable(self.SET)
+        assert expected.status is Status.UNSTABLE
+        monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", rows_per_chunk * 16)
+        self._spoil(monkeypatch, reps[rep])
+        # Blocks of 4 after the principal branch: the 16th representative
+        # (index 15) is the third row of the block 13-16.
+        assert branch_set_stable(self.SET) == expected
+
+    def test_uncertified_member_before_the_first_unstable_raises(self, monkeypatch):
+        reps = list(self.SET.rotation_representatives())
+        monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 4 * 16)
+        self._spoil(monkeypatch, reps[14])
+        with pytest.raises(UnconvergedError) as info:
+            branch_set_stable(self.SET)
+        position = self.SET.position(reps[14])
+        assert str(info.value).startswith(f"branch {position} (index {reps[14]}): ")
 
 
 def _reference_verdict(bset):

@@ -365,6 +365,25 @@ class TestThreshold:
         if code == 1:
             assert captured.err.startswith("not applicable: no stable power found")
 
+    @pytest.mark.parametrize(
+        "coeffs, mode, value",
+        [([[1e-10, 0], [0.5, 0]], "max", 0.112488690573),
+         ([[1e10, 0], [2.0, 0]], "min", -0.112488690573),
+         ([[0.999999, 0], [0.999999, 0]], "max", 693146.833966)],
+    )
+    def test_exact_far_from_one_and_near_it(self, capsys, tmp_path, coeffs, mode, value):
+        """A modulus whose powers overflow at the bracket's start, and moduli
+        whose p0 lies beyond 2^16: exit 0 with the sum equation's root, not
+        a traceback or "no sign change"."""
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"degree": 2, "coeffs": coeffs}))
+        code, out = run(
+            capsys, "threshold", "--poly", str(path), "--mode", mode, "--method", "exact"
+        )
+        assert code == 0
+        assert out["method"] == "EquationSolve"
+        assert out["value"] == pytest.approx(value, abs=1e-9)
+
     def test_grid(self, capsys, files):
         code, out = run(
             capsys,

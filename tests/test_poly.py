@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_monic
 from hadstab import (
     MAX_BRANCHES,
     FractionalPolynomial,
@@ -415,8 +416,6 @@ class TestConjugateAndRealForm:
             assert r(x).imag == 0.0
 
     def test_real_form_preserves_max_modulus(self, rng):
-        from conftest import random_monic
-
         for _ in range(25):
             f = random_monic(rng, rng.randint(1, 6))
             m1 = find_roots(f).max_modulus
@@ -563,6 +562,50 @@ class TestBranchSetLaziness:
                 hadamard_power(f, Fraction(1, den))
         else:
             assert hadamard_power(f, Fraction(1, den)).exponent.den == den
+
+    def test_direct_set_over_the_cap_is_refused(self):
+        """The cap is the type's: a set built without ``hadamard_power`` is
+        refused too, so ``len`` of any set fits an index."""
+        with pytest.raises(UnsupportedInputError, match=f"at most {MAX_BRANCHES}"):
+            poly.BranchSet(MonicPolynomial((0.1, 0.1)), RationalExponent(1, 10**20))
+        full = poly.BranchSet(MonicPolynomial((0.5,) * 16), RationalExponent(1, 2))
+        assert len(full) == MAX_BRANCHES
+        # No nonzero coefficient: one member whatever the denominator.
+        empty = poly.BranchSet(MonicPolynomial((0j, 0j)), RationalExponent(1, 10**20))
+        assert len(empty) == 1
+        assert list(empty) == [MonicPolynomial((0j, 0j))]
+        assert empty.table.shape == (0, 0)
+
+    def test_rows_are_the_member_coefficients(self):
+        """``rows`` equals, bit for bit, the coefficients of ``members`` and
+        a reference built from ``_power_coeff`` per coefficient, zeros
+        included, on seeded sets: real of both signs and complex, m = 1-4,
+        exponents -2..2."""
+        rng = random.Random(1414)
+        zeros = 0
+        for i in range(120):
+            m = 1 + i % 4
+            real = i % 3 == 0
+            f = random_monic(rng, rng.randint(1, 6), (0.05, 2.0), density=0.7, real=real)
+            if real:
+                f = MonicPolynomial(tuple(c * rng.choice((1, -1)) for c in f.coeffs))
+            p = RationalExponent(rng.randint(-2 * m, 2 * m), m)
+            bset = hadamard_power(f, p)
+            indices = list(bset.indices())
+            rows = bset.rows(indices)
+            reference = np.zeros((len(indices), f.degree + 1), dtype=complex)
+            reference[:, -1] = 1.0
+            for r, ls in enumerate(indices):
+                for k, l in zip(f.support, ls):
+                    reference[r, k] = poly._power_coeff(
+                        f.coeffs[k], p.num / p.den, 2.0 * math.pi * l / p.den
+                    )
+            members = np.array([g.coeffs + (1.0 + 0j,) for g in bset.members(indices)])
+            assert _same_bits(rows, reference), (f, p)
+            assert _same_bits(rows, members), (f, p)
+            zeros += f.degree - len(f.support)
+        assert zeros >= 50
+        assert bset.rows([]).shape == (0, f.degree + 1)
 
     @pytest.mark.parametrize(
         "n, support",

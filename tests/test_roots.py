@@ -423,7 +423,7 @@ class TestSchurCohnStatuses:
     def test_fallback_error_names_the_row(self, monkeypatch):
         bad = _cluster()
 
-        def failing(polys, offset):
+        def failing(asc, offset, limit):
             raise UnconvergedError("forced failure", row=offset)
 
         monkeypatch.setattr(roots, "_solve_chunk", failing)

@@ -207,6 +207,38 @@ class TestPstarExact:
         f = MonicPolynomial((0j,))
         assert pstar_exact(f, "max").value == -math.inf
 
+    @pytest.mark.parametrize(
+        "moduli, mode",
+        [((1e-10, 0.5), "max"), ((1e-5, 0.5), "max"), ((1e10, 2.0), "min")],
+    )
+    def test_overflowing_term_counts_as_above_one(self, moduli, mode):
+        """m^p overflows at the bracket's start (2^-16 > m, or m > 2^16):
+        the sum is then above 1, not an OverflowError."""
+        f = MonicPolynomial(moduli)
+        res = pstar_exact(f, mode)
+        lo, hi = res.bracket
+        s = lambda p: sum(m ** p for m in moduli) - 1.0
+        if mode == "max":
+            assert s(lo) >= 0.0 >= s(hi)
+            assert pstar_grid(f, mode, 500).value >= res.value - 1e-12
+        else:
+            assert s(lo) <= 0.0 <= s(hi)
+            assert pstar_grid(f, mode, 500).value <= res.value + 1e-12
+
+    @pytest.mark.parametrize(
+        "m, mode", [(0.999999, "max"), (1.000001, "min"), (1.0 - 2.0**-53, "max")]
+    )
+    def test_bracket_doubles_until_the_sign_changes(self, m, mode):
+        """p0 = ln 2 / -ln m lies far beyond 2^16 when m is this close to 1;
+        the bracket's far end doubles out to it (mode max: the upper end,
+        mode min: the lower one) and stops once m^p underflows."""
+        res = pstar_exact(MonicPolynomial((m, m)), mode)
+        assert abs(res.value) > 2.0**16
+        assert res.value == pytest.approx(math.log(2.0) / -math.log(m), rel=1e-9)
+        lo, hi = res.bracket
+        assert 2.0 * m**lo - 1.0 >= 0.0 >= 2.0 * m**hi - 1.0 or mode == "min"
+        assert 2.0 * m**lo - 1.0 <= 0.0 <= 2.0 * m**hi - 1.0 or mode == "max"
+
 
 class TestBetaStar:
     def test_example_g_zero_bound(self):
@@ -419,9 +451,9 @@ def _count_root_solves(monkeypatch):
     calls = []
     solve_chunk = roots._solve_chunk
 
-    def counting(asc, offset):
+    def counting(asc, offset, limit):
         calls.append(len(asc))
-        return solve_chunk(asc, offset)
+        return solve_chunk(asc, offset, limit)
 
     monkeypatch.setattr(roots, "_solve_chunk", counting)
     return calls
@@ -435,12 +467,12 @@ def _failing_solve(monkeypatch, bad):
     raised = []
     solve_chunk = roots._solve_chunk
 
-    def chunk(asc, offset):
+    def chunk(asc, offset, limit):
         for i, row in enumerate(asc.tolist()):
             if tuple(row[:-1]) == bad.coeffs:
                 raised.append(offset + i)
                 raise UnconvergedError("forced failure", row=offset + i)
-        return solve_chunk(asc, offset)
+        return solve_chunk(asc, offset, limit)
 
     monkeypatch.setattr(roots, "_solve_chunk", chunk)
     return raised
