@@ -34,6 +34,12 @@ MAX_COMMENSURATE_DEGREE = 10_000
 MAX_BRANCHES = 1 << 16
 
 
+def _digit_count(m: int) -> int:
+    """Decimal digits of a positive int, without printing it."""
+    d = int(math.log10(m)) + 1  # may be one off at a long m
+    return d - (10 ** (d - 1) > m) + (10**d <= m)
+
+
 def _finite_coeffs(values: Iterable) -> tuple[complex, ...]:
     cs = tuple(complex(c) for c in values)
     if not all(map(cmath.isfinite, cs)):
@@ -210,9 +216,15 @@ class BranchSet:
     def __post_init__(self):
         m, s = self.exponent.den, len(self.base.support)
         if s and (m > MAX_BRANCHES or m ** min(s, MAX_BRANCHES.bit_length()) > MAX_BRANCHES):
+            # A long denominator goes by its digit count: Python refuses to
+            # print an int of more than 4,300 digits.
+            count = (
+                f"f^[{self.exponent}] has {m}^{s}"
+                if m < 10**20
+                else f"f^[p] with a {_digit_count(m)}-digit denominator m has m^{s}"
+            )
             raise UnsupportedInputError(
-                f"f^[{self.exponent}] has {m}^{s} branches; at most {MAX_BRANCHES} "
-                "are supported"
+                f"{count} branches; at most {MAX_BRANCHES} are supported"
             )
 
     def __len__(self) -> int:

@@ -8,8 +8,10 @@ Four families of results live here:
 * instability bounds from the binomial necessary condition (``beta_star``)
   and the lowest-support-index sign test (``kstar_test``);
 * the exact stability onset, located by bisecting the stability status of
-  the principal power branch (``exact_onset`` / ``auto_onset``).  The
-  principal powers of a batch are one array of coefficient rows
+  the principal power branch (``exact_onset`` / ``auto_onset``).
+  ``auto_onset`` finds the last crossing, the paper's p*: one status scan
+  below the stable end that Theorem 1 gives (``pstar_exact``) brackets it.
+  The principal powers of a batch are one array of coefficient rows
   (``poly.principal_rows``), and their statuses come from
   ``roots.row_statuses``: the Schur-Cohn recursion on the coefficients
   decides them, and the root finder only where the recursion cannot.  No
@@ -41,9 +43,11 @@ from .poly import MonicPolynomial, principal_power, principal_rows, real_form
 from .roots import Status, chunk_rows, companion_matrix, row_statuses
 
 _MAX_BISECT = 200
-# Onset bisection decides the midpoints of up to this many levels as one batch.
+# Onset bisection decides the midpoints of up to this many levels as one batch;
+# auto_onset's scan grid has as many powers, 2^5 - 1 = 31.
 _LOOKAHEAD = 5
-# auto_onset's stable end doubles from 64 at most up to this power.
+# Where Theorem 1 does not apply, auto_onset's stable end doubles from 64 at
+# most up to this power.
 _EXPANSION_CAP = 2.0 ** 16
 # Maximum degree of the real carrier polynomial in guardian_map; the compound
 # matrix has dimension C(degree, 2).
@@ -445,18 +449,31 @@ def _bisect_onset(
             elif st is hi_status:
                 hi, node = mid, 2 * node + 1
             else:
-                lo2 = max(lo, mid - 0.5 * tol)
-                hi2 = min(hi, mid + 0.5 * tol)
-                if (
-                    lo2 < hi2
-                    and _principal_status(f, lo2) is lo_status
-                    and _principal_status(f, hi2) is hi_status
-                ):
-                    return _onset_result(lo2, hi2)
-                raise MarginalZoneError(
-                    f"verdict stays within the boundary band around p = {mid}"
-                )
+                return _close_out(f, mid, lo, hi, lo_status, hi_status, tol)
     return _onset_result(lo, hi)
+
+
+def _close_out(
+    f: MonicPolynomial,
+    mid: float,
+    lo: float,
+    hi: float,
+    lo_status: Status,
+    hi_status: Status,
+    tol: float,
+) -> ThresholdResult:
+    """The onset at a Marginal point ``mid`` of the bracket [lo, hi]: the
+    bracket mid -+ tol/2, clipped to [lo, hi], if its ends have the verdicts
+    of lo and hi; otherwise the onset is uncertifiable at this tolerance."""
+    lo2 = max(lo, mid - 0.5 * tol)
+    hi2 = min(hi, mid + 0.5 * tol)
+    if (
+        lo2 < hi2
+        and _principal_status(f, lo2) is lo_status
+        and _principal_status(f, hi2) is hi_status
+    ):
+        return _onset_result(lo2, hi2)
+    raise MarginalZoneError(f"verdict stays within the boundary band around p = {mid}")
 
 
 def _onset_result(lo: float, hi: float) -> ThresholdResult:
@@ -465,21 +482,77 @@ def _onset_result(lo: float, hi: float) -> ThresholdResult:
 
 
 def auto_onset(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdResult:
-    """Onset with a self-constructed bracket.
+    """The last crossing of the principal power's stability, the paper's p*:
+    every scanned power beyond it is Stable.
 
-    mode 'max' searches increasing p: the stable end starts at 64 and doubles
-    until the verdict there is Stable, the unstable end is the first strictly
-    Unstable point on a ladder rising from 0 (the zeroth power itself can sit
-    exactly on the unit circle).  mode 'min' mirrors to negative powers.  The
-    bracket is then bisected as by ``exact_onset``, without solving its ends
-    again.  Raises BracketError when either end cannot be found, including
-    when a stable-end candidate's principal power overflows or its verdict
-    cannot be certified.
+    mode 'max' searches p > 0; mode 'min' mirrors it to p < 0.  The far end
+    P is the stable side of ``pstar_exact``'s bracket, beyond which Theorem 1
+    makes every branch stable, so it is not solved.  Where Theorem 1 does
+    not apply (a support modulus on the wrong side of 1, or no support), P
+    is the first Stable power of 64, 128, ..., and crossings beyond it are
+    not looked for.  One status batch decides the powers P i/31, i < 31,
+    and 1e-3, 1e-2, 0.1, 0.25, 0.5, 1, 2, 4, ... below P, so that an onset
+    below the grid spacing still gets a narrow bracket; p = 0 is solved
+    only when none of them is Unstable.  The last strictly Unstable power
+    and the next one scanned (or P) bracket the onset, which is bisected as
+    by ``exact_onset`` without solving its ends again; a Marginal next
+    power closes out as a Marginal midpoint does.  If the batch fails, the
+    powers are solved one at a time from the top down to the last Unstable
+    one, so only a failure the search reaches raises.  Raises BracketError
+    when no end can be found, including when a stable-end candidate's
+    principal power overflows or its verdict cannot be certified.
     """
     _mode_kind(mode)
     _check_tol(tol)
     sign = 1.0 if mode == "max" else -1.0
+    try:
+        bracket = pstar_exact(f, mode).bracket
+    except NotApplicableError:
+        bracket = None
+    if bracket is None:  # outside Theorem 1, or no support
+        end = _doubled_stable_end(f, sign)
+    else:
+        end = bracket[1] if mode == "max" else bracket[0]
 
+    top, grid = abs(end), 2**_LOOKAHEAD - 1
+    scan = [top * i / grid for i in range(1, grid)] + [1e-3, 1e-2, 0.1, 0.25, 0.5]
+    step = 1.0
+    while step < top:
+        scan.append(step)
+        step *= 2.0
+    ps = [sign * q for q in sorted({q for q in scan if 0.0 < q < top})]
+    statuses = _batch_statuses(f, ps)
+    if statuses is None:  # solve from the top down to the last Unstable power
+        statuses = [None] * len(ps)
+        for i in reversed(range(len(ps))):
+            statuses[i] = _principal_status(f, ps[i])
+            if statuses[i] is Status.UNSTABLE:
+                break
+    ps.append(end)
+    statuses.append(Status.STABLE)
+    if Status.UNSTABLE not in statuses:
+        if _principal_status(f, sign * 0.0) is not Status.UNSTABLE:
+            raise BracketError(
+                "no strictly unstable power found between 0 and the stable region"
+            )
+        ps.insert(0, sign * 0.0)
+        statuses.insert(0, Status.UNSTABLE)
+    j = max(i for i, st in enumerate(statuses) if st is Status.UNSTABLE)
+
+    def oriented(near: float, far: float) -> tuple[float, float, Status, Status]:
+        if mode == "max":
+            return near, far, Status.UNSTABLE, Status.STABLE
+        return far, near, Status.STABLE, Status.UNSTABLE
+
+    if statuses[j + 1] is Status.STABLE:
+        return _bisect_onset(f, *oriented(ps[j], ps[j + 1]), tol)
+    lo, hi, lo_status, hi_status = oriented(ps[j], ps[j + 2])
+    return _close_out(f, ps[j + 1], lo, hi, lo_status, hi_status, tol)
+
+
+def _doubled_stable_end(f: MonicPolynomial, sign: float) -> float:
+    """The first Stable power of 64, 128, ... (times ``sign``) up to
+    ``_EXPANSION_CAP``, solved one at a time."""
     stable_end = sign * 64.0
     while True:
         try:
@@ -491,7 +564,7 @@ def auto_onset(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRes
             ) from exc
         try:
             if row_statuses(row)[0] is Status.STABLE:
-                break
+                return stable_end
         except UnconvergedError as exc:
             raise BracketError(
                 f"no stable power found while expanding the bracket: the verdict "
@@ -500,29 +573,6 @@ def auto_onset(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRes
         stable_end *= 2.0
         if abs(stable_end) > _EXPANSION_CAP:
             raise BracketError("no stable power found while expanding the bracket")
-
-    unstable_end = None
-    ladder = [0.0, 1e-3, 1e-2, 0.1, 0.25, 0.5]
-    step = 1.0
-    while step < abs(stable_end):
-        ladder.append(step)
-        step *= 2.0
-    for candidate in ladder:
-        p = sign * candidate
-        if _principal_status(f, p) is Status.UNSTABLE:
-            unstable_end = p
-            break
-    if unstable_end is None:
-        raise BracketError(
-            "no strictly unstable power found between 0 and the stable region"
-        )
-    if mode == "max":
-        return _bisect_onset(
-            f, unstable_end, stable_end, Status.UNSTABLE, Status.STABLE, tol
-        )
-    return _bisect_onset(
-        f, stable_end, unstable_end, Status.STABLE, Status.UNSTABLE, tol
-    )
 
 
 def _compound2(K: np.ndarray) -> np.ndarray:

@@ -576,6 +576,25 @@ class TestBranchSetLaziness:
         assert list(empty) == [MonicPolynomial((0j, 0j))]
         assert empty.table.shape == (0, 0)
 
+    @pytest.mark.parametrize(
+        "exponent, digits",
+        [
+            (Fraction(1, 10**5000), 5001),
+            (Fraction(10**5300 + 1, 10**5000), 5001),  # a long numerator too
+            (Fraction(1, 10**20), 21),
+            (Fraction(1, 2**20000), 6021),
+        ],
+    )
+    def test_long_denominator_by_digit_count(self, exponent, digits):
+        """A denominator beyond Python's 4,300-digit printing limit is named
+        by its digit count, so the cap raises UnsupportedInputError, not
+        Python's ValueError."""
+        with pytest.raises(UnsupportedInputError, match=f"{digits}-digit denominator") as info:
+            hadamard_power(MonicPolynomial((0.5,)), exponent)
+        assert f"at most {MAX_BRANCHES} are supported" in str(info.value)
+        with pytest.raises(UnsupportedInputError, match="f\\^\\[1/99999999999999999999\\] has"):
+            hadamard_power(MonicPolynomial((0.5,)), Fraction(1, 10**20 - 1))
+
     def test_rows_are_the_member_coefficients(self):
         """``rows`` equals, bit for bit, the coefficients of ``members`` and
         a reference built from ``_power_coeff`` per coefficient, zeros

@@ -144,11 +144,11 @@ class TestReproduce:
     # and are not pinned.
     GOLDEN = {
         1: {
-            "report.json": "bd2d0edbbe1802e28c490cab772ba76d6bba4e46936d4e4bd1bf0207ec954874",
-            "table.csv": "2a9469239fcfc60813af64957a79fc9cea5f10c65f195d613e8aae0b464eb02f",
+            "report.json": "48ecce107f4d0f63252b7e19a797590a0868ec3a188ed81d8ed5b777042a09a3",
+            "table.csv": "d95dbd0f8f495edb7633bbc4732f38087b8d44db63b9ffb767e92a858f9675f4",
         },
         2: {
-            "report.json": "37fb084b8b754bc83e6b7681a57292df23384702b4761b715800b2a39711d5ac",
+            "report.json": "d8ef0964c2084ff68898c3fdb542f40269618c3037d066791f27d7a908ee2f64",
             "table.csv": "f51420b1c9be93d8239a0ac8f6bfcf46d227f3b445b608c6abd298a1d3c36e28",
         },
     }

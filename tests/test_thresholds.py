@@ -31,6 +31,7 @@ from hadstab import (
     kstar_test,
     necessary_condition,
     principal_power,
+    principal_rows,
     pstar_exact,
     pstar_grid,
     roots,
@@ -334,17 +335,19 @@ class TestExactOnset:
         assert auto.value == pytest.approx(manual.value, abs=1e-6)
 
     def test_auto_onset_root_finds(self, monkeypatch):
-        """Bracket search one point at a time, then bisection five levels
-        per batch, without deciding the bracket ends a second time.  The
-        recursion decides every status, so no root is found."""
+        """One scan batch below Theorem 1's stable end, then bisection five
+        levels per batch, without deciding the bracket ends a second time.
+        The recursion decides every status, so no root is found."""
         calls = _count_status_rows(monkeypatch)
         solves = _count_root_solves(monkeypatch)
         res = auto_onset(F1, "max", tol=1e-6)
-        # Stable end at 64, unstable end at 0, then 26 bisection steps: five
-        # rounds of 31 midpoints and a last round of 1 level.
-        assert calls == [1, 1] + [31] * 5 + [1]
+        # P = 3.40275 from pstar_exact: the scan holds P i/31 for i < 31 and
+        # 1e-3, 1e-2, 0.1, 0.25, 0.5, 1, 2; it brackets the onset between
+        # 30 P/31 and P, and 17 bisection steps follow: three rounds of 31
+        # midpoints and a last round of 2 levels.
+        assert calls == [37] + [31] * 3 + [3]
         assert solves == []
-        assert res.bracket == (3.3545713424682617, 3.354572296142578)
+        assert res.bracket == (3.3545718778428046, 3.3545727152917815)
 
     def test_exact_onset_root_finds(self, monkeypatch):
         """Both bracket ends one at a time, then 23 bisection steps in rounds
@@ -541,6 +544,297 @@ class TestLookaheadBisection:
         assert max(calls[2:]) == 2**levels - 1
         if levels == 1:
             assert calls[2:] == [1] * 23
+
+
+# The degree-7 input on which the first crossing from 0 (0.4423) is not the
+# paper's p*: its principal power is Unstable again from about 0.565 to 0.81.
+FOUND7 = MonicPolynomial(
+    (
+        -0.08236623741318755 - 0.020053098849155526j,
+        0j,
+        0j,
+        0j,
+        0.010043444828165759 + 0.23125266418922988j,
+        0.41257330525942437 + 0.4276641753939637j,
+        -0.010449170319921926 - 0.0584363405720814j,
+    )
+)
+SCAN = 31  # auto_onset's grid: P i/31 for i = 1..31
+REFERENCE = 1025  # points of the dense reference grid over (0, P]
+
+
+def _far_end(f, mode):
+    """auto_onset's stable end P: the stable side of pstar_exact's bracket
+    under Theorem 1, the doubled stable end elsewhere."""
+    try:
+        lo, hi = pstar_exact(f, mode).bracket
+    except NotApplicableError:
+        return th._doubled_stable_end(f, 1.0 if mode == "max" else -1.0)
+    return hi if mode == "max" else lo
+
+
+def _unstable_runs(f, mode, beyond):
+    """Runs of consecutive strictly Unstable powers of the reference grid
+    over (0, P] (mirrored in mode min) with |p| > ``beyond``, as (first,
+    last) magnitudes."""
+    top = abs(_far_end(f, mode))
+    sign = 1.0 if mode == "max" else -1.0
+    qs = [top * i / REFERENCE for i in range(1, REFERENCE + 1)]
+    statuses = roots.row_statuses(principal_rows(f, [sign * q for q in qs]))
+    runs, run = [], None
+    for q, st in zip(qs, statuses):
+        if st is Status.UNSTABLE and q > beyond:
+            run = (q, q) if run is None else (run[0], q)
+        elif run is not None:
+            runs.append(run)
+            run = None
+    return runs + ([run] if run is not None else [])
+
+
+def _ladder_onset(f, mode, tol):
+    """The onset from the first crossing's bracket, kept as a reference: the
+    first strictly Unstable power of 0, 1e-3, 1e-2, 0.1, 0.25, 0.5, 1, 2,
+    4, ... below the doubled stable end, bisected up to that end."""
+    sign = 1.0 if mode == "max" else -1.0
+    stable = th._doubled_stable_end(f, sign)
+    ladder = [0.0, 1e-3, 1e-2, 0.1, 0.25, 0.5]
+    ladder += [2.0**k for k in range(17) if 2.0**k < abs(stable)]
+    for q in ladder:
+        if th._principal_status(f, sign * q) is Status.UNSTABLE:
+            if mode == "max":
+                return exact_onset(f, "increasing", (sign * q, stable), tol)
+            return exact_onset(f, "decreasing", (stable, sign * q), tol)
+    raise BracketError("no strictly unstable power found between 0 and the stable region")
+
+
+def _unstable_end(res):
+    """|p| at the Unstable end of an onset bracket."""
+    return abs(res.bracket[0] if res.value > 0 else res.bracket[1])
+
+
+def _stable_end(res):
+    return abs(res.bracket[1] if res.value > 0 else res.bracket[0])
+
+
+def _seeded(rng, mode, degree, real, moduli):
+    """A polynomial of the given degree with about 30% zero coefficients and
+    log-uniform moduli; real ones take either sign exactly."""
+    lo, hi = moduli
+    while True:
+        coeffs = []
+        for _ in range(degree):
+            if rng.random() < 0.3:
+                coeffs.append(0j)
+                continue
+            m = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+            if real:
+                coeffs.append(complex(rng.choice((-m, m))))
+            else:
+                t = rng.uniform(-math.pi, math.pi)
+                coeffs.append(m * complex(math.cos(t), math.sin(t)))
+        f = MonicPolynomial(tuple(coeffs))
+        if f.support:
+            return f
+
+
+@pytest.fixture(scope="module")
+def seeded_onsets():
+    """(f, mode, onset) of the first 220 seeded Theorem-1 inputs with an
+    onset: degree 3-7, real and complex, both modes."""
+    rng = random.Random(8088)
+    found = []
+    i = 0
+    while len(found) < 220:
+        mode = ("max", "min")[i % 2]
+        moduli = (0.05, 0.95) if mode == "max" else (1.05, 4.0)
+        f = _seeded(rng, mode, 3 + i % 5, i % 4 < 2, moduli)
+        i += 1
+        try:
+            found.append((f, mode, auto_onset(f, mode)))
+        except (BracketError, MarginalZoneError):
+            pass
+    return found
+
+
+class TestLastCrossing:
+    """auto_onset returns the last crossing below Theorem 1's stable end, at
+    the resolution of its scan."""
+
+    def test_found_input(self):
+        res = auto_onset(FOUND7, "max")
+        assert 0.80 < res.value <= pstar_exact(FOUND7, "max").value
+        lo, hi = res.bracket
+        assert is_schur_stable(principal_power(FOUND7, lo)).status is Status.UNSTABLE
+        assert is_schur_stable(principal_power(FOUND7, hi)).status is Status.STABLE
+        assert _unstable_runs(FOUND7, "max", hi) == []
+        # The first crossing from 0, for comparison.
+        assert _ladder_onset(FOUND7, "max", 1e-6).value < 0.45
+
+    def test_no_unstable_run_past_the_bracket_wider_than_the_scan(self, seeded_onsets):
+        """Past the bracket, the dense reference grid finds no Unstable power
+        except in runs narrower than one scan spacing, which can fall
+        between two scanned powers."""
+        narrow = 0
+        for f, mode, res in seeded_onsets:
+            spacing = abs(_far_end(f, mode)) / SCAN
+            runs = _unstable_runs(f, mode, _stable_end(res))
+            assert all(last - first < spacing for first, last in runs), (f, mode)
+            narrow += bool(runs)
+        assert narrow <= len(seeded_onsets) // 50
+
+    def test_single_crossing_keeps_its_value(self, seeded_onsets):
+        """The value moves by less than tol from the first crossing's, unless
+        the input is certified to cross again: its new Unstable end lies
+        past the first crossing's Stable end."""
+        moved = 0
+        for f, mode, res in seeded_onsets:
+            first = _ladder_onset(f, mode, 1e-6)
+            if abs(res.value - first.value) >= 1e-6:
+                assert _unstable_end(res) > _stable_end(first), (f, mode)
+                moved += 1
+        assert 0 < moved < len(seeded_onsets) // 2
+
+    def test_guardian_map_changes_sign(self, seeded_onsets):
+        """The guardian map (Saydy, Tits & Abed, MCSS 3, 1990), an
+        independent boundary indicator, changes sign across the bracket of
+        every onset with a carrier of degree <= 12.  It does so only at
+        simple crossings, so inputs whose roots have a rotational symmetry
+        (gcd of n - k over the support above 1), which cross in
+        groups, are left out."""
+        checked = 0
+        for f, mode, res in seeded_onsets:
+            if math.gcd(*(f.degree - k for k in f.support)) > 1:
+                continue
+            try:
+                a, b = (guardian_map(f, p) for p in res.bracket)
+            except UnsupportedDegreeError:
+                continue
+            assert min(a, b) <= 0.0 <= max(a, b), (f, mode, a, b)
+            checked += 1
+        assert checked >= 100
+
+    @pytest.mark.parametrize(
+        "coeffs, small",
+        [
+            # P = 124.3, so the first grid power is 4.01.
+            ((0.9872917113706355 - 0.08014250033734097j, 0.03924331383629129 + 0.9962835275391093j), (1.0, 2.0)),
+            # P = 0.314: the onset lies between the first two small powers.
+            ((0j, 0.21484601530011327 - 0.12452718533961812j, 0.0034585253126661096 - 0.03684102930275337j), (1e-3, 1e-2)),
+        ],
+    )
+    def test_onset_below_the_grid_spacing(self, coeffs, small):
+        f = MonicPolynomial(coeffs)
+        res = auto_onset(f, "max")
+        assert res.value < _far_end(f, "max") / SCAN
+        assert small[0] <= res.bracket[0] < res.bracket[1] <= small[1]
+        first = _ladder_onset(f, "max", 1e-6)
+        assert abs(res.value - first.value) < 1e-6
+
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    @pytest.mark.parametrize(
+        "onset, at_zero, ends",
+        [
+            (0.3, Status.MARGINAL, (0.25, 0.5)),  # between two small powers
+            (5e-4, Status.UNSTABLE, (0.0, 1e-3)),  # below them: p = 0 is solved
+        ],
+    )
+    def test_onset_below_the_grid_spacing_when_p_is_huge(
+        self, monkeypatch, mode, onset, at_zero, ends
+    ):
+        """At moduli 0.999999, P is about 693,147 and the first grid power
+        about 22,360; the small powers, and p = 0 below them, still bracket
+        the onset."""
+        m = 0.999999 if mode == "max" else 1 / 0.999999
+        f = MonicPolynomial((m, m))
+
+        def fake_status(row):
+            q = abs(math.log(abs(row[0])) / math.log(m))
+            if q == 0.0:
+                return at_zero
+            return Status.UNSTABLE if q < onset else Status.STABLE
+
+        monkeypatch.setattr(th, "row_statuses", lambda asc: [fake_status(r) for r in asc])
+        assert abs(_far_end(f, mode)) > 693_000
+        res = auto_onset(f, mode)
+        assert abs(abs(res.value) - onset) < 1e-6
+        assert ends[0] <= _unstable_end(res) < _stable_end(res) <= ends[1]
+
+    @staticmethod
+    def _fake_marginal_scan_point(monkeypatch, width):
+        """f = (0.5, 0.5), P = 1: Unstable below the scan power 20/31,
+        Marginal within ``width`` of it, Stable above."""
+        f = MonicPolynomial((0.5, 0.5))
+        q = _far_end(f, "max") * 20 / SCAN
+
+        def fake_status(row):
+            p = math.log(abs(row[0])) / math.log(0.5)
+            if abs(p - q) <= width:
+                return Status.MARGINAL
+            return Status.UNSTABLE if p < q else Status.STABLE
+
+        monkeypatch.setattr(th, "row_statuses", lambda asc: [fake_status(r) for r in asc])
+        return f, q
+
+    def test_marginal_scan_point_closes_out(self, monkeypatch):
+        f, q = self._fake_marginal_scan_point(monkeypatch, 1e-9)
+        res = auto_onset(f, "max", tol=1e-4)
+        assert res.bracket == (q - 0.5e-4, q + 0.5e-4)
+
+    def test_marginal_zone_at_a_scan_point(self, monkeypatch):
+        f, q = self._fake_marginal_scan_point(monkeypatch, 1e-3)
+        with pytest.raises(MarginalZoneError, match=f"p = {q}"):
+            auto_onset(f, "max", tol=1e-4)
+
+    def test_failing_point_below_the_last_unstable_does_not_raise(self, monkeypatch):
+        """A scan batch that fails is solved one power at a time from the
+        top down, so a power below the last Unstable one is never solved."""
+        top = _far_end(F1, "max")
+        monkeypatch.setattr(roots, "_SCHUR_COHN_MAX_DEGREE", 0)
+        want = auto_onset(F1, "max")
+        raised = _failing_solve(monkeypatch, principal_power(F1, top * 5 / SCAN))
+        assert auto_onset(F1, "max") == want
+        assert len(raised) == 1  # the batch, not the walk
+
+    def test_failing_point_above_the_last_unstable_raises(self, monkeypatch):
+        _failing_solve(monkeypatch, principal_power(F1, _far_end(F1, "max") * 30 / SCAN))
+        got = _outcome(auto_onset, F1, "max", 1e-6)
+        assert got[:2] == (UnconvergedError, "forced failure")
+
+    def test_outside_theorem_one_wrong_side_modulus(self):
+        """A modulus on the wrong side of 1 for the mode: the outcome is the
+        first crossing's, errors and texts included."""
+        rng = random.Random(97)
+        for i in range(40):
+            mode = ("max", "min")[i % 2]
+            f = _seeded(rng, mode, 3 + i % 5, i % 4 < 2, (0.05, 0.95) if mode == "max" else (1.05, 4.0))
+            coeffs = list(f.coeffs)
+            k = rng.choice(f.support)
+            coeffs[k] *= (1.2 if mode == "max" else 0.8) / abs(coeffs[k])
+            f = MonicPolynomial(tuple(coeffs))
+            assert _outcome(auto_onset, f, mode, 1e-6) == _outcome(_ladder_onset, f, mode, 1e-6)
+
+    def test_outside_theorem_one_unit_modulus(self):
+        """A modulus exactly 1: a BracketError is the first crossing's, text
+        included.  A value moves by less than tol, unless a strictly
+        Unstable power lies past the first crossing's Stable end; then the
+        first crossing is not p*, and the search for the last one may end
+        in a marginal zone."""
+        rng = random.Random(98)
+        valued = 0
+        for i in range(60):
+            mode = ("max", "min")[i % 2]
+            f = _seeded(rng, mode, 3 + i % 5, i % 4 < 2, (0.05, 0.95) if mode == "max" else (1.05, 4.0))
+            coeffs = list(f.coeffs)
+            coeffs[rng.choice(f.support)] = rng.choice((1, -1, 1j, -1j, 0.6 + 0.8j))
+            f = MonicPolynomial(tuple(coeffs))
+            got, want = _outcome(auto_onset, f, mode, 1e-6), _outcome(_ladder_onset, f, mode, 1e-6)
+            if not isinstance(want, ThresholdResult):
+                assert want[0] is not BracketError or got == want
+                continue
+            valued += 1
+            if not (isinstance(got, ThresholdResult) and abs(got.value - want.value) < 1e-6):
+                assert _unstable_runs(f, mode, _stable_end(want)), (f, mode)
+        assert valued > 0
 
 
 class TestOrderingChain:
