@@ -39,8 +39,9 @@ degree, which bounds the memory of the stacked arrays.  ``find_root_rows``
 is the one place that certifies rows, raises for the first that fails, and
 takes each row's worst root modulus (by ``np.hypot``, which equals Python's
 ``abs`` bit for bit); given a limit, it stops after the first row above it.
-``find_roots_many`` and ``find_roots`` pack polynomials into rows for it and
-wrap its sorted rows in root sets; ``report.sweep`` reads its rows directly.
+``find_roots`` packs one polynomial into a row for it and wraps its sorted
+row in a root set; batch callers, ``report.sweep`` among them, pass their
+rows straight to it.
 
 Branch sets take the same path: ``_branch_blocks`` streams the rows that
 ``BranchSet.rows`` gathers, for the rotation representatives
@@ -54,8 +55,7 @@ the Schur-Cohn recursion decides it from the coefficients alone, on all rows
 of a batch at once and with a running bound on its rounding error, at both
 edges of the boundary band.  The rows it cannot decide, and every row above
 degree 32, go to ``find_root_rows`` as rows, so the roots stay the one
-root-finding path and the only source of moduli.  ``schur_cohn_statuses``
-packs polynomials into rows for it.
+root-finding path and the only source of moduli.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -518,50 +518,22 @@ def find_root_rows(
     return tuple(np.concatenate(columns) for columns in zip(*parts))
 
 
-def _coefficient_rows(polys: list[MonicPolynomial], caller: str) -> np.ndarray:
-    """Ascending coefficients of polynomials of one degree, with the leading
-    1, as one array; the degree cap is checked before it is built."""
-    n = polys[0].degree
-    check_degree(n)
-    if any(f.degree != n for f in polys):
-        raise InvalidInputError(f"{caller} needs polynomials of one degree")
-    return np.array([f.coeffs + (1.0 + 0j,) for f in polys])
-
-
-def find_roots_many(polys: Iterable[MonicPolynomial]) -> list[RootSet]:
-    """Root sets of polynomials of one degree, each exactly as ``find_roots``
-    returns it, solved in batches (``find_root_rows``).
-
-    Raises UnconvergedError for the first polynomial, in input order, whose
-    root set fails to certify; its ``row`` is that polynomial's position.
-    Degrees above MAX_ROOT_DEGREE raise UnsupportedDegreeError before any
-    array is allocated.
-    """
-    polys = list(polys)
-    if not polys:
-        return []
-    z, res, tol, _ = find_root_rows(_coefficient_rows(polys, "find_roots_many"))
-    return _root_sets(z, res, tol)
-
-
 def find_roots(f: MonicPolynomial) -> RootSet:
     """All roots of f, nondecreasing in modulus, certified by reconstruction.
 
     Raises UnconvergedError (with the partial result attached) when neither
-    the first candidate for the degree nor the fallback certifies.
+    the first candidate for the degree nor the fallback certifies; a degree
+    above MAX_ROOT_DEGREE raises UnsupportedDegreeError before any array is
+    allocated.
     """
-    return find_roots_many([f])[0]
+    check_degree(f.degree)  # before the row is built
+    row = np.array([f.coeffs + (1.0 + 0j,)])
+    return _root_sets(*find_root_rows(row)[:3])[0]
 
 
 def is_schur_stable(f: MonicPolynomial) -> StabilityVerdict:
     """Exact stability decision: all roots strictly inside the unit disc."""
     return StabilityVerdict.of(find_roots(f).max_modulus)
-
-
-def is_schur_stable_many(polys: Iterable[MonicPolynomial]) -> list[StabilityVerdict]:
-    """``is_schur_stable`` of each polynomial of one degree, solved in batches
-    by ``find_roots_many``, whose errors it raises."""
-    return [StabilityVerdict.of(rs.max_modulus) for rs in find_roots_many(polys)]
 
 
 @np.errstate(all="ignore")  # a column whose scale overflows is left undecided
@@ -665,14 +637,6 @@ def row_statuses(asc: np.ndarray) -> list[Status]:
         for i, m in zip(rest, worst.tolist()):
             statuses[i] = classify(m)
     return statuses
-
-
-def schur_cohn_statuses(polys: Iterable[MonicPolynomial]) -> list[Status]:
-    """``row_statuses`` of polynomials of one degree, in input order."""
-    polys = list(polys)
-    if not polys:
-        return []
-    return row_statuses(_coefficient_rows(polys, "schur_cohn_statuses"))
 
 
 def _branch_blocks(

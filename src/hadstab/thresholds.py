@@ -16,9 +16,11 @@ Four families of results live here:
   ``roots.row_statuses``: the Schur-Cohn recursion on the coefficients
   decides them, and the root finder only where the recursion cannot.  No
   polynomial object is built per power;
-* a determinant-based boundary indicator (``guardian_map`` /
-  ``guardian_onset``) that vanishes exactly when a root reaches the unit
-  circle and changes sign across simple crossings.
+* a determinant-based boundary indicator (``guardian_map``) that vanishes
+  exactly when a root reaches the unit circle and changes sign across simple
+  crossings.  No search runs on it: it is kept as an oracle independent of
+  the root finder and the Schur-Cohn recursion, against which the onset
+  brackets are checked.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ class Method(str, Enum):
     GRID_SEARCH = "GridSearch"
     EQUATION_SOLVE = "EquationSolve"
     BISECTION = "Bisection"
-    GUARDIAN_MAP = "GuardianMap"
 
 
 class HalfLine(str, Enum):
@@ -613,33 +614,3 @@ def guardian_map(f: MonicPolynomial, p: float) -> float:
     C = _compound2(K)
     det = float(np.linalg.det(C - np.eye(C.shape[0])))
     return float(r(1.0).real * r(-1.0).real * det)
-
-
-def guardian_onset(
-    f: MonicPolynomial,
-    search_interval: tuple[float, float],
-    tol: float = 1e-6,
-) -> ThresholdResult:
-    """Locate a stability onset as a sign change of the guardian map."""
-    _check_tol(tol)
-    lo, hi = _check_interval(search_interval)
-    flo, fhi = guardian_map(f, lo), guardian_map(f, hi)
-    if flo == 0.0 or fhi == 0.0 or (flo > 0) == (fhi > 0):
-        raise BracketError(
-            f"guardian map does not change sign over [{lo}, {hi}]"
-        )
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = guardian_map(f, mid)
-        if fmid == 0.0:
-            lo = hi = mid
-            break
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    return ThresholdResult(
-        Kind.EXACT_ONSET, 0.5 * (lo + hi), Method.GUARDIAN_MAP, (lo, hi)
-    )

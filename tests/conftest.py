@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from hadstab import MonicPolynomial
@@ -29,6 +30,13 @@ def random_monic(
         poly = MonicPolynomial(tuple(coeffs))
         if poly.support:
             return poly
+
+
+def monic_rows(polys) -> np.ndarray:
+    """Ascending coefficients of polynomials of one degree, leading 1
+    included, as the rows ``roots.find_root_rows`` and ``roots.row_statuses``
+    take."""
+    return np.array([f.coeffs + (1.0 + 0j,) for f in polys])
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_monic
+from conftest import monic_rows, random_monic
 from hadstab import (
     InvalidInputError,
     MonicPolynomial,
@@ -25,9 +25,15 @@ from hadstab import (
     report,
     roots,
 )
-from hadstab.roots import MAX_ROOT_DEGREE, branch_root_sets, classify, find_roots_many
+from hadstab.roots import MAX_ROOT_DEGREE, branch_root_sets, classify
 
 F1 = report.EXPERIMENT_POLYS[1]["f"]
+
+
+def _batch(polys):
+    """Root sets of polynomials of one degree from one ``find_root_rows``
+    call on their rows."""
+    return roots._root_sets(*roots.find_root_rows(monic_rows(polys))[:3])
 
 
 def _bits(rs):
@@ -270,18 +276,17 @@ class TestBatchEqualsSingle:
     def test_corpus_covers_unsettled_rows_across_chunks(self):
         big = next(g for g in CORPUS if g[0].degree == 100)
         assert len(big) > roots._CHUNK_ELEMENTS // 100**2
-        asc = np.array([f.coeffs + (1.0 + 0j,) for f in big])
-        _, settled = roots._aberth(asc)
+        _, settled = roots._aberth(monic_rows(big))
         assert not settled.any()
 
     def test_equals_seed_solver(self):
         for group in CORPUS:
-            for rs, f in zip(find_roots_many(group), group):
+            for rs, f in zip(_batch(group), group):
                 assert _bits(rs)[:2] == _seed_find_roots(f)
 
     def test_bit_identical_on_corpus(self):
         for group in CORPUS:
-            batch = find_roots_many(group)
+            batch = _batch(group)
             assert len(batch) == len(group)
             for f, rs in zip(group, batch):
                 assert _bits(rs) == _bits(find_roots(f))
@@ -290,9 +295,9 @@ class TestBatchEqualsSingle:
     def test_chunk_boundaries_do_not_change_results(self, monkeypatch, elements):
         rng = random.Random(5)
         group = [random_monic(rng, 6) for _ in range(20)]
-        whole = [_bits(rs) for rs in find_roots_many(group)]
+        whole = [_bits(rs) for rs in _batch(group)]
         monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", elements)
-        assert [_bits(rs) for rs in find_roots_many(group)] == whole
+        assert [_bits(rs) for rs in _batch(group)] == whole
 
     def test_stalled_rows_match_seed_and_single_solves(self, monkeypatch):
         stalls = {"horner": 0}  # and Aberth's stalls per degree
@@ -333,7 +338,7 @@ class TestBatchEqualsSingle:
         # by Horner's rule), Aberth first at degree 40 (they hit the
         # derivative from the power table).
         for group in CORPUS[1:4] + CORPUS[-1:]:
-            batch = find_roots_many(group)
+            batch = _batch(group)
             for f, rs in zip(group, batch):
                 assert _bits(rs) == _bits(find_roots(f))
                 assert _bits(rs)[:2] == _seed_find_roots(f, **seed)
@@ -353,7 +358,7 @@ class TestBatchEqualsSingle:
         outcomes = set()
         for group in CORPUS:
             live = [f for f in group if f.support]
-            asc = np.array([f.coeffs + (1.0 + 0j,) for f in live])
+            asc = monic_rows(live)
             scale = np.maximum(1.0, np.abs(asc))
             n = asc.shape[1] - 1
             zc = np.linalg.eigvals(roots.companion_matrix(asc[:, :-1]))
@@ -381,10 +386,10 @@ class TestBatchEqualsSingle:
         eps = np.finfo(float).eps
         for group in CORPUS:
             live = [f for f in group if f.support]
-            asc = np.array([f.coeffs + (1.0 + 0j,) for f in live])
+            asc = monic_rows(live)
             moduli = np.array([[abs(c) for c in f.coeffs] + [1.0] for f in live])
             n = asc.shape[1] - 1
-            z = np.array([rs.roots for rs in find_roots_many(live)])
+            z = roots.find_root_rows(asc)[0]
             for points in (z, 1.1 * z, 0.7 * z + 0.1j):
                 vals = np.abs(roots._horner(asc[:, ::-1], points))
                 scale, zp = np.ones_like(vals), np.ones_like(points)
@@ -395,20 +400,11 @@ class TestBatchEqualsSingle:
                 got = roots._scaled_residuals(asc, moduli, points)
                 assert (np.abs(got - want) <= 4 * (n + 1) * eps).all()
 
-    def test_accepts_a_lazy_stream(self):
-        group = CORPUS[2]
-        assert [_bits(rs) for rs in find_roots_many(iter(group))] == [
-            _bits(rs) for rs in find_roots_many(group)
-        ]
-
 
 class TestBatchContract:
     def test_empty(self):
-        assert find_roots_many([]) == []
-
-    def test_mixed_degrees_rejected(self):
-        with pytest.raises(InvalidInputError):
-            find_roots_many([MonicPolynomial((0.5,)), MonicPolynomial((0.5, 0.1))])
+        z, res, tol, worst = roots.find_root_rows(np.zeros((0, 6), dtype=complex))
+        assert (z.shape, res.shape, tol.shape, worst.shape) == ((0, 5), (0, 5), (0,), (0,))
 
     def test_degree_cap_before_allocation(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -430,7 +426,7 @@ class TestBatchContract:
         )
         monkeypatch.setattr(roots, "_tolerances", _tolerances_failing(bad, 1.0))
         with pytest.raises(UnconvergedError) as info:
-            find_roots_many(group)
+            roots.find_root_rows(monic_rows(group))
         assert info.value.row == 5
         assert len(info.value.partial.roots) == 4
 
@@ -467,10 +463,10 @@ class TestRowLimit:
         monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", elements)
         rng = random.Random(71)
         for group in (self.POWERS, [random_monic(rng, 5, (0.05, 1.2)) for _ in range(40)]):
-            asc = np.array([f.coeffs + (1.0 + 0j,) for f in group])
+            asc = monic_rows(group)
             full = roots.find_root_rows(asc)
             worst = full[3]
-            assert worst.tolist() == [rs.max_modulus for rs in find_roots_many(group)]
+            assert worst.tolist() == [find_roots(f).max_modulus for f in group]
             size = roots.chunk_rows(5)
             # Cut at the first row, at rows inside the group (a row equal to
             # the limit does not cut), and nowhere.
@@ -489,7 +485,7 @@ class TestRowLimit:
 
     @pytest.mark.parametrize("after", [1, 3], ids=["same chunk", "later chunk"])
     def test_uncertified_row_after_the_stop_does_not_raise(self, monkeypatch, after):
-        asc = np.array([f.coeffs + (1.0 + 0j,) for f in self.POWERS])
+        asc = monic_rows(self.POWERS)
         limit = 1.0 + roots.BOUNDARY_BAND
         monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 3 * 25)
         full = roots.find_root_rows(asc)
@@ -517,10 +513,10 @@ class TestFallback:
     def test_eigenvalue_failure_falls_back_to_aberth(self, monkeypatch, aberth_calls):
         rng = random.Random(11)
         group = [random_monic(rng, 5) for _ in range(6)]
-        whole = find_roots_many(group)
+        whole = _batch(group)
         assert aberth_calls == []
         monkeypatch.setattr(roots, "_eigenvalues", _spoiled(roots._eigenvalues, group[2]))
-        spoiled = find_roots_many(group)
+        spoiled = _batch(group)
         assert aberth_calls == [(1, 6)]  # that row alone
         za, settled = roots._aberth(np.array([group[2].coeffs + (1.0 + 0j,)]))
         assert settled[0]
@@ -533,7 +529,7 @@ class TestFallback:
         self, eigvals_calls, aberth_calls
     ):
         big = next(g for g in CORPUS if g[0].degree == 100)
-        batch = find_roots_many(big)  # one row per chunk at degree 100
+        batch = _batch(big)  # one row per chunk at degree 100
         assert aberth_calls == [(1, 101)] * len(big)
         assert eigvals_calls == [(1, 100, 100)] * len(big)
         for f, rs in zip(big, batch):
@@ -542,10 +538,10 @@ class TestFallback:
 
     def test_fallback_runs_on_failed_rows_only(self, monkeypatch, eigvals_calls):
         group = CORPUS[-1]  # degree 40, chunks of 5 and 2 rows
-        whole = find_roots_many(group)
+        whole = _batch(group)
         assert eigvals_calls == []
         monkeypatch.setattr(roots, "_aberth", _spoiled(roots._aberth, group[1], group[6]))
-        spoiled = find_roots_many(group)
+        spoiled = _batch(group)
         assert eigvals_calls == [(1, 40, 40), (1, 40, 40)]
         for i in (1, 6):
             zc, _ = roots._eigenvalues(np.array([group[i].coeffs + (1.0 + 0j,)]))
@@ -561,7 +557,7 @@ class TestFallback:
         monkeypatch.setattr(roots, "_MAX_SWEEPS", 0)  # no row settles
         monkeypatch.setattr(roots, "_eigenvalues", _spoiled(roots._eigenvalues, group[6]))
         with pytest.raises(UnconvergedError, match="failed to certify") as info:
-            find_roots_many(group)
+            roots.find_root_rows(monic_rows(group))
         assert info.value.row == 6  # second chunk, row 2
         # The partial holds the eigenvalues, never an iterate that did not
         # settle.
@@ -657,7 +653,7 @@ def _reference_verdict(bset):
     member polynomial at a time: stop at the first Unstable member, the worst
     modulus through it, else over all of them."""
     worst, all_stable = 0.0, True
-    for rs in find_roots_many(bset.members(bset.rotation_representatives())):
+    for rs in _batch(bset.members(bset.rotation_representatives())):
         worst = max(worst, rs.max_modulus)
         status = classify(rs.max_modulus)
         if status is Status.UNSTABLE:
@@ -696,7 +692,7 @@ def _branch_corpus():
 class TestBranchSetAgreement:
     def test_equals_member_solves(self):
         """Status and max_modulus equal, bit for bit, the verdict folded from
-        ``find_roots_many`` on the member polynomials."""
+        ``find_root_rows`` on the member polynomials."""
         counts = {s: 0 for s in Status}
         supports = set()
         for f, p in _branch_corpus():
@@ -714,18 +710,18 @@ class TestBranchSetAgreement:
 
     def test_root_sets_equal_member_solves(self):
         """``branch_root_sets``, gathered from the branch table, equals
-        ``find_roots_many`` on the member polynomials bit for bit, in
+        ``find_root_rows`` on the member polynomials bit for bit, in
         enumeration order."""
         for f, p in _branch_corpus()[::4]:
             bset = hadamard_power(f, p)
-            expected = [_bits(rs) for rs in find_roots_many(bset)]
+            expected = [_bits(rs) for rs in _batch(bset)]
             assert [_bits(rs) for rs in branch_root_sets(bset)] == expected, (f, p)
 
     def test_root_sets_across_chunks(self, monkeypatch):
         """The same with three rows a chunk: 27 members in nine blocks."""
         f = MonicPolynomial((0.05, 0.04j, 0.03, -0.02))
         bset = hadamard_power(f, RationalExponent(1, 3))
-        expected = [_bits(rs) for rs in find_roots_many(bset)]
+        expected = [_bits(rs) for rs in _batch(bset)]
         monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 3 * 16)
         assert roots.chunk_rows(4) == 3
         assert [_bits(rs) for rs in branch_root_sets(bset)] == expected
@@ -752,7 +748,7 @@ def _sweep_per_polynomial(f, powers):
     ps = sorted(powers)
     return [
         report.SweepRecord(p, classify(rs.max_modulus) is Status.STABLE, rs.max_modulus, rs.roots)
-        for p, rs in zip(ps, find_roots_many(principal_power(f, p) for p in ps))
+        for p, rs in zip(ps, _batch(principal_power(f, p) for p in ps))
     ]
 
 
@@ -870,7 +866,7 @@ class TestWorkCounters:
         clusters = _dyadic_clusters()
         assert len(clusters) == 50
         for k in sorted({f.degree for f in clusters}):
-            find_roots_many([f for f in clusters if f.degree == k])
+            roots.find_root_rows(monic_rows(f for f in clusters if f.degree == k))
         for f in clusters:
             find_roots(f)
         assert aberth_calls == []
@@ -899,7 +895,7 @@ class TestWorkCounters:
         bset = hadamard_power(f, RationalExponent(1, 3))
         statuses = [
             classify(rs.max_modulus)
-            for rs in find_roots_many(bset.members(bset.rotation_representatives()))
+            for rs in _batch(bset.members(bset.rotation_representatives()))
         ]
         assert len(statuses) == 27
         assert statuses.index(Status.UNSTABLE) == 15

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_monic
+from conftest import monic_rows, random_monic
 from hadstab import (
     BOUNDARY_BAND,
     BracketError,
@@ -23,15 +23,13 @@ from hadstab import (
     fujiwara_bound,
     hadamard_power,
     is_schur_stable,
-    is_schur_stable_many,
     principal_power,
     principal_rows,
     real_form,
-    schur_cohn_statuses,
     synthesize_witness,
 )
 from hadstab import roots
-from hadstab.roots import classify, find_roots_many
+from hadstab.roots import classify, find_root_rows, row_statuses
 
 F1 = MonicPolynomial((0.7, 0.2, 0.9, 0.0, 0.0))
 # Its principal power at p = 128 has coefficients up to about 1e69, and
@@ -318,6 +316,12 @@ def _cluster(n=7, r=Fraction(127, 128)):
     )
 
 
+def _root_statuses(polys):
+    """The status of each polynomial from its largest root modulus, all
+    solved as one batch of rows."""
+    return [classify(m) for m in find_root_rows(monic_rows(polys))[3].tolist()]
+
+
 def _no_roots(monkeypatch):
     def refuse(asc):
         raise AssertionError("root finder called")
@@ -336,8 +340,8 @@ class TestSchurCohnStatuses:
             moduli = (0.05, 0.95) if i % 2 == 0 else (1.05, 4.0)
             f = random_monic(rng, 3 + i % 6, moduli, density=0.7, real=i % 4 < 2)
             polys = [principal_power(f, p) for p in np.linspace(-4.0, 6.0, 64)]
-            got = roots._recursion_statuses(np.array([g.coeffs + (1.0 + 0j,) for g in polys]))
-            want = [v.status for v in is_schur_stable_many(polys)]
+            got = roots._recursion_statuses(monic_rows(polys))
+            want = _root_statuses(polys)
             assert [w for g, w in zip(got, want) if g is not None] == [
                 g for g in got if g is not None
             ]
@@ -355,16 +359,16 @@ class TestSchurCohnStatuses:
         for rho in (1.0 - BOUNDARY_BAND, 1.0 + BOUNDARY_BAND):
             _, decided = roots._schur_cohn((asc * rho ** np.arange(8))[:, None])
             assert not decided[0]
-        assert schur_cohn_statuses([f]) == [is_schur_stable(f).status]
+        assert row_statuses(monic_rows([f])) == [is_schur_stable(f).status]
 
     def test_marginal_without_roots(self, monkeypatch):
         _no_roots(monkeypatch)
-        assert schur_cohn_statuses([MonicPolynomial((1.0, 0.0))]) == [Status.MARGINAL]
+        assert row_statuses(monic_rows([MonicPolynomial((1.0, 0.0))])) == [Status.MARGINAL]
 
     def test_decides_without_roots(self, monkeypatch):
         _no_roots(monkeypatch)
         polys = [MonicPolynomial((0.25, 0.0)), MonicPolynomial((-0.5, 2.0))]
-        assert schur_cohn_statuses(polys) == [Status.STABLE, Status.UNSTABLE]
+        assert row_statuses(monic_rows(polys)) == [Status.STABLE, Status.UNSTABLE]
 
     def test_undecided_rows_grow_with_degree(self):
         """The measurement behind the degree cap: of 200 rows with roots
@@ -400,11 +404,11 @@ class TestSchurCohnStatuses:
 
         monkeypatch.setattr(roots, "_schur_cohn", recording)
         above = MonicPolynomial((0.5,) + (0j,) * cap)
-        assert schur_cohn_statuses([above]) == [is_schur_stable(above).status]
+        assert row_statuses(monic_rows([above])) == [is_schur_stable(above).status]
         assert degrees == []
         at = MonicPolynomial((0.5,) + (0j,) * (cap - 1))
         _no_roots(monkeypatch)
-        assert schur_cohn_statuses([at]) == [Status.STABLE]
+        assert row_statuses(monic_rows([at])) == [Status.STABLE]
         assert degrees == [cap]
 
     def test_batch_equals_single(self):
@@ -415,9 +419,9 @@ class TestSchurCohnStatuses:
             _cluster(5),  # undecided, solved by roots
             MonicPolynomial((0.5, 0j, 0j, 0j, 0j)),
         ]
-        batch = schur_cohn_statuses(polys)
-        assert batch == [schur_cohn_statuses([g])[0] for g in polys]
-        assert batch == [v.status for v in is_schur_stable_many(polys)]
+        batch = row_statuses(monic_rows(polys))
+        assert batch == [row_statuses(monic_rows([g]))[0] for g in polys]
+        assert batch == _root_statuses(polys)
         assert set(batch) == set(Status)
 
     def test_fallback_error_names_the_row(self, monkeypatch):
@@ -429,13 +433,11 @@ class TestSchurCohnStatuses:
         monkeypatch.setattr(roots, "_solve_chunk", failing)
         decided = MonicPolynomial((0.25,) + (0j,) * 6)
         with pytest.raises(UnconvergedError) as err:
-            schur_cohn_statuses([decided, decided, bad])
+            row_statuses(monic_rows([decided, decided, bad]))
         assert err.value.row == 2
 
-    def test_one_degree(self):
-        with pytest.raises(InvalidInputError, match="one degree"):
-            schur_cohn_statuses([MonicPolynomial((0.5,)), MonicPolynomial((0.5, 0.0))])
-        assert schur_cohn_statuses([]) == []
+    def test_empty_batch(self):
+        assert row_statuses(np.zeros((0, 3), dtype=complex)) == []
 
 
 class TestBranchSetStable:
@@ -474,7 +476,7 @@ class TestBranchSetStable:
 
     def test_orbit_reduction_matches_full_enumeration(self):
         """Against an independent reference: ``classify`` of the largest
-        modulus over ``find_roots_many`` of every member polynomial."""
+        modulus over the roots of every member, gathered by ``bset.rows``."""
         rng = random.Random(41)
         counts = {s: 0 for s in Status}
         for i in range(150):
@@ -491,7 +493,7 @@ class TestBranchSetStable:
             if len(bset) > 400:
                 continue
             reduced = branch_set_stable(bset)
-            worst = max(rs.max_modulus for rs in find_roots_many(bset))
+            worst = float(find_root_rows(bset.rows(list(bset.indices())))[3].max())
             status = classify(worst)
             assert reduced.status is status, (f, p)
             if status is Status.STABLE:

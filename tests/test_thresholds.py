@@ -25,7 +25,6 @@ from hadstab import (
     branch_set_stable,
     exact_onset,
     guardian_map,
-    guardian_onset,
     hadamard_power,
     is_schur_stable,
     kstar_test,
@@ -886,16 +885,6 @@ class TestGuardianMap:
         with pytest.raises(UnsupportedDegreeError):
             guardian_map(f, 1.0)
 
-    def test_guardian_onset_agrees_with_bisection(self):
-        root_loc = exact_onset(F1, "increasing", (0.0, 5.0), tol=1e-6)
-        det_loc = guardian_onset(F1, (3.0, 4.0), tol=1e-6)
-        assert det_loc.method is Method.GUARDIAN_MAP
-        assert det_loc.value == pytest.approx(root_loc.value, abs=1e-4)
-
-    def test_guardian_onset_requires_sign_change(self):
-        with pytest.raises(BracketError):
-            guardian_onset(F1, (4.0, 5.0))
-
 
 class TestInputBounds:
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
@@ -905,9 +894,8 @@ class TestInputBounds:
             lambda tol: auto_onset(F1, "max", tol),
             lambda tol: exact_onset(F1, "increasing", (0.0, 5.0), tol),
             lambda tol: pstar_exact(F1, "max", tol),
-            lambda tol: guardian_onset(F1, (3.0, 4.0), tol),
         ],
-        ids=["auto_onset", "exact_onset", "pstar_exact", "guardian_onset"],
+        ids=["auto_onset", "exact_onset", "pstar_exact"],
     )
     def test_tolerance_must_be_positive_and_finite(self, search, tol):
         with pytest.raises(InvalidInputError, match="tol must be positive and finite"):
@@ -918,11 +906,8 @@ class TestInputBounds:
     )
     @pytest.mark.parametrize(
         "search",
-        [
-            lambda interval: exact_onset(F1, "increasing", interval),
-            lambda interval: guardian_onset(F1, interval),
-        ],
-        ids=["exact_onset", "guardian_onset"],
+        [lambda interval: exact_onset(F1, "increasing", interval)],
+        ids=["exact_onset"],
     )
     def test_interval_must_be_finite(self, search, interval):
         with pytest.raises(InvalidInputError, match=r"search interval \[.*\] must be finite"):
