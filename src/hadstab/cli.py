@@ -58,20 +58,12 @@ def _load_poly(path: str) -> tuple[MonicPolynomial, float | None]:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int of over 4,300 digits
         raise InvalidInputError(f"{path}: malformed JSON ({exc})") from exc
     if isinstance(obj, dict) and "terms" in obj:
         alpha, poly = to_integer_order(FractionalPolynomial.from_json(obj))
         return poly, float(alpha)
     return MonicPolynomial.from_json(obj), None
-
-
-def _make_out_dir(path: str) -> Path:
-    """Create --out before anything is solved, so that a bad one fails fast
-    (exit 2, "cannot write ...")."""
-    out_dir = Path(path)
-    report.write_artifacts(out_dir, {})
-    return out_dir
 
 
 def _emit(payload: dict) -> None:
@@ -174,7 +166,8 @@ def cmd_threshold(args) -> int:
 def cmd_sweep(args) -> int:
     f, _ = _load_poly(args.poly)
     powers = report.sweep_powers(getattr(args, "from"), args.to, args.step)
-    out_dir = _make_out_dir(args.out)
+    out_dir = Path(args.out)
+    report.write_artifacts(out_dir, {})  # before the solve, so a bad --out fails fast
     records = report.sweep(f, powers)
     artifacts = {"sweep.csv": report.sweep_csv(records, f.degree)}
     if records:
@@ -192,7 +185,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    out_dir = _make_out_dir(args.out)
+    out_dir = Path(args.out)
     payload = report.reproduce_example(args.example, out_dir)
     _emit({"out": str(out_dir), "comparison": payload["comparison"]})
     return 0

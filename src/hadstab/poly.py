@@ -7,7 +7,9 @@ polynomial, complex conjugation, the real form ``conj(f) * f``, and the
 reduction of commensurate fractional-order polynomials to ordinary ones.
 
 Coefficients are stored ascending, ``a_0`` first, with the leading 1 implicit,
-so list index k matches the power of s it multiplies.
+so list index k matches the power of s it multiplies.  Every coefficient of
+every power, principal rows and branch tables alike, is |a_k|^p e^{i(p arg a_k
++ t)} evaluated by one function, ``_polar_powers``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import cmath
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -41,15 +44,27 @@ def _digit_count(m: int) -> int:
 
 
 def _finite_coeffs(values: Iterable) -> tuple[complex, ...]:
-    cs = tuple(complex(c) for c in values)
-    if not all(map(cmath.isfinite, cs)):
+    """``values`` as complex numbers, refused unless all are finite; an int
+    beyond the float range is not."""
+    try:
+        cs = tuple(complex(c) for c in values)
+        finite = all(map(cmath.isfinite, cs))
+    except OverflowError:
+        finite = False
+    if not finite:
         raise InvalidInputError("coefficients must be finite")
     return cs
 
 
-def _is_number(x) -> bool:
-    """A JSON number; booleans are ints to Python but not numbers here."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _json_coeff(pair, name: str) -> complex:
+    """A JSON ``[re, im]`` pair as a finite complex; booleans are not numbers here."""
+    numbers = isinstance(pair, Sequence) and len(pair) == 2 and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair
+    )
+    if not numbers:
+        raise InvalidInputError(f"{name} must be an [re, im] pair")
+    re, im = _finite_coeffs(pair)
+    return complex(re.real, im.real)
 
 
 @dataclass(frozen=True)
@@ -112,16 +127,7 @@ class MonicPolynomial:
             raise InvalidInputError("degree must be a positive integer")
         if not isinstance(pairs, Sequence) or len(pairs) != degree:
             raise InvalidInputError("coeffs must list exactly `degree` [re, im] pairs")
-        coeffs = []
-        for pair in pairs:
-            if (
-                not isinstance(pair, Sequence)
-                or len(pair) != 2
-                or not all(map(_is_number, pair))
-            ):
-                raise InvalidInputError("each coefficient must be an [re, im] pair")
-            coeffs.append(complex(pair[0], pair[1]))
-        return cls(tuple(coeffs))
+        return cls(tuple(_json_coeff(pair, "each coefficient") for pair in pairs))
 
 
 def all_ones(n: int) -> MonicPolynomial:
@@ -162,9 +168,6 @@ class RationalExponent:
     @property
     def is_integer(self) -> bool:
         return self.den == 1
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
 
     def __str__(self) -> str:
         return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
@@ -258,17 +261,15 @@ class BranchSet:
 
     @functools.cached_property
     def table(self) -> np.ndarray:
-        """The (|support|, m) array of the m values (root l = 0..m-1) of each
-        nonzero coefficient, (0, 0) with no support.  Built on first use; a
-        power that overflows raises InvalidInputError then.
+        """The (|support|, m) array of the m values of each nonzero
+        coefficient, ``_polar_powers`` at (num/m, 2 pi l/m), l = 0..m-1;
+        (0, 0) with no support, whatever m.  Built on first use; a power
+        that overflows raises InvalidInputError then.
         """
-        f, m = self.base, self.exponent.den
+        m = self.exponent.den
         pval = self.exponent.num / m
-        values = [
-            [_power_coeff(f.coeffs[k], pval, 2.0 * math.pi * l / m) for l in range(m)]
-            for k in f.support
-        ]
-        return np.array(values, dtype=complex).reshape(len(values), m if values else 0)
+        angles = range(m if self.base.support else 0)
+        return _polar_powers(self.base, [(pval, 2.0 * math.pi * l / m) for l in angles])
 
     def rows(self, indices: Sequence[Sequence[int]]) -> np.ndarray:
         """The members for the branch ``indices``, gathered from ``table`` as
@@ -297,31 +298,44 @@ class BranchSet:
         return next(self.members([(0,) * len(self.base.support)]))
 
 
-def _polar_power(r: float, theta: float, p: float, extra_angle: float = 0.0) -> complex:
-    """r^p (cos(p theta + extra) + i sin(p theta + extra)): the one expression
-    behind every principal and branch coefficient, so that
-    ``principal_rows`` has ``principal_power``'s bits."""
-    ang = p * theta + extra_angle
+def _polar_power(r: float, theta: float, p: float, t: float) -> complex:
+    """r^p (cos(p theta + t) + i sin(p theta + t)), the one expression behind
+    every coefficient of every power."""
+    ang = p * theta + t
     return r**p * complex(math.cos(ang), math.sin(ang))
 
 
-def _power_coeff(a: complex, p: float, extra_angle: float = 0.0) -> complex:
-    """|a|^p (cos(p arg a + extra) + i sin(p arg a + extra)); 0 maps to 0."""
-    if a == 0:
-        return 0j
+def _polar_powers(f: MonicPolynomial, pairs: Sequence[tuple[float, float]]) -> np.ndarray:
+    """The (|support|, len(pairs)) array of ``_polar_power`` at |a_k|, arg a_k
+    (principal) for each nonzero a_k, ascending, and each (p, t) in ``pairs``.
+
+    Elements use Python's ``**`` and libm's cos and sin, so their bits are the
+    same on every host; numpy's ``power`` differs from ``**`` in the last bit
+    on some pairs, and its vectorized ``cos`` and ``sin`` may differ from
+    libm's.  A non-finite element raises InvalidInputError for the first
+    failing pair, at its first failing a_k: ``|a|^p overflows ...`` where
+    ``**`` overflows, else ``coefficients must be finite``.
+    """
+    polar = [(a, abs(a), cmath.phase(a)) for a in f.coeffs if a != 0]
     try:
-        # principal argument in (-pi, pi]
-        c = _polar_power(abs(a), cmath.phase(a), p, extra_angle)
-        finite = cmath.isfinite(c)
-    except OverflowError:
-        raise InvalidInputError(
-            f"|{a}|^{p} overflows the floating-point range"
-        ) from None
-    except ValueError:  # math.cos of an infinite angle
+        out = np.array(
+            [[_polar_power(r, theta, p, t) for p, t in pairs] for _, r, theta in polar],
+            dtype=complex,
+        ).reshape(len(polar), len(pairs))
+        finite = bool(np.isfinite(out).all())
+    except (OverflowError, ValueError):  # |a_k|^p overflows; cos(inf)
         finite = False
-    if not finite:  # p is NaN or infinite, or p arg a overflows
-        raise InvalidInputError("coefficients must be finite")
-    return c
+    if not finite:  # the scan, pair by pair, raises at the first failure
+        for (p, t), (a, r, theta) in itertools.product(pairs, polar):
+            try:
+                c = _polar_power(r, theta, p, t)
+            except OverflowError:
+                raise InvalidInputError(f"|{a}|^{p} overflows the floating-point range") from None
+            except ValueError:  # math.cos of an infinite angle
+                c = complex(math.nan)
+            if not cmath.isfinite(c):
+                raise InvalidInputError("coefficients must be finite")
+    return out
 
 
 def hadamard_product(f: MonicPolynomial, g: MonicPolynomial) -> MonicPolynomial:
@@ -360,41 +374,27 @@ def hadamard_power(f: MonicPolynomial, p) -> BranchSet:
 
 
 def principal_power(f: MonicPolynomial, p: float) -> MonicPolynomial:
-    """Principal branch of f^[p] for an arbitrary real exponent.
+    """Principal branch of f^[p] for an arbitrary real exponent: the row of
+    ``principal_rows(f, [p])``, with its errors.
 
     Coefficient k becomes |a_k|^p e^{i p arg(a_k)} with the principal
-    argument; zero coefficients stay zero.  This is the single-valued path
-    used by power sweeps and onset bisection.
+    argument; zero coefficients stay zero.
     """
-    return MonicPolynomial(tuple(_power_coeff(a, p) for a in f.coeffs))
+    return MonicPolynomial(tuple(principal_rows(f, [p])[0, :-1].tolist()))
 
 
 def principal_rows(f: MonicPolynomial, ps: Sequence[float]) -> np.ndarray:
-    """``principal_power(f, p)`` for every p in ``ps``, as the rows of one
-    ``(len(ps), n + 1)`` complex array of ascending coefficients with the
-    leading 1.
+    """The principal branches of f^[p] for every p in ``ps``, as the rows of
+    one ``(len(ps), n + 1)`` complex array of ascending coefficients with
+    the leading 1; the power sweeps and onset searches read these rows.
 
-    |a_k| and arg(a_k) are taken once per coefficient; each element is then
-    ``_polar_power``, the expression ``_power_coeff`` evaluates, so its bits
-    are those of ``principal_power`` on every host.  (numpy's ``power``
-    differs from ``**`` in the last bit on some pairs, and its vectorized
-    ``cos`` and ``sin`` may differ from libm's.)  A power that overflows a coefficient,
-    or makes one non-finite, raises the InvalidInputError ``principal_power``
-    raises for the first such power.
+    The support columns are ``_polar_powers`` at (p, 0), so ``principal_power``
+    has these bits by construction.  A power that overflows a coefficient, or
+    makes one non-finite, raises InvalidInputError for the first such power.
     """
-    n = f.degree
-    rows = np.zeros((len(ps), n + 1), dtype=complex)
-    rows[:, n] = 1.0
-    try:
-        for k in f.support:
-            r, theta = abs(f.coeffs[k]), cmath.phase(f.coeffs[k])
-            rows[:, k] = [_polar_power(r, theta, p) for p in ps]
-        finite = bool(np.isfinite(rows).all())
-    except (OverflowError, ValueError):  # |a_k|^p overflows; cos(inf)
-        finite = False
-    if not finite:
-        for p in ps:
-            principal_power(f, p)  # raises for the first power that fails
+    rows = np.zeros((len(ps), f.degree + 1), dtype=complex)
+    rows[:, -1] = 1.0
+    rows[:, list(f.support)] = _polar_powers(f, [(p, 0.0) for p in ps]).T
     return rows
 
 
@@ -445,7 +445,6 @@ class FractionalPolynomial:
     """
 
     terms: tuple[tuple[Fraction, complex], ...]
-    commensurate_base: Fraction | None = None
 
     def __post_init__(self):
         if not self.terms:
@@ -458,20 +457,11 @@ class FractionalPolynomial:
             raise InvalidInputError("powers must be positive except a constant term")
         if powers[0] <= 0:
             raise InvalidInputError("leading power must be positive")
+        if powers[0] > sys.float_info.max:  # the base is reported as a float
+            raise InvalidInputError("leading power overflows the floating-point range")
         if terms[0][1] != 1:
             raise InvalidInputError("leading coefficient must be exactly 1")
-        base = self.commensurate_base
-        if base is not None:
-            base = _as_power(base)
-            if base <= 0:
-                raise InvalidInputError("commensurate base must be positive")
-            for p in powers:
-                if (p / base).denominator != 1:
-                    raise InvalidInputError(
-                        f"power {p} is not an integer multiple of base {base}"
-                    )
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "commensurate_base", base)
 
     def to_json(self) -> dict:
         out = []
@@ -503,14 +493,7 @@ class FractionalPolynomial:
                 raise InvalidInputError("'pow' must be a pair of integers, denominator nonzero")
             power = Fraction(pw[0], pw[1])
             if "coeff" in entry:
-                pair = entry["coeff"]
-                if (
-                    not isinstance(pair, Sequence)
-                    or len(pair) != 2
-                    or not all(map(_is_number, pair))
-                ):
-                    raise InvalidInputError("'coeff' must be an [re, im] pair")
-                coeff = complex(pair[0], pair[1])
+                coeff = _json_coeff(entry["coeff"], "'coeff'")
                 if i == 0 and coeff != 1:
                     raise InvalidInputError("leading coefficient must be 1")
             elif i == 0:

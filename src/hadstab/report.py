@@ -30,6 +30,9 @@ SVG_NS = "http://www.w3.org/2000/svg"
 # and a row of the CSV and SVG.
 MAX_SWEEP_POWERS = 1 << 16
 
+_SVG_SIZE = 560  # pixels, width and height of a sweep's SVG
+_GRID_N = 1000  # lattice resolution of the grid thresholds ``reproduce_example`` reports
+
 
 def round12(x: float) -> float:
     """Round to 12 significant digits; fixes the emitted float format."""
@@ -137,7 +140,7 @@ def sweep_csv(records: Sequence[SweepRecord], degree: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_svg(records: Sequence[SweepRecord], size: int = 560) -> str:
+def sweep_svg(records: Sequence[SweepRecord]) -> str:
     """Scatter of every root over the sweep with the unit circle drawn.
 
     Markers are black on the unstable side and gray on the stable side.  The
@@ -148,8 +151,8 @@ def sweep_svg(records: Sequence[SweepRecord], size: int = 560) -> str:
     for rec in records:
         for z in rec.roots:
             half = max(half, 1.05 * abs(z))
-    scale = (size / 2) / half
-    cx = cy = size / 2
+    scale = (_SVG_SIZE / 2) / half
+    cx = cy = _SVG_SIZE / 2
 
     def sx(v: float) -> str:
         return f"{cx + v * scale:.2f}"
@@ -158,8 +161,8 @@ def sweep_svg(records: Sequence[SweepRecord], size: int = 560) -> str:
         return f"{cy - v * scale:.2f}"
 
     parts = [
-        f'<svg xmlns="{SVG_NS}" version="1.1" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
+        f'<svg xmlns="{SVG_NS}" version="1.1" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
+        f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
         f'  <circle class="unit-circle" cx="{cx}" cy="{cy}" r="{scale:.2f}" '
         'fill="none" stroke="#404040" stroke-width="1"/>',
     ]
@@ -211,7 +214,7 @@ def _table_row(name: str, computed: float, reference: float) -> dict:
     }
 
 
-def reproduce_example(example: int, out_dir: Path, grid_n: int = 1000) -> dict:
+def reproduce_example(example: int, out_dir: Path) -> dict:
     """Recompute one built-in experiment end to end and write its artifacts.
 
     The output directory receives report.json, table.csv (computed vs
@@ -228,8 +231,8 @@ def reproduce_example(example: int, out_dir: Path, grid_n: int = 1000) -> dict:
     g = EXPERIMENT_POLYS[example]["g"]
     refs = REFERENCE_VALUES[example]
 
-    grid_f = pstar_grid(f, "max", grid_n)
-    grid_g = pstar_grid(g, "min", grid_n)
+    grid_f = pstar_grid(f, "max", _GRID_N)
+    grid_g = pstar_grid(g, "min", _GRID_N)
     exact_f = pstar_exact(f, "max")
     exact_g = pstar_exact(g, "min")
     onset_f = auto_onset(f, "max", tol=1e-6)
@@ -251,7 +254,7 @@ def reproduce_example(example: int, out_dir: Path, grid_n: int = 1000) -> dict:
     report = {
         "example": example,
         "inputs": {"f": f.to_json(), "g": g.to_json()},
-        "grid_n": grid_n,
+        "grid_n": _GRID_N,
         "thresholds": {
             "f_pstar_max_grid": grid_f.to_json(),
             "g_pstar_min_grid": grid_g.to_json(),

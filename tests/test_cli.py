@@ -137,6 +137,26 @@ class TestAnalyze:
             '{"degree": 1, "coeffs": [[true, false]]}',
             '{"terms": [{"pow": [3, 2]}, {"pow": [1, 2], "coeff": [NaN, 0]}]}',
             '{"terms": [{"pow": [3, 2]}, {"pow": [true, 2], "coeff": [0.5, 0]}]}',
+            # Integers beyond the float range, and a literal beyond Python's
+            # 4,300-digit limit on reading an int.
+            pytest.param(
+                '{"degree": 1, "coeffs": [[1%s, 0]]}' % ("0" * 400), id="400-digit-coeff"
+            ),
+            pytest.param(
+                '{"degree": 2, "coeffs": [[0.5, 0], [0, -1%s]]}' % ("0" * 4000),
+                id="4000-digit-coeff",
+            ),
+            pytest.param(
+                '{"terms": [{"pow": [3, 2]}, {"pow": [1, 2], "coeff": [1%s, 0]}]}'
+                % ("0" * 4000),
+                id="4000-digit-term-coeff",
+            ),
+            pytest.param(
+                '{"degree": 1%s, "coeffs": [[0.5, 0]]}' % ("0" * 5000), id="5000-digit-degree"
+            ),
+            pytest.param(
+                '{"terms": [{"pow": [1%s, 1]}]}' % ("0" * 400), id="400-digit-pow"
+            ),
         ],
     )
     def test_non_finite_and_boolean_input(self, capsys, tmp_path, text):
@@ -621,8 +641,8 @@ class TestOutputDirectory:
         def refuse(*args):
             raise AssertionError("solved before --out was checked")
 
-        monkeypatch.setattr(hadstab.report, "sweep", refuse)
-        monkeypatch.setattr(hadstab.report, "reproduce_example", refuse)
+        for solver in ("sweep", "pstar_grid", "pstar_exact", "auto_onset"):
+            monkeypatch.setattr(hadstab.report, solver, refuse)
         if command == "sweep":
             argv = ["sweep", "--poly", files["f1"], "--from", "1", "--to", "3", "--step", "1"]
         else:

@@ -111,7 +111,7 @@ class TestRound12:
 class TestReproduce:
     def test_example_one_artifacts(self, tmp_path):
         out = tmp_path / "rep"
-        payload = reproduce_example(1, out, grid_n=200)
+        payload = reproduce_example(1, out)
         names = {p.name for p in out.iterdir()}
         assert names == {
             "report.json",
@@ -134,8 +134,8 @@ class TestReproduce:
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        reproduce_example(1, a, grid_n=100)
-        reproduce_example(1, b, grid_n=100)
+        reproduce_example(1, a)
+        reproduce_example(1, b)
         for name in ("report.json", "table.csv", "sweep_f.csv", "sweep_f.svg"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
