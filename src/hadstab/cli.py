@@ -54,7 +54,7 @@ def _load_poly(path: str) -> tuple[MonicPolynomial, float | None]:
     """
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     try:
         obj = json.loads(text)
@@ -62,7 +62,10 @@ def _load_poly(path: str) -> tuple[MonicPolynomial, float | None]:
         raise InvalidInputError(f"{path}: malformed JSON ({exc})") from exc
     if isinstance(obj, dict) and "terms" in obj:
         alpha, poly = to_integer_order(FractionalPolynomial.from_json(obj))
-        return poly, float(alpha)
+        base = float(alpha)
+        if not base > 0.0:
+            raise InvalidInputError("commensurate base underflows the floating-point range")
+        return poly, base
     return MonicPolynomial.from_json(obj), None
 
 

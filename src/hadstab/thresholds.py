@@ -21,6 +21,14 @@ Four families of results live here:
   crossings.  No search runs on it: it is kept as an oracle independent of
   the root finder and the Schur-Cohn recursion, against which the onset
   brackets are checked.
+
+Mode 'min' is mode 'max' under p -> -p, and a 'decreasing' onset is an
+'increasing' one, so every search runs in q = sign * p, where Unstable
+powers lie below Stable ones.  The mode ('max' +1, 'min' -1) or direction
+('increasing' +1, 'decreasing' -1) sets only the sign, the result's kind
+and the error texts.  Statuses are taken at p = sign * q, and each result
+maps back to p with its bracket sorted.  Sums are rounded as in p
+(``_sum``), so every result is bit for bit that of a search run in p.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -123,40 +131,50 @@ def _check_interval(search_interval: tuple[float, float]) -> tuple[float, float]
     return lo, hi
 
 
-def _mode_kind(mode: str) -> Kind:
-    if mode == "max":
-        return Kind.SUFFICIENT_MAX
-    if mode == "min":
-        return Kind.SUFFICIENT_MIN
-    raise InvalidInputError(f"mode must be 'max' or 'min', not {mode!r}")
+def _sign(name: str, value: str, plus: str, minus: str) -> float:
+    """+1.0 for ``plus`` and -1.0 for ``minus``: the orientation q = sign * p
+    in which a search sees Unstable powers below Stable ones."""
+    if value == plus:
+        return 1.0
+    if value == minus:
+        return -1.0
+    raise InvalidInputError(f"{name} must be {plus!r} or {minus!r}, not {value!r}")
 
 
-def _theorem1_moduli(f: MonicPolynomial, mode: str) -> list[float]:
+def _sufficient_kind(sign: float) -> Kind:
+    return Kind.SUFFICIENT_MAX if sign > 0 else Kind.SUFFICIENT_MIN
+
+
+def _sum(sign: float, a: float, b: float) -> float:
+    """a + b in q = sign * p, rounded as the sum of the two powers p: where
+    it cancels, that sum is +0.0, so sign * q is bit for bit the p of a
+    search run in p."""
+    return sign * (sign * a + sign * b)
+
+
+def _theorem1_moduli(f: MonicPolynomial, sign: float) -> list[float]:
     """Coefficient moduli on the support, validating the hypothesis that they
-    all sit on the correct side of 1 for the requested mode."""
-    _mode_kind(mode)
+    all sit below 1 (mode 'max', sign +1) or above 1 (mode 'min', sign -1)."""
     moduli = []
     for k in f.support:
         m = abs(f.coeffs[k])
-        if mode == "max" and m >= 1.0:
+        if sign * (m - 1.0) >= 0.0:
             raise NotApplicableError(
-                f"|a_{k}| = {m} >= 1: no finite stabilizing power threshold", index=k
-            )
-        if mode == "min" and m <= 1.0:
-            raise NotApplicableError(
-                f"|a_{k}| = {m} <= 1: no finite stabilizing power threshold", index=k
+                f"|a_{k}| = {m} {'>=' if sign > 0 else '<='} 1: "
+                "no finite stabilizing power threshold",
+                index=k,
             )
         moduli.append(m)
     return moduli
 
 
-def _vacuous(mode: str, method: Method, grid_n: int | None = None) -> ThresholdResult:
+def _vacuous(sign: float, method: Method, grid_n: int | None = None) -> ThresholdResult:
     # Empty support: every power of s^n is s^n, stable for all p.
-    value = -math.inf if mode == "max" else math.inf
-    return ThresholdResult(_mode_kind(mode), value, method, None, grid_n)
+    kind = _sufficient_kind(sign)
+    return ThresholdResult(kind, -sign * math.inf, method, None, grid_n)
 
 
-def _lattice_optimum(moduli: list[float], mode: str, resolution: int) -> float:
+def _lattice_optimum(moduli: list[float], sign: float, resolution: int) -> float:
     """Exact optimum of the weight-grid objective over lattice weights.
 
     The grid consists of weights c_k / R over integer compositions
@@ -165,9 +183,10 @@ def _lattice_optimum(moduli: list[float], mode: str, resolution: int) -> float:
     parametrically: the achieved value is always one of the d*R per-index
     ratios ln(c/R)/ln m_k, a target ratio V is achievable iff the minimal
     parts c_k(V) = ceil(R m_k^V) fit into the budget R, and achievability is
-    monotone in V.  Binary search over the sorted candidate ratios therefore
-    returns exactly the enumeration optimum (cross-checked against brute
-    force in the test suite).
+    monotone in V.  In q = sign * V it holds from some q on, so binary
+    search for the smallest achievable candidate q returns exactly the
+    enumeration optimum, sign * q (cross-checked against brute force in the
+    test suite).
     """
     R = resolution
     d = len(moduli)
@@ -180,7 +199,7 @@ def _lattice_optimum(moduli: list[float], mode: str, resolution: int) -> float:
         )
     logs = np.log(np.array(moduli))
     ratios = np.log(np.arange(1, R + 1) / R)[None, :] / logs[:, None]
-    candidates = np.unique(ratios)
+    candidates = np.unique(sign * ratios)
 
     def parts_for(v: float) -> list[int]:
         out = []
@@ -192,29 +211,19 @@ def _lattice_optimum(moduli: list[float], mode: str, resolution: int) -> float:
             out.append(c)
         return out
 
-    def feasible(v: float) -> bool:
-        return sum(parts_for(v)) <= R
-
     lo, hi = 0, len(candidates) - 1
     best = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        if feasible(candidates[mid]):
-            best = candidates[mid]
-            if mode == "max":
-                hi = mid - 1  # smaller max-ratio still achievable?
-            else:
-                lo = mid + 1  # larger min-ratio still achievable?
-        elif mode == "max":
-            lo = mid + 1
+        if sum(parts_for(sign * candidates[mid])) <= R:
+            best, hi = candidates[mid], mid - 1
         else:
-            hi = mid - 1
+            lo = mid + 1
     if best is None:
         raise InvalidInputError("no lattice weight vector fits the resolution")
-    parts = parts_for(best)
+    parts = parts_for(sign * best)
     parts[0] += R - sum(parts)  # distribute leftover: ratios only improve
-    values = [math.log(c / R) / L for c, L in zip(parts, logs)]
-    return max(values) if mode == "max" else min(values)
+    return sign * max(sign * math.log(c / R) / L for c, L in zip(parts, logs))
 
 
 def pstar_grid(f: MonicPolynomial, mode: str, grid_n: int) -> ThresholdResult:
@@ -229,11 +238,11 @@ def pstar_grid(f: MonicPolynomial, mode: str, grid_n: int) -> ThresholdResult:
     of more than MAX_GRID_RATIOS ratios (|support| * grid_n) raises
     InvalidInputError before any array is built.
     """
-    kind = _mode_kind(mode)
+    sign = _sign("mode", mode, "max", "min")
     if not f.support:
-        return _vacuous(mode, Method.GRID_SEARCH, grid_n)
-    moduli = _theorem1_moduli(f, mode)
-    value = _lattice_optimum(moduli, mode, grid_n)
+        return _vacuous(sign, Method.GRID_SEARCH, grid_n)
+    value = _lattice_optimum(_theorem1_moduli(f, sign), sign, grid_n)
+    kind = _sufficient_kind(sign)
     return ThresholdResult(kind, value, Method.GRID_SEARCH, None, grid_n)
 
 
@@ -244,48 +253,49 @@ def pstar_exact(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRe
     simplex equals the unique p0 with ``sum_k |a_k|^p0 = 1``.  For mode 'max'
     (all moduli < 1): weights lambda_k = |a_k|^p0 are admissible and give
     max-ratio p0, so the infimum is at most p0; conversely any weights whose
-    max-ratio is some q < p0 must satisfy lambda_k >= |a_k|^q, and since the
-    sum of |a_k|^p is strictly decreasing in p its value at q exceeds 1,
-    contradicting the simplex budget.  Mode 'min' is the mirror image.
-    The sum is strictly monotone under either hypothesis, so p0 is unique and
-    bisection (then narrowed far below ``tol``) brackets it with a certified
-    sign change.  The bracket's far end doubles from 64 until the sign
-    changes, which it does once m^p underflows to 0; an m^p that overflows
-    puts the sum above 1.
+    max-ratio is some r < p0 must satisfy lambda_k >= |a_k|^r, and since the
+    sum of |a_k|^p is strictly decreasing in p its value at r exceeds 1,
+    contradicting the simplex budget.  Mode 'min' is the mirror image under
+    p -> -p: the search runs in q = sign * p (sign +1 for 'max', -1 for
+    'min'), where the sum is strictly decreasing under either hypothesis, so
+    q0 is unique and bisection (then narrowed far below ``tol``) brackets it
+    with a certified sign change.  The bracket's ends double from -64 and
+    64 until the sign changes, which it does once m^p underflows to 0; an
+    m^p that overflows puts the sum above 1.  The value and the sorted
+    bracket are mapped back to p.
     """
-    kind = _mode_kind(mode)
+    sign = _sign("mode", mode, "max", "min")
     _check_tol(tol)
     if not f.support:
-        return _vacuous(mode, Method.EQUATION_SOLVE)
-    moduli = _theorem1_moduli(f, mode)
+        return _vacuous(sign, Method.EQUATION_SOLVE)
+    moduli = _theorem1_moduli(f, sign)
 
-    def high_side(p: float) -> bool:  # True where sum_k m^p > 1
+    def above(q: float) -> bool:  # True where sum_k m^p > 1, below q0
         try:
-            return math.fsum(m ** p for m in moduli) > 1.0
+            return math.fsum(m ** (sign * q) for m in moduli) > 1.0
         except OverflowError:
             return True
 
-    # mode 'max': the sum is strictly decreasing in p; 'min': increasing.
     lo, hi = -64.0, 64.0
-    decreasing = mode == "max"
-
-    while high_side(lo) != decreasing:
+    while not above(lo):
         lo *= 2.0
-    while high_side(hi) == decreasing:
+    while above(hi):
         hi *= 2.0
 
     target = min(tol, 1e-12)
     for _ in range(_MAX_BISECT):
         if hi - lo <= target:
             break
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * _sum(sign, lo, hi)
         if mid <= lo or mid >= hi:  # float resolution exhausted
             break
-        if high_side(mid) == decreasing:
+        if above(mid):
             lo = mid
         else:
             hi = mid
-    return ThresholdResult(kind, 0.5 * (lo + hi), Method.EQUATION_SOLVE, (lo, hi))
+    a, b = sorted((sign * lo, sign * hi))
+    kind = _sufficient_kind(sign)
+    return ThresholdResult(kind, 0.5 * (a + b), Method.EQUATION_SOLVE, (a, b))
 
 
 def beta_star(f: MonicPolynomial, mode: str) -> ThresholdResult:
@@ -296,21 +306,16 @@ def beta_star(f: MonicPolynomial, mode: str) -> ThresholdResult:
     |a_k^p| < C(n,k), so no such power is Schur stable.  mode 'min' mirrors
     this over indices with 0 < |a_k| < 1 and guards powers <= the bound.
     """
-    if mode == "max":
-        kind = Kind.INSTABILITY_MAX
-        indices = [k for k in f.support if abs(f.coeffs[k]) > 1.0]
-        which = "|a_k| > 1"
-    elif mode == "min":
-        kind = Kind.INSTABILITY_MIN
-        indices = [k for k in f.support if abs(f.coeffs[k]) < 1.0]
-        which = "0 < |a_k| < 1"
-    else:
-        raise InvalidInputError(f"mode must be 'max' or 'min', not {mode!r}")
+    sign = _sign("mode", mode, "max", "min")
+    indices = [k for k in f.support if sign * (abs(f.coeffs[k]) - 1.0) > 0.0]
     if not indices:
-        raise NotApplicableError(f"no support index with {which}")
+        raise NotApplicableError(
+            f"no support index with {'|a_k| > 1' if sign > 0 else '0 < |a_k| < 1'}"
+        )
     n = f.degree
     ratios = [math.log(math.comb(n, k)) / math.log(abs(f.coeffs[k])) for k in indices]
-    value = min(ratios) if mode == "max" else max(ratios)
+    kind = Kind.INSTABILITY_MAX if sign > 0 else Kind.INSTABILITY_MIN
+    value = sign * min(sign * r for r in ratios)
     return ThresholdResult(kind, value, Method.EQUATION_SOLVE)
 
 
@@ -332,30 +337,31 @@ def kstar_test(f: MonicPolynomial) -> KStarResult:
     return KStarResult(kstar, HalfLine.NONNEGATIVE)
 
 
-def _onset_statuses(direction: str) -> tuple[Status, Status]:
-    """Expected verdicts at (lo, hi) for a valid onset bracket."""
-    if direction == "increasing":
-        return Status.UNSTABLE, Status.STABLE
-    if direction == "decreasing":
-        return Status.STABLE, Status.UNSTABLE
-    raise InvalidInputError(
-        f"direction must be 'increasing' or 'decreasing', not {direction!r}"
-    )
-
-
 def _principal_status(f: MonicPolynomial, p: float) -> Status:
     return row_statuses(principal_rows(f, [p]))[0]
 
 
-def _batch_statuses(f: MonicPolynomial, ps: list[float]) -> list[Status] | None:
-    """Principal-branch statuses at the powers ``ps`` from one batch, or None
-    when any of them fails.  The caller then solves the powers it needs one
-    at a time, so only a failure it reaches raises, as it would have alone.
+def _statuses(
+    f: MonicPolynomial, sign: float, qs: list[float]
+) -> Callable[[float], Status]:
+    """The principal-branch status at p = sign * q, looked up by q.
+
+    The powers ``qs`` are decided as one ``row_statuses`` batch.  If that
+    batch fails, each of them is solved alone when first looked up and
+    remembered, so only a failure that the search reaches raises, as it
+    would have alone.
     """
     try:
-        return row_statuses(principal_rows(f, ps))
+        known = dict(zip(qs, row_statuses(principal_rows(f, [sign * q for q in qs]))))
     except (InvalidInputError, UnconvergedError):  # overflow, or no certificate
-        return None
+        known = {}
+
+    def status(q: float) -> Status:
+        if q not in known:
+            known[q] = _principal_status(f, sign * q)
+        return known[q]
+
+    return status
 
 
 def exact_onset(
@@ -370,25 +376,31 @@ def exact_onset(
     decided by the Schur-Cohn recursion with the root finder as its fallback
     (``roots.row_statuses``).  The interval must be finite and must
     already bracket the change ('increasing' means Unstable at the left end
-    and Stable at the right end); it is validated, not assumed.  A Marginal
-    verdict at the midpoint triggers a close-out attempt at mid +- tol/2; if
-    the band cannot be escaped the onset is uncertifiable at this tolerance
-    and MarginalZoneError is raised.  Where the maximum modulus crosses 1
-    more than once, the result is one of the crossings.
+    and Stable at the right end); it is validated, not assumed.  The
+    direction sets only the sign of q = sign * p (+1 'increasing', -1
+    'decreasing'), in which the search runs with Unstable powers below
+    Stable ones; the value and the sorted bracket are mapped back to p.  A
+    Marginal verdict at the midpoint triggers a close-out attempt at mid +-
+    tol/2; if the band cannot be escaped the onset is uncertifiable at this
+    tolerance and MarginalZoneError is raised.  Where the maximum modulus
+    crosses 1 more than once, the result is one of the crossings.
     """
     _check_tol(tol)
     lo, hi = _check_interval(search_interval)
-    lo_status, hi_status = _onset_statuses(direction)
-    actual_lo, actual_hi = _principal_status(f, lo), _principal_status(f, hi)
-    if actual_lo is not lo_status or actual_hi is not hi_status:
+    sign = _sign("direction", direction, "increasing", "decreasing")
+    need = (Status.UNSTABLE, Status.STABLE)[:: int(sign)]  # at (lo, hi)
+    actual = (_principal_status(f, lo), _principal_status(f, hi))
+    if actual != need:
         raise BracketError(
-            f"interval [{lo}, {hi}] has verdicts ({actual_lo.value}, "
-            f"{actual_hi.value}), need ({lo_status.value}, {hi_status.value})"
+            f"interval [{lo}, {hi}] has verdicts ({actual[0].value}, "
+            f"{actual[1].value}), need ({need[0].value}, {need[1].value})"
         )
-    return _bisect_onset(f, lo, hi, lo_status, hi_status, tol)
+    return _bisect_onset(f, sign, *sorted((sign * lo, sign * hi)), tol)
 
 
-def _midpoint_tree(lo: float, hi: float, tol: float, levels: int) -> dict[int, float]:
+def _midpoint_tree(
+    sign: float, lo: float, hi: float, tol: float, levels: int
+) -> dict[int, float]:
     """Midpoints of the next ``levels`` bisection levels below [lo, hi].
 
     Nodes are numbered in heap order: node i splits its bracket at its
@@ -402,20 +414,16 @@ def _midpoint_tree(lo: float, hi: float, tol: float, levels: int) -> dict[int, f
         if node not in brackets or brackets[node][1] - brackets[node][0] <= tol:
             continue
         a, b = brackets[node]
-        mids[node] = mid = 0.5 * (a + b)
+        mids[node] = mid = 0.5 * _sum(sign, a, b)
         brackets[2 * node + 1], brackets[2 * node + 2] = (a, mid), (mid, b)
     return mids
 
 
 def _bisect_onset(
-    f: MonicPolynomial,
-    lo: float,
-    hi: float,
-    lo_status: Status,
-    hi_status: Status,
-    tol: float,
+    f: MonicPolynomial, sign: float, lo: float, hi: float, tol: float
 ) -> ThresholdResult:
-    """``exact_onset`` on a bracket whose end verdicts are already known.
+    """``exact_onset`` on a bracket [lo, hi] in q = sign * p, Unstable at lo
+    and Stable at hi, whose end verdicts are already known.
 
     Each round decides the statuses of the midpoints of the next levels,
     every one the walk could reach, as one ``row_statuses`` batch of
@@ -430,149 +438,130 @@ def _bisect_onset(
     be extra solves.  At one level a round is a step of plain bisection.
     ``_MAX_BISECT`` caps the steps walked, not the points solved.  A
     Marginal midpoint closes out one point at a time, and a round whose
-    batch fails walks one point at a time, so a point the walk never reaches
-    cannot raise.
+    batch fails walks one point at a time (``_statuses``), so a point the
+    walk never reaches cannot raise.
     """
     # The largest L <= _LOOKAHEAD with 2^L - 1 <= chunk_rows.
     levels = min(_LOOKAHEAD, (chunk_rows(f.degree) + 1).bit_length() - 1)
     steps = 0
     while steps < _MAX_BISECT and hi - lo > tol:
-        mids = _midpoint_tree(lo, hi, tol, min(levels, _MAX_BISECT - steps))
-        solved = _batch_statuses(f, list(mids.values()))
-        statuses = None if solved is None else dict(zip(mids, solved))
+        mids = _midpoint_tree(sign, lo, hi, tol, min(levels, _MAX_BISECT - steps))
+        status = _statuses(f, sign, list(mids.values()))
         node = 0
         while node in mids:
             mid = mids[node]
-            st = _principal_status(f, mid) if statuses is None else statuses[node]
+            st = status(mid)
             steps += 1
-            if st is lo_status:
+            if st is Status.UNSTABLE:
                 lo, node = mid, 2 * node + 2
-            elif st is hi_status:
+            elif st is Status.STABLE:
                 hi, node = mid, 2 * node + 1
             else:
-                return _close_out(f, mid, lo, hi, lo_status, hi_status, tol)
-    return _onset_result(lo, hi)
+                return _close_out(f, sign, mid, lo, hi, tol)
+    return _onset_result(sign, lo, hi)
 
 
 def _close_out(
-    f: MonicPolynomial,
-    mid: float,
-    lo: float,
-    hi: float,
-    lo_status: Status,
-    hi_status: Status,
-    tol: float,
+    f: MonicPolynomial, sign: float, mid: float, lo: float, hi: float, tol: float
 ) -> ThresholdResult:
-    """The onset at a Marginal point ``mid`` of the bracket [lo, hi]: the
-    bracket mid -+ tol/2, clipped to [lo, hi], if its ends have the verdicts
-    of lo and hi; otherwise the onset is uncertifiable at this tolerance."""
-    lo2 = max(lo, mid - 0.5 * tol)
-    hi2 = min(hi, mid + 0.5 * tol)
+    """The onset at a Marginal point ``mid`` of the bracket [lo, hi] in q:
+    the bracket mid -+ tol/2, clipped to [lo, hi], if its ends are Unstable
+    and Stable; otherwise the onset is uncertifiable at this tolerance."""
+    lo2 = max(lo, _sum(sign, mid, -0.5 * tol))
+    hi2 = min(hi, _sum(sign, mid, 0.5 * tol))
     if (
         lo2 < hi2
-        and _principal_status(f, lo2) is lo_status
-        and _principal_status(f, hi2) is hi_status
+        and _principal_status(f, sign * lo2) is Status.UNSTABLE
+        and _principal_status(f, sign * hi2) is Status.STABLE
     ):
-        return _onset_result(lo2, hi2)
-    raise MarginalZoneError(f"verdict stays within the boundary band around p = {mid}")
+        return _onset_result(sign, lo2, hi2)
+    raise MarginalZoneError(
+        f"verdict stays within the boundary band around p = {sign * mid}"
+    )
 
 
-def _onset_result(lo: float, hi: float) -> ThresholdResult:
-    value = 0.5 * (lo + hi)
-    return ThresholdResult(Kind.EXACT_ONSET, value, Method.BISECTION, (lo, hi))
+def _onset_result(sign: float, lo: float, hi: float) -> ThresholdResult:
+    a, b = sorted((sign * lo, sign * hi))
+    return ThresholdResult(Kind.EXACT_ONSET, 0.5 * (a + b), Method.BISECTION, (a, b))
 
 
 def auto_onset(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdResult:
     """The last crossing of the principal power's stability, the paper's p*:
     every scanned power beyond it is Stable.
 
-    mode 'max' searches p > 0; mode 'min' mirrors it to p < 0.  The far end
-    P is the stable side of ``pstar_exact``'s bracket, beyond which Theorem 1
-    makes every branch stable, so it is not solved.  Where Theorem 1 does
-    not apply (a support modulus on the wrong side of 1, or no support), P
-    is the first Stable power of 64, 128, ..., and crossings beyond it are
-    not looked for.  One status batch decides the powers P i/31, i < 31,
-    and 1e-3, 1e-2, 0.1, 0.25, 0.5, 1, 2, 4, ... below P, so that an onset
-    below the grid spacing still gets a narrow bracket; p = 0 is solved
-    only when none of them is Unstable.  The last strictly Unstable power
-    and the next one scanned (or P) bracket the onset, which is bisected as
-    by ``exact_onset`` without solving its ends again; a Marginal next
-    power closes out as a Marginal midpoint does.  If the batch fails, the
-    powers are solved one at a time from the top down to the last Unstable
-    one, so only a failure the search reaches raises.  Raises BracketError
-    when no end can be found, including when a stable-end candidate's
-    principal power overflows or its verdict cannot be certified.
+    The search runs in q = sign * p, sign +1 for mode 'max' and -1 for
+    'min', which mirrors it to p < 0; the mode sets nothing else.  The far
+    end P is the stable side of ``pstar_exact``'s bracket, beyond which
+    Theorem 1 makes every branch stable, so it is not solved.  Where Theorem
+    1 does not apply (a support modulus on the wrong side of 1, or no
+    support), P is the first Stable power of 64, 128, ..., and crossings
+    beyond it are not looked for.  One status batch decides the powers
+    P i/31, i < 31, and 1e-3, 1e-2, 0.1, 0.25, 0.5, 1, 2, 4, ... below P,
+    so that an onset below the grid spacing still gets a narrow bracket;
+    q = 0 is solved only when none of them is Unstable.  The last strictly
+    Unstable power and the next one scanned (or P) bracket the onset, which
+    is bisected as by ``exact_onset`` without solving its ends again; a
+    Marginal next power closes out as a Marginal midpoint does.  The powers
+    are looked up from the top down to the last Unstable one, so if the
+    batch fails, only a failure the search reaches raises.  Raises
+    BracketError when no end can be found, including when a stable-end
+    candidate's principal power overflows or its verdict cannot be
+    certified.
     """
-    _mode_kind(mode)
+    sign = _sign("mode", mode, "max", "min")
     _check_tol(tol)
-    sign = 1.0 if mode == "max" else -1.0
     try:
         bracket = pstar_exact(f, mode).bracket
     except NotApplicableError:
         bracket = None
     if bracket is None:  # outside Theorem 1, or no support
-        end = _doubled_stable_end(f, sign)
+        top = _doubled_stable_end(f, sign)
     else:
-        end = bracket[1] if mode == "max" else bracket[0]
+        top = max(sign * p for p in bracket)
 
-    top, grid = abs(end), 2**_LOOKAHEAD - 1
+    grid = 2**_LOOKAHEAD - 1
     scan = [top * i / grid for i in range(1, grid)] + [1e-3, 1e-2, 0.1, 0.25, 0.5]
     step = 1.0
     while step < top:
         scan.append(step)
         step *= 2.0
-    ps = [sign * q for q in sorted({q for q in scan if 0.0 < q < top})]
-    statuses = _batch_statuses(f, ps)
-    if statuses is None:  # solve from the top down to the last Unstable power
-        statuses = [None] * len(ps)
-        for i in reversed(range(len(ps))):
-            statuses[i] = _principal_status(f, ps[i])
-            if statuses[i] is Status.UNSTABLE:
-                break
-    ps.append(end)
-    statuses.append(Status.STABLE)
-    if Status.UNSTABLE not in statuses:
-        if _principal_status(f, sign * 0.0) is not Status.UNSTABLE:
-            raise BracketError(
-                "no strictly unstable power found between 0 and the stable region"
-            )
-        ps.insert(0, sign * 0.0)
-        statuses.insert(0, Status.UNSTABLE)
-    j = max(i for i, st in enumerate(statuses) if st is Status.UNSTABLE)
-
-    def oriented(near: float, far: float) -> tuple[float, float, Status, Status]:
-        if mode == "max":
-            return near, far, Status.UNSTABLE, Status.STABLE
-        return far, near, Status.STABLE, Status.UNSTABLE
-
-    if statuses[j + 1] is Status.STABLE:
-        return _bisect_onset(f, *oriented(ps[j], ps[j + 1]), tol)
-    lo, hi, lo_status, hi_status = oriented(ps[j], ps[j + 2])
-    return _close_out(f, ps[j + 1], lo, hi, lo_status, hi_status, tol)
+    scanned = sorted({q for q in scan if 0.0 < q < top})
+    status = _statuses(f, sign, scanned)
+    qs = [0.0, *scanned, top]
+    j = len(qs) - 2
+    while j > 0 and status(qs[j]) is not Status.UNSTABLE:
+        j -= 1
+    if j == 0 and status(0.0) is not Status.UNSTABLE:
+        raise BracketError(
+            "no strictly unstable power found between 0 and the stable region"
+        )
+    if j + 2 == len(qs) or status(qs[j + 1]) is Status.STABLE:
+        return _bisect_onset(f, sign, qs[j], qs[j + 1], tol)
+    return _close_out(f, sign, qs[j + 1], qs[j], qs[j + 2], tol)
 
 
 def _doubled_stable_end(f: MonicPolynomial, sign: float) -> float:
-    """The first Stable power of 64, 128, ... (times ``sign``) up to
-    ``_EXPANSION_CAP``, solved one at a time."""
-    stable_end = sign * 64.0
+    """The first q of 64, 128, ... up to ``_EXPANSION_CAP`` whose power
+    p = sign * q is Stable, solved one at a time."""
+    q = 64.0
     while True:
         try:
-            row = principal_rows(f, [stable_end])
+            row = principal_rows(f, [sign * q])
         except InvalidInputError as exc:  # a coefficient overflows
             raise BracketError(
                 f"no stable power found while expanding the bracket: the "
-                f"principal power at p = {stable_end} is out of range ({exc})"
+                f"principal power at p = {sign * q} is out of range ({exc})"
             ) from exc
         try:
             if row_statuses(row)[0] is Status.STABLE:
-                return stable_end
+                return q
         except UnconvergedError as exc:
             raise BracketError(
                 f"no stable power found while expanding the bracket: the verdict "
-                f"at p = {stable_end} cannot be certified ({exc})"
+                f"at p = {sign * q} cannot be certified ({exc})"
             ) from exc
-        stable_end *= 2.0
-        if abs(stable_end) > _EXPANSION_CAP:
+        q *= 2.0
+        if q > _EXPANSION_CAP:
             raise BracketError("no stable power found while expanding the bracket")
 
 

@@ -101,6 +101,12 @@ class TestAnalyze:
         code = main(["analyze", "--poly", str(tmp_path / "nope.json")])
         assert code == 2
 
+    def test_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        assert main(["analyze", "--poly", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: ")
+
     def test_malformed_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -156,6 +162,12 @@ class TestAnalyze:
             ),
             pytest.param(
                 '{"terms": [{"pow": [1%s, 1]}]}' % ("0" * 400), id="400-digit-pow"
+            ),
+            # Powers 1 and 0 over 10^400: the base 10^-400 is below the float range.
+            pytest.param(
+                '{"terms": [{"pow": [1, 1%s]}, {"pow": [0, 1], "coeff": [0.5, 0]}]}'
+                % ("0" * 400),
+                id="base-below-float",
             ),
         ],
     )

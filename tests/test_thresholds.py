@@ -426,6 +426,14 @@ def _sequential_bisect_onset(f, lo, hi, lo_status, hi_status, tol):
     return ThresholdResult(Kind.EXACT_ONSET, value, Method.BISECTION, (lo, hi))
 
 
+def _sequential_in_q(f, sign, lo, hi, tol):
+    """``_sequential_bisect_onset`` called as ``thresholds._bisect_onset``
+    is: on the bracket [lo, hi] in q = sign * p, Unstable at lo."""
+    a, b = sorted((sign * lo, sign * hi))
+    ends = (Status.UNSTABLE, Status.STABLE) if sign > 0 else (Status.STABLE, Status.UNSTABLE)
+    return _sequential_bisect_onset(f, a, b, *ends, tol)
+
+
 def _outcome(search, *args):
     """A search's result, or its error as (type, message, row)."""
     try:
@@ -491,7 +499,7 @@ class TestLookaheadBisection:
                 for tol in (1e-6, 1e-4):
                     got = _outcome(auto_onset, f, mode, tol)
                     with monkeypatch.context() as m:
-                        m.setattr(th, "_bisect_onset", _sequential_bisect_onset)
+                        m.setattr(th, "_bisect_onset", _sequential_in_q)
                         want = _outcome(auto_onset, f, mode, tol)
                     assert got == want
                     if isinstance(want, ThresholdResult):
@@ -521,9 +529,43 @@ class TestLookaheadBisection:
     def test_failing_point_on_the_walk_raises_as_alone(self, monkeypatch):
         _failing_solve(monkeypatch, principal_power(F1, 16.0))
         got = _outcome(exact_onset, F1, "increasing", (0.0, 64.0), 1e-6)
-        monkeypatch.setattr(th, "_bisect_onset", _sequential_bisect_onset)
+        monkeypatch.setattr(th, "_bisect_onset", _sequential_in_q)
         want = _outcome(exact_onset, F1, "increasing", (0.0, 64.0), 1e-6)
         assert got == want == (UnconvergedError, "forced failure", 0)
+
+    def test_exact_onset_equals_sequential_bisection(self):
+        """exact_onset in either direction, on intervals on either side of 0
+        and straddling it, walks the steps of plain bisection in p; an
+        interval whose ends do not bracket the direction's change raises."""
+        ends = {
+            "increasing": (Status.UNSTABLE, Status.STABLE),
+            "decreasing": (Status.STABLE, Status.UNSTABLE),
+        }
+        intervals = [(0.0, 5.0), (-5.0, 0.0), (-3.0, 7.5), (-4.0, 4.0)]
+        onsets = set()
+        rng = random.Random(1919)
+        for i in range(48):
+            moduli = (0.05, 0.95) if i % 2 == 0 else (1.05, 4.0)
+            f = random_monic(rng, 2 + i % 7, moduli, density=0.7, real=i % 4 < 2)
+            for direction, interval in itertools.product(ends, intervals):
+                got = _outcome(exact_onset, f, direction, interval, 1e-6)
+                if tuple(th._principal_status(f, p) for p in interval) != ends[direction]:
+                    assert got[0] is BracketError
+                    assert got[1].startswith(f"interval [{interval[0]}, {interval[1]}]")
+                    continue
+                want = _outcome(_sequential_bisect_onset, f, *interval, *ends[direction], 1e-6)
+                assert got == want
+                if isinstance(want, ThresholdResult):
+                    assert (got.value, got.bracket) == (want.value, want.bracket)
+                    onsets.add((direction, interval))
+        assert onsets == {
+            ("increasing", (0.0, 5.0)),
+            ("increasing", (-3.0, 7.5)),
+            ("increasing", (-4.0, 4.0)),
+            ("decreasing", (-5.0, 0.0)),
+            ("decreasing", (-3.0, 7.5)),
+            ("decreasing", (-4.0, 4.0)),
+        }
 
     @pytest.mark.parametrize(
         "rows, levels", [(1, 1), (2, 1), (3, 2), (6, 2), (7, 3), (30, 4), (31, 5)]
@@ -565,10 +607,11 @@ REFERENCE = 1025  # points of the dense reference grid over (0, P]
 def _far_end(f, mode):
     """auto_onset's stable end P: the stable side of pstar_exact's bracket
     under Theorem 1, the doubled stable end elsewhere."""
+    sign = 1.0 if mode == "max" else -1.0
     try:
         lo, hi = pstar_exact(f, mode).bracket
     except NotApplicableError:
-        return th._doubled_stable_end(f, 1.0 if mode == "max" else -1.0)
+        return sign * th._doubled_stable_end(f, sign)
     return hi if mode == "max" else lo
 
 
@@ -595,7 +638,7 @@ def _ladder_onset(f, mode, tol):
     first strictly Unstable power of 0, 1e-3, 1e-2, 0.1, 0.25, 0.5, 1, 2,
     4, ... below the doubled stable end, bisected up to that end."""
     sign = 1.0 if mode == "max" else -1.0
-    stable = th._doubled_stable_end(f, sign)
+    stable = sign * th._doubled_stable_end(f, sign)
     ladder = [0.0, 1e-3, 1e-2, 0.1, 0.25, 0.5]
     ladder += [2.0**k for k in range(17) if 2.0**k < abs(stable)]
     for q in ladder:
@@ -834,6 +877,48 @@ class TestLastCrossing:
             if not (isinstance(got, ThresholdResult) and abs(got.value - want.value) < 1e-6):
                 assert _unstable_runs(f, mode, _stable_end(want)), (f, mode)
         assert valued > 0
+
+
+class TestModeMin:
+    """Mode min is mode max under p -> -p.  These pin its results to the
+    last bit, which the golden hashes of ``report.json``, rounded to 12
+    digits, do not."""
+
+    @pytest.mark.parametrize(
+        "g, search, value, bracket",
+        [
+            (G1, "grid", -1.2412704315421375, None),
+            (G1, "exact", -1.2405589654831601, (-1.2405589654836149, -1.2405589654827054)),
+            (G1, "onset", -1.0157900265309912, (-1.015790331844339, -1.0157897212176432)),
+            (G2, "grid", -3.409177046823969, None),
+            (G2, "exact", -3.404652169404926, (-3.404652169405381, -3.4046521694044714)),
+            (G2, "onset", -3.234204299994482, (-3.2342047189531047, -3.2342038810358584)),
+        ],
+    )
+    def test_full_precision(self, g, search, value, bracket):
+        res = {
+            "grid": lambda: pstar_grid(g, "min", 1000),
+            "exact": lambda: pstar_exact(g, "min"),
+            "onset": lambda: auto_onset(g, "min"),
+        }[search]()
+        assert (res.value, res.bracket) == (value, bracket)
+
+    def test_cancelling_sum_is_positive_zero(self):
+        """The midpoint of -a and a is p = +0.0, as a search run in p
+        reaches it, in either orientation; not -0.0."""
+        # A single support index: the sum |2|^p is 1 at p = 0, the first midpoint.
+        res = pstar_exact(MonicPolynomial((2.0, 0.0)), "min")
+        assert repr(res.bracket) == "(0.0, 9.094947017729282e-13)"
+        # The first midpoint of [-4, 4], p = 0, is Marginal and cannot be closed out.
+        f = MonicPolynomial(
+            (
+                -2.3825657790519257 + 0.27165471521229295j,
+                -2.6618670107857825 - 0.8482718150189165j,
+                -1.104228769710814 - 0.5712470917765305j,
+            )
+        )
+        with pytest.raises(MarginalZoneError, match=r"around p = 0\.0$"):
+            exact_onset(f, "decreasing", (-4.0, 4.0))
 
 
 class TestOrderingChain:
