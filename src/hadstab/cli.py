@@ -17,8 +17,10 @@ from pathlib import Path
 
 from . import report
 from .criteria import (
+    fujiwara_bound,
     necessary_condition,
     satisfies_stability_condition,
+    theorem3_check,
 )
 from .errors import (
     InvalidInputError,
@@ -40,10 +42,8 @@ from .roots import (
     StabilityVerdict,
     branch_root_sets,
     find_roots,
-    fujiwara_bound,
 )
 from .thresholds import auto_onset, pstar_exact, pstar_grid
-from .criteria import theorem3_check
 
 
 def _load_poly(path: str) -> tuple[MonicPolynomial, float | None]:

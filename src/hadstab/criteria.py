@@ -107,6 +107,22 @@ def satisfies_stability_condition(f: MonicPolynomial) -> CriterionOutcome:
     return CriterionOutcome(CriterionId.FUJIWARA, True, synthesize_witness(moduli))
 
 
+def fujiwara_bound(f: MonicPolynomial, w: SimplexWeights) -> float:
+    """A-priori bound max_k (|a_k| / lambda_k)^(1/(n-k)) on all root moduli.
+
+    The weights must be indexed exactly by the support of f.
+    """
+    if w.support != f.support:
+        raise InvalidInputError(
+            f"weights indexed by {w.support} do not match support {f.support}"
+        )
+    n = f.degree
+    table = w.as_dict()
+    return max(
+        (abs(f.coeffs[k]) / table[k]) ** (1.0 / (n - k)) for k in f.support
+    )
+
+
 def sharpness_witness(n: int, weights, eps: float = 0.0) -> MonicPolynomial:
     """The polynomial s^n - sum lambda_k s^k, which always has a root of
     modulus at least 1 when the weights sum to 1 + eps with eps >= 0.

@@ -21,7 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
+from numbers import Integral, Rational
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -146,6 +146,9 @@ class RationalExponent:
 
     def __post_init__(self):
         num, den = self.num, self.den
+        if not all(isinstance(x, Integral) and not isinstance(x, bool) for x in (num, den)):
+            raise InvalidInputError(f"exponent parts must be integers, not {num!r}/{den!r}")
+        num, den = int(num), int(den)
         if den == 0:
             raise InvalidInputError("exponent denominator must be nonzero")
         if den < 0:
@@ -494,8 +497,6 @@ class FractionalPolynomial:
             power = Fraction(pw[0], pw[1])
             if "coeff" in entry:
                 coeff = _json_coeff(entry["coeff"], "'coeff'")
-                if i == 0 and coeff != 1:
-                    raise InvalidInputError("leading coefficient must be 1")
             elif i == 0:
                 coeff = 1.0 + 0j
             else:
@@ -521,10 +522,7 @@ def to_integer_order(f: FractionalPolynomial) -> tuple[Fraction, MonicPolynomial
     for v in scaled:
         g = math.gcd(g, v)
     alpha = Fraction(g, lcm_den)
-    degree = powers[0] / alpha
-    if degree.denominator != 1:
-        raise UnsupportedInputError("powers admit no common rational divisor")
-    degree = int(degree)
+    degree = int(powers[0] / alpha)
     if degree > MAX_COMMENSURATE_DEGREE:
         raise UnsupportedInputError(
             f"commensurate reduction needs degree {degree}; powers are "

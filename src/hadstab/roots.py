@@ -69,7 +69,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .criteria import SimplexWeights
 from .errors import InvalidInputError, UnconvergedError, UnsupportedDegreeError
 from .poly import BranchSet, MonicPolynomial
 
@@ -692,18 +691,3 @@ def branch_set_stable(b: BranchSet) -> StabilityVerdict:
     blocks = _branch_blocks(b, b.rotation_representatives(), 1, limit=1.0 + BOUNDARY_BAND)
     return StabilityVerdict.of(max(float(worst.max()) for *_, worst in blocks))
 
-
-def fujiwara_bound(f: MonicPolynomial, w: SimplexWeights) -> float:
-    """A-priori bound max_k (|a_k| / lambda_k)^(1/(n-k)) on all root moduli.
-
-    The weights must be indexed exactly by the support of f.
-    """
-    if w.support != f.support:
-        raise InvalidInputError(
-            f"weights indexed by {w.support} do not match support {f.support}"
-        )
-    n = f.degree
-    table = w.as_dict()
-    return max(
-        (abs(f.coeffs[k]) / table[k]) ** (1.0 / (n - k)) for k in f.support
-    )

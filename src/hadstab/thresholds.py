@@ -11,11 +11,10 @@ Four families of results live here:
   the principal power branch (``exact_onset`` / ``auto_onset``).
   ``auto_onset`` finds the last crossing, the paper's p*: one status scan
   below the stable end that Theorem 1 gives (``pstar_exact``) brackets it.
-  The principal powers of a batch are one array of coefficient rows
-  (``poly.principal_rows``), and their statuses come from
-  ``roots.row_statuses``: the Schur-Cohn recursion on the coefficients
-  decides them, and the root finder only where the recursion cannot.  No
-  polynomial object is built per power;
+  Every status comes from ``_statuses``: one ``roots.row_statuses`` batch
+  of principal rows (``poly.principal_rows``), which the Schur-Cohn
+  recursion on the coefficients decides, and the root finder only where the
+  recursion cannot.  No polynomial object is built per power;
 * a determinant-based boundary indicator (``guardian_map``) that vanishes
   exactly when a root reaches the unit circle and changes sign across simple
   crossings.  No search runs on it: it is kept as an oracle independent of
@@ -35,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -116,8 +116,9 @@ class KStarResult(NamedTuple):
 
 def _check_tol(tol: float) -> None:
     # Written so that NaN fails too: a NaN or infinite tolerance would end
-    # every bisection before its first step.
-    if not (math.isfinite(tol) and tol > 0):
+    # every bisection before its first step.  A bool is not a tolerance.
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (real and math.isfinite(tol) and tol > 0):
         raise InvalidInputError(f"tol must be positive and finite, got {tol}")
 
 
@@ -223,7 +224,7 @@ def _lattice_optimum(moduli: list[float], sign: float, resolution: int) -> float
         raise InvalidInputError("no lattice weight vector fits the resolution")
     parts = parts_for(sign * best)
     parts[0] += R - sum(parts)  # distribute leftover: ratios only improve
-    return sign * max(sign * math.log(c / R) / L for c, L in zip(parts, logs))
+    return float(sign * max(sign * math.log(c / R) / L for c, L in zip(parts, logs)))
 
 
 def pstar_grid(f: MonicPolynomial, mode: str, grid_n: int) -> ThresholdResult:
@@ -239,6 +240,9 @@ def pstar_grid(f: MonicPolynomial, mode: str, grid_n: int) -> ThresholdResult:
     InvalidInputError before any array is built.
     """
     sign = _sign("mode", mode, "max", "min")
+    if isinstance(grid_n, bool) or not isinstance(grid_n, numbers.Integral):
+        raise InvalidInputError(f"grid_n must be an integer, not {grid_n!r}")
+    grid_n = int(grid_n)
     if not f.support:
         return _vacuous(sign, Method.GRID_SEARCH, grid_n)
     value = _lattice_optimum(_theorem1_moduli(f, sign), sign, grid_n)
@@ -259,10 +263,10 @@ def pstar_exact(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRe
     p -> -p: the search runs in q = sign * p (sign +1 for 'max', -1 for
     'min'), where the sum is strictly decreasing under either hypothesis, so
     q0 is unique and bisection (then narrowed far below ``tol``) brackets it
-    with a certified sign change.  The bracket's ends double from -64 and
-    64 until the sign changes, which it does once m^p underflows to 0; an
-    m^p that overflows puts the sum above 1.  The value and the sorted
-    bracket are mapped back to p.
+    with a certified sign change.  The bracket starts at [-64, 64], where
+    every term at q = -64 exceeds 1 or overflows (counted as above 1), and
+    its upper end doubles until the sign changes, which it does once m^p
+    underflows to 0.  The value and the sorted bracket are mapped back to p.
     """
     sign = _sign("mode", mode, "max", "min")
     _check_tol(tol)
@@ -277,8 +281,6 @@ def pstar_exact(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRe
             return True
 
     lo, hi = -64.0, 64.0
-    while not above(lo):
-        lo *= 2.0
     while above(hi):
         hi *= 2.0
 
@@ -337,10 +339,6 @@ def kstar_test(f: MonicPolynomial) -> KStarResult:
     return KStarResult(kstar, HalfLine.NONNEGATIVE)
 
 
-def _principal_status(f: MonicPolynomial, p: float) -> Status:
-    return row_statuses(principal_rows(f, [p]))[0]
-
-
 def _statuses(
     f: MonicPolynomial, sign: float, qs: list[float]
 ) -> Callable[[float], Status]:
@@ -358,7 +356,7 @@ def _statuses(
 
     def status(q: float) -> Status:
         if q not in known:
-            known[q] = _principal_status(f, sign * q)
+            known[q] = row_statuses(principal_rows(f, [sign * q]))[0]
         return known[q]
 
     return status
@@ -376,20 +374,22 @@ def exact_onset(
     decided by the Schur-Cohn recursion with the root finder as its fallback
     (``roots.row_statuses``).  The interval must be finite and must
     already bracket the change ('increasing' means Unstable at the left end
-    and Stable at the right end); it is validated, not assumed.  The
-    direction sets only the sign of q = sign * p (+1 'increasing', -1
-    'decreasing'), in which the search runs with Unstable powers below
-    Stable ones; the value and the sorted bracket are mapped back to p.  A
-    Marginal verdict at the midpoint triggers a close-out attempt at mid +-
-    tol/2; if the band cannot be escaped the onset is uncertifiable at this
-    tolerance and MarginalZoneError is raised.  Where the maximum modulus
-    crosses 1 more than once, the result is one of the crossings.
+    and Stable at the right end); it is validated from one status batch of
+    both ends, not assumed.  The direction sets only the sign of
+    q = sign * p (+1 'increasing', -1 'decreasing'), in which the search
+    runs with Unstable powers below Stable ones; the value and the sorted
+    bracket are mapped back to p.  A Marginal verdict at the midpoint
+    triggers a close-out attempt at mid +- tol/2; if the band cannot be
+    escaped the onset is uncertifiable at this tolerance and
+    MarginalZoneError is raised.  Where the maximum modulus crosses 1 more
+    than once, the result is one of the crossings.
     """
     _check_tol(tol)
     lo, hi = _check_interval(search_interval)
     sign = _sign("direction", direction, "increasing", "decreasing")
     need = (Status.UNSTABLE, Status.STABLE)[:: int(sign)]  # at (lo, hi)
-    actual = (_principal_status(f, lo), _principal_status(f, hi))
+    status = _statuses(f, 1.0, [lo, hi])
+    actual = (status(lo), status(hi))
     if actual != need:
         raise BracketError(
             f"interval [{lo}, {hi}] has verdicts ({actual[0].value}, "
@@ -437,7 +437,7 @@ def _bisect_onset(
     fallback batch would gain nothing, and the points the walk skips would
     be extra solves.  At one level a round is a step of plain bisection.
     ``_MAX_BISECT`` caps the steps walked, not the points solved.  A
-    Marginal midpoint closes out one point at a time, and a round whose
+    Marginal midpoint closes out in a batch of its own, and a round whose
     batch fails walks one point at a time (``_statuses``), so a point the
     walk never reaches cannot raise.
     """
@@ -465,16 +465,15 @@ def _close_out(
     f: MonicPolynomial, sign: float, mid: float, lo: float, hi: float, tol: float
 ) -> ThresholdResult:
     """The onset at a Marginal point ``mid`` of the bracket [lo, hi] in q:
-    the bracket mid -+ tol/2, clipped to [lo, hi], if its ends are Unstable
-    and Stable; otherwise the onset is uncertifiable at this tolerance."""
+    the bracket mid -+ tol/2, clipped to [lo, hi], if its ends, one status
+    batch, are Unstable and Stable; otherwise the onset is uncertifiable at
+    this tolerance."""
     lo2 = max(lo, _sum(sign, mid, -0.5 * tol))
     hi2 = min(hi, _sum(sign, mid, 0.5 * tol))
-    if (
-        lo2 < hi2
-        and _principal_status(f, sign * lo2) is Status.UNSTABLE
-        and _principal_status(f, sign * hi2) is Status.STABLE
-    ):
-        return _onset_result(sign, lo2, hi2)
+    if lo2 < hi2:
+        status = _statuses(f, sign, [lo2, hi2])
+        if status(lo2) is Status.UNSTABLE and status(hi2) is Status.STABLE:
+            return _onset_result(sign, lo2, hi2)
     raise MarginalZoneError(
         f"verdict stays within the boundary band around p = {sign * mid}"
     )
@@ -542,27 +541,26 @@ def auto_onset(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRes
 
 def _doubled_stable_end(f: MonicPolynomial, sign: float) -> float:
     """The first q of 64, 128, ... up to ``_EXPANSION_CAP`` whose power
-    p = sign * q is Stable, solved one at a time."""
-    q = 64.0
-    while True:
+    p = sign * q is Stable, from one status batch looked up upward."""
+    qs = [2.0**k for k in range(6, int(math.log2(_EXPANSION_CAP)) + 1)]
+    status = _statuses(f, sign, qs)
+    for q in qs:
         try:
-            row = principal_rows(f, [sign * q])
+            if status(q) is Status.STABLE:
+                return q
+        except UnsupportedDegreeError:
+            raise
         except InvalidInputError as exc:  # a coefficient overflows
             raise BracketError(
                 f"no stable power found while expanding the bracket: the "
                 f"principal power at p = {sign * q} is out of range ({exc})"
             ) from exc
-        try:
-            if row_statuses(row)[0] is Status.STABLE:
-                return q
         except UnconvergedError as exc:
             raise BracketError(
                 f"no stable power found while expanding the bracket: the verdict "
                 f"at p = {sign * q} cannot be certified ({exc})"
             ) from exc
-        q *= 2.0
-        if q > _EXPANSION_CAP:
-            raise BracketError("no stable power found while expanding the bracket")
+    raise BracketError("no stable power found while expanding the bracket")
 
 
 def _compound2(K: np.ndarray) -> np.ndarray:

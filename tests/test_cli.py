@@ -180,6 +180,26 @@ class TestAnalyze:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ([], "'terms' must be a non-empty list"),
+            ([{"coeff": [1, 0]}], "each term needs a 'pow': [num, den]"),
+            ([{"pow": [0, 1]}], "leading power must be positive"),
+            (
+                [{"pow": [1, 1]}, {"pow": [-1, 1], "coeff": [0.5, 0]}],
+                "powers must be positive except a constant term",
+            ),
+            ([{"pow": [1, 1], "coeff": [2, 0]}], "leading coefficient must be exactly 1"),
+        ],
+        ids=["no-terms", "no-pow", "zero-pow", "negative-constant", "leading-coeff"],
+    )
+    def test_fractional_refusals(self, capsys, tmp_path, terms, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"terms": terms}))
+        assert main(["analyze", "--poly", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_deterministic_output(self, capsys, files):
         _, a = run(capsys, "analyze", "--poly", files["f1"])
         code = main(["analyze", "--poly", files["f1"]])

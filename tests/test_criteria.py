@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import random_monic
 from hadstab import (
     CriterionId,
+    CriterionOutcome,
     InvalidInputError,
     MonicPolynomial,
     SimplexWeights,
@@ -183,6 +184,22 @@ class TestTheorem3:
         prod = hadamard_product(f, f)
         assert satisfies_stability_condition(prod).satisfied
         assert is_schur_stable(prod).status is Status.STABLE
+
+    def test_variant_b_requires_f_condition(self):
+        f = MonicPolynomial((0.8, 0.4))  # sum 1.2, fails the sum test
+        assert theorem3_check(f, MonicPolynomial((0.1, 0.2)), "b") == CriterionOutcome(
+            CriterionId.THM3B, False, None
+        )
+
+    def test_variant_c_rejects_a_large_square_sum(self):
+        f = MonicPolynomial((0.8, 0.1))
+        g = MonicPolynomial((0.1, 0.7))  # 0.8^2 + 0.7^2 = 1.13
+        assert theorem3_check(f, g, "c") == CriterionOutcome(CriterionId.THM3C, False, None)
+
+    def test_variant_c_without_common_support_has_no_witness(self):
+        f = MonicPolynomial((5.0, 0.0))
+        g = MonicPolynomial((0.0, 7.0))
+        assert theorem3_check(f, g, "c") == CriterionOutcome(CriterionId.THM3C, True, None)
 
     def test_variant_c_does_not_require_f_condition(self):
         f = MonicPolynomial((0.8, 0.4))  # sum 1.2, fails the sum test

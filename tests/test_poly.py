@@ -140,6 +140,15 @@ class TestRationalExponent:
         with pytest.raises(InvalidInputError):
             RationalExponent(1, 0)
 
+    @pytest.mark.parametrize("num, den", [(True, 2), (1, True), (1.5, 2), (3, 2.0)])
+    def test_parts_must_be_integers(self, num, den):
+        with pytest.raises(InvalidInputError, match="exponent parts must be integers"):
+            RationalExponent(num, den)
+
+    def test_numpy_integer_parts(self):
+        p = RationalExponent(np.int64(6), np.int64(4))
+        assert (p, str(p), type(p.num), type(p.den)) == (RationalExponent(3, 2), "3/2", int, int)
+
     def test_value_overflow_is_invalid_input(self):
         """A value beyond the float range is refused when the exponent is
         made, so ``value`` never raises OverflowError; a huge numerator and
@@ -258,6 +267,11 @@ class TestHadamardPower:
         for member in bset:
             assert member.coeffs[3] == 0
             assert member.coeffs[4] == 0
+
+    def test_boolean_power_is_refused(self):
+        with pytest.raises(InvalidInputError, match="exponent parts must be integers"):
+            hadamard_power(F1, True)
+        assert hadamard_power(F1, np.int64(2)).exponent == RationalExponent(2)
 
     def test_singleton_for_integers(self):
         assert len(hadamard_power(G1, 5)) == 1

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_monic
@@ -349,19 +350,43 @@ class TestExactOnset:
         assert res.bracket == (3.3545718778428046, 3.3545727152917815)
 
     def test_exact_onset_root_finds(self, monkeypatch):
-        """Both bracket ends one at a time, then 23 bisection steps in rounds
+        """Both bracket ends as one batch, then 23 bisection steps in rounds
         of five levels, all decided without roots."""
         calls = _count_status_rows(monkeypatch)
         solves = _count_root_solves(monkeypatch)
         exact_onset(F1, "increasing", (0.0, 5.0), 1e-6)
-        assert calls == [1, 1] + [31] * 4 + [7]
+        assert calls == [2] + [31] * 4 + [7]
         assert solves == []
+
+    def test_left_end_error_comes_first(self, monkeypatch):
+        """Where both ends of the interval fail, the left end's error is
+        raised, in either direction, as if each end were decided alone."""
+        f = MonicPolynomial((10.0, 0.01))  # overflows at p = 400 and p = -400
+        for direction in ("increasing", "decreasing"):
+            with pytest.raises(InvalidInputError, match=r"\^-400.0 overflows"):
+                exact_onset(f, direction, (-400.0, 400.0))
+        monkeypatch.setattr(roots, "_SCHUR_COHN_MAX_DEGREE", 0)
+
+        def uncertified(asc, offset, limit):
+            raise UnconvergedError(f"no certificate at a_0 = {asc[0, 0]}", row=offset)
+
+        monkeypatch.setattr(roots, "_solve_chunk", uncertified)
+        a0 = principal_rows(F1, [1.0])[0, 0]
+        got = _outcome(exact_onset, F1, "increasing", (1.0, 5.0), 1e-6)
+        assert got == (UnconvergedError, f"no certificate at a_0 = {a0}", 0)
 
     def test_auto_onset_uncertifiable_stable_end(self):
         # 1.3^p grows without bound, so no power is stable; the solve at
         # p = 2048 overflows and cannot be certified.
         f = MonicPolynomial((0.05, 1.3, 0.2))
         with pytest.raises(BracketError, match="p = 2048.0"):
+            auto_onset(f, "max")
+
+    def test_auto_onset_degree_beyond_the_root_finder(self):
+        # Outside Theorem 1 (a unit modulus) the stable end doubles from 64;
+        # its statuses need roots, which degree 1025 is refused.
+        f = MonicPolynomial((1.0,) + (0.0,) * roots.MAX_ROOT_DEGREE)
+        with pytest.raises(UnsupportedDegreeError, match="got 1025"):
             auto_onset(f, "max")
 
     def test_example_two_integer_transition(self):
@@ -432,6 +457,11 @@ def _sequential_in_q(f, sign, lo, hi, tol):
     a, b = sorted((sign * lo, sign * hi))
     ends = (Status.UNSTABLE, Status.STABLE) if sign > 0 else (Status.STABLE, Status.UNSTABLE)
     return _sequential_bisect_onset(f, a, b, *ends, tol)
+
+
+def _status(f, p):
+    """The principal-branch status at p, from ``thresholds._statuses``."""
+    return th._statuses(f, 1.0, [p])(p)
 
 
 def _outcome(search, *args):
@@ -549,7 +579,7 @@ class TestLookaheadBisection:
             f = random_monic(rng, 2 + i % 7, moduli, density=0.7, real=i % 4 < 2)
             for direction, interval in itertools.product(ends, intervals):
                 got = _outcome(exact_onset, f, direction, interval, 1e-6)
-                if tuple(th._principal_status(f, p) for p in interval) != ends[direction]:
+                if tuple(_status(f, p) for p in interval) != ends[direction]:
                     assert got[0] is BracketError
                     assert got[1].startswith(f"interval [{interval[0]}, {interval[1]}]")
                     continue
@@ -581,10 +611,10 @@ class TestLookaheadBisection:
         calls = _count_status_rows(monkeypatch)
         got = exact_onset(F1, "increasing", (0.0, 5.0), 1e-6)
         assert (got.value, got.bracket) == (want.value, want.bracket)
-        assert calls[:2] == [1, 1]  # the bracket ends
-        assert max(calls[2:]) == 2**levels - 1
+        assert calls[:1] == [2]  # the bracket ends
+        assert max(calls[1:]) == 2**levels - 1
         if levels == 1:
-            assert calls[2:] == [1] * 23
+            assert calls[1:] == [1] * 23
 
 
 # The degree-7 input on which the first crossing from 0 (0.4423) is not the
@@ -642,7 +672,7 @@ def _ladder_onset(f, mode, tol):
     ladder = [0.0, 1e-3, 1e-2, 0.1, 0.25, 0.5]
     ladder += [2.0**k for k in range(17) if 2.0**k < abs(stable)]
     for q in ladder:
-        if th._principal_status(f, sign * q) is Status.UNSTABLE:
+        if _status(f, sign * q) is Status.UNSTABLE:
             if mode == "max":
                 return exact_onset(f, "increasing", (sign * q, stable), tol)
             return exact_onset(f, "decreasing", (stable, sign * q), tol)
@@ -972,7 +1002,7 @@ class TestGuardianMap:
 
 
 class TestInputBounds:
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6, True])
     @pytest.mark.parametrize(
         "search",
         [
@@ -998,6 +1028,16 @@ class TestInputBounds:
         with pytest.raises(InvalidInputError, match=r"search interval \[.*\] must be finite"):
             search(interval)
 
+    @pytest.mark.parametrize("grid_n", [1000.0, True])
+    def test_grid_n_must_be_an_integer(self, grid_n):
+        with pytest.raises(InvalidInputError, match="grid_n must be an integer"):
+            pstar_grid(F1, "max", grid_n)
+
+    def test_numpy_integer_grid_n(self):
+        res = pstar_grid(F1, "max", np.int64(100))
+        assert res == pstar_grid(F1, "max", 100)
+        assert type(res.to_json()["grid_n"]) is int
+
     def test_grid_cap(self, monkeypatch):
         # F1 has 3 support indices: 100 grid points need 300 ratios.
         monkeypatch.setattr(th, "MAX_GRID_RATIOS", 300)
@@ -1022,6 +1062,19 @@ class TestThresholdResultJson:
         assert obj["method"] == "GridSearch"
         assert obj["grid_n"] == 100
         assert obj["bracket"] is None
+
+    def test_values_are_python_floats(self):
+        results = [
+            pstar_grid(F1, "max", 100),
+            pstar_grid(G1, "min", 100),
+            pstar_exact(F1, "max"),
+            beta_star(G1, "max"),
+            exact_onset(F1, "increasing", (0.0, 5.0)),
+            auto_onset(G1, "min"),
+        ]
+        for res in results:
+            assert type(res.value) is float
+            assert res.bracket is None or [type(x) for x in res.bracket] == [float, float]
 
     def test_sentinel_serialization(self):
         obj = pstar_grid(MonicPolynomial((0j,)), "max", 100).to_json()
