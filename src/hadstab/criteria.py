@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Mapping
 
 from .errors import InvalidInputError
-from .poly import MonicPolynomial, hadamard_product, szego_product
+from .poly import MonicPolynomial, _check_degree, hadamard_product, szego_product
 
 # Float slack on simplex membership checks; witnesses are built to sum to 1.
 _SUM_SLACK = 1e-12
@@ -130,8 +130,7 @@ def sharpness_witness(n: int, weights, eps: float = 0.0) -> MonicPolynomial:
     ``weights`` may be a SimplexWeights (only valid for eps = 0) or a plain
     {index: lambda} mapping, since sums above 1 leave the weight simplex.
     """
-    if n < 1:
-        raise InvalidInputError("degree must be >= 1")
+    n = _check_degree(n)
     if eps < 0:
         raise InvalidInputError("eps must be nonnegative")
     table = weights.as_dict() if isinstance(weights, SimplexWeights) else dict(weights)

@@ -45,10 +45,10 @@ def _digit_count(m: int) -> int:
 
 def _finite_coeffs(values: Iterable) -> tuple[complex, ...]:
     """``values`` as complex numbers, refused unless all are finite; an int
-    beyond the float range is not."""
+    beyond the float range is not, nor is a complex whose modulus is."""
     try:
         cs = tuple(complex(c) for c in values)
-        finite = all(map(cmath.isfinite, cs))
+        finite = all(math.isfinite(abs(c)) for c in cs)
     except OverflowError:
         finite = False
     if not finite:
@@ -74,7 +74,7 @@ class MonicPolynomial:
     ``coeffs`` holds exactly n entries ``(a_0, ..., a_{n-1})``; the leading
     coefficient 1 is implicit.  A coefficient belongs to the support iff it is
     exactly zero in both parts; no epsilon is involved.  NaN and infinite
-    coefficients are rejected.
+    coefficients are rejected, and so are those whose modulus overflows.
     """
 
     coeffs: tuple[complex, ...]
@@ -130,11 +130,18 @@ class MonicPolynomial:
         return cls(tuple(_json_coeff(pair, "each coefficient") for pair in pairs))
 
 
-def all_ones(n: int) -> MonicPolynomial:
-    """s^n + s^(n-1) + ... + 1, the identity of the Hadamard product."""
+def _check_degree(n) -> int:
+    """A degree n >= 1 as an int; a bool or a float is not an integer here."""
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise InvalidInputError(f"degree must be an integer, not {n!r}")
     if n < 1:
         raise InvalidInputError("degree must be >= 1")
-    return MonicPolynomial((1.0 + 0j,) * n)
+    return int(n)
+
+
+def all_ones(n: int) -> MonicPolynomial:
+    """s^n + s^(n-1) + ... + 1, the identity of the Hadamard product."""
+    return MonicPolynomial((1.0 + 0j,) * _check_degree(n))
 
 
 @dataclass(frozen=True)
@@ -195,8 +202,6 @@ class RationalExponent:
             return cls(p)
         if isinstance(p, Rational):
             return cls(int(p.numerator), int(p.denominator))
-        if isinstance(p, str):
-            return cls.parse(p)
         raise InvalidInputError(f"not a rational exponent: {p!r}")
 
 
@@ -352,8 +357,7 @@ def hadamard_product(f: MonicPolynomial, g: MonicPolynomial) -> MonicPolynomial:
 
 def szego_weight(n: int) -> MonicPolynomial:
     """Weight polynomial with coefficient 1/C(n,k) at s^k (implicit 1 at s^n)."""
-    if n < 1:
-        raise InvalidInputError("degree must be >= 1")
+    n = _check_degree(n)
     return MonicPolynomial(tuple(1.0 / math.comb(n, k) for k in range(n)))
 
 
@@ -514,13 +518,8 @@ def to_integer_order(f: FractionalPolynomial) -> tuple[Fraction, MonicPolynomial
     power threshold transfers verbatim.
     """
     powers = [p for p, _ in f.terms]
-    lcm_den = 1
-    for p in powers:
-        lcm_den = lcm_den * p.denominator // math.gcd(lcm_den, p.denominator)
-    scaled = [p.numerator * (lcm_den // p.denominator) for p in powers]
-    g = 0
-    for v in scaled:
-        g = math.gcd(g, v)
+    lcm_den = math.lcm(*(p.denominator for p in powers))
+    g = math.gcd(*(p.numerator * (lcm_den // p.denominator) for p in powers))
     alpha = Fraction(g, lcm_den)
     degree = int(powers[0] / alpha)
     if degree > MAX_COMMENSURATE_DEGREE:

@@ -62,8 +62,9 @@ _EXPANSION_CAP = 2.0 ** 16
 # Maximum degree of the real carrier polynomial in guardian_map; the compound
 # matrix has dimension C(degree, 2).
 _GUARDIAN_DEGREE_CAP = 12
-# Largest weight grid pstar_grid searches: |support| * grid_n per-index
-# ratios, held as float64 and sorted (32 MiB at the cap).
+# Largest weight grid pstar_grid reads: |support| * grid_n per-index ratios,
+# held as one float64 array and partitioned through one int64 index array
+# (32 MiB each at the cap).
 MAX_GRID_RATIOS = 1 << 22
 
 
@@ -179,15 +180,16 @@ def _lattice_optimum(moduli: list[float], sign: float, resolution: int) -> float
     """Exact optimum of the weight-grid objective over lattice weights.
 
     The grid consists of weights c_k / R over integer compositions
-    (c_1, ..., c_d) of R = resolution with every part >= 1.  Rather than
-    enumerating the simplex (C(R-1, d-1) points), the optimum is found
-    parametrically: the achieved value is always one of the d*R per-index
-    ratios ln(c/R)/ln m_k, a target ratio V is achievable iff the minimal
-    parts c_k(V) = ceil(R m_k^V) fit into the budget R, and achievability is
-    monotone in V.  In q = sign * V it holds from some q on, so binary
-    search for the smallest achievable candidate q returns exactly the
-    enumeration optimum, sign * q (cross-checked against brute force in the
-    test suite).
+    (c_1, ..., c_d) of R = resolution with every part >= 1, and the value of
+    a composition is the largest per-index ratio q_k(c_k) = sign ln(c_k/R) /
+    ln m_k, in q = sign * p.  Each q_k falls as c grows, so a level v is
+    reached iff the smallest parts with q_k(c_k) <= v fit into R, that is,
+    iff at most R - d of the d*R ratios q_k(c) exceed v.  The optimum is
+    therefore an order statistic, not a search: the (R - d + 1)-th largest
+    ratio counted with multiplicity, rank (d - 1)(R + 1) from below, read
+    with one partition instead of enumerating the simplex (C(R-1, d-1)
+    points).  It is mapped back to p at the (k, c) it was read from
+    (cross-checked against brute force in the test suite).
     """
     R = resolution
     d = len(moduli)
@@ -199,32 +201,10 @@ def _lattice_optimum(moduli: list[float], sign: float, resolution: int) -> float
             f"at most {MAX_GRID_RATIOS} are supported"
         )
     logs = np.log(np.array(moduli))
-    ratios = np.log(np.arange(1, R + 1) / R)[None, :] / logs[:, None]
-    candidates = np.unique(sign * ratios)
-
-    def parts_for(v: float) -> list[int]:
-        out = []
-        for m, L in zip(moduli, logs):
-            c = max(1, math.ceil(R * (m ** v) - 1e-12))
-            # Float guard: the defining inequality ln(c/R) >= v ln(m) must hold.
-            while c < R and math.log(c / R) < v * L:
-                c += 1
-            out.append(c)
-        return out
-
-    lo, hi = 0, len(candidates) - 1
-    best = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if sum(parts_for(sign * candidates[mid])) <= R:
-            best, hi = candidates[mid], mid - 1
-        else:
-            lo = mid + 1
-    if best is None:
-        raise InvalidInputError("no lattice weight vector fits the resolution")
-    parts = parts_for(sign * best)
-    parts[0] += R - sum(parts)  # distribute leftover: ratios only improve
-    return float(sign * max(sign * math.log(c / R) / L for c, L in zip(parts, logs)))
+    ratios = np.log(np.arange(1, R + 1) / R)[None, :] / (sign * logs)[:, None]
+    rank = (d - 1) * (R + 1)
+    k, col = divmod(int(np.argpartition(ratios, rank, axis=None)[rank]), R)
+    return float(math.log((col + 1) / R) / logs[k])
 
 
 def pstar_grid(f: MonicPolynomial, mode: str, grid_n: int) -> ThresholdResult:
@@ -234,10 +214,12 @@ def pstar_grid(f: MonicPolynomial, mode: str, grid_n: int) -> ThresholdResult:
     the given resolution, the largest of ln(lambda_k)/ln|a_k|; every power
     beyond the returned value has all branches Schur stable.  mode 'min'
     (all moduli > 1) maximizes the smallest ratio and guards powers below the
-    returned value.  The grid approaches the exact threshold from the stable
-    side, so grid >= exact for 'max' and grid <= exact for 'min'.  A grid
-    of more than MAX_GRID_RATIOS ratios (|support| * grid_n) raises
-    InvalidInputError before any array is built.
+    returned value.  The value is the exact lattice optimum, read as one
+    order statistic of the |support| * grid_n per-index ratios
+    (``_lattice_optimum``).  The grid approaches the exact threshold from
+    the stable side, so grid >= exact for 'max' and grid <= exact for 'min'.
+    A grid of more than MAX_GRID_RATIOS ratios raises InvalidInputError
+    before any array is built.
     """
     sign = _sign("mode", mode, "max", "min")
     if isinstance(grid_n, bool) or not isinstance(grid_n, numbers.Integral):

@@ -181,6 +181,29 @@ class TestAnalyze:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--poly", "{f}"],
+            ["power", "--poly", "{f}", "--p", "1"],
+            ["product", "--f", "{f}", "--g", "{f}"],
+            ["threshold", "--poly", "{f}", "--mode", "max", "--method", "grid"],
+            ["threshold", "--poly", "{f}", "--mode", "min", "--method", "exact"],
+            ["threshold", "--poly", "{f}", "--mode", "max", "--method", "onset"],
+            ["sweep", "--poly", "{f}", "--from", "1", "--to", "3", "--step", "1", "--out", "{out}"],
+        ],
+        ids=lambda argv: "-".join(a for a in argv if a in ("grid", "exact", "onset")) or argv[0],
+    )
+    def test_modulus_beyond_float_is_input_error(self, capsys, tmp_path, argv):
+        """Finite parts whose modulus overflows a float are refused when the
+        file is read: not an OverflowError traceback from abs, and not a
+        numerical failure (exit 3) in analyze."""
+        path = tmp_path / "big.json"
+        path.write_text('{"degree": 2, "coeffs": [[1.5e308, 1.5e308], [0.5, 0]]}')
+        argv = [a.format(f=path, out=tmp_path / "sw") for a in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: coefficients must be finite\n")
+
+    @pytest.mark.parametrize(
         "terms, message",
         [
             ([], "'terms' must be a non-empty list"),
@@ -516,6 +539,16 @@ class TestThreshold:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: tol must be positive and finite")
+
+    def test_grid_n_equal_to_the_support(self, capsys, tmp_path):
+        """grid_n = |support| is accepted, and its one composition is all ones."""
+        path = tmp_path / "f.json"
+        path.write_text('{"degree": 2, "coeffs": [[0.7347426466626976, 0], [0.2535044348801034, 0]]}')
+        code, out = run(
+            capsys, "threshold", "--poly", str(path), "--mode", "max", "--method", "grid",
+            "--grid-n", "2",
+        )
+        assert (code, out["value"], out["grid_n"]) == (0, 2.24876221637, 2)
 
     def test_grid_cap_is_input_error(self, capsys, files):
         # F1 has 3 support indices.

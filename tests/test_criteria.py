@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +129,14 @@ class TestSharpnessWitness:
     def test_bad_indices_rejected(self):
         with pytest.raises(InvalidInputError):
             sharpness_witness(2, {5: 1.0})
+
+    @pytest.mark.parametrize("n", [True, 2.0, 1.5])
+    def test_bool_and_float_degrees_rejected(self, n):
+        with pytest.raises(InvalidInputError, match="degree must be an integer"):
+            sharpness_witness(n, {0: 1.0})
+
+    def test_numpy_integer_degree(self):
+        assert sharpness_witness(np.int64(2), {0: 1.0}) == sharpness_witness(2, {0: 1.0})
 
     def test_random_sharpness(self, rng):
         for n in range(1, 9):

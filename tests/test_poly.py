@@ -92,6 +92,7 @@ class TestMonicPolynomial:
             {"degree": 1, "coeffs": [[0, float("-inf")]]},
             pytest.param({"degree": 1, "coeffs": [[10**400, 0]]}, id="re-beyond-float"),
             pytest.param({"degree": 1, "coeffs": [[0.5, -(10**400)]]}, id="im-beyond-float"),
+            pytest.param({"degree": 1, "coeffs": [[1.5e308, 1.5e308]]}, id="modulus-beyond-float"),
         ],
     )
     def test_malformed_json(self, obj):
@@ -106,11 +107,18 @@ class TestMonicPolynomial:
             complex(0.5, float("nan")),
             complex("-infj"),
             pytest.param(10**400, id="int-beyond-float"),
+            # Finite parts whose modulus overflows, refused before abs raises.
+            pytest.param(complex(1.5e308, 1.5e308), id="modulus-beyond-float"),
+            pytest.param(complex(1e308, -1.7e308), id="modulus-beyond-float-2"),
         ],
     )
     def test_non_finite_coefficients_rejected(self, c):
         with pytest.raises(InvalidInputError, match="finite"):
             MonicPolynomial((0.5, c))
+
+    def test_largest_representable_modulus_accepted(self):
+        c = complex(1.2e308, 1.2e308)  # modulus 1.697e308, below the float maximum
+        assert MonicPolynomial((c, 0.5)).coeffs[0] == c
 
 
 class TestRationalExponent:
@@ -160,6 +168,23 @@ class TestRationalExponent:
             RationalExponent.parse("1" + "0" * 400)
         assert RationalExponent(10**400 + 1, 10**400).value == 1.0
         assert RationalExponent.parse("1/1" + "0" * 500).value == 0.0
+
+
+class TestDegreeArguments:
+    @pytest.mark.parametrize("make", [all_ones, szego_weight])
+    @pytest.mark.parametrize("n", [True, False, 2.0, 1.5])
+    def test_bool_and_float_degrees_are_refused(self, make, n):
+        with pytest.raises(InvalidInputError, match="degree must be an integer"):
+            make(n)
+
+    @pytest.mark.parametrize("make", [all_ones, szego_weight])
+    def test_numpy_integer_degree(self, make):
+        assert make(np.int64(3)) == make(3)
+
+    @pytest.mark.parametrize("make", [all_ones, szego_weight])
+    def test_degree_below_one(self, make):
+        with pytest.raises(InvalidInputError, match="degree must be >= 1"):
+            make(0)
 
 
 class TestHadamardProduct:
@@ -248,6 +273,13 @@ class TestHadamardPower:
         bset = hadamard_power(F1, 2)
         assert len(bset) == 1
         approx_coeffs(bset.principal, [0.49, 0.04, 0.81, 0.0, 0.0])
+
+    @pytest.mark.parametrize("p", [1.5, "3/2", "2"])
+    def test_float_and_string_powers_are_refused(self, p):
+        """A power is a RationalExponent, an int or a Rational; text goes
+        through ``RationalExponent.parse``."""
+        with pytest.raises(InvalidInputError, match="not a rational exponent"):
+            hadamard_power(F1, p)
 
     def test_integer_reciprocal(self):
         bset = hadamard_power(G1, -1)
@@ -489,6 +521,25 @@ class TestFractionalPolynomial:
         assert alpha == Fraction(1, 2)
         assert F == F1
 
+    @pytest.mark.parametrize(
+        "powers, alpha, indices",
+        [
+            # Denominators 6, 3 and 4: lcm 12, numerators 14, 8, 3 and 0.
+            ((Fraction(7, 6), Fraction(2, 3), Fraction(1, 4), Fraction(0)), Fraction(1, 12), (8, 3, 0)),
+            # Over denominator 2, numerators 9, 6 and 3 share the factor 3.
+            ((Fraction(9, 2), Fraction(3), Fraction(3, 2)), Fraction(3, 2), (2, 1)),
+        ],
+        ids=["lcm-12", "gcd-3"],
+    )
+    def test_common_base_of_mixed_denominators(self, powers, alpha, indices):
+        coeffs = (0.5, -0.25j, 0.125)[: len(indices)]
+        f = FractionalPolynomial(((powers[0], 1.0),) + tuple(zip(powers[1:], coeffs)))
+        got_alpha, F = to_integer_order(f)
+        assert got_alpha == alpha
+        assert F.degree == powers[0] / alpha
+        assert F.support == tuple(sorted(indices))
+        assert [F.coeffs[k] for k in indices] == list(coeffs)
+
     def test_float_powers_rejected(self):
         with pytest.raises(InvalidInputError):
             FractionalPolynomial(((1.5, 1.0),))
@@ -533,6 +584,7 @@ class TestFractionalPolynomial:
             {"pow": [1, 2], "coeff": [float("nan"), 0]},
             {"pow": [1, 2], "coeff": [0.5, float("inf")]},
             pytest.param({"pow": [1, 2], "coeff": [10**400, 0]}, id="coeff-beyond-float"),
+            pytest.param({"pow": [1, 2], "coeff": [-1.5e308, 1.5e308]}, id="modulus-beyond-float"),
         ],
     )
     def test_json_bad_term_rejected(self, term):

@@ -102,6 +102,35 @@ class TestGridAgainstBruteForce:
             assert got == pytest.approx(want, abs=1e-12)
 
 
+class TestGridOrderStatistic:
+    """The grid value is the exact lattice optimum, one order statistic of
+    the per-index ratios, wherever enumeration can check it."""
+
+    def test_matches_enumeration_on_seeded_grids(self):
+        rng = random.Random(2022)
+        for _ in range(400):
+            d = rng.randint(1, 4)
+            R = rng.randint(max(2, d), 20)
+            mode = rng.choice(("max", "min"))
+            moduli = (0.05, 0.95) if mode == "max" else (1.05, 20.0)
+            f = random_monic(rng, d, modulus_range=moduli, real=rng.random() < 0.5)
+            got = pstar_grid(f, mode, R).value
+            want = brute_force_grid(list(f.coefficient_moduli().values()), mode, R)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (f.coeffs, mode, R)
+
+    def test_grid_n_equal_to_the_support(self):
+        """At grid_n = |support| the one composition is all ones."""
+        moduli = (0.7347426466626976, 0.2535044348801034)
+        got = pstar_grid(MonicPolynomial(moduli), "max", 2).value
+        assert got == math.log(0.5) / math.log(moduli[0]) == 2.248762216368081
+
+    def test_optimum_that_a_float_guard_missed(self):
+        moduli = (0.1189334839458477, 0.5683562157553206, 0.20035618571565775, 0.11353335295494403)
+        got = pstar_grid(MonicPolynomial(moduli), "max", 5).value
+        assert got == 1.6217336553767032
+        assert got == pytest.approx(brute_force_grid(list(moduli), "max", 5), rel=1e-12)
+
+
 class TestPstarGrid:
     def test_example_one_f(self):
         res = pstar_grid(F1, "max", 1000)
@@ -225,6 +254,21 @@ class TestPstarExact:
         else:
             assert s(lo) <= 0.0 <= s(hi)
             assert pstar_grid(f, mode, 500).value <= res.value + 1e-12
+
+    @pytest.mark.parametrize(
+        "moduli, mode, value, bracket",
+        [
+            ((1e-10,), "max", -4.547473508864641e-13, (-9.094947017729282e-13, 0.0)),
+            ((1e10,), "min", 4.547473508864641e-13, (0.0, 9.094947017729282e-13)),
+        ],
+        ids=["max", "min"],
+    )
+    def test_single_index_overflows_below_its_root(self, moduli, mode, value, bracket):
+        """With one support index the root is q = 0, and the midpoint q = -32
+        overflows m^p: it counts as above 1, so the bracket closes on 0."""
+        res = pstar_exact(MonicPolynomial(moduli), mode)
+        assert (res.value, res.bracket) == (value, bracket)
+        assert [math.copysign(1.0, x) for x in res.bracket] == [math.copysign(1.0, x) for x in bracket]
 
     @pytest.mark.parametrize(
         "m, mode", [(0.999999, "max"), (1.000001, "min"), (1.0 - 2.0**-53, "max")]
