@@ -131,7 +131,7 @@ def sharpness_witness(n: int, weights, eps: float = 0.0) -> MonicPolynomial:
     {index: lambda} mapping, since sums above 1 leave the weight simplex.
     """
     n = _check_degree(n)
-    if eps < 0:
+    if not eps >= 0:  # NaN too, which no comparison below would catch
         raise InvalidInputError("eps must be nonnegative")
     table = weights.as_dict() if isinstance(weights, SimplexWeights) else dict(weights)
     if not table:

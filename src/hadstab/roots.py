@@ -43,19 +43,23 @@ takes each row's worst root modulus (by ``np.hypot``, which equals Python's
 row in a root set; batch callers, ``report.sweep`` among them, pass their
 rows straight to it.
 
-Branch sets take the same path: ``_branch_blocks`` streams the rows that
-``BranchSet.rows`` gathers, for the rotation representatives
-(``branch_set_stable``) or every member (``branch_root_sets``).  Every
+Branch sets take the same path, with the rows that ``BranchSet.rows``
+gathers: ``branch_root_sets`` solves every member, and ``branch_set_stable``
+the rotation representatives that can still change its verdict.  Every
 verdict, of one polynomial or of a set, is ``StabilityVerdict.of`` the worst
 root modulus: some member is Unstable exactly when the worst modulus is, and
 every member Stable exactly when it is.
 
-Callers that read only a status, the onset searches, use ``row_statuses``:
-the Schur-Cohn recursion decides it from the coefficients alone, on all rows
-of a batch at once and with a running bound on its rounding error, at both
-edges of the boundary band.  The rows it cannot decide, and every row above
-degree 32, go to ``find_root_rows`` as rows, so the roots stay the one
-root-finding path and the only source of moduli.
+The Schur-Cohn recursion (``_schur_cohn``) decides from the coefficients
+alone, on all rows of a batch at once and with a running bound on its
+rounding error, whether each row's roots lie inside a circle
+(``_schur_cohn_at``).  Callers that read only a status, the onset searches,
+use ``row_statuses``, which runs it at both edges of the boundary band.
+``branch_set_stable`` runs it at 1 + BOUNDARY_BAND, to stop at the first
+member that is certainly Unstable, and at the worst modulus found so far, to
+skip the members that certainly cannot raise it.  The rows it cannot decide,
+and every row above degree 32, go to ``find_root_rows`` as rows, so the
+roots stay the one root-finding path and the only source of moduli.
 """
 
 from __future__ import annotations
@@ -65,7 +69,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Iterator
 
 import numpy as np
 
@@ -587,28 +590,41 @@ def _schur_cohn(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return stable, decided
 
 
+@np.errstate(all="ignore")  # a coefficient that overflows leaves its column undecided
+def _schur_cohn_at(asc: np.ndarray, radii: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """``_schur_cohn`` of the rows of ascending coefficients ``asc``
+    (k, n + 1) scaled to a_k rho^k, the polynomial at rho z, for each rho in
+    ``radii``, as one batch: (len(radii), k) arrays, row r for radii[r].
+
+    A row certainly stable at rho has every root modulus below rho; one
+    certainly not stable has a root modulus of rho or more.
+    """
+    k, n = asc.shape[0], asc.shape[1] - 1
+    rho = np.array(radii) ** np.arange(n + 1)[:, None]
+    # Columns 0 .. k-1 hold the rows at radii[0], k .. 2k-1 at radii[1], ...
+    stable, decided = _schur_cohn((asc.T[:, None] * rho[:, :, None]).reshape(n + 1, -1))
+    return stable.reshape(len(radii), k), decided.reshape(len(radii), k)
+
+
 def _recursion_statuses(asc: np.ndarray) -> list[Status | None]:
     """Statuses of the rows of ascending monic coefficients ``asc`` as
     ``classify`` draws them, None where the recursion cannot decide.
 
-    The rows run scaled to a_k rho^k, the polynomial at rho z, for rho on
-    both edges of the boundary band: Stable where the inner one is certainly
-    stable (every root modulus below 1 - BOUNDARY_BAND), Unstable where the
-    outer one is certainly not (a root modulus of 1 + BOUNDARY_BAND or more),
-    Marginal where both are certain and neither holds.
+    The rows run at both edges of the boundary band (``_schur_cohn_at``):
+    Stable where the inner one is certainly stable (every root modulus below
+    1 - BOUNDARY_BAND), Unstable where the outer one is certainly not (a root
+    modulus of 1 + BOUNDARY_BAND or more), Marginal where both are certain
+    and neither holds.
     """
-    k, n = asc.shape[0], asc.shape[1] - 1
-    rho = np.array([1.0 - BOUNDARY_BAND, 1.0 + BOUNDARY_BAND]) ** np.arange(n + 1)[:, None]
-    # Columns 0 .. k-1 hold the inner rows, k .. 2k-1 the outer ones.
-    stable, decided = _schur_cohn((asc.T[:, None] * rho[:, :, None]).reshape(n + 1, 2 * k))
-    stable, decided = stable.tolist(), decided.tolist()
-    statuses: list[Status | None] = [None] * k
-    for i in range(k):
-        if decided[i] and stable[i]:
+    stable, decided = _schur_cohn_at(asc, [1.0 - BOUNDARY_BAND, 1.0 + BOUNDARY_BAND])
+    (inner, outer), (inner_known, outer_known) = stable.tolist(), decided.tolist()
+    statuses: list[Status | None] = [None] * len(inner)
+    for i in range(len(inner)):
+        if inner_known[i] and inner[i]:
             statuses[i] = Status.STABLE
-        elif decided[k + i] and not stable[k + i]:
+        elif outer_known[i] and not outer[i]:
             statuses[i] = Status.UNSTABLE
-        elif decided[i] and decided[k + i]:
+        elif inner_known[i] and outer_known[i]:
             statuses[i] = Status.MARGINAL
     return statuses
 
@@ -638,56 +654,79 @@ def row_statuses(asc: np.ndarray) -> list[Status]:
     return statuses
 
 
-def _branch_blocks(
-    b: BranchSet, indices: Iterator[tuple[int, ...]], first: int, limit: float = math.inf
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """``find_root_rows`` of the members of b named by the branch
-    ``indices``, gathered by ``b.rows`` in blocks of ``first`` rows, then
-    ``chunk_rows``, and yielded per block; the first row above ``limit`` ends
-    the stream.  An uncertified row before it raises UnconvergedError naming
-    its branch by its position in the full enumeration and its index.
-    """
-    n = b.base.degree
-    check_degree(n)  # before the table is built
-    block = list(islice(indices, first))
-    while block:
-        try:
-            rows = find_root_rows(b.rows(block), limit)
-        except UnconvergedError as exc:
-            index = block[exc.row]
-            raise UnconvergedError(
-                f"branch {b.position(index)} (index {index}): {exc}", partial=exc.partial
-            ) from exc
-        yield rows
-        block = [] if rows[3][-1] > limit else list(islice(indices, chunk_rows(n)))
+def _solve_branches(
+    b: BranchSet, indices: list[tuple[int, ...]], asc: np.ndarray, limit: float = math.inf
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``find_root_rows(asc, limit)`` of the members of b with the branch
+    ``indices``, whose rows ``asc`` holds.  An uncertified row raises
+    UnconvergedError naming its branch by its position in the full
+    enumeration and its index."""
+    try:
+        return find_root_rows(asc, limit)
+    except UnconvergedError as exc:
+        index = indices[exc.row]
+        raise UnconvergedError(
+            f"branch {b.position(index)} (index {index}): {exc}", partial=exc.partial
+        ) from exc
 
 
 def branch_root_sets(b: BranchSet) -> list[RootSet]:
     """Root sets of every member of b, in enumeration order, each exactly as
-    ``find_roots`` returns it; a member that fails to certify raises
+    ``find_roots`` returns it; the members are gathered by ``b.rows`` and
+    solved ``chunk_rows`` at a time.  A member that fails to certify raises
     UnconvergedError naming the branch."""
-    blocks = _branch_blocks(b, b.indices(), chunk_rows(b.base.degree))
-    return [rs for z, res, tol, _ in blocks for rs in _root_sets(z, res, tol)]
+    n = b.base.degree
+    check_degree(n)  # before the table is built
+    indices, sets = b.indices(), []
+    while block := list(islice(indices, chunk_rows(n))):
+        sets += _root_sets(*_solve_branches(b, block, b.rows(block))[:3])
+    return sets
 
 
 def branch_set_stable(b: BranchSet) -> StabilityVerdict:
     """Stability of a rational power means stability of every branch.
 
-    Only one member per rotation orbit is solved
+    Only one member per rotation orbit is taken
     (``BranchSet.rotation_representatives``): rotations keep every root
-    modulus.  The principal branch is solved first and alone, then the
-    other representatives in blocks of ``chunk_rows`` rows, each gathered
-    straight from the coefficient table into arrays; no member polynomial or
-    root set is built.  The fold stops at the first Unstable member, and no
-    block is built after it.  The verdict is that of the worst modulus
+    modulus.  The representatives come ``chunk_rows`` at a time, principal
+    branch first, gathered straight from the coefficient table into arrays.
+    Up to degree ``_SCHUR_COHN_MAX_DEGREE`` a chunk first takes one
+    ``_schur_cohn_at`` batch at two radii.  At 1 + BOUNDARY_BAND, a row that
+    is certainly not stable cuts the chunk after itself.  At w, the worst
+    modulus solved so far, a row that is certainly stable cannot raise it
+    and is skipped; the first chunk has no w, so it is only cut.
+    ``find_root_rows`` solves the rows that are left, through the first
+    whose modulus exceeds 1 + BOUNDARY_BAND, which ends the fold; if it puts
+    a cut row within that limit (a disagreement at the band edge), the rest
+    of the chunk is solved too.  The verdict is that of the worst modulus
     (``StabilityVerdict.of``): over all members for Stable and Marginal
     sets; for Unstable sets over the representatives up to and including the
     first Unstable one, a lower bound that still exceeds 1 + BOUNDARY_BAND.
 
-    A member that fails to certify raises UnconvergedError naming its branch
-    by its position in the full enumeration and its index, with its sorted
-    root set as the partial result.
+    A solved member that fails to certify raises UnconvergedError naming its
+    branch by its position in the full enumeration and its index, with its
+    sorted root set as the partial result.  A member the recursion places
+    inside w is never root-found, so it can no longer raise.
     """
-    blocks = _branch_blocks(b, b.rotation_representatives(), 1, limit=1.0 + BOUNDARY_BAND)
-    return StabilityVerdict.of(max(float(worst.max()) for *_, worst in blocks))
-
+    n = b.base.degree
+    check_degree(n)  # before the table is built
+    limit = 1.0 + BOUNDARY_BAND
+    reps = b.rotation_representatives()
+    found: list[float] = []  # the worst modulus of each solve; w is their max
+    while block := list(islice(reps, chunk_rows(n))):
+        asc = b.rows(block)
+        cut = inside = np.zeros(len(block), dtype=bool)
+        if n <= _SCHUR_COHN_MAX_DEGREE:
+            stable, decided = _schur_cohn_at(asc, [limit, max(found)] if found else [limit])
+            cut = decided[0] & ~stable[0]
+            if found:
+                inside = decided[1] & stable[1]
+        # Each solve ends at a cut row or at the end of the chunk.
+        keep = np.flatnonzero(~inside)
+        for rows in np.split(keep, np.flatnonzero(cut[keep]) + 1):
+            if rows.size:
+                moduli = _solve_branches(b, [block[i] for i in rows], asc[rows], limit)[3]
+                found.append(float(moduli.max()))
+                if moduli[-1] > limit:
+                    return StabilityVerdict.of(max(found))
+    return StabilityVerdict.of(max(found))

@@ -573,7 +573,7 @@ class TestBranchSetChunks:
         assert branch_set_stable(bset).status is Status.STABLE
         reps = list(bset.rotation_representatives())
         assert (len(bset), len(reps)) == (16, 8)
-        target = reps[5]  # fourth block: the principal alone, then pairs
+        target = reps[5]  # third chunk of two, and solved alone in it
         bad = np.array(next(bset.members([target])).coeffs + (1.0 + 0j,))
         monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 2 * 16)
         monkeypatch.setattr(
@@ -634,18 +634,71 @@ class TestBranchSetChunks:
         assert expected.status is Status.UNSTABLE
         monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", rows_per_chunk * 16)
         self._spoil(monkeypatch, reps[rep])
-        # Blocks of 4 after the principal branch: the 16th representative
-        # (index 15) is the third row of the block 13-16.
+        # Chunks of 4: the 16th representative (index 15) is the last row of
+        # the chunk 12-15.
         assert branch_set_stable(self.SET) == expected
 
     def test_uncertified_member_before_the_first_unstable_raises(self, monkeypatch):
+        # With chunks of 4 the solved rows are 0-3, 4 and 7, 8 and 15 (see
+        # TestWorkCounters).  Representative 7 has a larger modulus than any
+        # row before it, so the recursion cannot place it inside w.  It is
+        # the second row solved from the chunk 4-7 but the chunk's fourth
+        # row, so the name must be read through the solved rows.
         reps = list(self.SET.rotation_representatives())
         monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 4 * 16)
-        self._spoil(monkeypatch, reps[14])
+        self._spoil(monkeypatch, reps[7])
         with pytest.raises(UnconvergedError) as info:
             branch_set_stable(self.SET)
-        position = self.SET.position(reps[14])
-        assert str(info.value).startswith(f"branch {position} (index {reps[14]}): ")
+        position = self.SET.position(reps[7])
+        assert str(info.value).startswith(f"branch {position} (index {reps[7]}): ")
+
+    def test_member_inside_w_is_never_root_found(self, monkeypatch):
+        # Representative 14 (modulus 0.848) lies inside w = 0.998, the
+        # modulus of representative 8, when its chunk 12-15 is reached: it is
+        # skipped, so its failure to certify can no longer raise.
+        reps = list(self.SET.rotation_representatives())
+        expected = branch_set_stable(self.SET)
+        monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 4 * 16)
+        self._spoil(monkeypatch, reps[14])
+        assert branch_set_stable(self.SET) == expected
+
+    def test_cut_row_within_the_limit_goes_on_with_its_chunk(self, monkeypatch):
+        """A row the recursion calls certainly not stable at 1 +
+        BOUNDARY_BAND but the root finder puts within it (a disagreement at
+        the band edge) does not end the fold: the rest of its chunk is
+        solved too."""
+        f = MonicPolynomial((0.03, 0.02j, 0.01, -0.025, 0.005))
+        bset = hadamard_power(f, RationalExponent(2, 3))
+        expected = branch_set_stable(bset)
+        assert expected.status is Status.STABLE
+        schur_cohn_at = roots._schur_cohn_at
+
+        def cutting_row_2(asc, radii):
+            stable, decided = schur_cohn_at(asc, radii)
+            stable[0, 2], decided[0, 2] = False, True
+            return stable, decided
+
+        monkeypatch.setattr(roots, "_schur_cohn_at", cutting_row_2)
+        solved = _solved_representatives(monkeypatch, bset)
+        assert branch_set_stable(bset) == expected
+        # One chunk of all 81 representatives, and the first has no w.
+        assert solved == [[0, 1, 2], list(range(3, 81))]
+
+
+def _solved_representatives(monkeypatch, bset):
+    """A list that records, for each ``find_root_rows`` call, the positions
+    among the rotation representatives of bset of the rows it is given."""
+    reps = list(bset.rotation_representatives())
+    position = {row: i for i, row in enumerate(map(tuple, bset.rows(reps).tolist()))}
+    calls = []
+    find_root_rows = roots.find_root_rows
+
+    def recording(asc, limit=math.inf):
+        calls.append([position[row] for row in map(tuple, asc.tolist())])
+        return find_root_rows(asc, limit)
+
+    monkeypatch.setattr(roots, "find_root_rows", recording)
+    return calls
 
 
 def _reference_verdict(bset):
@@ -689,6 +742,37 @@ def _branch_corpus():
     return cases
 
 
+def _recursion_corpus():
+    """1,500 seeded branch sets: m = 2..4, degree 1..6 and coefficient moduli
+    in (0.05, 1.2), a third of them real, whose conjugate members tie in
+    modulus;
+    s^3, s^2 + 1 at 1/2 (Marginal), a set of degree 33 that only the root
+    finder solves, and the two inputs of ``test_overflow_warns_nothing``;
+    and s^n + e^(i theta), whose members all have every root on the circle."""
+    rng = random.Random(2461)
+    fs = [
+        (MonicPolynomial((0j, 0j, 0j)), RationalExponent(1, 3)),
+        (MonicPolynomial((1.0, 0.0)), RationalExponent(1, 2)),
+        (MonicPolynomial((0.3,) + (0j,) * 31 + (0.2j,)), RationalExponent(1, 2)),
+        (MonicPolynomial((0.2,) + (0j,) * 6 + (1e90,)), RationalExponent(1, 2)),
+        (MonicPolynomial((1.0,) + (0j,) * 38 + (1e16,)), RationalExponent(1, 2)),
+    ]
+    for n in range(1, 5):
+        for m in range(2, 5):
+            theta = rng.uniform(-math.pi, math.pi)
+            f = MonicPolynomial((complex(math.cos(theta), math.sin(theta)),) + (0j,) * (n - 1))
+            fs += [(f, RationalExponent(k, m)) for k in range(1, m) if math.gcd(k, m) == 1]
+    while len(fs) < 1500:
+        m = rng.randint(2, 4)
+        real = len(fs) % 3 == 0
+        f = random_monic(rng, rng.randint(1, 6), (0.05, 1.2), density=0.8, real=real)
+        if real:
+            f = MonicPolynomial(tuple(c * rng.choice((1, -1)) for c in f.coeffs))
+        if m ** len(f.support) <= 256:
+            fs.append((f, RationalExponent(rng.randint(1, 2 * m), m)))
+    return [hadamard_power(f, p) for f, p in fs]
+
+
 class TestBranchSetAgreement:
     def test_equals_member_solves(self):
         """Status and max_modulus equal, bit for bit, the verdict folded from
@@ -725,6 +809,50 @@ class TestBranchSetAgreement:
         monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 3 * 16)
         assert roots.chunk_rows(4) == 3
         assert [_bits(rs) for rs in branch_root_sets(bset)] == expected
+
+    @pytest.mark.filterwarnings("error")
+    def test_equals_member_solves_at_every_chunk_size(self, monkeypatch):
+        """Status and max_modulus equal the reference bit for bit on 1,500
+        seeded sets at three chunk sizes, so the rows the recursion cuts or
+        skips never change a verdict; a set the reference cannot certify
+        raises for the same branch."""
+        corpus = _recursion_corpus()
+        assert len(corpus) >= 1500
+        expected = []
+        for bset in corpus:
+            try:
+                expected.append(_reference_verdict(bset))
+            except UnconvergedError as exc:
+                expected.append(exc.row)  # the representative that failed
+        counts = {s: 0 for s in Status}
+        for status, _ in filter(lambda e: isinstance(e, tuple), expected):
+            counts[status] += 1
+        assert counts[Status.MARGINAL] >= 20, counts
+        assert counts[Status.STABLE] >= 400 and counts[Status.UNSTABLE] >= 400, counts
+        assert expected.count(0) == 2  # the overflow inputs, at the principal
+        for elements in (1, 4 * 25, roots._CHUNK_ELEMENTS):
+            monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", elements)
+            for bset, want in zip(corpus, expected):
+                if isinstance(want, int):
+                    index = list(bset.rotation_representatives())[want]
+                    with pytest.raises(UnconvergedError) as info:
+                        branch_set_stable(bset)
+                    name = f"branch {bset.position(index)} (index {index}): "
+                    assert str(info.value).startswith(name)
+                    continue
+                verdict = branch_set_stable(bset)
+                assert (verdict.status, verdict.max_modulus) == want, (bset, elements)
+
+    @pytest.mark.filterwarnings("error")
+    def test_scaling_overflow_warns_nothing(self):
+        """A branch coefficient one ulp below the float maximum overflows
+        when the recursion scales it to 1 + BOUNDARY_BAND; the row goes to
+        the root finder instead, with no warning from numpy."""
+        big = np.nextafter(np.finfo(float).max, 0)
+        bset = hadamard_power(MonicPolynomial((0.5, big ** (2 / 3))), RationalExponent(3, 2))
+        assert abs(bset.table[1, 0]) > np.finfo(float).max / (1.0 + roots.BOUNDARY_BAND)
+        verdict = branch_set_stable(bset)
+        assert (verdict.status, verdict.max_modulus) == _reference_verdict(bset)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -876,17 +1004,17 @@ class TestWorkCounters:
         f = MonicPolynomial((0.03, 0.02j, 0.01, -0.025, 0.005))
         bset = hadamard_power(f, RationalExponent(2, 3))
         assert branch_set_stable(bset).status is Status.STABLE
-        # One member per rotation orbit: 3^4 of the 3^5 branches, the
-        # principal branch first and alone.
-        assert eigvals_calls == [(1, 5, 5), (3**4 - 1, 5, 5)]
+        # One member per rotation orbit: 3^4 of the 3^5 branches, all in the
+        # first chunk, which has no worst modulus to skip rows by yet.
+        assert eigvals_calls == [(3**4, 5, 5)]
 
     def test_principal_unstable_set_is_one_chunk(self, eigvals_calls):
         f = MonicPolynomial((1.5, 0.0, 1.2j, -0.9, 1.1, 0.8 - 0.4j, 1.3, 0.7))
         bset = hadamard_power(f, RationalExponent(1, 3))
         assert len(bset) == 3**7
         assert branch_set_stable(bset).status is Status.UNSTABLE
-        # 729 representatives; the principal branch is solved alone and
-        # decides.
+        # 729 representatives; the recursion cuts the first chunk of 128
+        # after the principal branch, which is solved alone and decides.
         assert eigvals_calls == [(1, 8, 8)]
         assert is_schur_stable(bset.principal).status is Status.UNSTABLE
 
@@ -902,5 +1030,34 @@ class TestWorkCounters:
         eigvals_calls.clear()
         monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 4 * 16)
         assert branch_set_stable(bset).status is Status.UNSTABLE
-        # The principal branch, then rows 1-16 of 27 in blocks of 4.
-        assert eigvals_calls == [(1, 4, 4)] + [(4, 4, 4)] * 4
+        # Chunks of 4 through the one holding row 15: rows 0-3, then of
+        # 4-15 only 4, 7, 8 and 15, the rest lying inside the worst modulus
+        # so far.  No chunk after row 15's is gathered or solved.
+        assert eigvals_calls == [(4, 4, 4), (2, 4, 4), (1, 4, 4), (1, 4, 4)]
+
+    # Six chunks of 16 of 81 representatives, and of the last five only row
+    # 77 is solved: its modulus ties that of row 10, the worst, so the
+    # recursion cannot place it strictly inside.  In chunks of 4 of 27 with
+    # the first Unstable row at 15, rows 5, 6 and 9-14 lie inside.
+    @pytest.mark.parametrize(
+        "bset, rows_per_chunk, expected",
+        [
+            (
+                hadamard_power(
+                    MonicPolynomial((0.03, 0.02j, 0.01, -0.025, 0.005)), RationalExponent(2, 3)
+                ),
+                16,
+                [list(range(16)), [77]],
+            ),
+            (TestBranchSetChunks.SET, 4, [[0, 1, 2, 3], [4, 7], [8], [15]]),
+        ],
+        ids=["all stable", "other unstable"],
+    )
+    def test_rows_root_found(self, monkeypatch, bset, rows_per_chunk, expected):
+        """The rows that reach ``find_root_rows``, as positions among the
+        rotation representatives."""
+        n = bset.base.degree
+        monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", rows_per_chunk * n * n)
+        solved = _solved_representatives(monkeypatch, bset)
+        branch_set_stable(bset)
+        assert solved == expected

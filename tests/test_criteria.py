@@ -130,6 +130,12 @@ class TestSharpnessWitness:
         with pytest.raises(InvalidInputError):
             sharpness_witness(2, {5: 1.0})
 
+    @pytest.mark.parametrize("eps", [-0.1, math.nan])
+    def test_negative_or_nan_eps_rejected(self, eps):
+        # Both eps checks were false for NaN, which returned s^2 - 0.3 s - 0.3.
+        with pytest.raises(InvalidInputError, match="eps must be nonnegative"):
+            sharpness_witness(2, {0: 0.3, 1: 0.3}, eps=eps)
+
     @pytest.mark.parametrize("n", [True, 2.0, 1.5])
     def test_bool_and_float_degrees_rejected(self, n):
         with pytest.raises(InvalidInputError, match="degree must be an integer"):

@@ -439,6 +439,17 @@ class TestSchurCohnStatuses:
     def test_empty_batch(self):
         assert row_statuses(np.zeros((0, 3), dtype=complex)) == []
 
+    @pytest.mark.filterwarnings("error")
+    def test_scaling_overflow_warns_nothing(self):
+        """A coefficient one ulp below the float maximum overflows when
+        scaled to the outer edge of the band; its column is left undecided
+        and the root finder decides it, with no warning from numpy."""
+        big = np.nextafter(np.finfo(float).max, 0)
+        asc = np.array([[0.5, big, 1.0]], dtype=complex)
+        _, decided = roots._schur_cohn_at(asc, [1.0 - BOUNDARY_BAND, 1.0 + BOUNDARY_BAND])
+        assert not decided.any()
+        assert row_statuses(asc) == [Status.UNSTABLE]
+
 
 class TestBranchSetStable:
     def test_integer_power_matches_single(self):
