@@ -122,17 +122,21 @@ def cmd_power(args) -> int:
     out = {
         "exponent": str(p),
         "branch_count": branch_count,
-        "principal": {"poly": principal.to_json(), **_verdict_payload(find_roots(principal))},
+        "principal": {"poly": principal.to_json()},
     }
     if args.all_branches:
         bset = hadamard_power(f, p)
         root_sets = branch_root_sets(bset)
+        # Member 0 is the principal branch, bit for bit.
+        out["principal"].update(_verdict_payload(root_sets[0]))
         worst = max(rs.max_modulus for rs in root_sets)
         out["combined"] = StabilityVerdict.of(worst).to_json()
         out["branches"] = [
             {"branch": list(idx), **_verdict_payload(rs)}
             for idx, rs in zip(bset.indices(), root_sets)
         ]
+    else:
+        out["principal"].update(_verdict_payload(find_roots(principal)))
     _emit(out)
     return 0
 

@@ -55,9 +55,11 @@ alone, on all rows of a batch at once and with a running bound on its
 rounding error, whether each row's roots lie inside a circle
 (``_schur_cohn_at``).  Callers that read only a status, the onset searches,
 use ``row_statuses``, which runs it at both edges of the boundary band.
-``branch_set_stable`` runs it at 1 + BOUNDARY_BAND, to stop at the first
-member that is certainly Unstable, and at the worst modulus found so far, to
-skip the members that certainly cannot raise it.  The rows it cannot decide,
+``branch_set_stable`` root-finds a short first chunk of members outright, and
+that gives w, the worst modulus so far.  Every later chunk runs the
+recursion at 1 + BOUNDARY_BAND, to stop at the first member that is
+certainly Unstable, and at w, to skip the members that certainly cannot
+raise it.  The rows it cannot decide,
 and every row above degree 32, go to ``find_root_rows`` as rows, so the
 roots stay the one root-finding path and the only source of moduli.
 """
@@ -100,6 +102,10 @@ _ZERO_CIRCLE = 0.5
 # A chunk of rows holds at most this many n x n matrix entries (128 KiB of
 # complex values per stacked array), and always at least one row.
 _CHUNK_ELEMENTS = 1 << 13
+# The first chunk of branch representatives, root-found with no recursion
+# batch to give w (see branch_set_stable), holds at most this many n x n
+# matrix entries: 10 rows at degree 5, 4 at 8, 1 from 16.
+_FIRST_CHUNK_ELEMENTS = 256
 
 
 class Status(str, Enum):
@@ -688,39 +694,50 @@ def branch_set_stable(b: BranchSet) -> StabilityVerdict:
 
     Only one member per rotation orbit is taken
     (``BranchSet.rotation_representatives``): rotations keep every root
-    modulus.  The representatives come ``chunk_rows`` at a time, principal
-    branch first, gathered straight from the coefficient table into arrays.
-    Up to degree ``_SCHUR_COHN_MAX_DEGREE`` a chunk first takes one
+    modulus.  The representatives come in chunks, principal branch first,
+    gathered straight from the coefficient table into arrays.  Up to degree
+    ``_SCHUR_COHN_MAX_DEGREE`` the first chunk holds min(chunk_rows(n),
+    max(1, _FIRST_CHUNK_ELEMENTS // n^2)) rows (10 at degree 5, 1 from
+    degree 16) and goes straight to ``find_root_rows``; its worst modulus is
+    w.  Every later chunk holds ``chunk_rows(n)`` rows and first takes one
     ``_schur_cohn_at`` batch at two radii.  At 1 + BOUNDARY_BAND, a row that
     is certainly not stable cuts the chunk after itself.  At w, the worst
     modulus solved so far, a row that is certainly stable cannot raise it
-    and is skipped; the first chunk has no w, so it is only cut.
-    ``find_root_rows`` solves the rows that are left, through the first
-    whose modulus exceeds 1 + BOUNDARY_BAND, which ends the fold; if it puts
-    a cut row within that limit (a disagreement at the band edge), the rest
-    of the chunk is solved too.  The verdict is that of the worst modulus
-    (``StabilityVerdict.of``): over all members for Stable and Marginal
-    sets; for Unstable sets over the representatives up to and including the
-    first Unstable one, a lower bound that still exceeds 1 + BOUNDARY_BAND.
+    and is skipped.  Above that degree every chunk holds ``chunk_rows(n)``
+    rows and takes no batch.  ``find_root_rows`` solves the rows that are
+    left, through the first whose modulus exceeds 1 + BOUNDARY_BAND, which
+    ends the fold; if it puts a cut row within that limit (a disagreement at
+    the band edge), the rest of the chunk is solved too.  The verdict is
+    that of the worst modulus (``StabilityVerdict.of``): over all members
+    for Stable and Marginal sets; for Unstable sets over the representatives
+    up to and including the first Unstable one, a lower bound that still
+    exceeds 1 + BOUNDARY_BAND.
+
+    The first chunk is solved whole even when its first row is Unstable,
+    and a set whose first Unstable representative lies just past it pays a
+    second ``find_root_rows`` call where a single one would have reached it.
 
     A solved member that fails to certify raises UnconvergedError naming its
     branch by its position in the full enumeration and its index, with its
-    sorted root set as the partial result.  A member the recursion places
-    inside w is never root-found, so it can no longer raise.
+    sorted root set as the partial result.  A member after the first chunk
+    that the recursion places inside w is never root-found, so it can no
+    longer raise.
     """
     n = b.base.degree
     check_degree(n)  # before the table is built
     limit = 1.0 + BOUNDARY_BAND
     reps = b.rotation_representatives()
+    size = first = chunk_rows(n)
+    if n <= _SCHUR_COHN_MAX_DEGREE:
+        first = min(size, max(1, _FIRST_CHUNK_ELEMENTS // (n * n)))
     found: list[float] = []  # the worst modulus of each solve; w is their max
-    while block := list(islice(reps, chunk_rows(n))):
+    while block := list(islice(reps, size if found else first)):
         asc = b.rows(block)
         cut = inside = np.zeros(len(block), dtype=bool)
-        if n <= _SCHUR_COHN_MAX_DEGREE:
-            stable, decided = _schur_cohn_at(asc, [limit, max(found)] if found else [limit])
+        if found and n <= _SCHUR_COHN_MAX_DEGREE:
+            stable, decided = _schur_cohn_at(asc, [limit, max(found)])
             cut = decided[0] & ~stable[0]
-            if found:
-                inside = decided[1] & stable[1]
+            inside = decided[1] & stable[1]
         # Each solve ends at a cut row or at the end of the chunk.
         keep = np.flatnonzero(~inside)
         for rows in np.split(keep, np.flatnonzero(cut[keep]) + 1):

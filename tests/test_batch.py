@@ -229,6 +229,20 @@ def eigvals_calls(monkeypatch):
 
 
 @pytest.fixture
+def schur_cohn_batches(monkeypatch):
+    """Row counts of the batches passed to ``roots._schur_cohn_at``."""
+    calls = []
+    schur_cohn_at = roots._schur_cohn_at
+
+    def counting(asc, radii):
+        calls.append(len(asc))
+        return schur_cohn_at(asc, radii)
+
+    monkeypatch.setattr(roots, "_schur_cohn_at", counting)
+    return calls
+
+
+@pytest.fixture
 def aberth_calls(monkeypatch):
     """Shapes of the stacked coefficient rows passed to ``roots._aberth``."""
     calls = []
@@ -673,16 +687,51 @@ class TestBranchSetChunks:
         assert expected.status is Status.STABLE
         schur_cohn_at = roots._schur_cohn_at
 
-        def cutting_row_2(asc, radii):
+        def cutting_row_1(asc, radii):
             stable, decided = schur_cohn_at(asc, radii)
-            stable[0, 2], decided[0, 2] = False, True
+            stable[0, 1], decided[0, 1] = False, True
             return stable, decided
 
-        monkeypatch.setattr(roots, "_schur_cohn_at", cutting_row_2)
+        monkeypatch.setattr(roots, "_schur_cohn_at", cutting_row_1)
         solved = _solved_representatives(monkeypatch, bset)
         assert branch_set_stable(bset) == expected
-        # One chunk of all 81 representatives, and the first has no w.
-        assert solved == [[0, 1, 2], list(range(3, 81))]
+        # The first chunk, 0-9, takes no batch.  The recursion cuts the
+        # second, 10-80, after its row 1 (representative 11); of the rows
+        # after it, those not inside w are solved too.
+        assert solved == [list(range(10)), [10, 11], [27, 30, 59, 76, 77]]
+
+    def test_first_chunk_takes_no_recursion_batch(self, monkeypatch, schur_cohn_batches):
+        """A set whose representatives all fit in the first chunk is
+        root-found at once, with no Schur-Cohn batch."""
+        f = MonicPolynomial((0.05, 0.04j, 0.03, -0.02))
+        bset = hadamard_power(f, RationalExponent(1, 2))
+        expected = _reference_verdict(bset)
+        solved = _solved_representatives(monkeypatch, bset)
+        verdict = branch_set_stable(bset)
+        assert (verdict.status, verdict.max_modulus) == expected
+        assert expected[0] is Status.STABLE
+        # 8 representatives, within the first chunk of 16 at degree 4.
+        assert solved == [list(range(8))]
+        assert schur_cohn_batches == []
+
+    def test_first_chunk_size(self, monkeypatch):
+        """The first chunk holds min(chunk_rows(n), max(1, 256 // n^2))
+        representatives up to degree 32, and chunk_rows(n) above it."""
+        expected = {5: 10, 8: 4, 16: 1, 33: roots.chunk_rows(33)}
+        assert expected[33] == 7
+        rng = random.Random(25)
+        for n, rows in expected.items():
+            # Five small coefficients at 1/2: 16 representatives, all
+            # Stable, so the first solve is never cut short.
+            coeffs = [0j] * n
+            for k in (0, 1, 2, n - 2, n - 1):
+                coeffs[k] = complex(rng.uniform(0.001, 0.01), rng.uniform(0.001, 0.01))
+            bset = hadamard_power(MonicPolynomial(tuple(coeffs)), RationalExponent(1, 2))
+            assert len(list(bset.rotation_representatives())) == 16
+            with monkeypatch.context() as m:
+                solved = _solved_representatives(m, bset)
+                assert branch_set_stable(bset).status is Status.STABLE
+            assert solved[0] == list(range(rows)), n
 
 
 def _solved_representatives(monkeypatch, bset):
@@ -1004,18 +1053,20 @@ class TestWorkCounters:
         f = MonicPolynomial((0.03, 0.02j, 0.01, -0.025, 0.005))
         bset = hadamard_power(f, RationalExponent(2, 3))
         assert branch_set_stable(bset).status is Status.STABLE
-        # One member per rotation orbit: 3^4 of the 3^5 branches, all in the
-        # first chunk, which has no worst modulus to skip rows by yet.
-        assert eigvals_calls == [(3**4, 5, 5)]
+        # One member per rotation orbit: 3^4 of the 3^5 branches.  The first
+        # chunk of 10 is solved whole and gives w; of the other 71, the 7
+        # the recursion cannot place inside w are solved as one stack.
+        assert eigvals_calls == [(10, 5, 5), (7, 5, 5)]
 
-    def test_principal_unstable_set_is_one_chunk(self, eigvals_calls):
+    def test_principal_unstable_set_is_one_chunk(self, eigvals_calls, schur_cohn_batches):
         f = MonicPolynomial((1.5, 0.0, 1.2j, -0.9, 1.1, 0.8 - 0.4j, 1.3, 0.7))
         bset = hadamard_power(f, RationalExponent(1, 3))
         assert len(bset) == 3**7
         assert branch_set_stable(bset).status is Status.UNSTABLE
-        # 729 representatives; the recursion cuts the first chunk of 128
-        # after the principal branch, which is solved alone and decides.
-        assert eigvals_calls == [(1, 8, 8)]
+        # 729 representatives; the first chunk of 4 at degree 8 is solved
+        # whole, with no recursion batch, and its first row decides.
+        assert eigvals_calls == [(4, 8, 8)]
+        assert schur_cohn_batches == []
         assert is_schur_stable(bset.principal).status is Status.UNSTABLE
 
     def test_no_chunk_after_the_first_unstable_branch(self, eigvals_calls, monkeypatch):
@@ -1035,10 +1086,12 @@ class TestWorkCounters:
         # so far.  No chunk after row 15's is gathered or solved.
         assert eigvals_calls == [(4, 4, 4), (2, 4, 4), (1, 4, 4), (1, 4, 4)]
 
-    # Six chunks of 16 of 81 representatives, and of the last five only row
-    # 77 is solved: its modulus ties that of row 10, the worst, so the
-    # recursion cannot place it strictly inside.  In chunks of 4 of 27 with
-    # the first Unstable row at 15, rows 5, 6 and 9-14 lie inside.
+    # A first chunk of 10 of 81 representatives, then chunks of 16: of
+    # those, rows 10 and 11 lie outside the first chunk's w, and row 77's
+    # modulus ties that of row 10, the worst, so the recursion cannot place
+    # it strictly inside.  In chunks of 4 of 27 (the first chunk also holds
+    # 4 at degree 4) with the first Unstable row at 15, rows 5, 6 and 9-14
+    # lie inside.
     @pytest.mark.parametrize(
         "bset, rows_per_chunk, expected",
         [
@@ -1047,7 +1100,7 @@ class TestWorkCounters:
                     MonicPolynomial((0.03, 0.02j, 0.01, -0.025, 0.005)), RationalExponent(2, 3)
                 ),
                 16,
-                [list(range(16)), [77]],
+                [list(range(10)), [10, 11], [77]],
             ),
             (TestBranchSetChunks.SET, 4, [[0, 1, 2, 3], [4, 7], [8], [15]]),
         ],

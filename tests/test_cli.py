@@ -259,8 +259,12 @@ class TestPower:
             capsys, "power", "--poly", files["f1"], "--p", "1/2", "--all-branches"
         )
         assert code == 0
-        # The principal branch, then all eight members in one stacked solve.
-        assert shapes == [(1, 5, 5), (8, 5, 5)]
+        # All eight members in one stacked solve; member 0 is the principal
+        # branch, so it is not solved again.
+        assert shapes == [(8, 5, 5)]
+        assert {k: v for k, v in out["principal"].items() if k != "poly"} == {
+            k: v for k, v in out["branches"][0].items() if k != "branch"
+        }
         worst = max(b["max_modulus"] for b in out["branches"])
         assert out["combined"]["max_modulus"] == worst
 
@@ -315,15 +319,21 @@ class TestPower:
             seen.add(status)
         assert seen == set(Status)
 
-    @pytest.mark.parametrize("chunk_elements", [None, 2 * 5 * 5])
+    @pytest.mark.parametrize(
+        "chunk_elements, position, all_branches",
+        [(None, 5, True), (2 * 5 * 5, 5, True), (None, 0, True), (None, 0, False)],
+        ids=["None", "50", "principal", "principal alone"],
+    )
     def test_uncertified_member_names_its_branch(
-        self, capsys, files, monkeypatch, chunk_elements
+        self, capsys, files, monkeypatch, chunk_elements, position, all_branches
     ):
         """A member that fails to certify exits 3 naming its position among
         all members and its index, whether it is solved in the first block
-        or, two rows at a time, in the third."""
+        or, two rows at a time, in the third.  Under --all-branches the
+        principal's verdict is read from member 0, so an uncertified
+        principal is named as that branch; without it, as no branch."""
         bset = hadamard_power(MonicPolynomial.from_json(F1_JSON), RationalExponent(1, 2))
-        target = list(bset.indices())[5]
+        target = list(bset.indices())[position]
         bad = np.array(next(bset.members([target])).coeffs + (1.0 + 0j,))
         if chunk_elements:
             monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", chunk_elements)
@@ -338,13 +348,14 @@ class TestPower:
             return res
 
         monkeypatch.setattr(roots, "_scaled_residuals", spoiled)
-        argv = ["power", "--poly", files["f1"], "--p", "1/2", "--all-branches"]
-        assert main(argv) == 3
+        argv = ["power", "--poly", files["f1"], "--p", "1/2"]
+        assert main(argv + ["--all-branches"] * all_branches) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
+        name = f"branch {position} (index {target}): " if all_branches else ""
         assert captured.err == (
-            f"numerical failure: branch 5 (index {target}): root iteration "
-            "failed to certify (max residual 1.000e+00)\n"
+            f"numerical failure: {name}root iteration failed to certify "
+            "(max residual 1.000e+00)\n"
         )
 
     def test_huge_denominator(self, capsys, tmp_path):
