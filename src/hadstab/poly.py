@@ -9,7 +9,11 @@ reduction of commensurate fractional-order polynomials to ordinary ones.
 Coefficients are stored ascending, ``a_0`` first, with the leading 1 implicit,
 so list index k matches the power of s it multiplies.  Every coefficient of
 every power, principal rows and branch tables alike, is |a_k|^p e^{i(p arg a_k
-+ t)} evaluated by one function, ``_polar_powers``.
++ t)} evaluated by one function, ``_polar_powers``.  It takes arg a_k with
+``math.atan2``, which also answers where the angle underflows.  It runs cos
+and sin in numpy over all coefficients and powers at once; they equal libm's
+bit for bit (the tests check this).  |a_k|^p stays Python's ``**``, so every
+element keeps the bits of the scalar expression ``_polar_power``.
 """
 
 from __future__ import annotations
@@ -307,8 +311,9 @@ class BranchSet:
 
 
 def _polar_power(r: float, theta: float, p: float, t: float) -> complex:
-    """r^p (cos(p theta + t) + i sin(p theta + t)), the one expression behind
-    every coefficient of every power."""
+    """r^p (cos(p theta + t) + i sin(p theta + t)), the scalar expression
+    whose bits every coefficient of every power has; ``_polar_powers``
+    evaluates it alone only to find the first element that fails."""
     ang = p * theta + t
     return r**p * complex(math.cos(ang), math.sin(ang))
 
@@ -317,21 +322,35 @@ def _polar_powers(f: MonicPolynomial, pairs: Sequence[tuple[float, float]]) -> n
     """The (|support|, len(pairs)) array of ``_polar_power`` at |a_k|, arg a_k
     (principal) for each nonzero a_k, ascending, and each (p, t) in ``pairs``.
 
-    Elements use Python's ``**`` and libm's cos and sin, so their bits are the
-    same on every host; numpy's ``power`` differs from ``**`` in the last bit
-    on some pairs, and its vectorized ``cos`` and ``sin`` may differ from
-    libm's.  A non-finite element raises InvalidInputError for the first
-    failing pair, at its first failing a_k: ``|a|^p overflows ...`` where
-    ``**`` overflows, else ``coefficients must be finite``.
+    The argument is ``math.atan2(a.imag, a.real)``: it equals ``cmath.phase``
+    bit for bit wherever that succeeds, and returns the angle where
+    ``cmath.phase`` raises OverflowError because the angle underflows.  The
+    angles p arg a_k + t and their cos and sin are numpy arrays over all
+    coefficients and pairs at once; numpy's cos and sin equal libm's bit for
+    bit (the tests check this premise).  |a_k|^p stays Python's ``**`` per
+    element, because numpy's ``power`` differs from it in the last bit on
+    some pairs.  The product is written out as Python multiplies a float by
+    a complex, so every element has ``_polar_power``'s bits.
+
+    A non-finite element raises InvalidInputError for the first failing
+    pair, at its first failing a_k: ``|a|^p overflows ...`` where ``**``
+    overflows, else ``coefficients must be finite``.
     """
-    polar = [(a, abs(a), cmath.phase(a)) for a in f.coeffs if a != 0]
+    polar = [(a, abs(a), math.atan2(a.imag, a.real)) for a in f.coeffs if a != 0]
+    if not polar:  # no element, whatever the powers
+        return np.empty((0, len(pairs)), dtype=complex)
+    ps, ts = [p for p, _ in pairs], [t for _, t in pairs]
     try:
-        out = np.array(
-            [[_polar_power(r, theta, p, t) for p, t in pairs] for _, r, theta in polar],
-            dtype=complex,
-        ).reshape(len(polar), len(pairs))
+        mag = np.array([[r**p for p in ps] for _, r, _ in polar], dtype=float)
+        with np.errstate(all="ignore"):  # a non-finite angle; the scan names it
+            ang = np.multiply.outer([theta for _, _, theta in polar], np.array(ps, dtype=float))
+            ang += np.array(ts, dtype=float)
+            c, s = np.cos(ang), np.sin(ang)
+            out = np.empty(ang.shape, dtype=complex)
+            out.real = mag * c - 0.0 * s
+            out.imag = mag * s + 0.0 * c
         finite = bool(np.isfinite(out).all())
-    except (OverflowError, ValueError):  # |a_k|^p overflows; cos(inf)
+    except OverflowError:  # |a_k|^p, or a power beyond the float range
         finite = False
     if not finite:  # the scan, pair by pair, raises at the first failure
         for (p, t), (a, r, theta) in itertools.product(pairs, polar):

@@ -8,7 +8,9 @@ no polynomial or root set is built per power, and no array is handled here.
 
 All emitted artifacts are deterministic: numbers are rounded to 12
 significant digits before formatting, records are sorted by power, and no
-timestamps enter data files.
+timestamps enter data files.  ``sweep_csv`` and ``sweep_svg`` each format
+their whole file with one ``%`` of one template, joined from one row
+template per root count; no value is formatted by a call of its own.
 """
 
 from __future__ import annotations
@@ -62,6 +64,13 @@ def dumps(obj) -> str:
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """One swept power: its verdict, its largest root modulus and its roots.
+
+    ``max_modulus`` is the largest ``abs`` of ``roots``, bit for bit (the
+    solver takes it with ``np.hypot``, which equals ``abs``); ``sweep_svg``
+    reads its scale from it.
+    """
+
     p: float
     stable: bool
     max_modulus: float
@@ -128,16 +137,27 @@ def sweep(f: MonicPolynomial, powers: Sequence[float]) -> list[SweepRecord]:
 
 
 def sweep_csv(records: Sequence[SweepRecord], degree: int) -> str:
+    """The header and one row per record: p, stable, max_modulus, then the
+    real and imaginary part of each root, all at 12 significant digits.
+
+    The whole file is one ``%`` of one template, joined from one row
+    template per root count.
+    """
     header = ["p", "stable", "max_modulus"]
     for i in range(1, degree + 1):
         header += [f"root_re_{i}", f"root_im_{i}"]
-    lines = [",".join(header)]
+    rows: dict[int, str] = {}
+    template = [",".join(header) + "\n"]
+    values: list = []
     for rec in records:
-        row = [fmt12(rec.p), "true" if rec.stable else "false", fmt12(rec.max_modulus)]
+        k = len(rec.roots)
+        if k not in rows:
+            rows[k] = "%.12g,%s,%.12g" + ",%.12g,%.12g" * k + "\n"
+        template.append(rows[k])
+        values += (rec.p, "true" if rec.stable else "false", rec.max_modulus)
         for z in rec.roots:
-            row += [fmt12(z.real), fmt12(z.imag)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+            values += (z.real, z.imag)
+    return "".join(template) % tuple(values)
 
 
 def sweep_svg(records: Sequence[SweepRecord]) -> str:
@@ -145,36 +165,31 @@ def sweep_svg(records: Sequence[SweepRecord]) -> str:
 
     Markers are black on the unstable side and gray on the stable side.  The
     image contains exactly one unit-circle element and one marker per root
-    per swept power.
+    per swept power.  The view's half-width is 1.05 times the largest
+    ``max_modulus``, and at least 1.1.  Rounding is monotone, so this is 1.05
+    times the largest root modulus bit for bit, as a loop over every root
+    would take it.  The whole file is one ``%`` of one template.
     """
     half = 1.1
     for rec in records:
-        for z in rec.roots:
-            half = max(half, 1.05 * abs(z))
+        half = max(half, 1.05 * rec.max_modulus)
     scale = (_SVG_SIZE / 2) / half
     cx = cy = _SVG_SIZE / 2
-
-    def sx(v: float) -> str:
-        return f"{cx + v * scale:.2f}"
-
-    def sy(v: float) -> str:
-        return f"{cy - v * scale:.2f}"
-
-    parts = [
+    marker = '  <circle class="root" cx="%.2f" cy="%.2f" r="2" fill="%s"/>\n'
+    template = [
         f'<svg xmlns="{SVG_NS}" version="1.1" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
-        f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
+        f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">\n'
         f'  <circle class="unit-circle" cx="{cx}" cy="{cy}" r="{scale:.2f}" '
-        'fill="none" stroke="#404040" stroke-width="1"/>',
+        'fill="none" stroke="#404040" stroke-width="1"/>\n'
     ]
+    values: list = []
     for rec in records:
         color = "#9e9e9e" if rec.stable else "#000000"
+        template.append(marker * len(rec.roots))
         for z in rec.roots:
-            parts.append(
-                f'  <circle class="root" cx="{sx(z.real)}" cy="{sy(z.imag)}" '
-                f'r="2" fill="{color}"/>'
-            )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+            values += (cx + z.real * scale, cy - z.imag * scale, color)
+    template.append("</svg>\n")
+    return "".join(template) % tuple(values)
 
 
 # Built-in experiment inputs: two real and two complex quintic/quartic

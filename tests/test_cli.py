@@ -811,3 +811,34 @@ class TestExitCodes:
 
         monkeypatch.setattr("hadstab.cli.find_roots", boom)
         assert main(["analyze", "--poly", files["f1"]]) == 3
+
+    @pytest.mark.parametrize(
+        "coeffs, codes",
+        [
+            # arg(1500 + 5e-324 i) underflows, which cmath.phase refuses.
+            ([[1500, 5e-324], [0.5, 0]], [0, 0, 0, 0, 1, 1]),
+            # Its angle underflows too, and 1e300^2 overflows.
+            ([[1e300, 1e-300], [0.5, 0]], [2, 2, 2, 0, 1, 1]),
+        ],
+        ids=["subnormal-imag", "overflowing-power"],
+    )
+    def test_angle_that_underflows_is_not_a_traceback(self, capsys, tmp_path, coeffs, codes):
+        """Every command that raises a coefficient to a power exits with a
+        documented code and no traceback when a coefficient's angle
+        underflows; an uncaught OverflowError would have escaped main."""
+        path = tmp_path / "tiny_angle.json"
+        path.write_text(json.dumps({"degree": 2, "coeffs": coeffs}))
+        argvs = [
+            ["power", "--poly", str(path), "--p=2"],
+            ["power", "--poly", str(path), "--p=2", "--all-branches"],
+            ["sweep", "--poly", str(path), "--from", "1", "--to", "3", "--step", "1",
+             "--out", str(tmp_path / "sw")],
+            ["analyze", "--poly", str(path)],
+            ["threshold", "--poly", str(path), "--mode", "max", "--method", "onset"],
+            ["threshold", "--poly", str(path), "--mode", "min", "--method", "onset"],
+        ]
+        seen = []
+        for argv in argvs:
+            seen.append(main(argv))
+            assert "Traceback" not in capsys.readouterr().err
+        assert seen == codes

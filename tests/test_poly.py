@@ -360,7 +360,7 @@ def _power_of(a, p, t=0.0):
     0 for a zero one: the reference for every power the library builds."""
     if a == 0:
         return 0j
-    ang = p * cmath.phase(a) + t
+    ang = p * math.atan2(a.imag, a.real) + t
     return abs(a) ** p * complex(math.cos(ang), math.sin(ang))
 
 
@@ -412,6 +412,17 @@ class TestPrincipalRows:
             ps = [float(p) for p in range(-100, 101)] + [2, -3]  # ints too
             assert _same_bits(principal_rows(f, ps), _rows_of(f, ps))
 
+    def test_signed_zeros_where_the_modulus_underflows(self):
+        """|a|^p underflowing to zero or to a subnormal leaves products that
+        are zeros; their signs follow Python's float-by-complex product,
+        re = m cos - 0.0 sin and im = m sin + 0.0 cos, in every quadrant."""
+        f = MonicPolynomial(tuple(0.5 * cmath.exp(1j * t) for t in (-2.5, -0.7, 2.0, 0.9, math.pi)))
+        ps = [1074.0, 1073.5, 1080.25, 2000.0, 3000.5]
+        rows = principal_rows(f, ps)
+        assert _same_bits(rows, _rows_of(f, ps))
+        parts = np.concatenate([rows[:, :-1].real.ravel(), rows[:, :-1].imag.ravel()])
+        assert (parts == 0).sum() > 20 and np.signbit(parts[parts == 0]).any()
+
     def test_empty_powers(self):
         rows = principal_rows(F1, [])
         assert rows.shape == (0, 6) and rows.dtype == complex
@@ -455,6 +466,69 @@ class TestPrincipalRows:
         f = MonicPolynomial((1e-3, 2.0, 10.0))
         with pytest.raises(InvalidInputError, match="coefficients must be finite"):
             principal_rows(f, [math.nan, 400.0])
+
+    def test_angle_that_underflows(self):
+        """arg(1500 + 5e-324 i) underflows: ``cmath.phase`` raises
+        OverflowError there, and the angle is taken with ``math.atan2``."""
+        for a in (1500 + 5e-324j, 1e300 + 1e-300j, 1500 - 5e-324j):
+            with pytest.raises(OverflowError):
+                cmath.phase(a)
+        f = MonicPolynomial((1500 + 5e-324j, 0.5))
+        ps = [1.0, 2.0, 0.5, -3.0]
+        assert _same_bits(principal_rows(f, ps), _rows_of(f, ps))
+        assert principal_rows(f, [2.0])[0, 0] == 1500.0**2
+        with pytest.raises(InvalidInputError, match=r"\|\(1e\+300\+1e-300j\)\|\^2.0 overflows"):
+            principal_rows(MonicPolynomial((1e300 + 1e-300j, 0.5)), [2.0])
+
+    def test_atan2_equals_phase_where_phase_succeeds(self):
+        """The reference moved from ``cmath.phase`` to ``math.atan2``: on
+        seeded finite coefficients, tiny parts and signed zeros included,
+        the two agree bit for bit wherever ``cmath.phase`` returns."""
+        rng = random.Random(2727)
+        parts = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.0, -1.0, 1500.0, 1e300, -1e300]
+        values = parts + [rng.choice((-1, 1)) * 10.0 ** rng.uniform(-320, 300) for _ in range(4000)]
+        pairs = list(itertools.product(values[:60], repeat=2)) + list(zip(values, reversed(values)))
+        agreed = raised = 0
+        for x, y in pairs:
+            try:
+                want = cmath.phase(complex(x, y))
+            except OverflowError:
+                raised += 1
+                continue
+            assert np.float64(math.atan2(y, x)).view(np.uint64) == np.float64(want).view(np.uint64)
+            agreed += 1
+        assert agreed > 3000 and raised > 0
+
+
+class TestNumpyTrigonometry:
+    def test_cos_and_sin_equal_libm_but_power_is_kept(self):
+        """The premise of ``_polar_powers``' numpy angles: over a seeded
+        sample with |x| up to 1e300, ``np.cos`` and ``np.sin`` equal
+        ``math.cos`` and ``math.sin`` bit for bit.  ``np.power`` is not
+        used: it may differ from ``**`` in the last bit (it does where numpy
+        runs its AVX-512 kernel), and the moduli follow ``**`` on every pair."""
+        rng = random.Random(27)
+        xs = [rng.choice((-1, 1)) * 10.0 ** rng.uniform(-300, 300) for _ in range(60_000)]
+        xs += [rng.uniform(-100.0, 100.0) for _ in range(60_000)]
+        xs += [0.0, -0.0, 5e-324, math.pi, -math.pi / 2, 1e300, -1e300]
+        arr = np.array(xs)
+        assert _same_bits(np.cos(arr), np.array([math.cos(x) for x in xs]))
+        assert _same_bits(np.sin(arr), np.array([math.sin(x) for x in xs]))
+
+        rs = [rng.uniform(0.05, 3.0) for _ in range(20_000)]
+        ps = [rng.uniform(-20.0, 20.0) for _ in range(20_000)]
+        pows = np.array([r**p for r, p in zip(rs, ps)])
+        rows = np.concatenate([principal_rows(MonicPolynomial((r,)), [p]) for r, p in zip(rs[:2000], ps[:2000])])
+        assert _same_bits(rows[:, 0].real, pows[:2000])
+        differ = int((np.power(np.array(rs), np.array(ps)) != pows).sum())
+        try:  # where numpy names its float64 power kernel (numpy >= 2.0)
+            from numpy.lib.introspect import opt_func_info
+
+            target = opt_func_info("^power$", "float64")["power"]["ddd"]["current"]
+        except (ImportError, KeyError):
+            target = None
+        if target == "X86_V4":  # its AVX-512 kernel; elsewhere both are libm's pow
+            assert differ > 0
 
 
 class TestConjugateAndRealForm:
