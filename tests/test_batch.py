@@ -66,11 +66,11 @@ def _seed_values(pd, V):
 def _seed_find_roots(f, horner=_seed_horner, values=_seed_values):
     """The solver's rule written for one polynomial at a time, kept as the
     reference: the companion candidate first up to degree 32 and Aberth
-    above, the other only if the first does not certify.  Aberth and the
-    residuals evaluate from a table of powers of the points (Aberth by one
-    matrix product for p and p', the residuals term by term), the Newton
-    polish by Horner's rule.  Returns the sorted roots and residuals as raw
-    bytes."""
+    above, the other only if the first does not certify.  Aberth sweeps only
+    the roots still moving.  Aberth and the residuals evaluate from a table
+    of powers of the points (Aberth by one matrix product for p and p', the
+    residuals term by term), the Newton polish by Horner's rule.  Returns
+    the sorted roots and residuals as raw bytes."""
     n = f.degree
     asc = np.array(list(f.coeffs) + [1.0 + 0j])
     if not f.support:
@@ -117,24 +117,35 @@ def _seed_find_roots(f, horner=_seed_horner, values=_seed_values):
         return z
 
     def aberth():
+        # Each sweep moves only the active roots, each against all n; a root
+        # leaves for good once its step is small.  From sweep 16 on, an
+        # active root with |p| at rounding level leaves the row unsettled.
         if n == 1:
             return np.array([-asc[0]])
         z = start()
         pd = np.array([asc, np.append(asc[1:] * np.arange(1, n + 1), 0.0)])
-        for _ in range(200):
-            pv, dpv = values(pd, powers(z))
+        bound = 4 * (n + 1) * np.finfo(float).eps * np.abs(asc)
+        act = np.arange(n)
+        for sweep in range(200):
+            za = z[act]
+            V = powers(za)
+            pv, dpv = values(pd, V)
             stalled = dpv == 0
             if stalled.any():
-                z = z + np.where(stalled, 1e-8 * (1 + np.abs(z)), 0.0)
+                z[act] = za + np.where(stalled, 1e-8 * (1 + np.abs(za)), 0.0)
                 continue
             w = pv / dpv
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
+            diff = za[:, None] - z[None, :]
+            diff[np.arange(len(act)), act] = np.inf
             denom = 1.0 - w * np.reciprocal(diff).sum(axis=1)
             delta = w / np.where(denom == 0, 1e-30, denom)
-            z = z - delta
-            if np.max(np.abs(delta)) <= 1e-14 * (1.0 + np.max(np.abs(z))):
+            z[act] = za - delta
+            moving = ~(np.abs(delta) <= 1e-14 * (1.0 + np.max(np.abs(z))))
+            if not moving.any():
                 return z
+            if sweep >= 16 and np.any((np.abs(pv) <= bound @ np.abs(V))[moving]):
+                return None
+            act = act[moving]
         return None
 
     def companion():
@@ -314,7 +325,7 @@ class TestBatchEqualsSingle:
         assert [_bits(rs) for rs in _batch(group)] == whole
 
     def test_stalled_rows_match_seed_and_single_solves(self, monkeypatch):
-        stalls = {"horner": 0}  # and Aberth's stalls per degree
+        stalls = {"horner": 0, "polish": 0}  # and Aberth's stalls per degree
 
         def vanishing(z, out):
             # Zero derivative values by a rule on the bits of z alone, so a
@@ -334,6 +345,16 @@ class TestBatchEqualsSingle:
 
             return evaluate
 
+        def pair_hook(horner_pair):
+            # p' is the second of the two rows of the accumulator.
+            def evaluate(desc, z):
+                out = horner_pair(desc, z)
+                count, out[1] = vanishing(z, out[1])
+                stalls["polish"] += count
+                return out
+
+            return evaluate
+
         def table_hook(values):
             # p' is the second of the two rows of values per point set.
             def hooked(pd, V):
@@ -345,7 +366,7 @@ class TestBatchEqualsSingle:
 
             return hooked
 
-        monkeypatch.setattr(roots, "_horner", horner_hook(roots._horner))
+        monkeypatch.setattr(roots, "_horner_pair", pair_hook(roots._horner_pair))
         monkeypatch.setattr(roots, "_values_and_slopes", table_hook(roots._values_and_slopes))
         seed = dict(horner=horner_hook(_seed_horner), values=table_hook(_seed_values))
         # Eigenvalues first at degree 3-6 (the stalls hit the Newton polish
@@ -356,7 +377,7 @@ class TestBatchEqualsSingle:
             for f, rs in zip(group, batch):
                 assert _bits(rs) == _bits(find_roots(f))
                 assert _bits(rs)[:2] == _seed_find_roots(f, **seed)
-        assert stalls["horner"] > 0 and stalls[40] > 0
+        assert stalls["horner"] > 0 and stalls["polish"] > 0 and stalls[40] > 0
 
     def test_reconstruction_matches_np_poly(self):
         """The row-wise product expansion decides as ``np.poly`` does, on
@@ -405,7 +426,10 @@ class TestBatchEqualsSingle:
             n = asc.shape[1] - 1
             z = roots.find_root_rows(asc)[0]
             for points in (z, 1.1 * z, 0.7 * z + 0.1j):
-                vals = np.abs(roots._horner(asc[:, ::-1], points))
+                vals = np.zeros_like(points)
+                for c in asc.T[::-1]:
+                    vals = vals * points + c[:, None]
+                vals = np.abs(vals)
                 scale, zp = np.ones_like(vals), np.ones_like(points)
                 for m in moduli[:, :-1].T:
                     scale = scale + m[:, None] * np.abs(zp)
@@ -999,6 +1023,25 @@ class TestSweepRows:
 
 class TestWorkCounters:
     """Deterministic work per call, counted without wall time."""
+
+    def test_degree_100_corpus_rows_stop_at_rounding_level(self, monkeypatch):
+        # Their roots reach rounding level before the step test fires, so
+        # each row stops at the first sweep that may test for it, not after
+        # _MAX_SWEEPS, and goes to the eigenvalues (TestFallback).
+        big = next(g for g in CORPUS if g[0].degree == 100)
+        sweeps = []
+        powers = roots._powers
+
+        def counting(z, n, *out):
+            sweeps[-1] += 1
+            return powers(z, n, *out)
+
+        monkeypatch.setattr(roots, "_powers", counting)
+        for row in monic_rows(big):
+            sweeps.append(0)
+            _, settled = roots._aberth(row[None])
+            assert not settled.any()
+        assert sweeps == [roots._ROUNDING_SWEEP + 1] * len(big)
 
     def test_sweep_of_100_powers_is_one_stacked_solve(self, eigvals_calls):
         records = report.sweep(F1, [float(p) for p in range(1, 101)])

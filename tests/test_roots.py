@@ -136,9 +136,9 @@ class TestAberthStart:
         calls = []
         powers = roots._powers
 
-        def counting(z, n):
+        def counting(z, n, *out):
             calls.append(z.shape)
-            return powers(z, n)
+            return powers(z, n, *out)
 
         monkeypatch.setattr(roots, "_powers", counting)
         return calls
@@ -173,6 +173,88 @@ class TestAberthStart:
                 assert settled.all()
                 rs = find_roots(MonicPolynomial(coeffs))
                 assert max(abs(z) for z in rs.roots[:2]) <= 1e-12
+
+
+class TestAberthFreeze:
+    """Each root leaves the sweeps once it settles, for good; a row at
+    rounding level stops early and is left to the eigenvalues."""
+
+    @pytest.mark.parametrize("degree", [64, 160])
+    @pytest.mark.parametrize("radius", [0.9, 1.0])
+    def test_uniform_disc_stops_at_rounding_level(self, monkeypatch, degree, radius):
+        # Roots uniform in a disc reach rounding level before the step test
+        # fires; Aberth stops at the first sweep that may test for it, not
+        # after _MAX_SWEEPS, and the eigenvalues answer.
+        sweeps = [0]
+        powers = roots._powers
+
+        def counting(z, n, *out):
+            sweeps[0] += 1
+            return powers(z, n, *out)
+
+        for seed in range(3):
+            rng = random.Random(seed * 1000 + degree)
+            zs = [
+                radius * math.sqrt(rng.random()) * complex(math.cos(t), math.sin(t))
+                for t in (rng.uniform(0.0, 2.0 * math.pi) for _ in range(degree))
+            ]
+            f, top = _from_dyadic_roots(zs)
+            monkeypatch.setattr(roots, "_powers", counting)
+            sweeps[0] = 0
+            _, settled = roots._aberth(np.array([f.coeffs + (1.0 + 0j,)]))
+            monkeypatch.setattr(roots, "_powers", powers)
+            assert not settled.any()
+            assert sweeps[0] == roots._ROUNDING_SWEEP + 1
+            rs = find_roots(f)  # raises UnconvergedError unless certified
+            # These roots are well conditioned: the coefficients, exact before
+            # one rounding each, have moduli up to about 1e3.
+            assert abs(rs.max_modulus - top) <= 1e-9
+
+    def test_ill_conditioned_row_keeps_its_verdict(self):
+        # 160 roots uniform in the unit disc, multiplied out in floats
+        # (max |a_k| about 8e6).  The exact roots of these coefficients (by
+        # multiprecision Aberth from the eigenvalues) have max modulus
+        # 0.999254.  Many of Aberth's points reach rounding level far from a
+        # root, one at modulus 1.047; the row must not settle there.
+        rng = np.random.default_rng(160)
+        radii = np.sqrt(rng.uniform(size=160))
+        angles = rng.uniform(0.0, 2.0 * np.pi, 160)
+        asc = np.poly(radii * np.exp(1j * angles))[::-1]
+        _, settled = roots._aberth(asc[None])
+        assert not settled.any()
+        verdict = is_schur_stable(MonicPolynomial(tuple(asc[:-1].tolist())))
+        assert verdict.status is Status.STABLE
+        assert abs(verdict.max_modulus - 0.999254) <= 1e-5
+
+    @pytest.mark.parametrize("degree", [40, 100])
+    def test_frozen_root_never_moves(self, monkeypatch, degree):
+        # The points of each sweep's power table are the active roots; after
+        # t sweeps, every root not among those of sweep t + 1 keeps its value
+        # to the end.
+        rng = random.Random(degree)
+        zs = _jittered_circle(rng, degree, 0.9)
+        asc = np.array([_from_dyadic_roots(zs)[0].coeffs + (1.0 + 0j,)])
+        swept = []
+        powers = roots._powers
+
+        def recording(z, n, *out):
+            swept.append(z.copy())
+            return powers(z, n, *out)
+
+        monkeypatch.setattr(roots, "_powers", recording)
+        final, settled = roots._aberth(asc)
+        assert settled.all()
+        monkeypatch.setattr(roots, "_powers", powers)
+        frozen = np.zeros(degree, dtype=bool)
+        for t in range(1, len(swept)):
+            monkeypatch.setattr(roots, "_MAX_SWEEPS", t)
+            z, _ = roots._aberth(asc)
+            now = ~np.isin(z[0], swept[t])
+            assert len(swept[t]) == np.count_nonzero(~now)
+            assert (now >= frozen).all()  # a frozen root never becomes active
+            assert (z[0][now] == final[0][now]).all()
+            frozen = now
+        assert 0 < np.count_nonzero(frozen) < degree  # roots freeze one by one
 
 
 def _exact_powers(z, n):
@@ -272,6 +354,10 @@ class TestPowerTable:
         asc = np.array([f.coeffs + (1.0 + 0j,)])
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(roots._powers(roots._start(asc), degree)).all()
+        with np.errstate(all="ignore"):
+            z, settled = roots._aberth(asc)
+        # A step that is not finite never freezes its root.
+        assert not settled.any() and np.isnan(z).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
