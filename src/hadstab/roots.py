@@ -1,17 +1,18 @@
 """Root finding and exact Schur stability decisions.
 
 Each polynomial is solved by one root candidate, and by the other only where
-the first fails to certify.  Up to degree 32 the first is companion-matrix
-eigenvalues refined by a few Newton steps, the cheaper one there (Edelman &
-Murakami 1995); above it, Ehrlich-Aberth simultaneous iteration, started from
-the Newton polygon of the coefficient moduli: each edge of the upper convex
-hull of (k, log|a_k|) puts as many points as it is long on a circle of its
-own radius, near the root moduli (Bini 1996).  Roots certify when every
-per-root residual is within tolerance or, checked only for the rows whose
-residuals fall short, when they reconstruct the monic polynomial's
-coefficients; an iteration that did not settle never certifies.  Residuals
-are scaled backward errors, so clusters of near-multiple roots degrade
-per-root accuracy without breaking the certificate.
+the first fails to certify.  Up to degree 21 the first is companion-matrix
+eigenvalues refined by a few Newton steps, the cheaper one for a single
+polynomial there (Edelman & Murakami 1995); above it, Ehrlich-Aberth
+simultaneous iteration, started from the Newton polygon of the coefficient
+moduli: each edge of the upper convex hull of (k, log|a_k|) puts as many
+points as it is long on a circle of its own radius, near the root moduli
+(Bini 1996).  Roots certify when every per-root residual is within
+tolerance or, checked only for the rows whose residuals fall short, when
+they reconstruct the monic polynomial's coefficients; an iteration that did
+not settle never certifies.  Residuals are scaled backward errors, so
+clusters of near-multiple roots degrade per-root accuracy without breaking
+the certificate.
 
 Aberth sweeps only the roots still moving (Bini & Fiorentino, Numer.
 Algorithms 23, 2000).  A root is frozen for good once its own step passes
@@ -97,7 +98,17 @@ BOUNDARY_BAND = 1e-9
 # complex values per row, about 17 MB at n = 1024; the eigenvalue solve costs
 # O(n^3).
 MAX_ROOT_DEGREE = 1024
-_EIGVALS_MAX_DEGREE = 32  # eigenvalues first up to here, Aberth first above
+# Eigenvalues first up to this degree, Aberth first above: the single-row
+# crossover.  Eigenvalues-first over Aberth-first time, per-row minima over
+# the benchmark's known-roots rows (``bench/inputs.scan_input``), is 0.8 at
+# n = 16-18, 0.9 at 20, 1.0-1.06 at 21 (a tie, left to the eigenvalues),
+# 1.0-1.2 at 22-24, 1.1-1.25 at 26 and 1.3-1.7 at 28-32.  Batches of
+# ``chunk_rows(n)`` rows favour the eigenvalues longer: 0.8-1.0 at
+# n = 22-23, 0.95-1.15 at 24-26, 1.2-1.3 at 28, 1.6-1.7 at 32.  Rows that
+# Aberth stops at rounding level (repeated roots, most rows of roots uniform
+# in a disc) take about twice as long above the cap: 17 sweeps, then the
+# eigenvalues.
+_EIGVALS_MAX_DEGREE = 21
 # Largest degree whose statuses the Schur-Cohn recursion decides; rows above
 # it go to the root finder.  Its error bound compounds with every step: of
 # 200 rows with roots uniform in discs of radius 0.5 to 1.5, it leaves 17
@@ -215,7 +226,8 @@ def _horner_pair(desc: np.ndarray, z: np.ndarray) -> np.ndarray:
     one shape, which numpy runs without broadcasting; 0 z + n is exactly n
     for finite z.
     """
-    zz = np.broadcast_to(z, desc.shape[1:]).copy()
+    zz = np.empty(desc.shape[1:], dtype=z.dtype)
+    zz[:] = z
     acc = desc[0].copy()
     for c in desc[1:]:
         acc *= zz
@@ -408,14 +420,13 @@ def _eigenvalues(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     desc = np.zeros((n + 1, 2) + z.shape, dtype=complex)
     desc[:, 0] = asc.T[::-1, :, None]
     desc[1:, 1] = (asc.T[:0:-1] * np.arange(n, 0, -1)[:, None])[:, :, None]
-    for _ in range(3):
-        pv, dpv = _horner_pair(desc, z)
-        # A zero derivative gives a step that is not finite, which the test
-        # rejects, as it rejects steps that blow up (multiple-root clusters).
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # A zero derivative gives a step that is not finite, which the test
+    # rejects, as it rejects steps that blow up (multiple-root clusters).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(3):
+            pv, dpv = _horner_pair(desc, z)
             step = pv / dpv
-            step = np.where(np.abs(step) < 0.5 * (1 + np.abs(z)), step, 0.0)
-        z = z - step
+            z = z - np.where(np.abs(step) < 0.5 * (1 + np.abs(z)), step, 0.0)
     return z, settled
 
 

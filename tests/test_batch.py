@@ -65,12 +65,13 @@ def _seed_values(pd, V):
 
 def _seed_find_roots(f, horner=_seed_horner, values=_seed_values):
     """The solver's rule written for one polynomial at a time, kept as the
-    reference: the companion candidate first up to degree 32 and Aberth
-    above, the other only if the first does not certify.  Aberth sweeps only
-    the roots still moving.  Aberth and the residuals evaluate from a table
-    of powers of the points (Aberth by one matrix product for p and p', the
-    residuals term by term), the Newton polish by Horner's rule.  Returns
-    the sorted roots and residuals as raw bytes."""
+    reference: the companion candidate first up to degree 21, where it is
+    the cheaper one for a single polynomial, and Aberth above, the other
+    only if the first does not certify.  Aberth sweeps only the roots still
+    moving.  Aberth and the residuals evaluate from a table of powers of the
+    points (Aberth by one matrix product for p and p', the residuals term by
+    term), the Newton polish by Horner's rule.  Returns the sorted roots and
+    residuals as raw bytes."""
     n = f.degree
     asc = np.array(list(f.coeffs) + [1.0 + 0j])
     if not f.support:
@@ -80,11 +81,14 @@ def _seed_find_roots(f, horner=_seed_horner, values=_seed_values):
     tol = 1e-10 * (1.0 + max(abs(c) for c in f.coeffs))
 
     def powers(z):
-        # z^(m+1) .. z^(2m) as z^1 .. z^m times z^m.
+        # z^(m+1) .. z^(2m) as z^1 .. z^m times z^m, one broadcast multiply
+        # as in the solver: for a single point, numpy's complex multiply by
+        # a broadcast operand can round differently from a product of two
+        # one-element arrays.
         V = [np.ones_like(z), z]
         while len(V) <= n:
             m = len(V) - 1
-            V += [v * V[m] for v in V[1 : min(m, n - m) + 1]]
+            V += list(np.array(V[1 : min(m, n - m) + 1]) * V[m])
         return np.array(V)
 
     def start():
@@ -172,7 +176,7 @@ def _seed_find_roots(f, horner=_seed_horner, values=_seed_values):
     def certifies(z):
         return bool(np.all(residuals(z) <= tol)) or reconstructs(z)
 
-    first, second = (companion, aberth) if n <= 32 else (aberth, companion)
+    first, second = (companion, aberth) if n <= 21 else (aberth, companion)
     z = first()
     if z is None or not certifies(z):
         other = second()  # None where the iteration did not settle
@@ -183,12 +187,29 @@ def _seed_find_roots(f, horner=_seed_horner, values=_seed_values):
     return z[order].tobytes(), res[order].tobytes()
 
 
-def _known_roots(rng, n, radius):
-    zs = [
+def _random_roots(rng, n, radius):
+    return [
         radius * rng.uniform(0.3, 1.0) * complex(math.cos(t), math.sin(t))
         for t in (rng.uniform(0.0, 2.0 * math.pi) for _ in range(n))
     ]
+
+
+def _expand(zs):
+    """The monic polynomial with the roots ``zs``, by ``np.poly``."""
     return MonicPolynomial(tuple(complex(c) for c in np.poly(np.array(zs))[::-1][:-1]))
+
+
+def _known_roots(rng, n, radius):
+    return _expand(_random_roots(rng, n, radius))
+
+
+def _repeated_roots(rng, n):
+    """(s - 0.9)^n, and rows whose random roots each repeat 2, 3, 4 or 6
+    times."""
+    rows = [_expand([0.9] * n)]
+    for mult, radius in ((2, 0.9), (2, 1.1), (3, 0.95), (4, 1.05), (6, 0.8)):
+        rows.append(_expand(np.repeat(_random_roots(rng, n // mult, radius), mult)))
+    return rows
 
 
 def _dyadic_clusters():
@@ -217,7 +238,16 @@ def _corpus():
     for k in sorted({f.degree for f in clusters}):
         groups.append([f for f in clusters if f.degree == k])
     groups.append([principal_power(F1, p / 3) for p in range(-30, 60)])
-    # Above degree 32 Aberth comes first: rows that settle, in two chunks.
+    # Above degree 21 Aberth comes first.  Simple roots at degree 24 and 30,
+    # each over two chunks, where some rows settle and the others stop at
+    # rounding level and go to the eigenvalues; and repeated roots at degree
+    # 24, which all do.
+    band = random.Random(2232)
+    radii = (0.8, 0.95, 1.05, 1.2)
+    for n, count in ((24, 16), (30, 10)):
+        groups.append([_known_roots(band, n, radii[i % 4]) for i in range(count)])
+    groups.append(_repeated_roots(band, 24))
+    # Degree 40: rows that settle, in two chunks.
     groups.append([random_monic(rng, 40, (0.05, 0.9)) for _ in range(7)])
     return groups
 
@@ -547,6 +577,17 @@ class TestRowLimit:
 class TestFallback:
     """The other candidate runs only on the rows that the first candidate
     for the degree fails to certify."""
+
+    def test_first_candidate_changes_above_degree_21(self, eigvals_calls, aberth_calls):
+        """Up to degree 21, where the eigenvalues are the cheaper candidate
+        for one polynomial, they come first; one degree above, Aberth does,
+        and a row it certifies never reaches ``eigvals``."""
+        rng = random.Random(21)
+        at_cap, above = (random_monic(rng, n, (0.05, 0.9)) for n in (21, 22))
+        find_roots(at_cap)
+        assert eigvals_calls == [(1, 21, 21)] and aberth_calls == []
+        find_roots(above)
+        assert eigvals_calls == [(1, 21, 21)] and aberth_calls == [(1, 23)]
 
     def test_eigenvalue_failure_falls_back_to_aberth(self, monkeypatch, aberth_calls):
         rng = random.Random(11)
