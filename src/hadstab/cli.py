@@ -26,6 +26,7 @@ from .errors import (
     InvalidInputError,
     NotApplicableError,
     NumericalError,
+    UnsupportedInputError,
 )
 from .poly import (
     FractionalPolynomial,
@@ -78,6 +79,12 @@ def _verdict_payload(rs: RootSet) -> dict:
 
 
 _MAX_COUNT_DIGITS = 4300  # Python's default limit on printing an int
+# Largest branches x degree^2, the companion-matrix elements of all members,
+# that ``power --all-branches`` solves and prints.  At the cap it took 1.4 s
+# (degree 16, 4,096 branches) to 6 s and 34 MB of JSON (degree 4, 65,536
+# branches) on a shared 2-vCPU host.  MAX_BRANCHES alone bounds the count,
+# not the work: 32,768 branches at degree 24 took 25 s and wrote 68 MB.
+MAX_BRANCH_ELEMENTS = 1 << 20
 
 
 def _branch_count(p: RationalExponent, size: int) -> int:
@@ -126,6 +133,13 @@ def cmd_power(args) -> int:
     }
     if args.all_branches:
         bset = hadamard_power(f, p)
+        elements = branch_count * f.degree**2
+        if elements > MAX_BRANCH_ELEMENTS:
+            raise UnsupportedInputError(
+                f"f^[{p}] has {branch_count} branches of degree {f.degree}: "
+                f"{elements} branches x degree^2 exceed the --all-branches "
+                f"budget of {MAX_BRANCH_ELEMENTS}"
+            )
         root_sets = branch_root_sets(bset)
         # Member 0 is the principal branch, bit for bit.
         out["principal"].update(_verdict_payload(root_sets[0]))

@@ -7,14 +7,18 @@ Four families of results live here:
   (``pstar_exact``);
 * instability bounds from the binomial necessary condition (``beta_star``)
   and the lowest-support-index sign test (``kstar_test``);
-* the exact stability onset, located by bisecting the stability status of
-  the principal power branch (``exact_onset`` / ``auto_onset``).
-  ``auto_onset`` finds the last crossing, the paper's p*: one status scan
-  below the stable end that Theorem 1 gives (``pstar_exact``) brackets it.
-  Every status comes from ``_statuses``: one ``roots.row_statuses`` batch
-  of principal rows (``poly.principal_rows``), which the Schur-Cohn
-  recursion on the coefficients decides, and the root finder only where the
-  recursion cannot.  No polynomial object is built per power;
+* the exact stability onset of the principal power branch
+  (``exact_onset`` / ``auto_onset``).  ``auto_onset`` finds the last
+  crossing, the paper's p* for the principal branch: one status scan below
+  the stable end that Theorem 1 gives (``pstar_exact``) brackets it, and
+  Newton's method on F(p, t) = f^[p](e^{it}) = 0 locates the crossing in
+  that bracket, checked by the statuses just beside it
+  (``_newton_onset``).  Where Newton declines, and in ``exact_onset``, the
+  bracket is bisected on the status.  Every status comes from
+  ``_statuses``: one ``roots.row_statuses`` batch of principal rows
+  (``poly.principal_rows``), which the Schur-Cohn recursion on the
+  coefficients decides, and the root finder only where the recursion
+  cannot.  No polynomial object is built per power;
 * a determinant-based boundary indicator (``guardian_map``) that vanishes
   exactly when a root reaches the unit circle and changes sign across simple
   crossings.  No search runs on it: it is kept as an oracle independent of
@@ -32,6 +36,7 @@ maps back to p with its bracket sorted.  Sums are rounded as in p
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import numbers
@@ -50,12 +55,16 @@ from .errors import (
     UnsupportedDegreeError,
 )
 from .poly import MonicPolynomial, principal_power, principal_rows, real_form
-from .roots import Status, chunk_rows, companion_matrix, row_statuses
+from .roots import Status, chunk_rows, companion_matrix, find_root_rows, row_statuses
 
 _MAX_BISECT = 200
 # Onset bisection decides the midpoints of up to this many levels as one batch;
 # auto_onset's scan grid has as many powers, 2^5 - 1 = 31.
 _LOOKAHEAD = 5
+# The Newton tail of auto_onset takes at most this many steps, and stops once
+# a step moves q and t by at most _NEWTON_RTOL of their size (at least 1).
+_NEWTON_STEPS = 12
+_NEWTON_RTOL = 1e-12
 # Where Theorem 1 does not apply, auto_onset's stable end doubles from 64 at
 # most up to this power.
 _EXPANSION_CAP = 2.0 ** 16
@@ -80,6 +89,7 @@ class Method(str, Enum):
     GRID_SEARCH = "GridSearch"
     EQUATION_SOLVE = "EquationSolve"
     BISECTION = "Bisection"
+    NEWTON = "Newton"
 
 
 class HalfLine(str, Enum):
@@ -461,6 +471,77 @@ def _close_out(
     )
 
 
+def _newton_onset(
+    f: MonicPolynomial, sign: float, lo: float, hi: float, tol: float
+) -> ThresholdResult | None:
+    """The crossing inside the bracket [lo, hi] in q = sign * p, Unstable at
+    lo and Stable at hi, found by Newton's method; None where it declines.
+
+    A root of f^[p] is on the unit circle at e^{it} exactly where
+    F(q, t) = e^{int} + sum_k c_k = 0, c_k = |a_k|^p e^{i(p arg a_k + kt)},
+    two real equations in (q, t) with the closed-form derivatives
+    dF/dq = sign sum_k c_k (ln|a_k| + i arg a_k) and
+    dF/dt = i (n e^{int} + sum_k k c_k).  The steps start at the bracket's
+    midpoint and the angle of the largest root there (one row of
+    ``find_root_rows``), and are plain 2x2 real Newton in ``math`` and
+    ``cmath``, so the iterates do not depend on numpy's BLAS or SIMD paths.
+    A converged q is accepted only if lo < q < hi and one status batch reads
+    Unstable at q - tol/4 and Stable at q + tol/4, each clipped to the
+    bracket: the value is then a crossing, and the bracket's ends are
+    certified as bisection's are.  The bracket is tol/2 wide, the narrowest
+    bisection ends with, so that its ends rounded to 12 digits stay within
+    tol.  An overflow, a zero or non-finite Jacobian, no convergence within
+    ``_NEWTON_STEPS`` steps, or a check that fails or raises declines.
+    """
+    mid = 0.5 * _sum(sign, lo, hi)
+    try:
+        z = complex(find_root_rows(principal_rows(f, [sign * mid]))[0][0, -1])
+    except (InvalidInputError, UnconvergedError):
+        return None
+    n = f.degree
+    terms = []  # (k, |a_k|, arg a_k, ln|a_k| + i arg a_k) on the support
+    for k, a in enumerate(f.coeffs):
+        if a != 0:
+            r, theta = abs(a), math.atan2(a.imag, a.real)
+            terms.append((k, r, theta, complex(math.log(r), theta)))
+    q, t = mid, math.atan2(z.imag, z.real)
+    try:
+        for _ in range(_NEWTON_STEPS):
+            p = sign * q
+            lead = cmath.rect(1.0, n * t)
+            F, Fq, Ft = lead, 0j, n * lead
+            for k, r, theta, log_a in terms:
+                c = cmath.rect(r**p, p * theta + k * t)
+                F += c
+                Fq += c * log_a
+                Ft += k * c
+            Fq, Ft = sign * Fq, 1j * Ft
+            det = Fq.real * Ft.imag - Ft.real * Fq.imag
+            if det == 0.0 or not math.isfinite(det):
+                return None
+            dq = (Ft.real * F.imag - F.real * Ft.imag) / det
+            dt = (F.real * Fq.imag - Fq.real * F.imag) / det
+            q, t = q + dq, t + dt
+            if max(abs(dq) / max(1.0, abs(q)), abs(dt) / max(1.0, abs(t))) <= _NEWTON_RTOL:
+                break
+        else:
+            return None
+    except (OverflowError, ValueError):  # |a_k|^p, or an infinite angle
+        return None
+    if not lo < q < hi:
+        return None
+    lo2 = max(lo, _sum(sign, q, -0.25 * tol))
+    hi2 = min(hi, _sum(sign, q, 0.25 * tol))
+    status = _statuses(f, sign, [lo2, hi2])
+    try:
+        if status(lo2) is not Status.UNSTABLE or status(hi2) is not Status.STABLE:
+            return None
+    except (InvalidInputError, UnconvergedError):
+        return None
+    bracket = tuple(sorted((sign * lo2, sign * hi2)))
+    return ThresholdResult(Kind.EXACT_ONSET, sign * q, Method.NEWTON, bracket)
+
+
 def _onset_result(sign: float, lo: float, hi: float) -> ThresholdResult:
     a, b = sorted((sign * lo, sign * hi))
     return ThresholdResult(Kind.EXACT_ONSET, 0.5 * (a + b), Method.BISECTION, (a, b))
@@ -480,8 +561,13 @@ def auto_onset(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRes
     P i/31, i < 31, and 1e-3, 1e-2, 0.1, 0.25, 0.5, 1, 2, 4, ... below P,
     so that an onset below the grid spacing still gets a narrow bracket;
     q = 0 is solved only when none of them is Unstable.  The last strictly
-    Unstable power and the next one scanned (or P) bracket the onset, which
-    is bisected as by ``exact_onset`` without solving its ends again; a
+    Unstable power and the next one scanned (or P) bracket the onset.  Where
+    the next power is Stable, ``_newton_onset`` finds the crossing of F(p, t)
+    = f^[p](e^{it}) = 0 inside the bracket, from one root-find at its
+    midpoint, and checks it with one status batch at the crossing -+ tol/4
+    (method Newton: the value is the crossing, the bracket the two checked
+    powers).  Where Newton declines, the bracket is bisected as by
+    ``exact_onset`` without solving its ends again (method Bisection); a
     Marginal next power closes out as a Marginal midpoint does.  The powers
     are looked up from the top down to the last Unstable one, so if the
     batch fails, only a failure the search reaches raises.  Raises
@@ -517,6 +603,9 @@ def auto_onset(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRes
             "no strictly unstable power found between 0 and the stable region"
         )
     if j + 2 == len(qs) or status(qs[j + 1]) is Status.STABLE:
+        newton = _newton_onset(f, sign, qs[j], qs[j + 1], tol)
+        if newton is not None:
+            return newton
         return _bisect_onset(f, sign, qs[j], qs[j + 1], tol)
     return _close_out(f, sign, qs[j + 1], qs[j], qs[j + 2], tol)
 

@@ -12,6 +12,7 @@ import pytest
 import hadstab
 from hadstab import (
     MAX_BRANCHES,
+    BranchSet,
     MonicPolynomial,
     RationalExponent,
     StabilityVerdict,
@@ -278,6 +279,30 @@ class TestPower:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"at most {MAX_BRANCHES}" in captured.err
+
+    def test_branch_work_budget(self, capsys, tmp_path, monkeypatch):
+        """--all-branches refuses (exit 2) a set whose branches x degree^2
+        exceed cli.MAX_BRANCH_ELEMENTS = 2^20, before any member is built;
+        the count alone is under MAX_BRANCHES."""
+        assert cli.MAX_BRANCH_ELEMENTS == 2**20
+        path = tmp_path / "wide.json"
+        coeffs = [[0.1, 0.01 * k] if k % 24 < 15 else [0, 0] for k in range(24)]
+        path.write_text(json.dumps({"degree": 24, "coeffs": coeffs}))
+        monkeypatch.setattr(BranchSet, "table", property(lambda self: pytest.fail("table built")))
+        assert main(["power", "--poly", str(path), "--p", "3/2", "--all-branches"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: f^[3/2] has 32768 branches of degree 24: 18874368 branches "
+            "x degree^2 exceed the --all-branches budget of 1048576\n"
+        )
+
+    @pytest.mark.parametrize("budget, code", [(8 * 25, 0), (8 * 25 - 1, 2)])
+    def test_branch_work_budget_edge(self, capsys, files, monkeypatch, budget, code):
+        """F1 at 1/2 has 8 branches of degree 5: 200 elements."""
+        monkeypatch.setattr(cli, "MAX_BRANCH_ELEMENTS", budget)
+        assert main(["power", "--poly", files["f1"], "--p", "1/2", "--all-branches"]) == code
+        assert ("budget of 199" in capsys.readouterr().err) == (code == 2)
 
     def test_branch_payloads_and_combined_rule(self, capsys, tmp_path):
         """Over seeded exponents, each ``branches[i]`` is the payload of its

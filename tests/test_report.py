@@ -289,11 +289,11 @@ class TestReproduce:
     # and are not pinned.
     GOLDEN = {
         1: {
-            "report.json": "48ecce107f4d0f63252b7e19a797590a0868ec3a188ed81d8ed5b777042a09a3",
-            "table.csv": "d95dbd0f8f495edb7633bbc4732f38087b8d44db63b9ffb767e92a858f9675f4",
+            "report.json": "ff7299d8b3c3f59c873696d296c3b77ad8be1960ff6325d51dfb5de8edd0f6a2",
+            "table.csv": "cabd6199eef40be797c1ea851304160a2d95629cde0060e28f681fa27613d097",
         },
         2: {
-            "report.json": "d8ef0964c2084ff68898c3fdb542f40269618c3037d066791f27d7a908ee2f64",
+            "report.json": "df267c2987d307f809a1531e6c835e21f05403657c86446565a0ab21d74bbe4e",
             "table.csv": "f51420b1c9be93d8239a0ac8f6bfcf46d227f3b445b608c6abd298a1d3c36e28",
         },
     }

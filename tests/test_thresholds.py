@@ -379,19 +379,21 @@ class TestExactOnset:
         assert auto.value == pytest.approx(manual.value, abs=1e-6)
 
     def test_auto_onset_root_finds(self, monkeypatch):
-        """One scan batch below Theorem 1's stable end, then bisection five
-        levels per batch, without deciding the bracket ends a second time.
-        The recursion decides every status, so no root is found."""
+        """One scan batch below Theorem 1's stable end, then the Newton
+        tail: one root-find at the bracket's midpoint for its start, and one
+        status batch of the two check points.  The recursion decides every
+        status, so the start is the only row root-found."""
         calls = _count_status_rows(monkeypatch)
         solves = _count_root_solves(monkeypatch)
         res = auto_onset(F1, "max", tol=1e-6)
         # P = 3.40275 from pstar_exact: the scan holds P i/31 for i < 31 and
         # 1e-3, 1e-2, 0.1, 0.25, 0.5, 1, 2; it brackets the onset between
-        # 30 P/31 and P, and 17 bisection steps follow: three rounds of 31
-        # midpoints and a last round of 2 levels.
-        assert calls == [37] + [31] * 3 + [3]
-        assert solves == []
-        assert res.bracket == (3.3545718778428046, 3.3545727152917815)
+        # 30 P/31 and P, and Newton's crossing is checked at +- tol/4.
+        assert calls == [37, 2]
+        assert solves == [1]
+        assert res.method is Method.NEWTON
+        assert res.value == 3.3545722039841674
+        assert res.bracket == (3.3545719539841676, 3.3545724539841673)
 
     def test_exact_onset_root_finds(self, monkeypatch):
         """Both bracket ends as one batch, then 23 bisection steps in rounds
@@ -516,6 +518,12 @@ def _outcome(search, *args):
         return type(exc), str(exc), getattr(exc, "row", None)
 
 
+def _decline_newton(monkeypatch):
+    """Make auto_onset's Newton tail decline, so that it bisects its scan
+    bracket with ``_bisect_onset``."""
+    monkeypatch.setattr(th, "_newton_onset", lambda f, sign, lo, hi, tol: None)
+
+
 def _count_status_rows(monkeypatch):
     """Record the row count of every status batch the onset searches ask
     ``roots.row_statuses`` for."""
@@ -566,6 +574,8 @@ class TestLookaheadBisection:
     """The batched lookahead walks exactly the steps of plain bisection."""
 
     def test_equals_sequential_bisection(self, monkeypatch):
+        _decline_newton(monkeypatch)
+
         def onsets(f):
             """Lookahead and reference outcomes agree; count the onsets."""
             found = 0
@@ -905,6 +915,7 @@ class TestLastCrossing:
         """A scan batch that fails is solved one power at a time from the
         top down, so a power below the last Unstable one is never solved."""
         top = _far_end(F1, "max")
+        _decline_newton(monkeypatch)
         monkeypatch.setattr(roots, "_SCHUR_COHN_MAX_DEGREE", 0)
         want = auto_onset(F1, "max")
         raised = _failing_solve(monkeypatch, principal_power(F1, top * 5 / SCAN))
@@ -912,6 +923,7 @@ class TestLastCrossing:
         assert len(raised) == 1  # the batch, not the walk
 
     def test_failing_point_above_the_last_unstable_raises(self, monkeypatch):
+        _decline_newton(monkeypatch)
         _failing_solve(monkeypatch, principal_power(F1, _far_end(F1, "max") * 30 / SCAN))
         got = _outcome(auto_onset, F1, "max", 1e-6)
         assert got[:2] == (UnconvergedError, "forced failure")
@@ -953,10 +965,101 @@ class TestLastCrossing:
         assert valued > 0
 
 
+# F1's crossing from 40-digit mpmath.findroot on F(p, t) = f^[p](e^{it}),
+# at t = pi: 3.354572203984166993.
+F1_CROSSING = 3.354572203984166993
+
+
+class TestNewtonOnset:
+    """auto_onset's Newton tail on F(p, t) = f^[p](e^{it}): an accepted
+    crossing lies inside the bracket bisection gives, with checked ends,
+    and a declined tail leaves bisection's outcome as it was."""
+
+    def test_example_one_f_is_the_crossing(self):
+        res = auto_onset(F1, "max")
+        assert res.method is Method.NEWTON
+        assert abs(res.value - F1_CROSSING) <= 4 * math.ulp(F1_CROSSING)
+
+    def test_seeded_crossings_lie_inside_the_bisection_bracket(self, monkeypatch):
+        """300 seeded onsets, degree 3-7, both modes, real and complex, half
+        from ``_seeded`` and half from ``random_monic``."""
+        rng = random.Random(3131)
+        tol = 1e-6
+        accepted = found = i = 0
+        while found < 300:
+            mode = ("max", "min")[i % 2]
+            moduli = (0.05, 0.95) if mode == "max" else (1.05, 4.0)
+            if i % 8 < 4:
+                f = _seeded(rng, mode, 3 + i % 5, i % 3 == 0, moduli)
+            else:
+                f = random_monic(rng, 3 + i % 5, moduli, density=0.7, real=i % 3 == 0)
+            i += 1
+            got = _outcome(auto_onset, f, mode, tol)
+            with monkeypatch.context() as m:
+                _decline_newton(m)
+                want = _outcome(auto_onset, f, mode, tol)
+            if not isinstance(want, ThresholdResult):
+                assert got == want
+                continue
+            found += 1
+            if got.method is not Method.NEWTON:
+                assert got == want
+                continue
+            accepted += 1
+            lo, hi = got.bracket
+            assert want.bracket[0] < got.value < want.bracket[1], (f, mode)
+            assert lo < got.value < hi
+            assert hi - lo <= tol
+            ends = (Status.UNSTABLE, Status.STABLE) if mode == "max" else (Status.STABLE, Status.UNSTABLE)
+            assert (_status(f, lo), _status(f, hi)) == ends, (f, mode)
+        assert accepted >= 0.95 * found
+
+    # The outcomes of bisection, which auto_onset returned before the tail.
+    BISECTED = [
+        (F1, "max", 3.354572296567293, (3.3545718778428046, 3.3545727152917815)),
+        (G1, "min", -1.0157900265309912, (-1.015790331844339, -1.0157897212176432)),
+        (G2, "min", -3.234204299994482, (-3.2342047189531047, -3.2342038810358584)),
+    ]
+
+    @pytest.mark.parametrize("f, mode, value, bracket", BISECTED)
+    def test_no_convergence_declines_to_bisection(self, monkeypatch, f, mode, value, bracket):
+        monkeypatch.setattr(th, "_NEWTON_STEPS", 1)  # one step from the midpoint
+        res = auto_onset(f, mode)
+        assert res == ThresholdResult(Kind.EXACT_ONSET, value, Method.BISECTION, bracket)
+
+    @pytest.mark.parametrize("f, mode, value, bracket", BISECTED)
+    def test_marginal_check_declines_to_bisection(self, monkeypatch, f, mode, value, bracket):
+        """Only the check batch, the one status batch the tail asks for,
+        reads Marginal."""
+        inside, checks = [], []
+        newton, statuses = th._newton_onset, th._statuses
+
+        def tail(*args):
+            inside.append(True)
+            try:
+                return newton(*args)
+            finally:
+                inside.pop()
+
+        def marginal_in_tail(f, sign, qs):
+            status = statuses(f, sign, qs)
+            if inside:
+                checks.append(len(qs))
+                return lambda q: Status.MARGINAL
+            return status
+
+        monkeypatch.setattr(th, "_newton_onset", tail)
+        monkeypatch.setattr(th, "_statuses", marginal_in_tail)
+        res = auto_onset(f, mode)
+        assert checks == [2]
+        assert res == ThresholdResult(Kind.EXACT_ONSET, value, Method.BISECTION, bracket)
+
+
 class TestModeMin:
     """Mode min is mode max under p -> -p.  These pin its results to the
     last bit, which the golden hashes of ``report.json``, rounded to 12
-    digits, do not."""
+    digits, do not.  ``onset`` is auto_onset with its Newton tail declined,
+    the bisection it falls back to; ``newton`` is auto_onset as it is."""
 
     @pytest.mark.parametrize(
         "g, search, value, bracket",
@@ -967,13 +1070,18 @@ class TestModeMin:
             (G2, "grid", -3.409177046823969, None),
             (G2, "exact", -3.404652169404926, (-3.404652169405381, -3.4046521694044714)),
             (G2, "onset", -3.234204299994482, (-3.2342047189531047, -3.2342038810358584)),
+            (G1, "newton", -1.0157899036022398, (-1.0157901536022398, -1.0157896536022397)),
+            (G2, "newton", -3.234204505061299, (-3.234204755061299, -3.2342042550612993)),
         ],
     )
-    def test_full_precision(self, g, search, value, bracket):
+    def test_full_precision(self, monkeypatch, g, search, value, bracket):
+        if search == "onset":
+            _decline_newton(monkeypatch)
         res = {
             "grid": lambda: pstar_grid(g, "min", 1000),
             "exact": lambda: pstar_exact(g, "min"),
             "onset": lambda: auto_onset(g, "min"),
+            "newton": lambda: auto_onset(g, "min"),
         }[search]()
         assert (res.value, res.bracket) == (value, bracket)
 
