@@ -12,13 +12,14 @@ Four families of results live here:
   crossing, the paper's p* for the principal branch: one status scan below
   the stable end that Theorem 1 gives (``pstar_exact``) brackets it, and
   Newton's method on F(p, t) = f^[p](e^{it}) = 0 locates the crossing in
-  that bracket, checked by the statuses just beside it
-  (``_newton_onset``).  Where Newton declines, and in ``exact_onset``, the
-  bracket is bisected on the status.  Every status comes from
-  ``_statuses``: one ``roots.row_statuses`` batch of principal rows
-  (``poly.principal_rows``), which the Schur-Cohn recursion on the
+  that bracket, from one uncertified companion eigenvalue, checked by the
+  statuses just beside it (``_newton_onset``).  Where Newton declines, and
+  in ``exact_onset``, the bracket is bisected on the status.  Every status
+  comes from ``_statuses``: one ``roots.row_statuses`` batch of principal
+  rows (``poly.principal_rows``), which the Schur-Cohn recursion on the
   coefficients decides, and the root finder only where the recursion
-  cannot.  No polynomial object is built per power;
+  cannot; that is the only way a search reaches the root finder.  No
+  polynomial object is built per power;
 * a determinant-based boundary indicator (``guardian_map``) that vanishes
   exactly when a root reaches the unit circle and changes sign across simple
   crossings.  No search runs on it: it is kept as an oracle independent of
@@ -42,6 +43,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -55,7 +57,7 @@ from .errors import (
     UnsupportedDegreeError,
 )
 from .poly import MonicPolynomial, principal_power, principal_rows, real_form
-from .roots import Status, chunk_rows, companion_matrix, find_root_rows, row_statuses
+from .roots import Status, chunk_rows, companion_matrix, row_statuses
 
 _MAX_BISECT = 200
 # Onset bisection decides the midpoints of up to this many levels as one batch;
@@ -459,9 +461,16 @@ def _close_out(
     """The onset at a Marginal point ``mid`` of the bracket [lo, hi] in q:
     the bracket mid -+ tol/2, clipped to [lo, hi], if its ends, one status
     batch, are Unstable and Stable; otherwise the onset is uncertifiable at
-    this tolerance."""
+    this tolerance.  The two sums round apart, so where their ends lie more
+    than tol apart in exact arithmetic, the Stable end is pulled in to the
+    last float within tol of the Unstable one."""
     lo2 = max(lo, _sum(sign, mid, -0.5 * tol))
     hi2 = min(hi, _sum(sign, mid, 0.5 * tol))
+    top = Fraction(lo2) + Fraction(tol)
+    if hi2 > top:
+        hi2 = float(top)
+        if hi2 > top:
+            hi2 = math.nextafter(hi2, -math.inf)
     if lo2 < hi2:
         status = _statuses(f, sign, [lo2, hi2])
         if status(lo2) is Status.UNSTABLE and status(hi2) is Status.STABLE:
@@ -482,22 +491,27 @@ def _newton_onset(
     two real equations in (q, t) with the closed-form derivatives
     dF/dq = sign sum_k c_k (ln|a_k| + i arg a_k) and
     dF/dt = i (n e^{int} + sum_k k c_k).  The steps start at the bracket's
-    midpoint and the angle of the largest root there (one row of
-    ``find_root_rows``), and are plain 2x2 real Newton in ``math`` and
-    ``cmath``, so the iterates do not depend on numpy's BLAS or SIMD paths.
+    midpoint and the angle of the largest-modulus eigenvalue of that row's
+    companion matrix, one ``np.linalg.eigvals`` call: a start needs no
+    certificate, since the check below decides what is kept, so the root
+    finder's polish, residual test and sort are not paid for.  The steps
+    are plain 2x2 real Newton in ``math`` and ``cmath``, so the iterates do
+    not depend on numpy's BLAS or SIMD paths.
     A converged q is accepted only if lo < q < hi and one status batch reads
     Unstable at q - tol/4 and Stable at q + tol/4, each clipped to the
     bracket: the value is then a crossing, and the bracket's ends are
     certified as bisection's are.  The bracket is tol/2 wide, the narrowest
     bisection ends with, so that its ends rounded to 12 digits stay within
-    tol.  An overflow, a zero or non-finite Jacobian, no convergence within
-    ``_NEWTON_STEPS`` steps, or a check that fails or raises declines.
+    tol.  An overflow, eigenvalues that do not converge, a zero or
+    non-finite Jacobian, no convergence within ``_NEWTON_STEPS`` steps, or a
+    check that fails or raises declines.
     """
     mid = 0.5 * _sum(sign, lo, hi)
     try:
-        z = complex(find_root_rows(principal_rows(f, [sign * mid]))[0][0, -1])
-    except (InvalidInputError, UnconvergedError):
+        eig = np.linalg.eigvals(companion_matrix(principal_rows(f, [sign * mid])[0, :-1]))
+    except (InvalidInputError, np.linalg.LinAlgError):  # overflow, or no QR convergence
         return None
+    z = complex(eig[np.argmax(np.abs(eig))])
     n = f.degree
     terms = []  # (k, |a_k|, arg a_k, ln|a_k| + i arg a_k) on the support
     for k, a in enumerate(f.coeffs):
@@ -563,8 +577,9 @@ def auto_onset(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRes
     q = 0 is solved only when none of them is Unstable.  The last strictly
     Unstable power and the next one scanned (or P) bracket the onset.  Where
     the next power is Stable, ``_newton_onset`` finds the crossing of F(p, t)
-    = f^[p](e^{it}) = 0 inside the bracket, from one root-find at its
-    midpoint, and checks it with one status batch at the crossing -+ tol/4
+    = f^[p](e^{it}) = 0 inside the bracket, starting from the companion
+    eigenvalues of its midpoint row, and checks it with one status batch at
+    the crossing -+ tol/4
     (method Newton: the value is the crossing, the bracket the two checked
     powers).  Where Newton declines, the bracket is bisected as by
     ``exact_onset`` without solving its ends again (method Bisection); a

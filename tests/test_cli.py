@@ -1,8 +1,11 @@
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import time
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -867,3 +870,67 @@ class TestExitCodes:
             seen.append(main(argv))
             assert "Traceback" not in capsys.readouterr().err
         assert seen == codes
+
+
+# Hostile coefficient values: signed zeros, the smallest subnormal, values
+# near the ends of the float range, and moduli within 1e-6 of 1, split by
+# the side of 1 their moduli lie on.
+_HOSTILE_BELOW = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1 - 1e-6, -(1 - 1e-7))
+_HOSTILE_ABOVE = (0.0, -0.0, 1e300, -1e300, 1.7e308, -1.7e308, 1 + 1e-6, -(1 + 1e-7))
+_HOSTILE_ONE = (1.0, -1.0)
+
+
+def _hostile_poly(rng):
+    """A polynomial of degree 1-12 whose coefficients are hostile values or
+    polar draws.  A third of them draw from values below 1 (mode max's
+    Theorem 1), a third from values above 1 (mode min's), and a third mix
+    both with moduli of exactly 1.  A fifth of the hostile values get a
+    hostile imaginary part too, so a modulus may overflow."""
+    degree = rng.randint(1, 12)
+    side = rng.randrange(3)
+    pool = (_HOSTILE_BELOW + _HOSTILE_ABOVE + _HOSTILE_ONE, _HOSTILE_BELOW, _HOSTILE_ABOVE)[side]
+    moduli = ((0.05, 4.0), (0.05, 1 - 1e-6), (1 + 1e-6, 4.0))[side]
+    coeffs = []
+    for _ in range(degree):
+        if rng.random() < 0.5:
+            imag = rng.choice(pool) if rng.random() < 0.2 else 0.0
+            coeffs.append([rng.choice(pool), imag])
+            continue
+        m = rng.uniform(*moduli)
+        if side == 0 and rng.random() < 0.5:
+            m = 1.0 + rng.uniform(-1e-6, 1e-6)
+        t = rng.uniform(-math.pi, math.pi) if rng.random() < 0.5 else 0.0
+        coeffs.append([m * math.cos(t), m * math.sin(t)])
+    return {"degree": degree, "coeffs": coeffs}
+
+
+class TestHostileThreshold:
+    """``threshold`` on hostile inputs: every method in both modes exits
+    with a documented code, within a time bound, and writes neither a
+    traceback nor a warning."""
+
+    SECONDS_PER_CALL = 2.0
+
+    def test_seeded_hostile_inputs(self, capsys, tmp_path):
+        rng = random.Random(6606)
+        path = tmp_path / "hostile.json"
+        seen = set()
+        for _ in range(80):
+            poly = _hostile_poly(rng)
+            path.write_text(json.dumps(poly))
+            for method in ("grid", "exact", "onset"):
+                for mode in ("max", "min"):
+                    argv = ["threshold", "--poly", str(path), "--mode", mode, "--method", method]
+                    start = time.perf_counter()
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        code = main(argv)
+                    elapsed = time.perf_counter() - start
+                    err = capsys.readouterr().err
+                    where = (poly, method, mode)
+                    assert code in (0, 1, 2, 3), where
+                    assert elapsed < self.SECONDS_PER_CALL, where
+                    assert not caught, (where, [str(w.message) for w in caught])
+                    assert "Traceback" not in err and "Warning" not in err, where
+                    seen.add(code)
+        assert seen == {0, 1, 2, 3}

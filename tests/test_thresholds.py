@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -380,9 +381,9 @@ class TestExactOnset:
 
     def test_auto_onset_root_finds(self, monkeypatch):
         """One scan batch below Theorem 1's stable end, then the Newton
-        tail: one root-find at the bracket's midpoint for its start, and one
-        status batch of the two check points.  The recursion decides every
-        status, so the start is the only row root-found."""
+        tail: its start from the companion eigenvalues of the bracket's
+        midpoint row, and one status batch of the two check points.  The
+        recursion decides every status, so no row is root-found."""
         calls = _count_status_rows(monkeypatch)
         solves = _count_root_solves(monkeypatch)
         res = auto_onset(F1, "max", tol=1e-6)
@@ -390,7 +391,7 @@ class TestExactOnset:
         # 1e-3, 1e-2, 0.1, 0.25, 0.5, 1, 2; it brackets the onset between
         # 30 P/31 and P, and Newton's crossing is checked at +- tol/4.
         assert calls == [37, 2]
-        assert solves == [1]
+        assert solves == []
         assert res.method is Method.NEWTON
         assert res.value == 3.3545722039841674
         assert res.bracket == (3.3545719539841676, 3.3545724539841673)
@@ -469,6 +470,24 @@ class TestExactOnset:
         f = MonicPolynomial((0.5, 0.0))
         with pytest.raises(MarginalZoneError):
             th.exact_onset(f, "increasing", (0.0, 4.0), tol=1e-4)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_close_out_bracket_within_tol(self, monkeypatch, sign):
+        """At mid = 3, mid -+ tol/2 round to 2.9999995 and 3.0000005, which
+        lie tol + 1.4e-16 apart; the Stable end is pulled in by one ulp, to
+        the last float within tol of the Unstable one."""
+        mid, tol = 3.0, 1e-6
+        assert Fraction(3.0000005) - Fraction(2.9999995) > tol
+        monkeypatch.setattr(
+            th, "_statuses",
+            lambda f, sign, qs: lambda q: Status.UNSTABLE if q < mid else Status.STABLE,
+        )
+        res = th._close_out(F1, sign, mid, 2.0, 4.0, tol)
+        a, b = res.bracket
+        assert Fraction(b) - Fraction(a) <= tol
+        want = (2.9999995, 3.0000004999999996)
+        assert (a, b) == (want if sign > 0 else (-want[1], -want[0]))
+        assert res.method is Method.BISECTION
 
 
 def _sequential_bisect_onset(f, lo, hi, lo_status, hi_status, tol):
@@ -982,10 +1001,33 @@ class TestNewtonOnset:
 
     def test_seeded_crossings_lie_inside_the_bisection_bracket(self, monkeypatch):
         """300 seeded onsets, degree 3-7, both modes, real and complex, half
-        from ``_seeded`` and half from ``random_monic``."""
+        from ``_seeded`` and half from ``random_monic``.  The tail itself
+        never reaches the root finder: its start is a companion eigenvalue,
+        and the recursion decides its check batch."""
         rng = random.Random(3131)
         tol = 1e-6
         accepted = found = i = 0
+        inside, solved = [], []
+        newton, find_root_rows, solve_chunk = th._newton_onset, roots.find_root_rows, roots._solve_chunk
+
+        def tail(*args):
+            inside.append(True)
+            try:
+                return newton(*args)
+            finally:
+                inside.pop()
+
+        def recording(solve, name):
+            def wrapped(*args):
+                if inside:
+                    solved.append(name)
+                return solve(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(th, "_newton_onset", tail)
+        monkeypatch.setattr(roots, "find_root_rows", recording(find_root_rows, "find_root_rows"))
+        monkeypatch.setattr(roots, "_solve_chunk", recording(solve_chunk, "_solve_chunk"))
         while found < 300:
             mode = ("max", "min")[i % 2]
             moduli = (0.05, 0.95) if mode == "max" else (1.05, 4.0)
@@ -1013,6 +1055,7 @@ class TestNewtonOnset:
             ends = (Status.UNSTABLE, Status.STABLE) if mode == "max" else (Status.STABLE, Status.UNSTABLE)
             assert (_status(f, lo), _status(f, hi)) == ends, (f, mode)
         assert accepted >= 0.95 * found
+        assert solved == []
 
     # The outcomes of bisection, which auto_onset returned before the tail.
     BISECTED = [
@@ -1025,6 +1068,42 @@ class TestNewtonOnset:
     def test_no_convergence_declines_to_bisection(self, monkeypatch, f, mode, value, bracket):
         monkeypatch.setattr(th, "_NEWTON_STEPS", 1)  # one step from the midpoint
         res = auto_onset(f, mode)
+        assert res == ThresholdResult(Kind.EXACT_ONSET, value, Method.BISECTION, bracket)
+
+    @pytest.mark.parametrize("failure", ["no-convergence", "overflow"])
+    @pytest.mark.parametrize("f, mode, value, bracket", BISECTED)
+    def test_start_failure_declines_to_bisection(
+        self, monkeypatch, f, mode, value, bracket, failure
+    ):
+        """The start row's eigenvalues do not converge, or the row
+        overflows: the tail declines before its first step."""
+        starts = []
+        if failure == "no-convergence":
+
+            def eigvals(a):
+                starts.append(a.shape)
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+            monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+            want = [(f.degree, f.degree)]
+        else:
+            newton, rows = th._newton_onset, th.principal_rows
+
+            def overflowing(f, ps):
+                starts.append(len(ps))
+                raise InvalidInputError(f"|{f.coeffs[0]}|^{ps[0]} overflows the floating-point range")
+
+            def tail(*args):
+                monkeypatch.setattr(th, "principal_rows", overflowing)
+                try:
+                    return newton(*args)
+                finally:
+                    monkeypatch.setattr(th, "principal_rows", rows)
+
+            monkeypatch.setattr(th, "_newton_onset", tail)
+            want = [1]
+        res = auto_onset(f, mode)
+        assert starts == want
         assert res == ThresholdResult(Kind.EXACT_ONSET, value, Method.BISECTION, bracket)
 
     @pytest.mark.parametrize("f, mode, value, bracket", BISECTED)
