@@ -71,9 +71,9 @@ use ``row_statuses``, which runs it at both edges of the boundary band.
 that gives w, the worst modulus so far.  Every later chunk runs the
 recursion at 1 + BOUNDARY_BAND, to stop at the first member that is
 certainly Unstable, and at w, to skip the members that certainly cannot
-raise it.  The rows it cannot decide,
-and every row above degree 32, go to ``find_root_rows`` as rows, so the
-roots stay the one root-finding path and the only source of moduli.
+raise it.  Both hand the rows it cannot decide, and every row above degree
+32, to ``find_root_rows`` at one place (``_solve``), so the roots stay the
+one root-finding path and the only source of moduli.
 """
 
 from __future__ import annotations
@@ -668,68 +668,53 @@ def _schur_cohn_at(asc: np.ndarray, radii: list[float]) -> tuple[np.ndarray, np.
     return stable.reshape(len(radii), k), decided.reshape(len(radii), k)
 
 
-def _recursion_statuses(asc: np.ndarray) -> list[Status | None]:
-    """Statuses of the rows of ascending monic coefficients ``asc`` as
-    ``classify`` draws them, None where the recursion cannot decide.
-
-    The rows run at both edges of the boundary band (``_schur_cohn_at``):
-    Stable where the inner one is certainly stable (every root modulus below
-    1 - BOUNDARY_BAND), Unstable where the outer one is certainly not (a root
-    modulus of 1 + BOUNDARY_BAND or more), Marginal where both are certain
-    and neither holds.
-    """
-    stable, decided = _schur_cohn_at(asc, [1.0 - BOUNDARY_BAND, 1.0 + BOUNDARY_BAND])
-    (inner, outer), (inner_known, outer_known) = stable.tolist(), decided.tolist()
-    statuses: list[Status | None] = [None] * len(inner)
-    for i in range(len(inner)):
-        if inner_known[i] and inner[i]:
-            statuses[i] = Status.STABLE
-        elif outer_known[i] and not outer[i]:
-            statuses[i] = Status.UNSTABLE
-        elif inner_known[i] and outer_known[i]:
-            statuses[i] = Status.MARGINAL
-    return statuses
+def _solve(asc: np.ndarray, rows, limit: float = math.inf):
+    """``find_root_rows(asc[rows], limit)``, its UnconvergedError raised
+    with ``row`` the failing row's position in ``asc``."""
+    try:
+        return find_root_rows(asc[rows], limit)
+    except UnconvergedError as exc:
+        raise UnconvergedError(str(exc), partial=exc.partial, row=rows[exc.row]) from exc
 
 
 def row_statuses(asc: np.ndarray) -> list[Status]:
     """The status ``is_schur_stable`` gives each row of ascending monic
-    coefficients ``asc`` (k, n + 1), decided from the coefficients by the
-    Schur-Cohn recursion where it can be, with no roots.
+    coefficients ``asc`` (k, n + 1), decided with no roots where it can be.
 
-    The rows the recursion leaves undecided, and every row of degree above
-    ``_SCHUR_COHN_MAX_DEGREE``, go to ``find_root_rows`` as one batch and are
-    classified by their largest root modulus; its UnconvergedError is raised
-    with ``row`` the row's position in ``asc``.
+    The recursion runs at both edges of the boundary band
+    (``_schur_cohn_at``): Stable where the inner one is certainly stable
+    (every root modulus below 1 - BOUNDARY_BAND), Unstable where the outer
+    one is certainly not (a root modulus of 1 + BOUNDARY_BAND or more),
+    Marginal where both are certain and neither holds.  The rows it leaves
+    undecided, and all rows above degree ``_SCHUR_COHN_MAX_DEGREE``, are
+    classified by their largest root modulus, solved as one batch.
     """
     k, n = asc.shape[0], asc.shape[1] - 1
     statuses: list[Status | None] = [None] * k
     if k and n <= _SCHUR_COHN_MAX_DEGREE:
-        statuses = _recursion_statuses(asc)
+        stable, decided = _schur_cohn_at(asc, [1.0 - BOUNDARY_BAND, 1.0 + BOUNDARY_BAND])
+        (inner, outer), (inner_known, outer_known) = stable.tolist(), decided.tolist()
+        for i in range(k):
+            if inner_known[i] and inner[i]:
+                statuses[i] = Status.STABLE
+            elif outer_known[i] and not outer[i]:
+                statuses[i] = Status.UNSTABLE
+            elif inner_known[i] and outer_known[i]:
+                statuses[i] = Status.MARGINAL
     rest = [i for i, st in enumerate(statuses) if st is None]
     if rest:
-        try:
-            worst = find_root_rows(asc[rest])[3]
-        except UnconvergedError as exc:
-            raise UnconvergedError(str(exc), partial=exc.partial, row=rest[exc.row]) from exc
-        for i, m in zip(rest, worst.tolist()):
+        for i, m in zip(rest, _solve(asc, rest)[3].tolist()):
             statuses[i] = classify(m)
     return statuses
 
 
-def _solve_branches(
-    b: BranchSet, indices: list[tuple[int, ...]], asc: np.ndarray, limit: float = math.inf
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``find_root_rows(asc, limit)`` of the members of b with the branch
-    ``indices``, whose rows ``asc`` holds.  An uncertified row raises
-    UnconvergedError naming its branch by its position in the full
-    enumeration and its index."""
-    try:
-        return find_root_rows(asc, limit)
-    except UnconvergedError as exc:
-        index = indices[exc.row]
-        raise UnconvergedError(
-            f"branch {b.position(index)} (index {index}): {exc}", partial=exc.partial
-        ) from exc
+def _branch_error(b: BranchSet, block: list, exc: UnconvergedError) -> UnconvergedError:
+    """``exc`` naming row ``exc.row`` of the members ``block`` of b by its
+    position in the full enumeration and its branch index."""
+    index = block[exc.row]
+    return UnconvergedError(
+        f"branch {b.position(index)} (index {index}): {exc}", partial=exc.partial
+    )
 
 
 def branch_root_sets(b: BranchSet) -> list[RootSet]:
@@ -741,7 +726,10 @@ def branch_root_sets(b: BranchSet) -> list[RootSet]:
     check_degree(n)  # before the table is built
     indices, sets = b.indices(), []
     while block := list(islice(indices, chunk_rows(n))):
-        sets += _root_sets(*_solve_branches(b, block, b.rows(block))[:3])
+        try:
+            sets += _root_sets(*find_root_rows(b.rows(block))[:3])
+        except UnconvergedError as exc:
+            raise _branch_error(b, block, exc) from exc
     return sets
 
 
@@ -798,7 +786,10 @@ def branch_set_stable(b: BranchSet) -> StabilityVerdict:
         keep = np.flatnonzero(~inside)
         for rows in np.split(keep, np.flatnonzero(cut[keep]) + 1):
             if rows.size:
-                moduli = _solve_branches(b, [block[i] for i in rows], asc[rows], limit)[3]
+                try:
+                    moduli = _solve(asc, rows, limit)[3]
+                except UnconvergedError as exc:
+                    raise _branch_error(b, block, exc) from exc
                 found.append(float(moduli.max()))
                 if moduli[-1] > limit:
                     return StabilityVerdict.of(max(found))

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from hadstab import MonicPolynomial
+from hadstab import MonicPolynomial, UnconvergedError, roots
 
 
 def random_monic(
@@ -37,6 +37,21 @@ def monic_rows(polys) -> np.ndarray:
     included, as the rows ``roots.find_root_rows`` and ``roots.row_statuses``
     take."""
     return np.array([f.coeffs + (1.0 + 0j,) for f in polys])
+
+
+def fail_row(monkeypatch, bad):
+    """Make ``roots._solve_chunk`` raise UnconvergedError for a chunk holding
+    the row ``bad`` (ascending, leading 1 included), with ``row`` that row's
+    position in the whole ``find_root_rows`` batch."""
+    solve_chunk = roots._solve_chunk
+
+    def failing(asc, offset, limit):
+        hit = np.flatnonzero((asc == bad).all(axis=1))
+        if hit.size:
+            raise UnconvergedError("forced failure", row=offset + int(hit[0]))
+        return solve_chunk(asc, offset, limit)
+
+    monkeypatch.setattr(roots, "_solve_chunk", failing)
 
 
 @pytest.fixture

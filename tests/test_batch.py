@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import monic_rows, random_monic
+from conftest import fail_row, monic_rows, random_monic
 from hadstab import (
     InvalidInputError,
     MonicPolynomial,
@@ -764,6 +764,30 @@ class TestBranchSetChunks:
         # second, 10-80, after its row 1 (representative 11); of the rows
         # after it, those not inside w are solved too.
         assert solved == [list(range(10)), [10, 11], [27, 30, 59, 76, 77]]
+
+    def test_uncertified_row_past_a_skipped_one_is_named(self, monkeypatch):
+        """The second chunk, 10-80, solves 10, 11, 27, 30, 59, 76 and 77.
+        With 11 forced inside w and skipped, 27 is the second row solved but
+        row 17 of the chunk, and a failure there names representative 27."""
+        f = MonicPolynomial((0.03, 0.02j, 0.01, -0.025, 0.005))
+        bset = hadamard_power(f, RationalExponent(2, 3))
+        reps = list(bset.rotation_representatives())
+        schur_cohn_at = roots._schur_cohn_at
+
+        def skipping_row_1(asc, radii):
+            stable, decided = schur_cohn_at(asc, radii)
+            stable[1, 1], decided[1, 1] = True, True
+            return stable, decided
+
+        monkeypatch.setattr(roots, "_schur_cohn_at", skipping_row_1)
+        solved = _solved_representatives(monkeypatch, bset)
+        assert branch_set_stable(bset).status is Status.STABLE
+        assert solved == [list(range(10)), [10, 27, 30, 59, 76, 77]]
+        fail_row(monkeypatch, bset.rows([reps[27]])[0])
+        with pytest.raises(UnconvergedError) as info:
+            branch_set_stable(bset)
+        position = bset.position(reps[27])
+        assert str(info.value).startswith(f"branch {position} (index {reps[27]}): ")
 
     def test_first_chunk_takes_no_recursion_batch(self, monkeypatch, schur_cohn_batches):
         """A set whose representatives all fit in the first chunk is

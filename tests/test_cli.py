@@ -880,13 +880,14 @@ _HOSTILE_ABOVE = (0.0, -0.0, 1e300, -1e300, 1.7e308, -1.7e308, 1 + 1e-6, -(1 + 1
 _HOSTILE_ONE = (1.0, -1.0)
 
 
-def _hostile_poly(rng):
-    """A polynomial of degree 1-12 whose coefficients are hostile values or
-    polar draws.  A third of them draw from values below 1 (mode max's
-    Theorem 1), a third from values above 1 (mode min's), and a third mix
-    both with moduli of exactly 1.  A fifth of the hostile values get a
-    hostile imaginary part too, so a modulus may overflow."""
-    degree = rng.randint(1, 12)
+def _hostile_poly(rng, degrees=(1, 12)):
+    """A polynomial whose degree is drawn from ``degrees`` and whose
+    coefficients are hostile values or polar draws.  A third of them draw
+    from values below 1 (mode max's Theorem 1), a third from values above 1
+    (mode min's), and a third mix both with moduli of exactly 1.  A fifth of
+    the hostile values get a hostile imaginary part too, so a modulus may
+    overflow."""
+    degree = rng.randint(*degrees)
     side = rng.randrange(3)
     pool = (_HOSTILE_BELOW + _HOSTILE_ABOVE + _HOSTILE_ONE, _HOSTILE_BELOW, _HOSTILE_ABOVE)[side]
     moduli = ((0.05, 4.0), (0.05, 1 - 1e-6), (1 + 1e-6, 4.0))[side]
@@ -902,6 +903,22 @@ def _hostile_poly(rng):
         t = rng.uniform(-math.pi, math.pi) if rng.random() < 0.5 else 0.0
         coeffs.append([m * math.cos(t), m * math.sin(t)])
     return {"degree": degree, "coeffs": coeffs}
+
+
+def _hostile_call(capsys, argv, seconds, where):
+    """The exit code of ``main(argv)``, asserted to be a documented one,
+    reached within ``seconds``, with neither a traceback nor a warning."""
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), where
+    assert elapsed < seconds, (where, elapsed)
+    assert not caught, (where, [str(w.message) for w in caught])
+    assert "Traceback" not in err and "Warning" not in err, where
+    return code
 
 
 class TestHostileThreshold:
@@ -921,16 +938,45 @@ class TestHostileThreshold:
             for method in ("grid", "exact", "onset"):
                 for mode in ("max", "min"):
                     argv = ["threshold", "--poly", str(path), "--mode", mode, "--method", method]
-                    start = time.perf_counter()
-                    with warnings.catch_warnings(record=True) as caught:
-                        warnings.simplefilter("always")
-                        code = main(argv)
-                    elapsed = time.perf_counter() - start
-                    err = capsys.readouterr().err
                     where = (poly, method, mode)
-                    assert code in (0, 1, 2, 3), where
-                    assert elapsed < self.SECONDS_PER_CALL, where
-                    assert not caught, (where, [str(w.message) for w in caught])
-                    assert "Traceback" not in err and "Warning" not in err, where
-                    seen.add(code)
+                    seen.add(_hostile_call(capsys, argv, self.SECONDS_PER_CALL, where))
         assert seen == {0, 1, 2, 3}
+
+
+class TestHostileSubcommands:
+    """``analyze``, ``power``, ``product`` and a short ``sweep`` on hostile
+    inputs of degree 1-40, held to ``TestHostileThreshold``'s contract.
+    ``power`` runs plain and with --all-branches, at integer, fractional
+    and negative powers."""
+
+    SECONDS_PER_CALL = 2.0
+    # --all-branches solves up to cli.MAX_BRANCH_ELEMENTS companion-matrix
+    # entries, measured at up to 6 s at that cap.
+    SECONDS_PER_ALL_BRANCHES = 10.0
+    POWERS = ("2", "-3", "3/2", "5/4", "-1/2", "-2/3")
+
+    def test_seeded_hostile_inputs(self, capsys, tmp_path):
+        rng = random.Random(6607)
+        f, g = tmp_path / "f.json", tmp_path / "g.json"
+        seen = {}
+        for _ in range(40):
+            poly = _hostile_poly(rng, (1, 40))
+            n = poly["degree"]
+            f.write_text(json.dumps(poly))
+            g.write_text(json.dumps(_hostile_poly(rng, (n, n))))
+            p = rng.choice(self.POWERS)
+            product = rng.choice(([], ["--szego"], ["--criterion", "a"]))
+            for argv in (
+                ["analyze", "--poly", str(f)],
+                ["power", "--poly", str(f), f"--p={p}"],
+                ["power", "--poly", str(f), f"--p={p}", "--all-branches"],
+                ["product", "--f", str(f), "--g", str(g), *product],
+                ["sweep", "--poly", str(f), "--from", "0.5", "--to", "2", "--step", "0.5",
+                 "--out", str(tmp_path)],
+            ):
+                branches = "--all-branches" in argv
+                seconds = self.SECONDS_PER_ALL_BRANCHES if branches else self.SECONDS_PER_CALL
+                code = _hostile_call(capsys, argv, seconds, (poly, argv))
+                seen.setdefault(argv[0] + " --all-branches" * branches, set()).add(code)
+        # Every command both answers and refuses on this corpus.
+        assert len(seen) == 5 and all({0, 2} <= codes for codes in seen.values()), seen

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import monic_rows, random_monic
+from conftest import fail_row, monic_rows, random_monic
 from hadstab import (
     BOUNDARY_BAND,
     BracketError,
@@ -416,25 +416,30 @@ def _no_roots(monkeypatch):
 
 
 class TestSchurCohnStatuses:
-    def test_agrees_with_roots(self):
+    def test_agrees_with_roots(self, monkeypatch):
         """300 seeded inputs of degree 3-8, contracting and expanding, real
         and complex, each at 64 powers on [-4, 6]: every status the
-        recursion decides is the root finder's."""
+        recursion decides is the root finder's, and at most 20 rows are left
+        to the root finder."""
+        undecided = []
+        find = roots.find_root_rows
+
+        def counting(asc, limit=math.inf):
+            undecided.append(len(asc))
+            return find(asc, limit)
+
+        monkeypatch.setattr(roots, "find_root_rows", counting)
         rng = random.Random(1905)
-        rows = undecided = 0
+        rows = 0
         for i in range(300):
             moduli = (0.05, 0.95) if i % 2 == 0 else (1.05, 4.0)
             f = random_monic(rng, 3 + i % 6, moduli, density=0.7, real=i % 4 < 2)
             polys = [principal_power(f, p) for p in np.linspace(-4.0, 6.0, 64)]
-            got = roots._recursion_statuses(monic_rows(polys))
-            want = _root_statuses(polys)
-            assert [w for g, w in zip(got, want) if g is not None] == [
-                g for g in got if g is not None
-            ]
+            got = row_statuses(monic_rows(polys))
+            assert got == _root_statuses(polys)
             rows += len(got)
-            undecided += got.count(None)
         assert rows == 19200
-        assert undecided <= 20  # these go to the root finder
+        assert sum(undecided) <= 20  # the rows that reached the root finder
 
     def test_known_wrong_cluster_goes_to_roots(self):
         """Roots call the 7-fold cluster at 1 - 2^-7 Unstable.  The recursion
@@ -520,6 +525,19 @@ class TestSchurCohnStatuses:
         decided = MonicPolynomial((0.25,) + (0j,) * 6)
         with pytest.raises(UnconvergedError) as err:
             row_statuses(monic_rows([decided, decided, bad]))
+        assert err.value.row == 2
+
+    def test_fallback_error_names_the_row_past_a_decided_one(self, monkeypatch):
+        """The rows the recursion leaves undecided are 0 and 2: the failing
+        one is the second row solved and row 2 of the batch."""
+        good, decided = _cluster(r=Fraction(63, 64)), MonicPolynomial((0.25,) + (0j,) * 6)
+        asc = monic_rows([good, decided, _cluster()])
+        _, known = roots._schur_cohn_at(asc, [1.0 - BOUNDARY_BAND, 1.0 + BOUNDARY_BAND])
+        assert known.any(axis=0).tolist() == [False, True, False]
+        fail_row(monkeypatch, asc[2])
+        assert row_statuses(asc[:2]) == [Status.STABLE, Status.STABLE]
+        with pytest.raises(UnconvergedError) as err:
+            row_statuses(asc)
         assert err.value.row == 2
 
     def test_empty_batch(self):
