@@ -342,11 +342,13 @@ def _aberth(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     some root still active has |p(z_i)| within 4 (n + 1) eps
     sum_k |a_k| |z_i|^k, the rounding level of p: the point may be far from
     a root of an ill-conditioned row, and the row's later steps would not
-    settle it.  A row with a vanishing derivative at an active root nudges
-    those roots and skips the sweep.  Rows are swept one at a time, so a
-    row's bits do not depend on the rows solved with it.  Returns the (k, n)
-    iterates, the last one for a row that did not settle, and a (k,) mask
-    of the rows that settled: those left with no active root.
+    settle it.  A row stops unsettled once an iterate is not finite: from a
+    NaN or infinity every later step is NaN.  A row with a vanishing
+    derivative at an active root nudges those roots and skips the sweep.
+    Rows are swept one at a time, so a row's bits do not depend on the rows
+    solved with it.  Returns the (k, n) iterates, the last one for a row
+    that did not settle, and a (k,) mask of the rows that settled: those
+    left with no active root.
     """
     k, n = asc.shape[0], asc.shape[1] - 1
     if n == 1:
@@ -383,8 +385,11 @@ def _aberth(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             denom[denom == 0] = 1e-30
             delta = w / denom
             zr[act] = za - delta
-            # Not `>`: a step that is not finite keeps its root moving.
-            moving = ~(np.abs(delta) <= 1e-14 * (1.0 + np.abs(zr).max()))
+            top = np.abs(zr).max()
+            if not math.isfinite(top):  # a NaN or inf iterate never settles
+                del active[r]
+                continue
+            moving = np.abs(delta) > 1e-14 * (1.0 + top)
             if not moving.any():
                 del active[r]
                 settled[r] = True

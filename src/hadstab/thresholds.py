@@ -14,12 +14,12 @@ Four families of results live here:
   Newton's method on F(p, t) = f^[p](e^{it}) = 0 locates the crossing in
   that bracket, from one uncertified companion eigenvalue, checked by the
   statuses just beside it (``_newton_onset``).  Where Newton declines, and
-  in ``exact_onset``, the bracket is bisected on the status.  Every status
-  comes from ``_statuses``: one ``roots.row_statuses`` batch of principal
-  rows (``poly.principal_rows``), which the Schur-Cohn recursion on the
-  coefficients decides, and the root finder only where the recursion
-  cannot; that is the only way a search reaches the root finder.  No
-  polynomial object is built per power;
+  in ``exact_onset``, the bracket is bisected on the status, one power per
+  step.  Every status comes from a ``roots.row_statuses`` batch of
+  principal rows (``poly.principal_rows``), which the Schur-Cohn recursion
+  on the coefficients decides, and the root finder only where the
+  recursion cannot; that is the only way a search reaches the root finder.
+  No polynomial object is built per power;
 * a determinant-based boundary indicator (``guardian_map``) that vanishes
   exactly when a root reaches the unit circle and changes sign across simple
   crossings.  No search runs on it: it is kept as an oracle independent of
@@ -57,12 +57,11 @@ from .errors import (
     UnsupportedDegreeError,
 )
 from .poly import MonicPolynomial, principal_power, principal_rows, real_form
-from .roots import Status, chunk_rows, companion_matrix, row_statuses
+from .roots import Status, companion_matrix, row_statuses
 
 _MAX_BISECT = 200
-# Onset bisection decides the midpoints of up to this many levels as one batch;
-# auto_onset's scan grid has as many powers, 2^5 - 1 = 31.
-_LOOKAHEAD = 5
+# auto_onset's scan grid: the powers P i/31 below its stable end P.
+_SCAN_POINTS = 31
 # The Newton tail of auto_onset takes at most this many steps, and stops once
 # a step moves q and t by at most _NEWTON_RTOL of their size (at least 1).
 _NEWTON_STEPS = 12
@@ -392,66 +391,24 @@ def exact_onset(
     return _bisect_onset(f, sign, *sorted((sign * lo, sign * hi)), tol)
 
 
-def _midpoint_tree(
-    sign: float, lo: float, hi: float, tol: float, levels: int
-) -> dict[int, float]:
-    """Midpoints of the next ``levels`` bisection levels below [lo, hi].
-
-    Nodes are numbered in heap order: node i splits its bracket at its
-    midpoint into node 2i+1 below and node 2i+2 above.  A node whose bracket
-    is already within ``tol`` is left out with all below it, because
-    bisection stops there.
-    """
-    brackets = {0: (lo, hi)}
-    mids = {}
-    for node in range(2**levels - 1):
-        if node not in brackets or brackets[node][1] - brackets[node][0] <= tol:
-            continue
-        a, b = brackets[node]
-        mids[node] = mid = 0.5 * _sum(sign, a, b)
-        brackets[2 * node + 1], brackets[2 * node + 2] = (a, mid), (mid, b)
-    return mids
-
-
 def _bisect_onset(
     f: MonicPolynomial, sign: float, lo: float, hi: float, tol: float
 ) -> ThresholdResult:
     """``exact_onset`` on a bracket [lo, hi] in q = sign * p, Unstable at lo
-    and Stable at hi, whose end verdicts are already known.
-
-    Each round decides the statuses of the midpoints of the next levels,
-    every one the walk could reach, as one ``row_statuses`` batch of
-    principal rows: the recursion decides them, and the rows it cannot go to
-    the root finder together.  The walk then makes the same lo/hi decisions
-    as plain bisection, so brackets and values do not depend on the
-    lookahead.  A round takes ``_LOOKAHEAD`` levels, 31 midpoints: a
-    recursion batch costs about the same from 1 to 50 rows at degree 5.
-    It takes fewer where their 2^L - 1 midpoints would not fit in one chunk
-    of the root solver, for the rows that fall to it: split into chunks, a
-    fallback batch would gain nothing, and the points the walk skips would
-    be extra solves.  At one level a round is a step of plain bisection.
-    ``_MAX_BISECT`` caps the steps walked, not the points solved.  A
-    Marginal midpoint closes out in a batch of its own, and a round whose
-    batch fails walks one point at a time (``_statuses``), so a point the
-    walk never reaches cannot raise.
-    """
-    # The largest L <= _LOOKAHEAD with 2^L - 1 <= chunk_rows.
-    levels = min(_LOOKAHEAD, (chunk_rows(f.degree) + 1).bit_length() - 1)
-    steps = 0
-    while steps < _MAX_BISECT and hi - lo > tol:
-        mids = _midpoint_tree(sign, lo, hi, tol, min(levels, _MAX_BISECT - steps))
-        status = _statuses(f, sign, list(mids.values()))
-        node = 0
-        while node in mids:
-            mid = mids[node]
-            st = status(mid)
-            steps += 1
-            if st is Status.UNSTABLE:
-                lo, node = mid, 2 * node + 2
-            elif st is Status.STABLE:
-                hi, node = mid, 2 * node + 1
-            else:
-                return _close_out(f, sign, mid, lo, hi, tol)
+    and Stable at hi, whose end verdicts are already known: plain bisection
+    on the status, one single-row ``row_statuses`` batch per step and at
+    most ``_MAX_BISECT`` steps.  A Marginal midpoint closes out."""
+    for _ in range(_MAX_BISECT):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * _sum(sign, lo, hi)
+        st = row_statuses(principal_rows(f, [sign * mid]))[0]
+        if st is Status.UNSTABLE:
+            lo = mid
+        elif st is Status.STABLE:
+            hi = mid
+        else:
+            return _close_out(f, sign, mid, lo, hi, tol)
     return _onset_result(sign, lo, hi)
 
 
@@ -581,8 +538,8 @@ def auto_onset(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRes
     eigenvalues of its midpoint row, and checks it with one status batch at
     the crossing -+ tol/4
     (method Newton: the value is the crossing, the bracket the two checked
-    powers).  Where Newton declines, the bracket is bisected as by
-    ``exact_onset`` without solving its ends again (method Bisection); a
+    powers).  Where Newton declines, the bracket is bisected on the status,
+    one power per step, without solving its ends again (method Bisection); a
     Marginal next power closes out as a Marginal midpoint does.  The powers
     are looked up from the top down to the last Unstable one, so if the
     batch fails, only a failure the search reaches raises.  Raises
@@ -601,8 +558,8 @@ def auto_onset(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRes
     else:
         top = max(sign * p for p in bracket)
 
-    grid = 2**_LOOKAHEAD - 1
-    scan = [top * i / grid for i in range(1, grid)] + [1e-3, 1e-2, 0.1, 0.25, 0.5]
+    scan = [top * i / _SCAN_POINTS for i in range(1, _SCAN_POINTS)]
+    scan += [1e-3, 1e-2, 0.1, 0.25, 0.5]
     step = 1.0
     while step < top:
         scan.append(step)

@@ -980,3 +980,20 @@ class TestHostileSubcommands:
                 seen.setdefault(argv[0] + " --all-branches" * branches, set()).add(code)
         # Every command both answers and refuses on this corpus.
         assert len(seen) == 5 and all({0, 2} <= codes for codes in seen.values()), seen
+
+    def test_nan_iterates_fail_fast(self, capsys, tmp_path):
+        """All 243 branches at p = -2/3 have coefficients up to 3.4e215, and
+        their Aberth iterates go NaN.  Each row stops at the sweep that made
+        it NaN, not at the 200-sweep cap, which took over 2 s."""
+        path = tmp_path / "tiny.json"
+        coeffs = [-5e-324, -1e-300, 1e-300, -1e-300, 0.10881414421078223]
+        path.write_text(json.dumps({"degree": 5, "coeffs": [[c, 0] for c in coeffs]}))
+        start = time.perf_counter()
+        code = main(["power", "--poly", str(path), "--p=-2/3", "--all-branches"])
+        elapsed = time.perf_counter() - start
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: branch 0 (index (0, 0, 0, 0, 0)): "
+            "root iteration failed to certify (max residual nan)\n"
+        )
+        assert elapsed < 0.5, elapsed

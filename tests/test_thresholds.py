@@ -396,14 +396,43 @@ class TestExactOnset:
         assert res.value == 3.3545722039841674
         assert res.bracket == (3.3545719539841676, 3.3545724539841673)
 
-    def test_exact_onset_root_finds(self, monkeypatch):
-        """Both bracket ends as one batch, then 23 bisection steps in rounds
-        of five levels, all decided without roots."""
+    @pytest.mark.parametrize(
+        "f, mode, rows, value, bracket",
+        [
+            (F1, "max", [37] + [1] * 17, 3.354572296567293,
+             (3.3545718778428046, 3.3545727152917815)),
+            (G1, "min", [36] + [1] * 16, -1.0157900265309912,
+             (-1.015790331844339, -1.0157897212176432)),
+        ],
+    )
+    def test_declined_onset_root_finds(self, monkeypatch, f, mode, rows, value, bracket):
+        """Where the Newton tail declines, the scan batch is followed by
+        plain bisection of its bracket, one single-row status batch per
+        step, all decided without roots."""
+        _decline_newton(monkeypatch)
         calls = _count_status_rows(monkeypatch)
         solves = _count_root_solves(monkeypatch)
-        exact_onset(F1, "increasing", (0.0, 5.0), 1e-6)
-        assert calls == [2] + [31] * 4 + [7]
+        res = auto_onset(f, mode, tol=1e-6)
+        assert calls == rows
         assert solves == []
+        assert res.method is Method.BISECTION
+        assert (res.value, res.bracket) == (value, bracket)
+
+    def test_exact_onset_root_finds(self, monkeypatch):
+        """Both bracket ends as one batch, then 23 steps of plain bisection,
+        one single-row status batch each, all decided without roots.  The
+        root solver's chunk size does not reach the search: with a chunk of
+        one row the batches, value and bracket are the same."""
+        want = _sequential_bisect_onset(F1, 0.0, 5.0, Status.UNSTABLE, Status.STABLE, 1e-6)
+        for chunk_elements in (roots._CHUNK_ELEMENTS, F1.degree**2):
+            with monkeypatch.context() as m:
+                m.setattr(roots, "_CHUNK_ELEMENTS", chunk_elements)
+                calls = _count_status_rows(m)
+                solves = _count_root_solves(m)
+                got = exact_onset(F1, "increasing", (0.0, 5.0), 1e-6)
+            assert calls == [2] + [1] * 23
+            assert solves == []
+            assert (got.value, got.bracket) == (want.value, want.bracket)
 
     def test_left_end_error_comes_first(self, monkeypatch):
         """Where both ends of the interval fail, the left end's error is
@@ -491,8 +520,8 @@ class TestExactOnset:
 
 
 def _sequential_bisect_onset(f, lo, hi, lo_status, hi_status, tol):
-    """Plain bisection, one root-find per step, kept as the reference for the
-    batched lookahead in ``thresholds._bisect_onset``."""
+    """Plain bisection, one root-find per step, kept as the reference for
+    ``thresholds._bisect_onset``, which reads statuses instead."""
     status = lambda p: is_schur_stable(principal_power(f, p)).status
     for _ in range(200):
         if hi - lo <= tol:
@@ -590,7 +619,8 @@ def _failing_solve(monkeypatch, bad):
 
 
 class TestLookaheadBisection:
-    """The batched lookahead walks exactly the steps of plain bisection."""
+    """``thresholds._bisect_onset`` walks exactly the steps of the
+    independent root-finding reference ``_sequential_bisect_onset``."""
 
     def test_equals_sequential_bisection(self, monkeypatch):
         _decline_newton(monkeypatch)
@@ -622,12 +652,12 @@ class TestLookaheadBisection:
         assert seeded == 30
 
     def test_failing_point_off_the_walk_does_not_raise(self, monkeypatch):
-        # From [0, 64] the walk visits 32, 16 and 8; 48 is solved in the
-        # same batch but never reached.
+        # From [0, 64] the walk visits 32, 16 and 8, one point at a time, so
+        # 48 is never solved.
         want = exact_onset(F1, "increasing", (0.0, 64.0), 1e-6)
         raised = _failing_solve(monkeypatch, principal_power(F1, 48.0))
         assert exact_onset(F1, "increasing", (0.0, 64.0), 1e-6) == want
-        assert raised == [2]  # row 2 of the batch 32, 16, 48, 8, 24, 40, 56, ...
+        assert raised == []
 
     def test_failing_point_on_the_walk_raises_as_alone(self, monkeypatch):
         _failing_solve(monkeypatch, principal_power(F1, 16.0))
@@ -669,25 +699,6 @@ class TestLookaheadBisection:
             ("decreasing", (-3.0, 7.5)),
             ("decreasing", (-4.0, 4.0)),
         }
-
-    @pytest.mark.parametrize(
-        "rows, levels", [(1, 1), (2, 1), (3, 2), (6, 2), (7, 3), (30, 4), (31, 5)]
-    )
-    def test_levels_fit_one_chunk(self, monkeypatch, rows, levels):
-        """Where a chunk of the root solver holds fewer rows than five
-        levels of midpoints, a round takes as many levels as fit; one level
-        is plain bisection, one single-row status batch per step."""
-        want = _sequential_bisect_onset(
-            F1, 0.0, 5.0, Status.UNSTABLE, Status.STABLE, 1e-6
-        )
-        monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", rows * F1.degree**2)
-        calls = _count_status_rows(monkeypatch)
-        got = exact_onset(F1, "increasing", (0.0, 5.0), 1e-6)
-        assert (got.value, got.bracket) == (want.value, want.bracket)
-        assert calls[:1] == [2]  # the bracket ends
-        assert max(calls[1:]) == 2**levels - 1
-        if levels == 1:
-            assert calls[1:] == [1] * 23
 
 
 # The degree-7 input on which the first crossing from 0 (0.4423) is not the
