@@ -246,7 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=["max", "min"])
     p.add_argument("--method", choices=["grid", "exact", "onset"], default="grid")
     p.add_argument("--grid-n", type=int, default=1000, dest="grid_n")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=1e-6,
+        help="resolution in p; for onset it must exceed the 1e-9 band's width in p, or it exits 3",
+    )
 
     p = sub.add_parser("sweep", help="stability sweep over a power range")
     p.add_argument("--poly", required=True)

@@ -64,16 +64,17 @@ every member Stable exactly when it is.
 
 The Schur-Cohn recursion (``_schur_cohn``) decides from the coefficients
 alone, on all rows of a batch at once and with a running bound on its
-rounding error, whether each row's roots lie inside a circle
-(``_schur_cohn_at``).  Callers that read only a status, the onset searches,
-use ``row_statuses``, which runs it at both edges of the boundary band.
+rounding error, whether each row's roots lie inside a circle.  One function
+sets its batch up, ``_decide_rows``, at 1 + BOUNDARY_BAND and at a radius
+its caller names, and it alone reads the degree cap, above which it decides
+nothing.  Callers that read only a status, the onset searches, use
+``row_statuses``, which names 1 - BOUNDARY_BAND, the band's other edge.
 ``branch_set_stable`` root-finds a short first chunk of members outright, and
-that gives w, the worst modulus so far.  Every later chunk runs the
-recursion at 1 + BOUNDARY_BAND, to stop at the first member that is
-certainly Unstable, and at w, to skip the members that certainly cannot
-raise it.  Both hand the rows it cannot decide, and every row above degree
-32, to ``find_root_rows`` at one place (``_solve``), so the roots stay the
-one root-finding path and the only source of moduli.
+that gives w, the worst modulus so far.  Every later chunk names w: the
+outer edge stops it at the first member that is certainly Unstable, and w
+skips the members that certainly cannot raise it.  Both hand the rows the
+recursion cannot decide to ``find_root_rows`` at one place (``_solve``), so
+the roots stay the one root-finding path and the only source of moduli.
 """
 
 from __future__ import annotations
@@ -658,19 +659,21 @@ def _schur_cohn(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @np.errstate(all="ignore")  # a coefficient that overflows leaves its column undecided
-def _schur_cohn_at(asc: np.ndarray, radii: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """``_schur_cohn`` of the rows of ascending coefficients ``asc``
-    (k, n + 1) scaled to a_k rho^k, the polynomial at rho z, for each rho in
-    ``radii``, as one batch: (len(radii), k) arrays, row r for radii[r].
-
-    A row certainly stable at rho has every root modulus below rho; one
-    certainly not stable has a root modulus of rho or more.
-    """
+def _decide_rows(asc: np.ndarray, inner: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One ``_schur_cohn`` batch of the rows of ascending coefficients ``asc``
+    (k, n + 1) scaled to a_k rho^k, the polynomial at rho z, at rho =
+    1 + BOUNDARY_BAND and ``inner``, read as three (k,) masks: ``above``, a
+    root modulus is certainly 1 + BOUNDARY_BAND or more; ``inside``, every
+    root modulus is certainly below ``inner``; ``known``, both radii are
+    decided.  Above degree ``_SCHUR_COHN_MAX_DEGREE`` all are False, and no
+    batch runs."""
     k, n = asc.shape[0], asc.shape[1] - 1
-    rho = np.array(radii) ** np.arange(n + 1)[:, None]
-    # Columns 0 .. k-1 hold the rows at radii[0], k .. 2k-1 at radii[1], ...
+    if n > _SCHUR_COHN_MAX_DEGREE:
+        return (np.zeros(k, dtype=bool),) * 3
+    rho = np.array([1.0 + BOUNDARY_BAND, inner]) ** np.arange(n + 1)[:, None]
+    # Columns 0 .. k-1 hold the rows at 1 + BOUNDARY_BAND, k .. 2k-1 at inner.
     stable, decided = _schur_cohn((asc.T[:, None] * rho[:, :, None]).reshape(n + 1, -1))
-    return stable.reshape(len(radii), k), decided.reshape(len(radii), k)
+    return decided[:k] & ~stable[:k], decided[k:] & stable[k:], decided[:k] & decided[k:]
 
 
 def _solve(asc: np.ndarray, rows, limit: float = math.inf):
@@ -687,25 +690,18 @@ def row_statuses(asc: np.ndarray) -> list[Status]:
     coefficients ``asc`` (k, n + 1), decided with no roots where it can be.
 
     The recursion runs at both edges of the boundary band
-    (``_schur_cohn_at``): Stable where the inner one is certainly stable
-    (every root modulus below 1 - BOUNDARY_BAND), Unstable where the outer
-    one is certainly not (a root modulus of 1 + BOUNDARY_BAND or more),
-    Marginal where both are certain and neither holds.  The rows it leaves
-    undecided, and all rows above degree ``_SCHUR_COHN_MAX_DEGREE``, are
-    classified by their largest root modulus, solved as one batch.
+    (``_decide_rows(asc, 1 - BOUNDARY_BAND)``): Stable where every root
+    modulus is certainly below 1 - BOUNDARY_BAND, Unstable where one is
+    certainly 1 + BOUNDARY_BAND or more, Marginal where both edges are
+    certain and neither holds.  The rows it leaves undecided, which above
+    its degree cap are all of them, are classified by their largest root
+    modulus, solved as one batch.
     """
-    k, n = asc.shape[0], asc.shape[1] - 1
-    statuses: list[Status | None] = [None] * k
-    if k and n <= _SCHUR_COHN_MAX_DEGREE:
-        stable, decided = _schur_cohn_at(asc, [1.0 - BOUNDARY_BAND, 1.0 + BOUNDARY_BAND])
-        (inner, outer), (inner_known, outer_known) = stable.tolist(), decided.tolist()
-        for i in range(k):
-            if inner_known[i] and inner[i]:
-                statuses[i] = Status.STABLE
-            elif outer_known[i] and not outer[i]:
-                statuses[i] = Status.UNSTABLE
-            elif inner_known[i] and outer_known[i]:
-                statuses[i] = Status.MARGINAL
+    above, inside, known = (m.tolist() for m in _decide_rows(asc, 1.0 - BOUNDARY_BAND))
+    statuses = [
+        Status.STABLE if i else Status.UNSTABLE if a else Status.MARGINAL if both else None
+        for a, i, both in zip(above, inside, known)
+    ]
     rest = [i for i, st in enumerate(statuses) if st is None]
     if rest:
         for i, m in zip(rest, _solve(asc, rest)[3].tolist()):
@@ -744,19 +740,19 @@ def branch_set_stable(b: BranchSet) -> StabilityVerdict:
     Only one member per rotation orbit is taken
     (``BranchSet.rotation_representatives``): rotations keep every root
     modulus.  The representatives come in chunks, principal branch first,
-    gathered straight from the coefficient table into arrays.  Up to degree
-    ``_SCHUR_COHN_MAX_DEGREE`` the first chunk holds min(chunk_rows(n),
-    max(1, _FIRST_CHUNK_ELEMENTS // n^2)) rows (10 at degree 5, 1 from
-    degree 16) and goes straight to ``find_root_rows``; its worst modulus is
-    w.  Every later chunk holds ``chunk_rows(n)`` rows and first takes one
-    ``_schur_cohn_at`` batch at two radii.  At 1 + BOUNDARY_BAND, a row that
-    is certainly not stable cuts the chunk after itself.  At w, the worst
-    modulus solved so far, a row that is certainly stable cannot raise it
-    and is skipped.  Above that degree every chunk holds ``chunk_rows(n)``
-    rows and takes no batch.  ``find_root_rows`` solves the rows that are
-    left, through the first whose modulus exceeds 1 + BOUNDARY_BAND, which
-    ends the fold; if it puts a cut row within that limit (a disagreement at
-    the band edge), the rest of the chunk is solved too.  The verdict is
+    gathered straight from the coefficient table into arrays.  The first
+    chunk holds min(chunk_rows(n), max(1, _FIRST_CHUNK_ELEMENTS // n^2))
+    rows (10 at degree 5, 1 from degree 16) and goes straight to
+    ``find_root_rows``; its worst modulus is w.  Every later chunk holds
+    ``chunk_rows(n)`` rows and is first read by ``_decide_rows`` at w, the
+    worst modulus solved so far.  A row with a root modulus certainly
+    1 + BOUNDARY_BAND or more cuts the chunk after itself; a row with every
+    root modulus certainly below w cannot raise it and is skipped.  Above
+    its degree cap ``_decide_rows`` decides nothing, so every row of the
+    chunk goes on.  ``find_root_rows`` solves the rows that are left,
+    through the first whose modulus exceeds 1 + BOUNDARY_BAND, which ends
+    the fold; if it puts a cut row within that limit (a disagreement at the
+    band edge), the rest of the chunk is solved too.  The verdict is
     that of the worst modulus (``StabilityVerdict.of``): over all members
     for Stable and Marginal sets; for Unstable sets over the representatives
     up to and including the first Unstable one, a lower bound that still
@@ -776,17 +772,14 @@ def branch_set_stable(b: BranchSet) -> StabilityVerdict:
     check_degree(n)  # before the table is built
     limit = 1.0 + BOUNDARY_BAND
     reps = b.rotation_representatives()
-    size = first = chunk_rows(n)
-    if n <= _SCHUR_COHN_MAX_DEGREE:
-        first = min(size, max(1, _FIRST_CHUNK_ELEMENTS // (n * n)))
+    size = chunk_rows(n)
+    first = min(size, max(1, _FIRST_CHUNK_ELEMENTS // (n * n)))
     found: list[float] = []  # the worst modulus of each solve; w is their max
     while block := list(islice(reps, size if found else first)):
         asc = b.rows(block)
         cut = inside = np.zeros(len(block), dtype=bool)
-        if found and n <= _SCHUR_COHN_MAX_DEGREE:
-            stable, decided = _schur_cohn_at(asc, [limit, max(found)])
-            cut = decided[0] & ~stable[0]
-            inside = decided[1] & stable[1]
+        if found:
+            cut, inside, _ = _decide_rows(asc, max(found))
         # Each solve ends at a cut row or at the end of the chunk.
         keep = np.flatnonzero(~inside)
         for rows in np.split(keep, np.flatnonzero(cut[keep]) + 1):

@@ -271,15 +271,16 @@ def eigvals_calls(monkeypatch):
 
 @pytest.fixture
 def schur_cohn_batches(monkeypatch):
-    """Row counts of the batches passed to ``roots._schur_cohn_at``."""
+    """Row counts of the Schur-Cohn batches ``roots._decide_rows`` runs, each
+    row at two radii."""
     calls = []
-    schur_cohn_at = roots._schur_cohn_at
+    schur_cohn = roots._schur_cohn
 
-    def counting(asc, radii):
-        calls.append(len(asc))
-        return schur_cohn_at(asc, radii)
+    def counting(a):
+        calls.append(a.shape[1] // 2)
+        return schur_cohn(a)
 
-    monkeypatch.setattr(roots, "_schur_cohn_at", counting)
+    monkeypatch.setattr(roots, "_schur_cohn", counting)
     return calls
 
 
@@ -750,14 +751,14 @@ class TestBranchSetChunks:
         bset = hadamard_power(f, RationalExponent(2, 3))
         expected = branch_set_stable(bset)
         assert expected.status is Status.STABLE
-        schur_cohn_at = roots._schur_cohn_at
+        decide_rows = roots._decide_rows
 
-        def cutting_row_1(asc, radii):
-            stable, decided = schur_cohn_at(asc, radii)
-            stable[0, 1], decided[0, 1] = False, True
-            return stable, decided
+        def cutting_row_1(asc, inner):
+            above, inside, known = decide_rows(asc, inner)
+            above[1] = True
+            return above, inside, known
 
-        monkeypatch.setattr(roots, "_schur_cohn_at", cutting_row_1)
+        monkeypatch.setattr(roots, "_decide_rows", cutting_row_1)
         solved = _solved_representatives(monkeypatch, bset)
         assert branch_set_stable(bset) == expected
         # The first chunk, 0-9, takes no batch.  The recursion cuts the
@@ -772,14 +773,14 @@ class TestBranchSetChunks:
         f = MonicPolynomial((0.03, 0.02j, 0.01, -0.025, 0.005))
         bset = hadamard_power(f, RationalExponent(2, 3))
         reps = list(bset.rotation_representatives())
-        schur_cohn_at = roots._schur_cohn_at
+        decide_rows = roots._decide_rows
 
-        def skipping_row_1(asc, radii):
-            stable, decided = schur_cohn_at(asc, radii)
-            stable[1, 1], decided[1, 1] = True, True
-            return stable, decided
+        def skipping_row_1(asc, inner):
+            above, inside, known = decide_rows(asc, inner)
+            inside[1] = True
+            return above, inside, known
 
-        monkeypatch.setattr(roots, "_schur_cohn_at", skipping_row_1)
+        monkeypatch.setattr(roots, "_decide_rows", skipping_row_1)
         solved = _solved_representatives(monkeypatch, bset)
         assert branch_set_stable(bset).status is Status.STABLE
         assert solved == [list(range(10)), [10, 27, 30, 59, 76, 77]]
@@ -805,9 +806,9 @@ class TestBranchSetChunks:
 
     def test_first_chunk_size(self, monkeypatch):
         """The first chunk holds min(chunk_rows(n), max(1, 256 // n^2))
-        representatives up to degree 32, and chunk_rows(n) above it."""
-        expected = {5: 10, 8: 4, 16: 1, 33: roots.chunk_rows(33)}
-        assert expected[33] == 7
+        representatives at every degree, above the recursion's cap too."""
+        expected = {5: 10, 8: 4, 16: 1, 33: 1}
+        assert roots.chunk_rows(33) == 7
         rng = random.Random(25)
         for n, rows in expected.items():
             # Five small coefficients at 1/2: 16 representatives, all
@@ -821,6 +822,32 @@ class TestBranchSetChunks:
                 solved = _solved_representatives(m, bset)
                 assert branch_set_stable(bset).status is Status.STABLE
             assert solved[0] == list(range(rows)), n
+
+    @pytest.mark.parametrize(
+        "p, status, worst",
+        [
+            (RationalExponent(3, 2), Status.UNSTABLE, 1.0369896574048159),
+            (RationalExponent(7, 2), Status.STABLE, 0.9979584866827084),
+            (RationalExponent(2, 3), Status.UNSTABLE, 1.058808983607084),
+        ],
+        ids=["3/2", "7/2", "2/3"],
+    )
+    def test_above_the_cap_runs_no_recursion(
+        self, monkeypatch, schur_cohn_batches, p, status, worst
+    ):
+        """At degree 33 ``_decide_rows`` decides nothing and runs no batch:
+        the representatives after the first chunk of one are all solved,
+        and the verdicts keep their bits."""
+        f = MonicPolynomial((0.7,) + (0j,) * 31 + (0.9,))
+        assert f.degree == roots._SCHUR_COHN_MAX_DEGREE + 1
+        bset = hadamard_power(f, p)
+        solved = _solved_representatives(monkeypatch, bset)
+        verdict = branch_set_stable(bset)
+        assert (verdict.status, verdict.max_modulus) == (status, worst)
+        assert schur_cohn_batches == []
+        assert solved[0] == [0]
+        if status is Status.STABLE:
+            assert solved == [[0], [1]]
 
 
 def _solved_representatives(monkeypatch, bset):

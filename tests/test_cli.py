@@ -579,6 +579,21 @@ class TestThreshold:
         assert captured.out == ""
         assert captured.err.startswith("error: tol must be positive and finite")
 
+    def test_onset_tolerance_within_the_band_exits_3(self, capsys, files):
+        """On example 1's f the boundary band is about 4.1e-8 wide in p: at
+        tol 1e-8 the checks beside the crossing and every bisection midpoint
+        read Marginal, so a clean crossing exits 3; tol 1e-7 finds it."""
+        argv = ["threshold", "--poly", files["f1"], "--mode", "max", "--method", "onset"]
+        assert main(argv + ["--tol", "1e-8"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical failure: verdict stays within the boundary band around"
+            " p = 3.354572191886171\n"
+        )
+        code, out = run(capsys, *argv, "--tol", "1e-7")
+        assert (code, out["method"], out["value"]) == (0, "Newton", 3.35457220398)
+
     def test_grid_n_equal_to_the_support(self, capsys, tmp_path):
         """grid_n = |support| is accepted, and its one composition is all ones."""
         path = tmp_path / "f.json"

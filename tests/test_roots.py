@@ -533,13 +533,27 @@ class TestSchurCohnStatuses:
         one is the second row solved and row 2 of the batch."""
         good, decided = _cluster(r=Fraction(63, 64)), MonicPolynomial((0.25,) + (0j,) * 6)
         asc = monic_rows([good, decided, _cluster()])
-        _, known = roots._schur_cohn_at(asc, [1.0 - BOUNDARY_BAND, 1.0 + BOUNDARY_BAND])
-        assert known.any(axis=0).tolist() == [False, True, False]
+        above, inside, known = roots._decide_rows(asc, 1.0 - BOUNDARY_BAND)
+        assert (above | inside | known).tolist() == [False, True, False]
         fail_row(monkeypatch, asc[2])
         assert row_statuses(asc[:2]) == [Status.STABLE, Status.STABLE]
         with pytest.raises(UnconvergedError) as err:
             row_statuses(asc)
         assert err.value.row == 2
+
+    def test_decide_rows(self):
+        """One row with a root modulus certainly outside the band, one with
+        every root certainly inside it, and s^4 + 1, whose roots lie on the
+        circle: both edges are decided for it, and it is neither."""
+        polys = [
+            MonicPolynomial((-16.0, 0j, 0j, 0j)),
+            MonicPolynomial((0.0625, 0j, 0j, 0j)),
+            MonicPolynomial((1.0, 0j, 0j, 0j)),
+        ]
+        above, inside, known = roots._decide_rows(monic_rows(polys), 1.0 - BOUNDARY_BAND)
+        assert above.tolist() == [True, False, False]
+        assert inside.tolist() == [False, True, False]
+        assert known.tolist() == [True, True, True]
 
     def test_empty_batch(self):
         assert row_statuses(np.zeros((0, 3), dtype=complex)) == []
@@ -551,8 +565,8 @@ class TestSchurCohnStatuses:
         and the root finder decides it, with no warning from numpy."""
         big = np.nextafter(np.finfo(float).max, 0)
         asc = np.array([[0.5, big, 1.0]], dtype=complex)
-        _, decided = roots._schur_cohn_at(asc, [1.0 - BOUNDARY_BAND, 1.0 + BOUNDARY_BAND])
-        assert not decided.any()
+        above, inside, known = roots._decide_rows(asc, 1.0 - BOUNDARY_BAND)
+        assert not (above | inside | known).any()
         assert row_statuses(asc) == [Status.UNSTABLE]
 
 
