@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import report
@@ -31,7 +32,7 @@ from .errors import (
 from .poly import (
     FractionalPolynomial,
     MonicPolynomial,
-    RationalExponent,
+    _exponent,
     hadamard_power,
     hadamard_product,
     principal_power,
@@ -87,15 +88,31 @@ _MAX_COUNT_DIGITS = 4300  # Python's default limit on printing an int
 MAX_BRANCH_ELEMENTS = 1 << 20
 
 
-def _branch_count(p: RationalExponent, size: int) -> int:
-    """p.den ** size, refused (InvalidInputError) when too long to print.
-    Decided from size log10(den), good to a digit, before a long count is
-    formed (seconds at den ~ 10^4299 and size 1024), then on the count."""
-    if size * math.log10(p.den) <= _MAX_COUNT_DIGITS + 1:
-        count = p.den**size
+def _parse_exponent(text: str) -> Fraction:
+    """Parse 'K/M' or integer shorthand 'K' into the exponent in lowest terms."""
+    parts = text.strip().split("/")
+    try:
+        ints = [int(part) for part in parts]
+    except ValueError:
+        ints = []
+    if not 1 <= len(ints) <= 2:
+        raise InvalidInputError(f"cannot parse rational exponent {text!r}")
+    try:
+        return _exponent(Fraction(*ints))
+    except ZeroDivisionError:
+        raise InvalidInputError("exponent denominator must be nonzero") from None
+
+
+def _branch_count(p: Fraction, size: int) -> int:
+    """m ** size for p = k/m, refused (InvalidInputError) when too long to
+    print.  Decided from size log10(m), good to a digit, before a long count
+    is formed (seconds at m ~ 10^4299 and size 1024), then on the count."""
+    m = p.denominator
+    if size * math.log10(m) <= _MAX_COUNT_DIGITS + 1:
+        count = m**size
         if count < 10**_MAX_COUNT_DIGITS:
             return count
-    raise InvalidInputError(f"f^[{p}] has {p.den}^{size} branches, too many to print")
+    raise InvalidInputError(f"f^[{p}] has {m}^{size} branches, too many to print")
 
 
 def cmd_analyze(args) -> int:
@@ -123,9 +140,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_power(args) -> int:
     f, _ = _load_poly(args.poly)
-    p = RationalExponent.parse(args.p)
+    p = _parse_exponent(args.p)
     branch_count = _branch_count(p, len(f.support))
-    principal = principal_power(f, p.value)
+    principal = principal_power(f, p.numerator / p.denominator)
     out = {
         "exponent": str(p),
         "branch_count": branch_count,

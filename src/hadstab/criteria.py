@@ -13,13 +13,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from numbers import Integral
+from typing import Iterable, Mapping
 
 from .errors import InvalidInputError
 from .poly import MonicPolynomial, _check_degree, hadamard_product, szego_product
 
 # Float slack on simplex membership checks; witnesses are built to sum to 1.
 _SUM_SLACK = 1e-12
+
+
+def _indices(ks: Iterable) -> tuple[int, ...]:
+    """Coefficient indices as ints; a bool, a float or text is not one here,
+    and numpy integers are."""
+    out = []
+    for k in ks:
+        if isinstance(k, bool) or not isinstance(k, Integral):
+            raise InvalidInputError(f"weight indices must be integers, not {k!r}")
+        out.append(int(k))
+    return tuple(out)
 
 
 class CriterionId(str, Enum):
@@ -42,7 +54,7 @@ class SimplexWeights:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        support = tuple(int(k) for k in self.support)
+        support = _indices(self.support)
         weights = tuple(float(w) for w in self.weights)
         if not support:
             raise InvalidInputError("weight support must be non-empty")
@@ -83,6 +95,8 @@ class CriterionOutcome:
 def synthesize_witness(moduli: Mapping[int, float]) -> SimplexWeights:
     """Weights lambda_k = m_k + slack/d for moduli summing to less than 1."""
     d = len(moduli)
+    if not d:
+        raise InvalidInputError("moduli must be non-empty")
     total = sum(moduli.values())
     if total >= 1.0:
         raise InvalidInputError("moduli must sum to less than 1")
@@ -136,7 +150,7 @@ def sharpness_witness(n: int, weights, eps: float = 0.0) -> MonicPolynomial:
     table = weights.as_dict() if isinstance(weights, SimplexWeights) else dict(weights)
     if not table:
         raise InvalidInputError("weights must be non-empty")
-    if any(not 0 <= k < n for k in table):
+    if any(not 0 <= k < n for k in _indices(table)):
         raise InvalidInputError("weight indices must lie in 0..n-1")
     if any(w <= 0 for w in table.values()):
         raise InvalidInputError("weights must be positive")

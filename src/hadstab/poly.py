@@ -3,8 +3,8 @@
 Everything here manipulates monic polynomials through their coefficient
 vectors: the Hadamard (coefficient-wise) product, integer and rational
 Hadamard powers with lazy branch enumeration, the binomial-reciprocal weight
-polynomial, complex conjugation, the real form ``conj(f) * f``, and the
-reduction of commensurate fractional-order polynomials to ordinary ones.
+polynomial, the real form ``conj(f) * f``, and the reduction of commensurate
+fractional-order polynomials to ordinary ones.
 
 Coefficients are stored ascending, ``a_0`` first, with the leading 1 implicit,
 so list index k matches the power of s it multiplies.  Every coefficient of
@@ -143,70 +143,18 @@ def _check_degree(n) -> int:
     return int(n)
 
 
-def all_ones(n: int) -> MonicPolynomial:
-    """s^n + s^(n-1) + ... + 1, the identity of the Hadamard product."""
-    return MonicPolynomial((1.0 + 0j,) * _check_degree(n))
-
-
-@dataclass(frozen=True)
-class RationalExponent:
-    """A rational power k/m kept in lowest terms with m >= 1."""
-
-    num: int
-    den: int = 1
-
-    def __post_init__(self):
-        num, den = self.num, self.den
-        if not all(isinstance(x, Integral) and not isinstance(x, bool) for x in (num, den)):
-            raise InvalidInputError(f"exponent parts must be integers, not {num!r}/{den!r}")
-        num, den = int(num), int(den)
-        if den == 0:
-            raise InvalidInputError("exponent denominator must be nonzero")
-        if den < 0:
-            num, den = -num, -den
-        g = math.gcd(abs(num), den)
-        if g > 1:
-            num //= g
-            den //= g
-        try:
-            num / den  # ``value`` must be a float
-        except OverflowError:
-            raise InvalidInputError("exponent overflows the floating-point range") from None
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    @property
-    def value(self) -> float:
-        return self.num / self.den
-
-    @property
-    def is_integer(self) -> bool:
-        return self.den == 1
-
-    def __str__(self) -> str:
-        return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
-
-    @classmethod
-    def parse(cls, text: str) -> "RationalExponent":
-        """Parse 'K/M' or integer shorthand 'K'."""
-        parts = text.strip().split("/")
-        try:
-            ints = [int(part) for part in parts]
-        except ValueError:
-            ints = []
-        if not 1 <= len(ints) <= 2:
-            raise InvalidInputError(f"cannot parse rational exponent {text!r}")
-        return cls(*ints)
-
-    @classmethod
-    def coerce(cls, p) -> "RationalExponent":
-        if isinstance(p, RationalExponent):
-            return p
-        if isinstance(p, int):
-            return cls(p)
-        if isinstance(p, Rational):
-            return cls(int(p.numerator), int(p.denominator))
+def _exponent(p) -> Fraction:
+    """A Hadamard exponent as a ``Fraction`` in lowest terms, with int parts:
+    an int or any ``numbers.Rational`` (numpy integers included), not a bool,
+    whose k/m is a float."""
+    if isinstance(p, bool) or not isinstance(p, Rational):
         raise InvalidInputError(f"not a rational exponent: {p!r}")
+    q = Fraction(int(p.numerator), int(p.denominator))
+    try:
+        q.numerator / q.denominator  # the float power every member is built from
+    except OverflowError:
+        raise InvalidInputError("exponent overflows the floating-point range") from None
+    return q
 
 
 @dataclass(frozen=True)
@@ -222,14 +170,17 @@ class BranchSet:
     the m values of each nonzero coefficient (``table``).  Sets of more than
     MAX_BRANCHES members raise UnsupportedInputError, decided without forming
     the count (at m >= 2, 17 nonzero coefficients are too many), so ``len``
-    always fits an index.
+    always fits an index.  ``exponent`` is kept as the ``Fraction`` k/m in
+    lowest terms; an int or any ``numbers.Rational`` is accepted, and a
+    float, a bool or text raises InvalidInputError.
     """
 
     base: MonicPolynomial
-    exponent: RationalExponent
+    exponent: Fraction
 
     def __post_init__(self):
-        m, s = self.exponent.den, len(self.base.support)
+        object.__setattr__(self, "exponent", _exponent(self.exponent))
+        m, s = self.exponent.denominator, len(self.base.support)
         if s and (m > MAX_BRANCHES or m ** min(s, MAX_BRANCHES.bit_length()) > MAX_BRANCHES):
             # A long denominator goes by its digit count: Python refuses to
             # print an int of more than 4,300 digits.
@@ -243,14 +194,14 @@ class BranchSet:
             )
 
     def __len__(self) -> int:
-        return self.exponent.den ** len(self.base.support)
+        return self.exponent.denominator ** len(self.base.support)
 
     def __iter__(self) -> Iterator[MonicPolynomial]:
         return self.members(self.indices())
 
     def indices(self) -> Iterator[tuple[int, ...]]:
         """Branch indices of all members, in enumeration order."""
-        return itertools.product(range(self.exponent.den), repeat=len(self.base.support))
+        return itertools.product(range(self.exponent.denominator), repeat=len(self.base.support))
 
     def rotation_representatives(self) -> Iterator[tuple[int, ...]]:
         """Branch indices that meet every orbit of the rotations s -> w s.
@@ -263,7 +214,7 @@ class BranchSet:
         enumerated; for prime m each orbit is met exactly once.  The order is
         that of ``indices``, principal branch first.
         """
-        n, m = self.base.degree, self.exponent.den
+        n, m = self.base.degree, self.exponent.denominator
         support = self.base.support
         ranges = [range(m)] * len(support)
         if support:
@@ -274,12 +225,12 @@ class BranchSet:
     @functools.cached_property
     def table(self) -> np.ndarray:
         """The (|support|, m) array of the m values of each nonzero
-        coefficient, ``_polar_powers`` at (num/m, 2 pi l/m), l = 0..m-1;
+        coefficient, ``_polar_powers`` at (k/m, 2 pi l/m), l = 0..m-1;
         (0, 0) with no support, whatever m.  Built on first use; a power
         that overflows raises InvalidInputError then.
         """
-        m = self.exponent.den
-        pval = self.exponent.num / m
+        m = self.exponent.denominator
+        pval = self.exponent.numerator / m
         angles = range(m if self.base.support else 0)
         return _polar_powers(self.base, [(pval, 2.0 * math.pi * l / m) for l in angles])
 
@@ -302,7 +253,7 @@ class BranchSet:
 
     def position(self, index: Sequence[int]) -> int:
         """Where the member with this branch index comes in ``indices``."""
-        return functools.reduce(lambda i, l: i * self.exponent.den + l, index, 0)
+        return functools.reduce(lambda i, l: i * self.exponent.denominator + l, index, 0)
 
     @property
     def principal(self) -> MonicPolynomial:
@@ -386,17 +337,19 @@ def szego_product(f: MonicPolynomial, g: MonicPolynomial) -> MonicPolynomial:
 
 
 def hadamard_power(f: MonicPolynomial, p) -> BranchSet:
-    """All branches of the coefficient-wise power f^[p] for rational p.
+    """All branches of the coefficient-wise power f^[p] for rational p:
+    ``BranchSet(f, p)``, whose ``exponent`` is p as a ``Fraction``.
 
-    For integer p the set is a singleton.  For p = k/m in lowest terms every
-    nonzero coefficient has m admissible values,
-    ``|a|^p (cos(p arg a + 2 pi l / m) + i sin(...))`` for l = 0..m-1, giving
-    ``m ** |support|`` member polynomials, built lazily by the returned
-    BranchSet.  p = 0 sends every nonzero coefficient to 1 and keeps zeros at
-    zero.  Sets of more than MAX_BRANCHES members raise
+    p is an int, a ``Fraction`` or any ``numbers.Rational``; a float, a bool
+    or text raises InvalidInputError.  For integer p the set is a singleton.
+    For p = k/m in lowest terms every nonzero coefficient has m admissible
+    values, ``|a|^p (cos(p arg a + 2 pi l / m) + i sin(...))`` for
+    l = 0..m-1, giving ``m ** |support|`` member polynomials, built lazily by
+    the returned BranchSet.  p = 0 sends every nonzero coefficient to 1 and
+    keeps zeros at zero.  Sets of more than MAX_BRANCHES members raise
     UnsupportedInputError (see ``BranchSet``).
     """
-    return BranchSet(f, RationalExponent.coerce(p))
+    return BranchSet(f, p)
 
 
 def principal_power(f: MonicPolynomial, p: float) -> MonicPolynomial:
@@ -422,11 +375,6 @@ def principal_rows(f: MonicPolynomial, ps: Sequence[float]) -> np.ndarray:
     rows[:, -1] = 1.0
     rows[:, list(f.support)] = _polar_powers(f, [(p, 0.0) for p in ps]).T
     return rows
-
-
-def conjugate(f: MonicPolynomial) -> MonicPolynomial:
-    """Polynomial whose coefficients are the complex conjugates of f's."""
-    return MonicPolynomial(tuple(c.conjugate() for c in f.coeffs))
 
 
 def real_form(f: MonicPolynomial) -> MonicPolynomial:

@@ -12,7 +12,6 @@ from conftest import fail_row, monic_rows, random_monic
 from hadstab import (
     InvalidInputError,
     MonicPolynomial,
-    RationalExponent,
     UnconvergedError,
     Status,
     UnsupportedDegreeError,
@@ -649,7 +648,7 @@ class TestFallback:
 class TestBranchSetChunks:
     def test_later_chunk_failure_names_the_branch(self, monkeypatch):
         f = MonicPolynomial((0.05, 0.04j, 0.03, -0.02))
-        bset = hadamard_power(f, RationalExponent(1, 2))
+        bset = hadamard_power(f, Fraction(1, 2))
         assert branch_set_stable(bset).status is Status.STABLE
         reps = list(bset.rotation_representatives())
         assert (len(bset), len(reps)) == (16, 8)
@@ -682,7 +681,7 @@ class TestBranchSetChunks:
     # 27 rotation representatives whose first Unstable one is the 16th.
     SET = hadamard_power(
         MonicPolynomial((0.01 + 0.01j, 0.02 + 0.02j, 0.01 + 0.06j, -0.01 + 0.01j)),
-        RationalExponent(1, 3),
+        Fraction(1, 3),
     )
 
     def _spoil(self, monkeypatch, target):
@@ -748,7 +747,7 @@ class TestBranchSetChunks:
         the band edge) does not end the fold: the rest of its chunk is
         solved too."""
         f = MonicPolynomial((0.03, 0.02j, 0.01, -0.025, 0.005))
-        bset = hadamard_power(f, RationalExponent(2, 3))
+        bset = hadamard_power(f, Fraction(2, 3))
         expected = branch_set_stable(bset)
         assert expected.status is Status.STABLE
         decide_rows = roots._decide_rows
@@ -771,7 +770,7 @@ class TestBranchSetChunks:
         With 11 forced inside w and skipped, 27 is the second row solved but
         row 17 of the chunk, and a failure there names representative 27."""
         f = MonicPolynomial((0.03, 0.02j, 0.01, -0.025, 0.005))
-        bset = hadamard_power(f, RationalExponent(2, 3))
+        bset = hadamard_power(f, Fraction(2, 3))
         reps = list(bset.rotation_representatives())
         decide_rows = roots._decide_rows
 
@@ -794,7 +793,7 @@ class TestBranchSetChunks:
         """A set whose representatives all fit in the first chunk is
         root-found at once, with no Schur-Cohn batch."""
         f = MonicPolynomial((0.05, 0.04j, 0.03, -0.02))
-        bset = hadamard_power(f, RationalExponent(1, 2))
+        bset = hadamard_power(f, Fraction(1, 2))
         expected = _reference_verdict(bset)
         solved = _solved_representatives(monkeypatch, bset)
         verdict = branch_set_stable(bset)
@@ -816,7 +815,7 @@ class TestBranchSetChunks:
             coeffs = [0j] * n
             for k in (0, 1, 2, n - 2, n - 1):
                 coeffs[k] = complex(rng.uniform(0.001, 0.01), rng.uniform(0.001, 0.01))
-            bset = hadamard_power(MonicPolynomial(tuple(coeffs)), RationalExponent(1, 2))
+            bset = hadamard_power(MonicPolynomial(tuple(coeffs)), Fraction(1, 2))
             assert len(list(bset.rotation_representatives())) == 16
             with monkeypatch.context() as m:
                 solved = _solved_representatives(m, bset)
@@ -826,9 +825,9 @@ class TestBranchSetChunks:
     @pytest.mark.parametrize(
         "p, status, worst",
         [
-            (RationalExponent(3, 2), Status.UNSTABLE, 1.0369896574048159),
-            (RationalExponent(7, 2), Status.STABLE, 0.9979584866827084),
-            (RationalExponent(2, 3), Status.UNSTABLE, 1.058808983607084),
+            (Fraction(3, 2), Status.UNSTABLE, 1.0369896574048159),
+            (Fraction(7, 2), Status.STABLE, 0.9979584866827084),
+            (Fraction(2, 3), Status.UNSTABLE, 1.058808983607084),
         ],
         ids=["3/2", "7/2", "2/3"],
     )
@@ -886,8 +885,8 @@ def _branch_corpus():
     s^2 + 1 at 1/2, whose branches s^2 +- 1 are Marginal."""
     rng = random.Random(58)
     cases = [
-        (MonicPolynomial((0j, 0j, 0j)), RationalExponent(1, 3)),
-        (MonicPolynomial((1.0, 0.0)), RationalExponent(1, 2)),
+        (MonicPolynomial((0j, 0j, 0j)), Fraction(1, 3)),
+        (MonicPolynomial((1.0, 0.0)), Fraction(1, 2)),
     ]
     for i in range(200):
         m = 2 + i % 5
@@ -901,8 +900,8 @@ def _branch_corpus():
             f = random_monic(rng, rng.randint(1, 7), (0.02, 1.5), density=0.7, real=real)
         if real:
             f = MonicPolynomial(tuple(c * rng.choice((1, -1)) for c in f.coeffs))
-        p = RationalExponent(rng.randint(1, 2 * m), m)
-        if p.den ** len(f.support) <= 3**7:
+        p = Fraction(rng.randint(1, 2 * m), m)
+        if p.denominator ** len(f.support) <= 3**7:
             cases.append((f, p))
     return cases
 
@@ -916,17 +915,17 @@ def _recursion_corpus():
     and s^n + e^(i theta), whose members all have every root on the circle."""
     rng = random.Random(2461)
     fs = [
-        (MonicPolynomial((0j, 0j, 0j)), RationalExponent(1, 3)),
-        (MonicPolynomial((1.0, 0.0)), RationalExponent(1, 2)),
-        (MonicPolynomial((0.3,) + (0j,) * 31 + (0.2j,)), RationalExponent(1, 2)),
-        (MonicPolynomial((0.2,) + (0j,) * 6 + (1e90,)), RationalExponent(1, 2)),
-        (MonicPolynomial((1.0,) + (0j,) * 38 + (1e16,)), RationalExponent(1, 2)),
+        (MonicPolynomial((0j, 0j, 0j)), Fraction(1, 3)),
+        (MonicPolynomial((1.0, 0.0)), Fraction(1, 2)),
+        (MonicPolynomial((0.3,) + (0j,) * 31 + (0.2j,)), Fraction(1, 2)),
+        (MonicPolynomial((0.2,) + (0j,) * 6 + (1e90,)), Fraction(1, 2)),
+        (MonicPolynomial((1.0,) + (0j,) * 38 + (1e16,)), Fraction(1, 2)),
     ]
     for n in range(1, 5):
         for m in range(2, 5):
             theta = rng.uniform(-math.pi, math.pi)
             f = MonicPolynomial((complex(math.cos(theta), math.sin(theta)),) + (0j,) * (n - 1))
-            fs += [(f, RationalExponent(k, m)) for k in range(1, m) if math.gcd(k, m) == 1]
+            fs += [(f, Fraction(k, m)) for k in range(1, m) if math.gcd(k, m) == 1]
     while len(fs) < 1500:
         m = rng.randint(2, 4)
         real = len(fs) % 3 == 0
@@ -934,7 +933,7 @@ def _recursion_corpus():
         if real:
             f = MonicPolynomial(tuple(c * rng.choice((1, -1)) for c in f.coeffs))
         if m ** len(f.support) <= 256:
-            fs.append((f, RationalExponent(rng.randint(1, 2 * m), m)))
+            fs.append((f, Fraction(rng.randint(1, 2 * m), m)))
     return [hadamard_power(f, p) for f, p in fs]
 
 
@@ -969,7 +968,7 @@ class TestBranchSetAgreement:
     def test_root_sets_across_chunks(self, monkeypatch):
         """The same with three rows a chunk: 27 members in nine blocks."""
         f = MonicPolynomial((0.05, 0.04j, 0.03, -0.02))
-        bset = hadamard_power(f, RationalExponent(1, 3))
+        bset = hadamard_power(f, Fraction(1, 3))
         expected = [_bits(rs) for rs in _batch(bset)]
         monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 3 * 16)
         assert roots.chunk_rows(4) == 3
@@ -1014,7 +1013,7 @@ class TestBranchSetAgreement:
         when the recursion scales it to 1 + BOUNDARY_BAND; the row goes to
         the root finder instead, with no warning from numpy."""
         big = np.nextafter(np.finfo(float).max, 0)
-        bset = hadamard_power(MonicPolynomial((0.5, big ** (2 / 3))), RationalExponent(3, 2))
+        bset = hadamard_power(MonicPolynomial((0.5, big ** (2 / 3))), Fraction(3, 2))
         assert abs(bset.table[1, 0]) > np.finfo(float).max / (1.0 + roots.BOUNDARY_BAND)
         verdict = branch_set_stable(bset)
         assert (verdict.status, verdict.max_modulus) == _reference_verdict(bset)
@@ -1030,7 +1029,7 @@ class TestBranchSetAgreement:
         ],
     )
     def test_overflow_warns_nothing(self, f):
-        bset = hadamard_power(f, RationalExponent(1, 2))
+        bset = hadamard_power(f, Fraction(1, 2))
         with pytest.raises(UnconvergedError, match=r"^branch 0 \(index \(0, 0\)\)"):
             branch_set_stable(bset)
 
@@ -1186,7 +1185,7 @@ class TestWorkCounters:
 
     def test_branch_set_is_one_stacked_solve(self, eigvals_calls):
         f = MonicPolynomial((0.03, 0.02j, 0.01, -0.025, 0.005))
-        bset = hadamard_power(f, RationalExponent(2, 3))
+        bset = hadamard_power(f, Fraction(2, 3))
         assert branch_set_stable(bset).status is Status.STABLE
         # One member per rotation orbit: 3^4 of the 3^5 branches.  The first
         # chunk of 10 is solved whole and gives w; of the other 71, the 7
@@ -1195,7 +1194,7 @@ class TestWorkCounters:
 
     def test_principal_unstable_set_is_one_chunk(self, eigvals_calls, schur_cohn_batches):
         f = MonicPolynomial((1.5, 0.0, 1.2j, -0.9, 1.1, 0.8 - 0.4j, 1.3, 0.7))
-        bset = hadamard_power(f, RationalExponent(1, 3))
+        bset = hadamard_power(f, Fraction(1, 3))
         assert len(bset) == 3**7
         assert branch_set_stable(bset).status is Status.UNSTABLE
         # 729 representatives; the first chunk of 4 at degree 8 is solved
@@ -1206,7 +1205,7 @@ class TestWorkCounters:
 
     def test_no_chunk_after_the_first_unstable_branch(self, eigvals_calls, monkeypatch):
         f = MonicPolynomial((0.01 + 0.01j, 0.02 + 0.02j, 0.01 + 0.06j, -0.01 + 0.01j))
-        bset = hadamard_power(f, RationalExponent(1, 3))
+        bset = hadamard_power(f, Fraction(1, 3))
         statuses = [
             classify(rs.max_modulus)
             for rs in _batch(bset.members(bset.rotation_representatives()))
@@ -1232,7 +1231,7 @@ class TestWorkCounters:
         [
             (
                 hadamard_power(
-                    MonicPolynomial((0.03, 0.02j, 0.01, -0.025, 0.005)), RationalExponent(2, 3)
+                    MonicPolynomial((0.03, 0.02j, 0.01, -0.025, 0.005)), Fraction(2, 3)
                 ),
                 16,
                 [list(range(10)), [10, 11], [77]],

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -17,7 +18,6 @@ from hadstab import (
     MAX_BRANCHES,
     BranchSet,
     MonicPolynomial,
-    RationalExponent,
     StabilityVerdict,
     Status,
     cli,
@@ -314,14 +314,14 @@ class TestPower:
         modulus of all members.  s^2 + 1 at 1/2 has the Marginal members
         s^2 +- 1."""
         rng = random.Random(97)
-        cases = [(MonicPolynomial((1.0, 0.0)), RationalExponent(1, 2))]
+        cases = [(MonicPolynomial((1.0, 0.0)), Fraction(1, 2))]
         for i in range(40):
             m = 2 + i % 3
             coeffs = tuple(
                 complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9) if i % 2 else 0.0)
                 for _ in range(rng.randint(1, 5))
             )
-            cases.append((MonicPolynomial(coeffs), RationalExponent(rng.randint(1, 2 * m), m)))
+            cases.append((MonicPolynomial(coeffs), Fraction(rng.randint(1, 2 * m), m)))
         path = tmp_path / "f.json"
         seen = set()
         for f, p in cases:
@@ -360,7 +360,7 @@ class TestPower:
         or, two rows at a time, in the third.  Under --all-branches the
         principal's verdict is read from member 0, so an uncertified
         principal is named as that branch; without it, as no branch."""
-        bset = hadamard_power(MonicPolynomial.from_json(F1_JSON), RationalExponent(1, 2))
+        bset = hadamard_power(MonicPolynomial.from_json(F1_JSON), Fraction(1, 2))
         target = list(bset.indices())[position]
         bad = np.array(next(bset.members([target])).coeffs + (1.0 + 0j,))
         if chunk_elements:
@@ -420,7 +420,7 @@ class TestPower:
         captured = capsys.readouterr()
         if printed:
             assert code == 0
-            den = RationalExponent.parse(p).den
+            den = cli._parse_exponent(p).denominator
             assert json.loads(captured.out)["branch_count"] == den**degree
         else:
             assert code == 2
@@ -435,6 +435,16 @@ class TestPower:
 
     def test_bad_exponent(self, capsys, files):
         assert main(["power", "--poly", files["f1"], "--p", "1.5"]) == 2
+
+    @pytest.mark.parametrize("p, printed", [("6/4", "3/2"), ("10/-4", "-5/2"), ("0/7", "0")])
+    def test_exponent_in_lowest_terms(self, capsys, files, p, printed):
+        code, out = run(capsys, "power", "--poly", files["f1"], f"--p={p}")
+        assert code == 0
+        assert out["exponent"] == printed
+
+    def test_zero_denominator(self, capsys, files):
+        assert main(["power", "--poly", files["f1"], "--p", "1/0"]) == 2
+        assert capsys.readouterr() == ("", "error: exponent denominator must be nonzero\n")
 
 
 class TestProduct:

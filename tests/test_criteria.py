@@ -54,6 +54,17 @@ class TestSimplexWeights:
     def test_json(self):
         assert SimplexWeights((1,), (0.5,)).to_json() == {"1": 0.5}
 
+    @pytest.mark.parametrize("index", [0.5, True, "a"])
+    def test_non_integer_index_rejected(self, index):
+        """A float was truncated to 0, True taken as 1, and text raised a
+        raw ValueError."""
+        with pytest.raises(InvalidInputError, match="weight indices must be integers"):
+            SimplexWeights((index,), (0.5,))
+
+    def test_numpy_integer_index(self):
+        w = SimplexWeights((np.int64(1),), (0.5,))
+        assert w.support == (1,) and type(w.support[0]) is int
+
 
 class TestStabilityCondition:
     def test_satisfied_with_witness(self):
@@ -85,6 +96,16 @@ class TestStabilityCondition:
         table = w.as_dict()
         assert all(table[k] > m for k, m in enumerate(mods))
         assert sum(table.values()) <= 1 + 1e-12
+
+    def test_witness_of_no_moduli_rejected(self):
+        # This divided by zero.
+        with pytest.raises(InvalidInputError, match="moduli must be non-empty"):
+            synthesize_witness({})
+
+    @pytest.mark.parametrize("moduli", [{0: 0.5, 1: 0.5}, {0: 1.5}])
+    def test_witness_of_moduli_summing_to_one_rejected(self, moduli):
+        with pytest.raises(InvalidInputError, match="moduli must sum to less than 1"):
+            synthesize_witness(moduli)
 
     def test_soundness_sample(self, rng):
         hits = 0
@@ -129,6 +150,24 @@ class TestSharpnessWitness:
     def test_bad_indices_rejected(self):
         with pytest.raises(InvalidInputError):
             sharpness_witness(2, {5: 1.0})
+
+    @pytest.mark.parametrize("index", [0.5, "1", True])
+    def test_non_integer_index_rejected(self, index):
+        """A float or text raised a raw TypeError, and True was index 1."""
+        with pytest.raises(InvalidInputError, match="weight indices must be integers"):
+            sharpness_witness(3, {index: 1.0})
+
+    def test_numpy_integer_index(self):
+        assert sharpness_witness(3, {np.int64(1): 1.0}) == sharpness_witness(3, {1: 1.0})
+
+    def test_empty_weights_rejected(self):
+        with pytest.raises(InvalidInputError, match="weights must be non-empty"):
+            sharpness_witness(3, {})
+
+    @pytest.mark.parametrize("weights", [{0: 0.0, 1: 1.0}, {0: -0.5, 1: 1.5}])
+    def test_non_positive_weights_rejected(self, weights):
+        with pytest.raises(InvalidInputError, match="weights must be positive"):
+            sharpness_witness(3, weights)
 
     @pytest.mark.parametrize("eps", [-0.1, math.nan])
     def test_negative_or_nan_eps_rejected(self, eps):

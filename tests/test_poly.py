@@ -15,10 +15,7 @@ from hadstab import (
     FractionalPolynomial,
     InvalidInputError,
     MonicPolynomial,
-    RationalExponent,
     UnsupportedInputError,
-    all_ones,
-    conjugate,
     find_roots,
     hadamard_power,
     hadamard_product,
@@ -30,6 +27,7 @@ from hadstab import (
     poly,
     to_integer_order,
 )
+from hadstab.cli import _parse_exponent as parse_exponent
 
 F1 = MonicPolynomial((0.7, 0.2, 0.9, 0.0, 0.0))  # s^5 + 0.9 s^2 + 0.2 s + 0.7
 G1 = MonicPolynomial((3.0, 2.0, 2.5, 0.0, 0.0))
@@ -122,66 +120,82 @@ class TestMonicPolynomial:
 
 
 class TestRationalExponent:
+    """A Hadamard exponent is a ``Fraction`` in lowest terms with int parts:
+    ``BranchSet`` checks a library one with ``poly._exponent``, and the CLI
+    reads ``K/M`` text into one with ``cli._parse_exponent``."""
+
     def test_lowest_terms(self):
-        p = RationalExponent(6, 4)
-        assert (p.num, p.den) == (3, 2)
+        p = parse_exponent("6/4")
+        assert (p.numerator, p.denominator) == (3, 2)
+        assert hadamard_power(F1, p).exponent == Fraction(3, 2)
 
     def test_sign_normalization(self):
-        p = RationalExponent(3, -2)
-        assert (p.num, p.den) == (-3, 2)
+        p = parse_exponent("3/-2")
+        assert (p.numerator, p.denominator) == (-3, 2)
+        assert str(parse_exponent("10/-4")) == "-5/2"
 
     def test_integer(self):
-        assert RationalExponent(4).is_integer
-        assert not RationalExponent(1, 3).is_integer
+        """An integer exponent has denominator 1, so its set is a singleton."""
+        assert parse_exponent("4").denominator == 1
+        assert len(hadamard_power(F1, 4)) == 1
+        assert parse_exponent("1/3").denominator == 3
+        assert len(hadamard_power(F1, Fraction(1, 3))) == 27
 
     def test_zero(self):
-        p = RationalExponent(0, 7)
-        assert (p.num, p.den) == (0, 1)
+        p = parse_exponent("0/7")
+        assert (p.numerator, p.denominator) == (0, 1)
+        assert hadamard_power(F1, 0).exponent == Fraction(0)
 
     def test_parse(self):
-        assert RationalExponent.parse("3/2") == RationalExponent(3, 2)
-        assert RationalExponent.parse("-2") == RationalExponent(-2)
-        with pytest.raises(InvalidInputError):
-            RationalExponent.parse("1.5")
+        assert parse_exponent("3/2") == Fraction(3, 2)
+        assert parse_exponent("-2") == Fraction(-2)
+        with pytest.raises(InvalidInputError, match="cannot parse rational exponent '1.5'"):
+            parse_exponent("1.5")
 
     def test_zero_denominator(self):
-        with pytest.raises(InvalidInputError):
-            RationalExponent(1, 0)
+        with pytest.raises(InvalidInputError, match="exponent denominator must be nonzero"):
+            parse_exponent("1/0")
 
     @pytest.mark.parametrize("num, den", [(True, 2), (1, True), (1.5, 2), (3, 2.0)])
     def test_parts_must_be_integers(self, num, den):
-        with pytest.raises(InvalidInputError, match="exponent parts must be integers"):
-            RationalExponent(num, den)
+        with pytest.raises(InvalidInputError, match="cannot parse rational exponent"):
+            parse_exponent(f"{num}/{den}")
 
     def test_numpy_integer_parts(self):
-        p = RationalExponent(np.int64(6), np.int64(4))
-        assert (p, str(p), type(p.num), type(p.den)) == (RationalExponent(3, 2), "3/2", int, int)
+        """A Fraction of numpy integers keeps them as its parts; the
+        exponent's parts are ints."""
+        p = poly._exponent(Fraction(np.int64(6), np.int64(4)))
+        got = (p, str(p), type(p.numerator), type(p.denominator))
+        assert got == (Fraction(3, 2), "3/2", int, int)
+        assert type(hadamard_power(F1, np.int64(2)).exponent.numerator) is int
 
     def test_value_overflow_is_invalid_input(self):
-        """A value beyond the float range is refused when the exponent is
-        made, so ``value`` never raises OverflowError; a huge numerator and
-        denominator with a representable ratio are kept."""
-        for num, den in [(10**400, 1), (-(10**400), 3)]:
+        """A k/m beyond the float range is refused when the exponent is
+        checked, so the float power never raises OverflowError; a huge
+        numerator and denominator with a representable ratio are kept."""
+        for p in [Fraction(10**400), Fraction(-(10**400), 3)]:
             with pytest.raises(InvalidInputError, match="overflows"):
-                RationalExponent(num, den)
+                poly._exponent(p)
         with pytest.raises(InvalidInputError, match="overflows"):
-            RationalExponent.parse("1" + "0" * 400)
-        assert RationalExponent(10**400 + 1, 10**400).value == 1.0
-        assert RationalExponent.parse("1/1" + "0" * 500).value == 0.0
+            parse_exponent("1" + "0" * 400)
+        p = poly._exponent(Fraction(10**400 + 1, 10**400))
+        assert p.numerator / p.denominator == 1.0
+        p = parse_exponent("1/1" + "0" * 500)
+        assert p.numerator / p.denominator == 0.0
 
 
 class TestDegreeArguments:
-    @pytest.mark.parametrize("make", [all_ones, szego_weight])
+    @pytest.mark.parametrize("make", [szego_weight])
     @pytest.mark.parametrize("n", [True, False, 2.0, 1.5])
     def test_bool_and_float_degrees_are_refused(self, make, n):
         with pytest.raises(InvalidInputError, match="degree must be an integer"):
             make(n)
 
-    @pytest.mark.parametrize("make", [all_ones, szego_weight])
+    @pytest.mark.parametrize("make", [szego_weight])
     def test_numpy_integer_degree(self, make):
         assert make(np.int64(3)) == make(3)
 
-    @pytest.mark.parametrize("make", [all_ones, szego_weight])
+    @pytest.mark.parametrize("make", [szego_weight])
     def test_degree_below_one(self, make):
         with pytest.raises(InvalidInputError, match="degree must be >= 1"):
             make(0)
@@ -189,8 +203,9 @@ class TestDegreeArguments:
 
 class TestHadamardProduct:
     def test_all_ones_is_identity(self):
-        assert hadamard_product(F1, all_ones(5)) == F1
-        assert hadamard_product(all_ones(5), F1) == F1
+        ones = MonicPolynomial((1.0,) * 5)
+        assert hadamard_product(F1, ones) == F1
+        assert hadamard_product(ones, F1) == F1
 
     def test_coefficientwise(self):
         approx_coeffs(hadamard_product(F1, G1), [2.1, 0.4, 2.25, 0.0, 0.0])
@@ -231,7 +246,8 @@ class TestSzego:
         approx_coeffs(szego_weight(1), [1.0])
 
     def test_product_of_ones_is_weight(self):
-        got = szego_product(all_ones(2), all_ones(2))
+        ones = MonicPolynomial((1.0, 1.0))
+        got = szego_product(ones, ones)
         assert got == szego_weight(2)
 
     def test_product_arithmetic(self):
@@ -254,7 +270,7 @@ class TestSzego:
 class TestHadamardPower:
     def test_square_roots_of_i(self):
         f = MonicPolynomial((0j, 1j))  # s^2 + i s
-        bset = hadamard_power(f, RationalExponent(1, 2))
+        bset = hadamard_power(f, Fraction(1, 2))
         assert len(bset) == 2
         key = lambda z: (z.real, z.imag)
         got = sorted((m.coeffs[1] for m in bset), key=key)
@@ -276,8 +292,8 @@ class TestHadamardPower:
 
     @pytest.mark.parametrize("p", [1.5, "3/2", "2"])
     def test_float_and_string_powers_are_refused(self, p):
-        """A power is a RationalExponent, an int or a Rational; text goes
-        through ``RationalExponent.parse``."""
+        """A power is an int, a ``Fraction`` or any ``numbers.Rational``;
+        the CLI reads text into a ``Fraction`` first."""
         with pytest.raises(InvalidInputError, match="not a rational exponent"):
             hadamard_power(F1, p)
 
@@ -290,20 +306,28 @@ class TestHadamardPower:
         approx_coeffs(bset.principal, [1.0, 1.0, 1.0, 0.0, 0.0])
 
     def test_branch_count(self):
-        bset = hadamard_power(F1, RationalExponent(1, 3))
+        bset = hadamard_power(F1, Fraction(1, 3))
         assert len(bset) == 3 ** 3
         assert len(set(bset.indices())) == 27
 
     def test_zero_coefficients_never_branch(self):
-        bset = hadamard_power(F1, RationalExponent(1, 2))
+        bset = hadamard_power(F1, Fraction(1, 2))
         for member in bset:
             assert member.coeffs[3] == 0
             assert member.coeffs[4] == 0
 
     def test_boolean_power_is_refused(self):
-        with pytest.raises(InvalidInputError, match="exponent parts must be integers"):
+        with pytest.raises(InvalidInputError, match="not a rational exponent: True"):
             hadamard_power(F1, True)
-        assert hadamard_power(F1, np.int64(2)).exponent == RationalExponent(2)
+        assert hadamard_power(F1, np.int64(2)).exponent == Fraction(2)
+
+    def test_direct_set_checks_its_exponent(self):
+        """``BranchSet`` applies the exponent rule itself: a ``Fraction`` or
+        an int is kept as a ``Fraction``, and a float is refused."""
+        assert poly.BranchSet(F1, Fraction(1, 2)) == hadamard_power(F1, Fraction(1, 2))
+        assert type(poly.BranchSet(F1, 2).exponent) is Fraction
+        with pytest.raises(InvalidInputError, match="not a rational exponent: 0.5"):
+            poly.BranchSet(F1, 0.5)
 
     def test_singleton_for_integers(self):
         assert len(hadamard_power(G1, 5)) == 1
@@ -316,9 +340,9 @@ class TestHadamardPower:
     @settings(max_examples=80, deadline=None)
     def test_branch_moduli_are_branch_independent(self, coeffs, num, den):
         f = MonicPolynomial(coeffs)
-        p = RationalExponent(num, den)
+        p = Fraction(num, den)
         bset = hadamard_power(f, p)
-        pval = p.value
+        pval = p.numerator / p.denominator
         for member in bset:
             for k in range(f.degree):
                 base = abs(f.coeffs[k])
@@ -349,9 +373,9 @@ class TestHadamardPower:
                 )
 
     def test_principal_power_matches_branch_zero(self):
-        p = RationalExponent(3, 2)
+        p = Fraction(3, 2)
         principal = hadamard_power(F1, p).principal
-        direct = principal_power(F1, p.value)
+        direct = principal_power(F1, p.numerator / p.denominator)
         assert principal == direct
 
 
@@ -532,17 +556,6 @@ class TestNumpyTrigonometry:
 
 
 class TestConjugateAndRealForm:
-    def test_conjugate_example(self):
-        f = MonicPolynomial((3j, 1 + 2j))
-        approx_coeffs(conjugate(f), [-3j, 1 - 2j])
-
-    def test_conjugate_fixes_real(self):
-        assert conjugate(F1) == F1
-
-    def test_conjugate_involution(self):
-        f = MonicPolynomial((1 - 1j, 2j, -0.5 + 0.25j))
-        assert conjugate(conjugate(f)) == f
-
     def test_real_form_s_plus_i(self):
         approx_coeffs(real_form(MonicPolynomial((1j,))), [1.0, 0.0])
 
@@ -618,6 +631,15 @@ class TestFractionalPolynomial:
         with pytest.raises(InvalidInputError):
             FractionalPolynomial(((1.5, 1.0),))
 
+    @pytest.mark.parametrize("power", ["abc", None])
+    def test_non_number_powers_rejected(self, power):
+        with pytest.raises(InvalidInputError, match="not a rational power"):
+            FractionalPolynomial(((power, 1.0),))
+
+    def test_no_terms_rejected(self):
+        with pytest.raises(InvalidInputError, match="needs at least the leading term"):
+            FractionalPolynomial(())
+
     def test_powers_must_decrease(self):
         with pytest.raises(InvalidInputError):
             FractionalPolynomial(((Fraction(1), 1.0), (Fraction(2), 0.5)))
@@ -640,6 +662,10 @@ class TestFractionalPolynomial:
         obj = f.to_json()
         assert "coeff" not in obj["terms"][0]
         assert FractionalPolynomial.from_json(obj) == f
+
+    def test_json_not_an_object_rejected(self):
+        with pytest.raises(InvalidInputError, match="must have 'terms'"):
+            FractionalPolynomial.from_json([1])
 
     def test_json_missing_coeff_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -668,7 +694,7 @@ class TestFractionalPolynomial:
 
 class TestBranchSetLaziness:
     def test_members_follow_product_order(self):
-        bset = hadamard_power(F1, RationalExponent(2, 3))
+        bset = hadamard_power(F1, Fraction(2, 3))
         indices = list(bset.indices())
         assert indices == list(itertools.product(range(3), repeat=3))
         assert [bset.position(ls) for ls in indices] == list(range(27))
@@ -682,7 +708,7 @@ class TestBranchSetLaziness:
         monkeypatch.setattr(poly, "_polar_powers", refuse)
         full = MonicPolynomial((0.5,) * 17)
         with pytest.raises(UnsupportedInputError, match=str(MAX_BRANCHES)):
-            hadamard_power(full, RationalExponent(1, 2))
+            hadamard_power(full, Fraction(1, 2))
         assert len(hadamard_power(MonicPolynomial((0.5,) * 16), Fraction(1, 2))) == MAX_BRANCHES
 
     @pytest.mark.parametrize(
@@ -714,17 +740,17 @@ class TestBranchSetLaziness:
             with pytest.raises(UnsupportedInputError, match=f"at most {MAX_BRANCHES}"):
                 hadamard_power(f, Fraction(1, den))
         else:
-            assert hadamard_power(f, Fraction(1, den)).exponent.den == den
+            assert hadamard_power(f, Fraction(1, den)).exponent.denominator == den
 
     def test_direct_set_over_the_cap_is_refused(self):
         """The cap is the type's: a set built without ``hadamard_power`` is
         refused too, so ``len`` of any set fits an index."""
         with pytest.raises(UnsupportedInputError, match=f"at most {MAX_BRANCHES}"):
-            poly.BranchSet(MonicPolynomial((0.1, 0.1)), RationalExponent(1, 10**20))
-        full = poly.BranchSet(MonicPolynomial((0.5,) * 16), RationalExponent(1, 2))
+            poly.BranchSet(MonicPolynomial((0.1, 0.1)), Fraction(1, 10**20))
+        full = poly.BranchSet(MonicPolynomial((0.5,) * 16), Fraction(1, 2))
         assert len(full) == MAX_BRANCHES
         # No nonzero coefficient: one member whatever the denominator.
-        empty = poly.BranchSet(MonicPolynomial((0j, 0j)), RationalExponent(1, 10**20))
+        empty = poly.BranchSet(MonicPolynomial((0j, 0j)), Fraction(1, 10**20))
         assert len(empty) == 1
         assert list(empty) == [MonicPolynomial((0j, 0j))]
         assert empty.table.shape == (0, 0)
@@ -761,7 +787,7 @@ class TestBranchSetLaziness:
             f = random_monic(rng, rng.randint(1, 6), (0.05, 2.0), density=0.7, real=real)
             if real:
                 f = MonicPolynomial(tuple(c * rng.choice((1, -1)) for c in f.coeffs))
-            p = RationalExponent(rng.randint(-2 * m, 2 * m), m)
+            p = Fraction(rng.randint(-2 * m, 2 * m), m)
             bset = hadamard_power(f, p)
             indices = list(bset.indices())
             rows = bset.rows(indices)
@@ -769,9 +795,8 @@ class TestBranchSetLaziness:
             reference[:, -1] = 1.0
             for r, ls in enumerate(indices):
                 for k, l in zip(f.support, ls):
-                    reference[r, k] = _power_of(
-                        f.coeffs[k], p.num / p.den, 2.0 * math.pi * l / p.den
-                    )
+                    pval, angle = p.numerator / p.denominator, 2.0 * math.pi * l / p.denominator
+                    reference[r, k] = _power_of(f.coeffs[k], pval, angle)
             members = np.array([g.coeffs + (1.0 + 0j,) for g in bset.members(indices)])
             assert _same_bits(rows, reference), (f, p)
             assert _same_bits(rows, members), (f, p)
@@ -789,7 +814,7 @@ class TestBranchSetLaziness:
         """Every index rotates (l_k -> l_k + j(k-n) mod m) onto a
         representative, and for prime m onto exactly one."""
         f = MonicPolynomial(tuple(0.5 if k in support else 0.0 for k in range(n)))
-        bset = hadamard_power(f, RationalExponent(1, m))
+        bset = hadamard_power(f, Fraction(1, m))
         reps = list(bset.rotation_representatives())
         assert reps[0] == (0,) * len(support)
         assert set(reps) <= set(bset.indices())

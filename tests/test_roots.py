@@ -13,7 +13,6 @@ from hadstab import (
     BracketError,
     InvalidInputError,
     MonicPolynomial,
-    RationalExponent,
     SimplexWeights,
     Status,
     UnconvergedError,
@@ -577,13 +576,13 @@ class TestBranchSetStable:
 
     def test_small_coefficient_both_branches_stable(self):
         f = MonicPolynomial((0j, 0.01j))
-        verdict = branch_set_stable(hadamard_power(f, RationalExponent(1, 2)))
+        verdict = branch_set_stable(hadamard_power(f, Fraction(1, 2)))
         assert verdict.status is Status.STABLE
         assert verdict.max_modulus == pytest.approx(0.1, abs=1e-9)
 
     def test_large_coefficient_both_branches_unstable(self):
         f = MonicPolynomial((0j, 4j))
-        verdict = branch_set_stable(hadamard_power(f, RationalExponent(1, 2)))
+        verdict = branch_set_stable(hadamard_power(f, Fraction(1, 2)))
         assert verdict.status is Status.UNSTABLE
         assert verdict.max_modulus == pytest.approx(2.0, abs=1e-9)
 
@@ -595,7 +594,7 @@ class TestBranchSetStable:
             ((-0.4, 0.3, 0.0), Status.UNSTABLE),
             ((-0.04, 0.03j, 0.0), Status.STABLE),
         ]:
-            bset = hadamard_power(MonicPolynomial(coeffs), RationalExponent(1, 2))
+            bset = hadamard_power(MonicPolynomial(coeffs), Fraction(1, 2))
             verdict = branch_set_stable(bset)
             worst = max(is_schur_stable(m).max_modulus for m in bset)
             assert verdict.status is status
@@ -618,7 +617,7 @@ class TestBranchSetStable:
             )
             if real:  # both signs, so rotations meet negative coefficients
                 f = MonicPolynomial(tuple(c * rng.choice((1, -1)) for c in f.coeffs))
-            p = RationalExponent(rng.randint(1, 2 * m), m)
+            p = Fraction(rng.randint(1, 2 * m), m)
             bset = hadamard_power(f, p)
             if len(bset) > 400:
                 continue

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -1142,6 +1143,78 @@ class TestNewtonOnset:
         monkeypatch.setattr(th, "_statuses", marginal_in_tail)
         res = auto_onset(f, mode)
         assert checks == [2]
+        assert res == ThresholdResult(Kind.EXACT_ONSET, value, Method.BISECTION, bracket)
+
+    @pytest.mark.parametrize("term", [0j, complex(math.nan, 0.0)], ids=["zero", "nan"])
+    @pytest.mark.parametrize("f, mode, value, bracket", BISECTED)
+    def test_singular_jacobian_declines_to_bisection(
+        self, monkeypatch, f, mode, value, bracket, term
+    ):
+        """Every term of F is 0, or NaN: the first step's Jacobian is zero,
+        or not finite, and the tail declines there."""
+        terms = []
+
+        def rect(r, phi):
+            terms.append(phi)
+            return term
+
+        monkeypatch.setattr(th, "cmath", types.SimpleNamespace(rect=rect))
+        res = auto_onset(f, mode)
+        assert len(terms) == 1 + len(f.support)  # one step, then the decline
+        assert res == ThresholdResult(Kind.EXACT_ONSET, value, Method.BISECTION, bracket)
+
+    @pytest.mark.parametrize("error", [OverflowError, ValueError])
+    @pytest.mark.parametrize("f, mode, value, bracket", BISECTED)
+    def test_step_error_declines_to_bisection(self, monkeypatch, f, mode, value, bracket, error):
+        """A term of F raises OverflowError (|a_k|^p) or ValueError (an
+        infinite angle) during the steps: the tail declines."""
+        raised = []
+
+        def rect(r, phi):
+            raised.append(error)
+            raise error("a term of F")
+
+        monkeypatch.setattr(th, "cmath", types.SimpleNamespace(rect=rect))
+        res = auto_onset(f, mode)
+        assert raised == [error]
+        assert res == ThresholdResult(Kind.EXACT_ONSET, value, Method.BISECTION, bracket)
+
+    @pytest.mark.parametrize(
+        "error",
+        [InvalidInputError("|a|^p overflows"), UnconvergedError("no certificate")],
+        ids=["invalid-input", "unconverged"],
+    )
+    @pytest.mark.parametrize("f, mode, value, bracket", BISECTED)
+    def test_raising_check_declines_to_bisection(
+        self, monkeypatch, f, mode, value, bracket, error
+    ):
+        """The check batch's lookup raises, as a power that overflows or a
+        row without a certificate does: the tail declines."""
+        inside, checks = [], []
+        newton, statuses = th._newton_onset, th._statuses
+
+        def tail(*args):
+            inside.append(True)
+            try:
+                return newton(*args)
+            finally:
+                inside.pop()
+
+        def raising_in_tail(f, sign, qs):
+            status = statuses(f, sign, qs)
+            if not inside:
+                return status
+
+            def lookup(q):
+                checks.append(q)
+                raise error
+
+            return lookup
+
+        monkeypatch.setattr(th, "_newton_onset", tail)
+        monkeypatch.setattr(th, "_statuses", raising_in_tail)
+        res = auto_onset(f, mode)
+        assert len(checks) == 1
         assert res == ThresholdResult(Kind.EXACT_ONSET, value, Method.BISECTION, bracket)
 
 
