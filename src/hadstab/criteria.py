@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Iterable, Mapping
 
 from .errors import InvalidInputError
@@ -23,15 +23,15 @@ from .poly import MonicPolynomial, _check_degree, hadamard_product, szego_produc
 _SUM_SLACK = 1e-12
 
 
-def _indices(ks: Iterable) -> tuple[int, ...]:
-    """Coefficient indices as ints; a bool, a float or text is not one here,
-    and numpy integers are."""
-    out = []
-    for k in ks:
-        if isinstance(k, bool) or not isinstance(k, Integral):
-            raise InvalidInputError(f"weight indices must be integers, not {k!r}")
-        out.append(int(k))
-    return tuple(out)
+def _numbers(values: Iterable, what: str, kind: type = Real) -> tuple:
+    """``values`` as given, refused unless each is a ``kind`` (``Real`` or
+    ``Integral``); a bool is neither here, and numpy numbers are."""
+    out = tuple(values)
+    for v in out:
+        if isinstance(v, bool) or not isinstance(v, kind):
+            noun = "integers" if kind is Integral else "real numbers"
+            raise InvalidInputError(f"{what} must be {noun}, not {v!r}")
+    return out
 
 
 class CriterionId(str, Enum):
@@ -54,8 +54,8 @@ class SimplexWeights:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        support = _indices(self.support)
-        weights = tuple(float(w) for w in self.weights)
+        support = tuple(map(int, _numbers(self.support, "weight indices", Integral)))
+        weights = tuple(map(float, _numbers(self.weights, "weights")))
         if not support:
             raise InvalidInputError("weight support must be non-empty")
         if len(support) != len(weights):
@@ -93,15 +93,17 @@ class CriterionOutcome:
 
 
 def synthesize_witness(moduli: Mapping[int, float]) -> SimplexWeights:
-    """Weights lambda_k = m_k + slack/d for moduli summing to less than 1."""
+    """Weights lambda_k = m_k + slack/d for nonnegative moduli summing to below 1."""
     d = len(moduli)
     if not d:
         raise InvalidInputError("moduli must be non-empty")
+    if any(not m >= 0 for m in _numbers(moduli.values(), "moduli")):  # NaN too
+        raise InvalidInputError("moduli must be nonnegative")
     total = sum(moduli.values())
     if total >= 1.0:
         raise InvalidInputError("moduli must sum to less than 1")
     share = (1.0 - total) / d
-    support = tuple(sorted(moduli))
+    support = tuple(sorted(_numbers(moduli, "weight indices", Integral)))
     weights = tuple(min(moduli[k] + share, 1.0) for k in support)
     return SimplexWeights(support, weights)
 
@@ -150,9 +152,9 @@ def sharpness_witness(n: int, weights, eps: float = 0.0) -> MonicPolynomial:
     table = weights.as_dict() if isinstance(weights, SimplexWeights) else dict(weights)
     if not table:
         raise InvalidInputError("weights must be non-empty")
-    if any(not 0 <= k < n for k in _indices(table)):
+    if any(not 0 <= k < n for k in _numbers(table, "weight indices", Integral)):
         raise InvalidInputError("weight indices must lie in 0..n-1")
-    if any(w <= 0 for w in table.values()):
+    if any(w <= 0 for w in _numbers(table.values(), "weights")):
         raise InvalidInputError("weights must be positive")
     total = sum(table.values())
     if abs(total - (1.0 + eps)) > _SUM_SLACK:

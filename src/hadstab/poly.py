@@ -13,12 +13,11 @@ every power, principal rows and branch tables alike, is |a_k|^p e^{i(p arg a_k
 ``math.atan2``, which also answers where the angle underflows.  It runs cos
 and sin in numpy over all coefficients and powers at once; they equal libm's
 bit for bit (the tests check this).  |a_k|^p stays Python's ``**``, so every
-element keeps the bits of the scalar expression ``_polar_power``.
+element keeps the bits of the scalar ``r**p * complex(cos(ang), sin(ang))``.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -261,17 +260,17 @@ class BranchSet:
         return next(self.members([(0,) * len(self.base.support)]))
 
 
-def _polar_power(r: float, theta: float, p: float, t: float) -> complex:
-    """r^p (cos(p theta + t) + i sin(p theta + t)), the scalar expression
-    whose bits every coefficient of every power has; ``_polar_powers``
-    evaluates it alone only to find the first element that fails."""
-    ang = p * theta + t
-    return r**p * complex(math.cos(ang), math.sin(ang))
+def _marked(op, *args) -> float:
+    """``op(*args)``, or -1.0, which no |a|^p is, where it overflows."""
+    try:
+        return op(*args)
+    except OverflowError:
+        return -1.0
 
 
 def _polar_powers(f: MonicPolynomial, pairs: Sequence[tuple[float, float]]) -> np.ndarray:
-    """The (|support|, len(pairs)) array of ``_polar_power`` at |a_k|, arg a_k
-    (principal) for each nonzero a_k, ascending, and each (p, t) in ``pairs``.
+    """The (|support|, len(pairs)) array of |a_k|^p e^{i(p arg a_k + t)}, arg
+    principal, for each nonzero a_k, ascending, and each (p, t) in ``pairs``.
 
     The argument is ``math.atan2(a.imag, a.real)``: it equals ``cmath.phase``
     bit for bit wherever that succeeds, and returns the angle where
@@ -281,38 +280,39 @@ def _polar_powers(f: MonicPolynomial, pairs: Sequence[tuple[float, float]]) -> n
     bit (the tests check this premise).  |a_k|^p stays Python's ``**`` per
     element, because numpy's ``power`` differs from it in the last bit on
     some pairs.  The product is written out as Python multiplies a float by
-    a complex, so every element has ``_polar_power``'s bits.
+    a complex, so every element has the bits of the scalar expression
+    ``r**p * complex(cos(ang), sin(ang))``.
 
-    A non-finite element raises InvalidInputError for the first failing
-    pair, at its first failing a_k: ``|a|^p overflows ...`` where ``**``
-    overflows, else ``coefficients must be finite``.
+    The first failing element, in pair order and then a_k order, raises
+    InvalidInputError: ``|a|^p overflows ...`` where ``**`` overflows (found
+    by a second pass that marks them with ``_marked``), else ``coefficients
+    must be finite``.
     """
     polar = [(a, abs(a), math.atan2(a.imag, a.real)) for a in f.coeffs if a != 0]
     if not polar:  # no element, whatever the powers
         return np.empty((0, len(pairs)), dtype=complex)
     ps, ts = [p for p, _ in pairs], [t for _, t in pairs]
+    marked = False
     try:
         mag = np.array([[r**p for p in ps] for _, r, _ in polar], dtype=float)
-        with np.errstate(all="ignore"):  # a non-finite angle; the scan names it
-            ang = np.multiply.outer([theta for _, _, theta in polar], np.array(ps, dtype=float))
-            ang += np.array(ts, dtype=float)
-            c, s = np.cos(ang), np.sin(ang)
-            out = np.empty(ang.shape, dtype=complex)
-            out.real = mag * c - 0.0 * s
-            out.imag = mag * s + 0.0 * c
-        finite = bool(np.isfinite(out).all())
-    except OverflowError:  # |a_k|^p, or a power beyond the float range
-        finite = False
-    if not finite:  # the scan, pair by pair, raises at the first failure
-        for (p, t), (a, r, theta) in itertools.product(pairs, polar):
-            try:
-                c = _polar_power(r, theta, p, t)
-            except OverflowError:
-                raise InvalidInputError(f"|{a}|^{p} overflows the floating-point range") from None
-            except ValueError:  # math.cos of an infinite angle
-                c = complex(math.nan)
-            if not cmath.isfinite(c):
-                raise InvalidInputError("coefficients must be finite")
+        pv = np.array(ps, dtype=float)
+    except OverflowError:  # a p beyond the float range marks its whole column
+        marked = True
+        mag = np.array([[_marked(pow, r, p) for p in ps] for _, r, _ in polar], dtype=float)
+        pv = np.array([_marked(float, p) for p in ps], dtype=float)
+    with np.errstate(all="ignore"):  # a non-finite angle; its element is refused below
+        ang = np.multiply.outer([theta for _, _, theta in polar], pv)
+        ang += np.array(ts, dtype=float)
+        c, s = np.cos(ang), np.sin(ang)
+        out = np.empty(ang.shape, dtype=complex)
+        out.real = mag * c - 0.0 * s
+        out.imag = mag * s + 0.0 * c
+    if marked or not np.isfinite(out).all():
+        bad = ~np.isfinite(out) | (mag < 0)
+        j, i = np.argwhere(bad.T)[0]  # pair j, then a_k at support position i
+        if mag[i, j] < 0:
+            raise InvalidInputError(f"|{polar[i][0]}|^{ps[j]} overflows the floating-point range")
+        raise InvalidInputError("coefficients must be finite")
     return out
 
 

@@ -149,16 +149,15 @@ class RootSet:
 
     ``residuals[i]`` is the scaled backward error |f(z_i)| / (1 + sum_k
     |a_k| |z_i|^k); a root is flagged unconverged when it exceeds the
-    residual tolerance for the polynomial.
+    residual tolerance for the polynomial.  ``max_modulus`` is the largest
+    root modulus as the row core took it (``find_root_rows``): bit for bit
+    ``max(abs(z) for z in roots)`` where no root is NaN, and NaN where one is.
     """
 
     roots: tuple[complex, ...]
     residuals: tuple[float, ...]
     converged: tuple[bool, ...]
-
-    @property
-    def max_modulus(self) -> float:
-        return max(abs(z) for z in self.roots)
+    max_modulus: float
 
     def to_json(self) -> dict:
         return {
@@ -508,13 +507,10 @@ def _solve_rows(
     return z, res, certified
 
 
-def _root_sets(z: np.ndarray, res: np.ndarray, tol: np.ndarray) -> list[RootSet]:
-    """Each row of sorted roots as a RootSet."""
-    converged = res <= tol[:, None]
-    return [
-        RootSet(tuple(zs), tuple(residuals), tuple(flags))
-        for zs, residuals, flags in zip(z.tolist(), res.tolist(), converged.tolist())
-    ]
+def _root_sets(z: np.ndarray, res: np.ndarray, tol: np.ndarray, worst: np.ndarray) -> list[RootSet]:
+    """Each row of sorted roots as a RootSet, from ``find_root_rows``' arrays."""
+    rows = zip(z.tolist(), res.tolist(), (res <= tol[:, None]).tolist(), worst.tolist())
+    return [RootSet(tuple(zs), tuple(errs), tuple(flags), m) for zs, errs, flags, m in rows]
 
 
 @np.errstate(all="ignore")  # see _solve_rows
@@ -525,7 +521,7 @@ def _solve_chunk(
     in the whole batch.  Returns fewer rows than ``asc`` holds when one
     exceeds ``limit``: the last row returned is then the first such row."""
     # np.hypot, not np.abs: it equals Python's abs (libm hypot) bit for bit,
-    # and so the residual scale and RootSet.max_modulus.
+    # and so the residual scale and each worst modulus (RootSet.max_modulus).
     moduli = np.hypot(asc.real, asc.imag)
     tol = _tolerances(moduli)
     z, res, certified = _solve_rows(asc, moduli, tol)
@@ -538,7 +534,7 @@ def _solve_chunk(
     if not certified[k - 1]:
         raise UnconvergedError(
             f"root iteration failed to certify (max residual {res[-1].max():.3e})",
-            partial=_root_sets(z[-1:], res[-1:], tol[k - 1 : k])[0],
+            partial=_root_sets(z[-1:], res[-1:], tol[k - 1 : k], worst[k - 1 : k])[0],
             row=offset + k - 1,
         )
     return z, res, tol[:k], worst[:k]
@@ -562,9 +558,9 @@ def find_root_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Roots of the rows of ascending monic coefficients ``asc`` (k, n + 1),
     each row sorted by modulus as ``find_roots`` sorts it, with their scaled
-    residuals, each row's residual tolerance and its largest root modulus
-    (bit for bit ``RootSet.max_modulus``): (j, n), (j, n), (j,) and (j,)
-    arrays.
+    residuals, each row's residual tolerance and its largest root modulus,
+    the only producer of ``RootSet.max_modulus``: (j, n), (j, n), (j,) and
+    (j,) arrays.
 
     The rows are solved ``chunk_rows(n)`` at a time and returned through the
     first whose largest modulus exceeds ``limit``, so j = k unless one does;
@@ -598,7 +594,7 @@ def find_roots(f: MonicPolynomial) -> RootSet:
     """
     check_degree(f.degree)  # before the row is built
     row = np.array([f.coeffs + (1.0 + 0j,)])
-    return _root_sets(*find_root_rows(row)[:3])[0]
+    return _root_sets(*find_root_rows(row))[0]
 
 
 def is_schur_stable(f: MonicPolynomial) -> StabilityVerdict:
@@ -728,7 +724,7 @@ def branch_root_sets(b: BranchSet) -> list[RootSet]:
     indices, sets = b.indices(), []
     while block := list(islice(indices, chunk_rows(n))):
         try:
-            sets += _root_sets(*find_root_rows(b.rows(block))[:3])
+            sets += _root_sets(*find_root_rows(b.rows(block)))
         except UnconvergedError as exc:
             raise _branch_error(b, block, exc) from exc
     return sets

@@ -1,6 +1,7 @@
 """Batched root finding: equality with per-polynomial solves, chunking,
 error attribution and the work it does."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -32,7 +33,7 @@ F1 = report.EXPERIMENT_POLYS[1]["f"]
 def _batch(polys):
     """Root sets of polynomials of one degree from one ``find_root_rows``
     call on their rows."""
-    return roots._root_sets(*roots.find_root_rows(monic_rows(polys))[:3])
+    return roots._root_sets(*roots.find_root_rows(monic_rows(polys)))
 
 
 def _bits(rs):
@@ -467,6 +468,51 @@ class TestBatchEqualsSingle:
                 want = vals / (scale + np.abs(zp))
                 got = roots._scaled_residuals(asc, moduli, points)
                 assert (np.abs(got - want) <= 4 * (n + 1) * eps).all()
+
+
+def _largest_abs_bits(rs):
+    """``max_modulus`` and the largest Python ``abs`` of the roots, each as
+    ``float.hex`` (bit for bit, NaN included)."""
+    return rs.max_modulus.hex(), max(abs(z) for z in rs.roots).hex()
+
+
+class TestMaxModulusField:
+    """``RootSet.max_modulus`` is a field that the row core fills from the
+    worst modulus it took; no root set recomputes it."""
+
+    def test_is_a_field(self):
+        assert "max_modulus" in {f.name for f in dataclasses.fields(roots.RootSet)}
+
+    def test_equals_largest_abs(self):
+        """Over every path of the batched solver, one polynomial at a time
+        and as branch-set members."""
+        sets = [rs for group in CORPUS for rs in _batch(group)]
+        sets += [find_roots(f) for group in CORPUS for f in group]
+        sets += branch_root_sets(hadamard_power(F1, Fraction(27, 8)))
+        assert len(sets) > 1000
+        for rs in sets:
+            assert type(rs.max_modulus) is float
+            got, want = _largest_abs_bits(rs)
+            assert got == want, rs
+
+    @pytest.mark.parametrize("p", [Fraction(-400), Fraction(-420), Fraction(-801, 2)])
+    def test_partial_equals_largest_abs(self, p):
+        """F1's powers near -400 fail to certify (max residual nan); the
+        partial of the error carries the row core's modulus too."""
+        with pytest.raises(UnconvergedError, match="failed to certify") as info:
+            branch_root_sets(hadamard_power(F1, p))
+        got, want = _largest_abs_bits(info.value.partial)
+        assert got == want and math.isfinite(info.value.partial.max_modulus)
+
+    def test_partial_of_nan_roots(self, monkeypatch):
+        """Neither candidate settles and the eigenvalues fail: the partial's
+        roots are all NaN, and so is its modulus."""
+        group = [MonicPolynomial((0.3, 0.2)), MonicPolynomial((0.5, -0.1))]
+        monkeypatch.setattr(roots, "_MAX_SWEEPS", 0)
+        monkeypatch.setattr(roots, "_eigenvalues", _spoiled(roots._eigenvalues, group[1]))
+        with pytest.raises(UnconvergedError) as info:
+            _batch(group)
+        assert _largest_abs_bits(info.value.partial) == ("nan", "nan")
 
 
 class TestBatchContract:

@@ -446,6 +446,14 @@ class TestPower:
         assert main(["power", "--poly", files["f1"], "--p", "1/0"]) == 2
         assert capsys.readouterr() == ("", "error: exponent denominator must be nonzero\n")
 
+    def test_overflowing_power_names_its_coefficient(self, capsys, files):
+        """0.2^-450 overflows, though 0.7^-450 and 0.9^-450 do not."""
+        assert main(["power", "--poly", files["f1"], "--p=-450"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: |(0.2+0j)|^-450.0 overflows the floating-point range\n",
+        )
+
 
 class TestProduct:
     def test_hadamard(self, capsys, files):
@@ -708,6 +716,20 @@ class TestSweep:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: sweep bounds and step must be finite")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_first_overflowing_power_is_named(self, capsys, files, tmp_path):
+        """0.2^p overflows at p = -460 and -450, not at -440; the error names
+        the first in sorted order, and no artifact is written."""
+        code = main(
+            ["sweep", "--poly", files["f1"], "--from", "-460", "--to", "-440",
+             "--step", "10", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: |(0.2+0j)|^-460.0 overflows the floating-point range\n",
+        )
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_power_cap_is_input_error(self, capsys, files, tmp_path):

@@ -65,6 +65,15 @@ class TestSimplexWeights:
         w = SimplexWeights((np.int64(1),), (0.5,))
         assert w.support == (1,) and type(w.support[0]) is int
 
+    @pytest.mark.parametrize("weight", ["a", True])
+    def test_non_real_weight_rejected(self, weight):
+        """Text raised a raw ValueError, and True was taken as 1.0."""
+        with pytest.raises(InvalidInputError, match="weights must be real numbers"):
+            SimplexWeights((0,), (weight,))
+
+    def test_numpy_weight(self):
+        assert SimplexWeights((0,), (np.float32(0.5),)).weights == (0.5,)
+
 
 class TestStabilityCondition:
     def test_satisfied_with_witness(self):
@@ -101,6 +110,22 @@ class TestStabilityCondition:
         # This divided by zero.
         with pytest.raises(InvalidInputError, match="moduli must be non-empty"):
             synthesize_witness({})
+
+    def test_witness_of_text_modulus_rejected(self):
+        # This raised a raw TypeError.
+        with pytest.raises(InvalidInputError, match="moduli must be real numbers"):
+            synthesize_witness({0: "a"})
+
+    def test_witness_of_text_index_rejected(self):
+        # Sorting the indices raised a raw TypeError.
+        with pytest.raises(InvalidInputError, match="weight indices must be integers"):
+            synthesize_witness({0: 0.1, "a": 0.1})
+
+    @pytest.mark.parametrize("modulus", [-0.5, math.nan])
+    def test_witness_of_negative_or_nan_modulus_rejected(self, modulus):
+        # -0.5 returned the weights (1.0,).
+        with pytest.raises(InvalidInputError, match="moduli must be nonnegative"):
+            synthesize_witness({0: modulus})
 
     @pytest.mark.parametrize("moduli", [{0: 0.5, 1: 0.5}, {0: 1.5}])
     def test_witness_of_moduli_summing_to_one_rejected(self, moduli):
@@ -167,6 +192,17 @@ class TestSharpnessWitness:
     @pytest.mark.parametrize("weights", [{0: 0.0, 1: 1.0}, {0: -0.5, 1: 1.5}])
     def test_non_positive_weights_rejected(self, weights):
         with pytest.raises(InvalidInputError, match="weights must be positive"):
+            sharpness_witness(3, weights)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [{0: "a"}, {0: True, 1: 1e-300}],
+        ids=["text", "bool"],
+    )
+    def test_non_real_weights_rejected(self, weights):
+        """Text raised a raw TypeError, and True was taken as 1.0, which
+        returned s^3 - 1e-300 s - 1."""
+        with pytest.raises(InvalidInputError, match="weights must be real numbers"):
             sharpness_witness(3, weights)
 
     @pytest.mark.parametrize("eps", [-0.1, math.nan])
