@@ -25,10 +25,13 @@ _SUM_SLACK = 1e-12
 
 def _numbers(values: Iterable, what: str, kind: type = Real) -> tuple:
     """``values`` as given, refused unless each is a ``kind`` (``Real`` or
-    ``Integral``); a bool is neither here, and numpy numbers are."""
+    ``Integral``); a bool is neither here, and numpy numbers are.  A value
+    of the exact built-in type (``float`` for ``Real``, ``int`` for
+    ``Integral``) passes without the ABC check, which costs 0.4-0.7 us."""
     out = tuple(values)
+    exact = int if kind is Integral else float
     for v in out:
-        if isinstance(v, bool) or not isinstance(v, kind):
+        if type(v) is not exact and (isinstance(v, bool) or not isinstance(v, kind)):
             noun = "integers" if kind is Integral else "real numbers"
             raise InvalidInputError(f"{what} must be {noun}, not {v!r}")
     return out

@@ -24,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral, Rational
+from numbers import Integral, Number, Rational
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -46,12 +46,26 @@ def _digit_count(m: int) -> int:
     return d - (10 ** (d - 1) > m) + (10**d <= m)
 
 
+# Coefficient types that are numbers without asking the ``numbers`` ABCs,
+# whose ``isinstance`` costs 0.4-0.7 us a value.
+_PLAIN_COEFF_TYPES = {complex, float, int}
+
+
 def _finite_coeffs(values: Iterable) -> tuple[complex, ...]:
-    """``values`` as complex numbers, refused unless all are finite; an int
-    beyond the float range is not, nor is a complex whose modulus is."""
+    """``values`` as complex numbers, refused unless each is a number and
+    finite.  A number is a ``numbers.Number`` (numpy scalars, ``Fraction``
+    and ``Decimal`` included), not a bool (numpy's included) or text; a
+    plain complex, float or int is one without an ABC check, so a vector
+    of them is converted and checked by C loops alone.  An int beyond the
+    float range is not finite, nor is a complex whose modulus is."""
+    values = tuple(values)
+    if not {*map(type, values)} <= _PLAIN_COEFF_TYPES:
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, Number):
+                raise InvalidInputError(f"coefficients must be numbers, not {v!r}")
     try:
-        cs = tuple(complex(c) for c in values)
-        finite = all(math.isfinite(abs(c)) for c in cs)
+        cs = tuple(map(complex, values))
+        finite = all(map(math.isfinite, map(abs, cs)))
     except OverflowError:
         finite = False
     if not finite:
@@ -94,8 +108,9 @@ class MonicPolynomial:
 
     @property
     def support(self) -> tuple[int, ...]:
-        """Indices k with a_k != 0, ascending (exact-zero test)."""
-        return tuple(k for k, c in enumerate(self.coeffs) if c != 0)
+        """Indices k with a_k != 0, ascending (exact-zero test: a complex is
+        false exactly when both parts are zero, of either sign)."""
+        return tuple(itertools.compress(range(len(self.coeffs)), self.coeffs))
 
     @property
     def is_real(self) -> bool:
@@ -135,7 +150,7 @@ class MonicPolynomial:
 
 def _check_degree(n) -> int:
     """A degree n >= 1 as an int; a bool or a float is not an integer here."""
-    if isinstance(n, bool) or not isinstance(n, Integral):
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, Integral)):
         raise InvalidInputError(f"degree must be an integer, not {n!r}")
     if n < 1:
         raise InvalidInputError("degree must be >= 1")
@@ -285,8 +300,9 @@ def _polar_powers(f: MonicPolynomial, pairs: Sequence[tuple[float, float]]) -> n
 
     The first failing element, in pair order and then a_k order, raises
     InvalidInputError: ``|a|^p overflows ...`` where ``**`` overflows (found
-    by a second pass that marks them with ``_marked``), else ``coefficients
-    must be finite``.
+    by a second pass that marks them with ``_marked``; an int p of 20 digits
+    or more is named by its digit count, as ``BranchSet`` names a long
+    denominator), else ``coefficients must be finite``.
     """
     polar = [(a, abs(a), math.atan2(a.imag, a.real)) for a in f.coeffs if a != 0]
     if not polar:  # no element, whatever the powers
@@ -311,7 +327,10 @@ def _polar_powers(f: MonicPolynomial, pairs: Sequence[tuple[float, float]]) -> n
         bad = ~np.isfinite(out) | (mag < 0)
         j, i = np.argwhere(bad.T)[0]  # pair j, then a_k at support position i
         if mag[i, j] < 0:
-            raise InvalidInputError(f"|{polar[i][0]}|^{ps[j]} overflows the floating-point range")
+            p = ps[j]
+            if isinstance(p, int) and abs(p) >= 10**20:  # Python prints no int of over 4,300 digits
+                p = f"p with a {_digit_count(abs(p))}-digit integer p"
+            raise InvalidInputError(f"|{polar[i][0]}|^{p} overflows the floating-point range")
         raise InvalidInputError("coefficients must be finite")
     return out
 

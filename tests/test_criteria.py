@@ -1,4 +1,7 @@
+import abc
+import enum
 import math
+import random
 
 import numpy as np
 import pytest
@@ -27,6 +30,14 @@ from hadstab import (
 
 F1 = MonicPolynomial((0.7, 0.2, 0.9, 0.0, 0.0))
 G1 = MonicPolynomial((3.0, 2.0, 2.5, 0.0, 0.0))
+
+
+class _Index(enum.IntEnum):
+    ONE = 1
+
+
+class _Weight(float):
+    pass
 
 
 class TestSimplexWeights:
@@ -73,6 +84,12 @@ class TestSimplexWeights:
 
     def test_numpy_weight(self):
         assert SimplexWeights((0,), (np.float32(0.5),)).weights == (0.5,)
+
+    def test_subclass_index_and_weight(self):
+        """Not the exact built-in type, so checked by the ``numbers`` ABCs."""
+        w = SimplexWeights((_Index.ONE,), (_Weight(0.5),))
+        assert w == SimplexWeights((1,), (0.5,))
+        assert type(w.support[0]) is int and type(w.weights[0]) is float
 
 
 class TestStabilityCondition:
@@ -350,3 +367,44 @@ class TestStabilizingPartner:
             for prod in (hadamard_product(f, g), szego_product(f, g)):
                 assert satisfies_stability_condition(prod).satisfied
                 assert is_schur_stable(prod).status is Status.STABLE
+
+
+class TestNoAbcCheckOnPlainNumbers:
+    """On plain float, int and complex values no per-coefficient check asks
+    a ``numbers`` ABC, whose ``isinstance`` costs about 0.7 us a value.  The
+    count does not depend on timing, so it guards the criteria's speed."""
+
+    def _abc_checks(self, monkeypatch, call) -> int:
+        count = 0
+        original = abc.ABCMeta.__instancecheck__
+
+        def counted(cls, instance):
+            nonlocal count
+            count += 1
+            return original(cls, instance)
+
+        monkeypatch.setattr(abc.ABCMeta, "__instancecheck__", counted)
+        call()
+        monkeypatch.undo()
+        return count
+
+    def test_plain_inputs(self, monkeypatch):
+        rng = random.Random(40)
+        coeffs = tuple(
+            0.01 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(80)
+        )
+        f = MonicPolynomial(coeffs)
+        g = stabilizing_partner(f)
+        assert theorem3_check(f, g, "a").satisfied  # reaches both product checks
+        calls = {
+            "MonicPolynomial": lambda: (MonicPolynomial((0.7, 0.2, 0.9, 0, 0.0)), MonicPolynomial(coeffs)),
+            "satisfies_stability_condition": lambda: (
+                satisfies_stability_condition(F1),
+                satisfies_stability_condition(f),
+            ),
+            "synthesize_witness": lambda: synthesize_witness(f.coefficient_moduli()),
+            "theorem3_check": lambda: theorem3_check(f, g, "a"),
+            "szego_product": lambda: szego_product(f, g),
+        }
+        counts = {name: self._abc_checks(monkeypatch, call) for name, call in calls.items()}
+        assert counts == dict.fromkeys(calls, 0)

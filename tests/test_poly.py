@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -59,6 +60,11 @@ class TestMonicPolynomial:
         p = MonicPolynomial((1e-300, 0.0, complex(0.0, 1e-12)))
         assert p.support == (0, 2)
 
+    @pytest.mark.parametrize("zero", [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+    def test_signed_zero_outside_support(self, zero):
+        assert MonicPolynomial((zero, zero)).support == ()
+        assert MonicPolynomial((zero, 0.5)).support == (1,)
+
     def test_empty_coeffs_rejected(self):
         with pytest.raises(InvalidInputError):
             MonicPolynomial(())
@@ -111,8 +117,30 @@ class TestMonicPolynomial:
         ],
     )
     def test_non_finite_coefficients_rejected(self, c):
-        with pytest.raises(InvalidInputError, match="finite"):
+        with pytest.raises(InvalidInputError, match="coefficients must be finite"):
             MonicPolynomial((0.5, c))
+
+    @pytest.mark.parametrize(
+        "c, shown",
+        [
+            # True was taken as 1+0j, text was parsed, and bytes raised a raw
+            # TypeError.
+            (True, "True"),
+            (np.True_, "True"),
+            ("0.5", "'0.5'"),
+            (b"1", "b'1'"),
+            (None, "None"),
+        ],
+    )
+    def test_non_number_coefficients_rejected(self, c, shown):
+        with pytest.raises(InvalidInputError, match=rf"coefficients must be numbers, not .*{shown}"):
+            MonicPolynomial((c, 0.5))
+        with pytest.raises(InvalidInputError, match="coefficients must be numbers"):
+            FractionalPolynomial(((Fraction(1), 1.0), (Fraction(0), c)))
+
+    def test_number_types_accepted(self):
+        values = (3, np.int64(2), np.float32(0.5), np.complex128(0.25j), Fraction(1, 4), Decimal("0.125"))
+        assert MonicPolynomial(values).coeffs == (3, 2, 0.5, 0.25j, 0.25, 0.125)
 
     def test_largest_representable_modulus_accepted(self):
         c = complex(1.2e308, 1.2e308)  # modulus 1.697e308, below the float maximum
@@ -477,6 +505,15 @@ class TestPrincipalRows:
             with pytest.raises(InvalidInputError, match=text):
                 for p in ps:
                     principal_power(f, p)
+
+    def test_long_int_power(self):
+        """An int power of more than 4,300 digits raised a raw ValueError,
+        Python's refusal to print it in the overflow message."""
+        text = r"\|\(0.7\+0j\)\|\^p with a 5001-digit integer p overflows"
+        with pytest.raises(InvalidInputError, match=text):
+            principal_rows(F1, [10**5000])
+        with pytest.raises(InvalidInputError, match=text):
+            principal_power(F1, -(10**5000))
 
     def test_overflowing_angle(self):
         # 0.5^1e308 underflows to 0, but 1e308 * pi overflows the angle to inf.
