@@ -28,11 +28,11 @@ from .errors import (
     NotApplicableError,
     NumericalError,
     UnsupportedInputError,
+    real,
 )
 from .poly import (
     FractionalPolynomial,
     MonicPolynomial,
-    _exponent,
     hadamard_power,
     hadamard_product,
     principal_power,
@@ -90,17 +90,14 @@ MAX_BRANCH_ELEMENTS = 1 << 20
 
 def _parse_exponent(text: str) -> Fraction:
     """Parse 'K/M' or integer shorthand 'K' into the exponent in lowest terms."""
-    parts = text.strip().split("/")
     try:
-        ints = [int(part) for part in parts]
-    except ValueError:
-        ints = []
-    if not 1 <= len(ints) <= 2:
-        raise InvalidInputError(f"cannot parse rational exponent {text!r}")
-    try:
-        return _exponent(Fraction(*ints))
+        p = Fraction(*(int(part) for part in text.strip().split("/")))
+    except (TypeError, ValueError):  # not one or two integers
+        raise InvalidInputError(f"cannot parse rational exponent {text!r}") from None
     except ZeroDivisionError:
         raise InvalidInputError("exponent denominator must be nonzero") from None
+    real(p, "exponent overflows the floating-point range:")
+    return p
 
 
 def _branch_count(p: Fraction, size: int) -> int:

@@ -11,30 +11,19 @@ and O(n) and the returned witness is auditable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral, Real
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .errors import InvalidInputError
-from .poly import MonicPolynomial, _check_degree, hadamard_product, szego_product
+from .errors import InvalidInputError, describe, integer, real
+from .poly import _MAX_SZEGO_DEGREE, MonicPolynomial, hadamard_product, szego_product, szego_weight
 
 # Float slack on simplex membership checks; witnesses are built to sum to 1.
 _SUM_SLACK = 1e-12
 
-
-def _numbers(values: Iterable, what: str, kind: type = Real) -> tuple:
-    """``values`` as given, refused unless each is a ``kind`` (``Real`` or
-    ``Integral``); a bool is neither here, and numpy numbers are.  A value
-    of the exact built-in type (``float`` for ``Real``, ``int`` for
-    ``Integral``) passes without the ABC check, which costs 0.4-0.7 us."""
-    out = tuple(values)
-    exact = int if kind is Integral else float
-    for v in out:
-        if type(v) is not exact and (isinstance(v, bool) or not isinstance(v, kind)):
-            noun = "integers" if kind is Integral else "real numbers"
-            raise InvalidInputError(f"{what} must be {noun}, not {v!r}")
-    return out
+_INDICES = "weight indices must be integers, not"
+_WEIGHTS = "weights must be real numbers, not"
 
 
 class CriterionId(str, Enum):
@@ -57,8 +46,8 @@ class SimplexWeights:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        support = tuple(map(int, _numbers(self.support, "weight indices", Integral)))
-        weights = tuple(map(float, _numbers(self.weights, "weights")))
+        support = tuple([integer(k, _INDICES) for k in self.support])
+        weights = tuple([real(w, _WEIGHTS) for w in self.weights])
         if not support:
             raise InvalidInputError("weight support must be non-empty")
         if len(support) != len(weights):
@@ -100,13 +89,14 @@ def synthesize_witness(moduli: Mapping[int, float]) -> SimplexWeights:
     d = len(moduli)
     if not d:
         raise InvalidInputError("moduli must be non-empty")
-    if any(not m >= 0 for m in _numbers(moduli.values(), "moduli")):  # NaN too
+    moduli = {integer(k, _INDICES): real(m, "moduli must be real numbers, not") for k, m in moduli.items()}
+    if any(not m >= 0 for m in moduli.values()):  # NaN too
         raise InvalidInputError("moduli must be nonnegative")
     total = sum(moduli.values())
     if total >= 1.0:
         raise InvalidInputError("moduli must sum to less than 1")
     share = (1.0 - total) / d
-    support = tuple(sorted(_numbers(moduli, "weight indices", Integral)))
+    support = tuple(sorted(moduli))
     weights = tuple(min(moduli[k] + share, 1.0) for k in support)
     return SimplexWeights(support, weights)
 
@@ -149,15 +139,18 @@ def sharpness_witness(n: int, weights, eps: float = 0.0) -> MonicPolynomial:
     ``weights`` may be a SimplexWeights (only valid for eps = 0) or a plain
     {index: lambda} mapping, since sums above 1 leave the weight simplex.
     """
-    n = _check_degree(n)
-    if not eps >= 0:  # NaN too, which no comparison below would catch
+    n = integer(n, "degree must be an integer, not")
+    if not 1 <= n <= sys.maxsize:  # the coefficient list is indexed by it
+        raise InvalidInputError(f"degree must be >= 1 and fit an index, not {describe(n)}")
+    if not (eps := real(eps, "eps must be nonnegative, not")) >= 0:  # NaN too
         raise InvalidInputError("eps must be nonnegative")
     table = weights.as_dict() if isinstance(weights, SimplexWeights) else dict(weights)
+    table = {integer(k, _INDICES): real(w, _WEIGHTS) for k, w in table.items()}
     if not table:
         raise InvalidInputError("weights must be non-empty")
-    if any(not 0 <= k < n for k in _numbers(table, "weight indices", Integral)):
+    if any(not 0 <= k < n for k in table):
         raise InvalidInputError("weight indices must lie in 0..n-1")
-    if any(w <= 0 for w in _numbers(table.values(), "weights")):
+    if any(w <= 0 for w in table.values()):
         raise InvalidInputError("weights must be positive")
     total = sum(table.values())
     if abs(total - (1.0 + eps)) > _SUM_SLACK:
@@ -195,7 +188,8 @@ def theorem3_check(
     variant b: as (a) with |b_k| <= C(n, k); then the weighted product passes.
     variant c: sum of max(|a_k|, |b_k|)^2 over the common support < 1; then
     both products pass.  None of the variants requires g itself to be stable,
-    and variant c does not even require f to be.
+    and variant c does not even require f to be.  Every variant refuses a
+    degree whose weighted product cannot be formed (``szego_weight``).
     """
     if f.degree != g.degree:
         raise InvalidInputError(f"degree mismatch: {f.degree} vs {g.degree}")
@@ -203,6 +197,8 @@ def theorem3_check(
         raise InvalidInputError(f"variant must be one of a, b, c, not {variant!r}")
     cid = _VARIANTS[variant]
     n = f.degree
+    if n > _MAX_SZEGO_DEGREE:
+        szego_weight(n)  # refuses it, before variant b's caps C(n, k) leave the float range
     common = sorted(set(f.support) & set(g.support))
 
     if variant in ("a", "b"):

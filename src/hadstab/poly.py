@@ -21,15 +21,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral, Number, Rational
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedInputError
+from .errors import InvalidInputError, UnsupportedDegreeError, UnsupportedInputError
+from .errors import describe, finite_complexes, integer, rational, real
 
 # Degree cap for the commensurate reduction; beyond this the common power base
 # is so fine that the integer-order polynomial is useless in practice.
@@ -39,49 +38,14 @@ MAX_COMMENSURATE_DEGREE = 10_000
 # branches cannot all be root-found in reasonable time.
 MAX_BRANCHES = 1 << 16
 
-
-def _digit_count(m: int) -> int:
-    """Decimal digits of a positive int, without printing it."""
-    d = int(math.log10(m)) + 1  # may be one off at a long m
-    return d - (10 ** (d - 1) > m) + (10**d <= m)
+_MAX_SZEGO_DEGREE = 1029  # C(1030, 515) is beyond the float range
 
 
-# Coefficient types that are numbers without asking the ``numbers`` ABCs,
-# whose ``isinstance`` costs 0.4-0.7 us a value.
-_PLAIN_COEFF_TYPES = {complex, float, int}
-
-
-def _finite_coeffs(values: Iterable) -> tuple[complex, ...]:
-    """``values`` as complex numbers, refused unless each is a number and
-    finite.  A number is a ``numbers.Number`` (numpy scalars, ``Fraction``
-    and ``Decimal`` included), not a bool (numpy's included) or text; a
-    plain complex, float or int is one without an ABC check, so a vector
-    of them is converted and checked by C loops alone.  An int beyond the
-    float range is not finite, nor is a complex whose modulus is."""
-    values = tuple(values)
-    if not {*map(type, values)} <= _PLAIN_COEFF_TYPES:
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, Number):
-                raise InvalidInputError(f"coefficients must be numbers, not {v!r}")
-    try:
-        cs = tuple(map(complex, values))
-        finite = all(map(math.isfinite, map(abs, cs)))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise InvalidInputError("coefficients must be finite")
-    return cs
-
-
-def _json_coeff(pair, name: str) -> complex:
-    """A JSON ``[re, im]`` pair as a finite complex; booleans are not numbers here."""
-    numbers = isinstance(pair, Sequence) and len(pair) == 2 and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair
-    )
-    if not numbers:
+def _json_pair(pair, name: str) -> complex:
+    """A JSON ``[re, im]`` pair of real numbers as a complex."""
+    if not isinstance(pair, Sequence) or len(pair) != 2:
         raise InvalidInputError(f"{name} must be an [re, im] pair")
-    re, im = _finite_coeffs(pair)
-    return complex(re.real, im.real)
+    return complex(*(real(x, f"{name} must be an [re, im] pair of real numbers, not") for x in pair))
 
 
 @dataclass(frozen=True)
@@ -90,14 +54,13 @@ class MonicPolynomial:
 
     ``coeffs`` holds exactly n entries ``(a_0, ..., a_{n-1})``; the leading
     coefficient 1 is implicit.  A coefficient belongs to the support iff it is
-    exactly zero in both parts; no epsilon is involved.  NaN and infinite
-    coefficients are rejected, and so are those whose modulus overflows.
+    exactly zero in both parts; no epsilon is involved.
     """
 
     coeffs: tuple[complex, ...]
 
     def __post_init__(self):
-        cs = _finite_coeffs(self.coeffs)
+        cs = finite_complexes(self.coeffs)
         if len(cs) < 1:
             raise InvalidInputError("monic polynomial needs degree >= 1")
         object.__setattr__(self, "coeffs", cs)
@@ -141,34 +104,10 @@ class MonicPolynomial:
             pairs = obj["coeffs"]
         except KeyError as exc:
             raise InvalidInputError(f"polynomial JSON missing key {exc}") from None
-        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-            raise InvalidInputError("degree must be a positive integer")
+        degree = integer(degree, "degree must be an integer, not")
         if not isinstance(pairs, Sequence) or len(pairs) != degree:
             raise InvalidInputError("coeffs must list exactly `degree` [re, im] pairs")
-        return cls(tuple(_json_coeff(pair, "each coefficient") for pair in pairs))
-
-
-def _check_degree(n) -> int:
-    """A degree n >= 1 as an int; a bool or a float is not an integer here."""
-    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, Integral)):
-        raise InvalidInputError(f"degree must be an integer, not {n!r}")
-    if n < 1:
-        raise InvalidInputError("degree must be >= 1")
-    return int(n)
-
-
-def _exponent(p) -> Fraction:
-    """A Hadamard exponent as a ``Fraction`` in lowest terms, with int parts:
-    an int or any ``numbers.Rational`` (numpy integers included), not a bool,
-    whose k/m is a float."""
-    if isinstance(p, bool) or not isinstance(p, Rational):
-        raise InvalidInputError(f"not a rational exponent: {p!r}")
-    q = Fraction(int(p.numerator), int(p.denominator))
-    try:
-        q.numerator / q.denominator  # the float power every member is built from
-    except OverflowError:
-        raise InvalidInputError("exponent overflows the floating-point range") from None
-    return q
+        return cls(tuple(_json_pair(pair, "each coefficient") for pair in pairs))
 
 
 @dataclass(frozen=True)
@@ -185,24 +124,20 @@ class BranchSet:
     MAX_BRANCHES members raise UnsupportedInputError, decided without forming
     the count (at m >= 2, 17 nonzero coefficients are too many), so ``len``
     always fits an index.  ``exponent`` is kept as the ``Fraction`` k/m in
-    lowest terms; an int or any ``numbers.Rational`` is accepted, and a
-    float, a bool or text raises InvalidInputError.
+    lowest terms.
     """
 
     base: MonicPolynomial
     exponent: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "exponent", _exponent(self.exponent))
-        m, s = self.exponent.denominator, len(self.base.support)
+        p = rational(self.exponent, "not a rational exponent:")
+        real(p, "exponent overflows the floating-point range:")  # every member's float k/m
+        object.__setattr__(self, "exponent", p)
+        m, s = p.denominator, len(self.base.support)
         if s and (m > MAX_BRANCHES or m ** min(s, MAX_BRANCHES.bit_length()) > MAX_BRANCHES):
-            # A long denominator goes by its digit count: Python refuses to
-            # print an int of more than 4,300 digits.
-            count = (
-                f"f^[{self.exponent}] has {m}^{s}"
-                if m < 10**20
-                else f"f^[p] with a {_digit_count(m)}-digit denominator m has m^{s}"
-            )
+            shown = describe(p)  # a long part goes by its digit count
+            count = f"f^[p] for p = {shown} has m^{s}" if shown.startswith("a ") else f"f^[{p}] has {m}^{s}"
             raise UnsupportedInputError(
                 f"{count} branches; at most {MAX_BRANCHES} are supported"
             )
@@ -300,9 +235,9 @@ def _polar_powers(f: MonicPolynomial, pairs: Sequence[tuple[float, float]]) -> n
 
     The first failing element, in pair order and then a_k order, raises
     InvalidInputError: ``|a|^p overflows ...`` where ``**`` overflows (found
-    by a second pass that marks them with ``_marked``; an int p of 20 digits
-    or more is named by its digit count, as ``BranchSet`` names a long
-    denominator), else ``coefficients must be finite``.
+    by a second pass that marks them with ``_marked``; a p with a part of
+    more than 20 digits is named by its digit count, ``errors.describe``),
+    else ``coefficients must be finite``.
     """
     polar = [(a, abs(a), math.atan2(a.imag, a.real)) for a in f.coeffs if a != 0]
     if not polar:  # no element, whatever the powers
@@ -327,9 +262,8 @@ def _polar_powers(f: MonicPolynomial, pairs: Sequence[tuple[float, float]]) -> n
         bad = ~np.isfinite(out) | (mag < 0)
         j, i = np.argwhere(bad.T)[0]  # pair j, then a_k at support position i
         if mag[i, j] < 0:
-            p = ps[j]
-            if isinstance(p, int) and abs(p) >= 10**20:  # Python prints no int of over 4,300 digits
-                p = f"p with a {_digit_count(abs(p))}-digit integer p"
+            p = describe(ps[j])  # a long part goes by its digit count
+            p = f"p with {p} p" if p.startswith("a ") else ps[j]
             raise InvalidInputError(f"|{polar[i][0]}|^{p} overflows the floating-point range")
         raise InvalidInputError("coefficients must be finite")
     return out
@@ -345,9 +279,16 @@ def hadamard_product(f: MonicPolynomial, g: MonicPolynomial) -> MonicPolynomial:
 
 
 def szego_weight(n: int) -> MonicPolynomial:
-    """Weight polynomial with coefficient 1/C(n,k) at s^k (implicit 1 at s^n)."""
-    n = _check_degree(n)
-    return MonicPolynomial(tuple(1.0 / math.comb(n, k) for k in range(n)))
+    """Weight polynomial with coefficient 1/C(n,k) at s^k (implicit 1 at s^n),
+    from C(n, k+1) = C(n, k) (n-k) / (k+1) in ints.  A degree above 1029
+    raises UnsupportedDegreeError before any weight is formed."""
+    n = integer(n, "degree must be an integer, not")
+    if n < 1:
+        raise InvalidInputError("degree must be >= 1")
+    if n > _MAX_SZEGO_DEGREE:
+        raise UnsupportedDegreeError(f"Szego weights need degree <= {_MAX_SZEGO_DEGREE}, got {describe(n)}")
+    binomials = itertools.accumulate(range(n - 1), lambda c, k: c * (n - k) // (k + 1), initial=1)
+    return MonicPolynomial(tuple(1.0 / c for c in binomials))
 
 
 def szego_product(f: MonicPolynomial, g: MonicPolynomial) -> MonicPolynomial:
@@ -359,9 +300,7 @@ def hadamard_power(f: MonicPolynomial, p) -> BranchSet:
     """All branches of the coefficient-wise power f^[p] for rational p:
     ``BranchSet(f, p)``, whose ``exponent`` is p as a ``Fraction``.
 
-    p is an int, a ``Fraction`` or any ``numbers.Rational``; a float, a bool
-    or text raises InvalidInputError.  For integer p the set is a singleton.
-    For p = k/m in lowest terms every nonzero coefficient has m admissible
+    For integer p the set is a singleton.  For p = k/m in lowest terms every nonzero coefficient has m admissible
     values, ``|a|^p (cos(p arg a + 2 pi l / m) + i sin(...))`` for
     l = 0..m-1, giving ``m ** |support|`` member polynomials, built lazily by
     the returned BranchSet.  p = 0 sends every nonzero coefficient to 1 and
@@ -390,6 +329,8 @@ def principal_rows(f: MonicPolynomial, ps: Sequence[float]) -> np.ndarray:
     has these bits by construction.  A power that overflows a coefficient, or
     makes one non-finite, raises InvalidInputError for the first such power.
     """
+    if not {*map(type, ps)} <= {float, int}:  # an int beyond the float range is named below
+        ps = [real(p, "powers must be real numbers, not") for p in ps]
     rows = np.zeros((len(ps), f.degree + 1), dtype=complex)
     rows[:, -1] = 1.0
     rows[:, list(f.support)] = _polar_powers(f, [(p, 0.0) for p in ps]).T
@@ -415,17 +356,6 @@ def real_form(f: MonicPolynomial) -> MonicPolynomial:
     return MonicPolynomial(tuple(complex(c.real, 0.0) for c in prod[:-1]))
 
 
-def _as_power(value) -> Fraction:
-    if isinstance(value, float):
-        raise InvalidInputError(
-            "fractional powers must be exact rationals, not floats"
-        )
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"not a rational power: {value!r}") from None
-
-
 @dataclass(frozen=True)
 class FractionalPolynomial:
     """s^{sigma_n} + a_{n-1} s^{sigma_{n-1}} + ... with rational powers.
@@ -433,8 +363,7 @@ class FractionalPolynomial:
     ``terms`` lists (power, coefficient) pairs with strictly decreasing
     powers; the first term is the leading one and must carry coefficient 1.
     All powers are positive except a possible constant term at power 0.
-    Powers are exact rationals; floats are rejected because tolerance-based
-    exponent matching is ill-posed.
+    Powers are exact rationals: tolerance-based exponent matching is ill-posed.
     """
 
     terms: tuple[tuple[Fraction, complex], ...]
@@ -442,16 +371,15 @@ class FractionalPolynomial:
     def __post_init__(self):
         if not self.terms:
             raise InvalidInputError("fractional polynomial needs at least the leading term")
-        powers = [_as_power(p) for p, _ in self.terms]
-        terms = tuple(zip(powers, _finite_coeffs(c for _, c in self.terms)))
+        powers = [rational(p, "not a rational power:") for p, _ in self.terms]
+        terms = tuple(zip(powers, finite_complexes(c for _, c in self.terms)))
         if any(p2 >= p1 for p1, p2 in zip(powers, powers[1:])):
             raise InvalidInputError("powers must be strictly decreasing")
         if powers[-1] < 0 or (len(powers) > 1 and powers[-2] <= 0):
             raise InvalidInputError("powers must be positive except a constant term")
         if powers[0] <= 0:
             raise InvalidInputError("leading power must be positive")
-        if powers[0] > sys.float_info.max:  # the base is reported as a float
-            raise InvalidInputError("leading power overflows the floating-point range")
+        real(powers[0], "leading power overflows the floating-point range:")  # the base is a float
         if terms[0][1] != 1:
             raise InvalidInputError("leading coefficient must be exactly 1")
         object.__setattr__(self, "terms", terms)
@@ -477,16 +405,11 @@ class FractionalPolynomial:
             if not isinstance(entry, Mapping) or "pow" not in entry:
                 raise InvalidInputError("each term needs a 'pow': [num, den]")
             pw = entry["pow"]
-            if (
-                not isinstance(pw, Sequence)
-                or len(pw) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in pw)
-                or pw[1] == 0
-            ):
+            if not isinstance(pw, Sequence) or len(pw) != 2 or pw[1] == 0:
                 raise InvalidInputError("'pow' must be a pair of integers, denominator nonzero")
-            power = Fraction(pw[0], pw[1])
+            power = Fraction(*(integer(x, "'pow' must be a pair of integers, not") for x in pw))
             if "coeff" in entry:
-                coeff = _json_coeff(entry["coeff"], "'coeff'")
+                coeff = _json_pair(entry["coeff"], "'coeff'")
             elif i == 0:
                 coeff = 1.0 + 0j
             else:

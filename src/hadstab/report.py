@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, describe, integer, real
 from .poly import MonicPolynomial, principal_rows
 from .roots import Status, check_degree, classify, find_root_rows
 from .thresholds import auto_onset, pstar_exact, pstar_grid
@@ -99,6 +99,7 @@ def sweep_powers(start: float, stop: float, step: float) -> list[float]:
     range of more than MAX_SWEEP_POWERS powers raise InvalidInputError
     before any list is built.
     """
+    start, stop, step = (real(x, "sweep bounds and step must be real numbers, not") for x in (start, stop, step))
     if not all(math.isfinite(x) for x in (start, stop, step)):
         raise InvalidInputError(
             f"sweep bounds and step must be finite, got {start}, {stop}, {step}"
@@ -238,8 +239,8 @@ def reproduce_example(example: int, out_dir: Path) -> dict:
     directory that cannot be created or written raises InvalidInputError
     (``write_artifacts``).
     """
-    if example not in EXPERIMENT_POLYS:
-        raise ValueError(f"unknown example {example!r}")
+    if integer(example, "unknown example") not in EXPERIMENT_POLYS:
+        raise InvalidInputError(f"unknown example {describe(example)}")
     out_dir = Path(out_dir)
     write_artifacts(out_dir, {})  # before the solve, so a bad directory fails fast
     f = EXPERIMENT_POLYS[example]["f"]

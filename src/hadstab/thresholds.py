@@ -40,7 +40,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -55,6 +54,9 @@ from .errors import (
     NotApplicableError,
     UnconvergedError,
     UnsupportedDegreeError,
+    describe,
+    integer,
+    real,
 )
 from .poly import MonicPolynomial, principal_power, principal_rows, real_form
 from .roots import Status, companion_matrix, row_statuses
@@ -76,6 +78,8 @@ _GUARDIAN_DEGREE_CAP = 12
 # held as one float64 array and partitioned through one int64 index array
 # (32 MiB each at the cap).
 MAX_GRID_RATIOS = 1 << 22
+# A NaN or infinite tolerance would end every bisection before its first step.
+_TOL = "tol must be positive and finite, not"
 
 
 class Kind(str, Enum):
@@ -126,24 +130,6 @@ class KStarResult(NamedTuple):
     unstable_for: HalfLine
 
 
-def _check_tol(tol: float) -> None:
-    # Written so that NaN fails too: a NaN or infinite tolerance would end
-    # every bisection before its first step.  A bool is not a tolerance.
-    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-    if not (real and math.isfinite(tol) and tol > 0):
-        raise InvalidInputError(f"tol must be positive and finite, got {tol}")
-
-
-def _check_interval(search_interval: tuple[float, float]) -> tuple[float, float]:
-    """The bounds of a search interval, which must be finite and nonempty."""
-    lo, hi = float(search_interval[0]), float(search_interval[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InvalidInputError(f"search interval [{lo}, {hi}] must be finite")
-    if not lo < hi:
-        raise InvalidInputError(f"empty search interval [{lo}, {hi}]")
-    return lo, hi
-
-
 def _sign(name: str, value: str, plus: str, minus: str) -> float:
     """+1.0 for ``plus`` and -1.0 for ``minus``: the orientation q = sign * p
     in which a search sees Unstable powers below Stable ones."""
@@ -151,7 +137,7 @@ def _sign(name: str, value: str, plus: str, minus: str) -> float:
         return 1.0
     if value == minus:
         return -1.0
-    raise InvalidInputError(f"{name} must be {plus!r} or {minus!r}, not {value!r}")
+    raise InvalidInputError(f"{name} must be {plus!r} or {minus!r}, not {describe(value)}")
 
 
 def _sufficient_kind(sign: float) -> Kind:
@@ -208,7 +194,7 @@ def _lattice_optimum(moduli: list[float], sign: float, resolution: int) -> float
         raise InvalidInputError(f"grid_n must be at least max(2, |support|) = {max(2, d)}")
     if d * R > MAX_GRID_RATIOS:
         raise InvalidInputError(
-            f"grid_n = {R} over {d} support indices needs {d * R} ratios; "
+            f"grid_n = {describe(R)} over {d} support indices needs {describe(d * R)} ratios; "
             f"at most {MAX_GRID_RATIOS} are supported"
         )
     logs = np.log(np.array(moduli))
@@ -233,9 +219,7 @@ def pstar_grid(f: MonicPolynomial, mode: str, grid_n: int) -> ThresholdResult:
     before any array is built.
     """
     sign = _sign("mode", mode, "max", "min")
-    if isinstance(grid_n, bool) or not isinstance(grid_n, numbers.Integral):
-        raise InvalidInputError(f"grid_n must be an integer, not {grid_n!r}")
-    grid_n = int(grid_n)
+    grid_n = integer(grid_n, "grid_n must be an integer, not")
     if not f.support:
         return _vacuous(sign, Method.GRID_SEARCH, grid_n)
     value = _lattice_optimum(_theorem1_moduli(f, sign), sign, grid_n)
@@ -262,7 +246,8 @@ def pstar_exact(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRe
     underflows to 0.  The value and the sorted bracket are mapped back to p.
     """
     sign = _sign("mode", mode, "max", "min")
-    _check_tol(tol)
+    if not 0 < (tol := real(tol, _TOL)) < math.inf:  # NaN too
+        raise InvalidInputError(f"{_TOL} {tol}")
     if not f.support:
         return _vacuous(sign, Method.EQUATION_SOLVE)
     moduli = _theorem1_moduli(f, sign)
@@ -377,8 +362,13 @@ def exact_onset(
     MarginalZoneError is raised.  Where the maximum modulus crosses 1 more
     than once, the result is one of the crossings.
     """
-    _check_tol(tol)
-    lo, hi = _check_interval(search_interval)
+    if not 0 < (tol := real(tol, _TOL)) < math.inf:  # NaN too
+        raise InvalidInputError(f"{_TOL} {tol}")
+    lo, hi = (real(search_interval[i], "search interval ends must be real numbers, not") for i in (0, 1))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidInputError(f"search interval [{lo}, {hi}] must be finite")
+    if not lo < hi:
+        raise InvalidInputError(f"empty search interval [{lo}, {hi}]")
     sign = _sign("direction", direction, "increasing", "decreasing")
     need = (Status.UNSTABLE, Status.STABLE)[:: int(sign)]  # at (lo, hi)
     status = _statuses(f, 1.0, [lo, hi])
@@ -548,7 +538,8 @@ def auto_onset(f: MonicPolynomial, mode: str, tol: float = 1e-6) -> ThresholdRes
     certified.
     """
     sign = _sign("mode", mode, "max", "min")
-    _check_tol(tol)
+    if not 0 < (tol := real(tol, _TOL)) < math.inf:  # NaN too
+        raise InvalidInputError(f"{_TOL} {tol}")
     try:
         bracket = pstar_exact(f, mode).bracket
     except NotApplicableError:
@@ -632,7 +623,7 @@ def guardian_map(f: MonicPolynomial, p: float) -> float:
     sign at simple crossings: a conjugate pair contributes the single factor
     |z|^2 - 1, a real root the factor r(1) or r(-1).
     """
-    g = principal_power(f, float(p))
+    g = principal_power(f, real(p, "powers must be real numbers, not"))
     r = g if g.is_real else real_form(g)
     if r.degree > _GUARDIAN_DEGREE_CAP:
         raise UnsupportedDegreeError(

@@ -456,6 +456,18 @@ class TestPower:
 
 
 class TestProduct:
+    def test_szego_beyond_the_float_range(self, capsys, tmp_path):
+        """At degree 1030 the Szego weights leave the float range: an input
+        error naming the degree (exit 2), not an OverflowError traceback;
+        without --szego, root finding refuses the degree as before."""
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"degree": 1030, "coeffs": [[0.0005, 0]] * 1030}))
+        argv = ["product", "--f", str(path), "--g", str(path)]
+        assert main(argv + ["--szego"]) == 2
+        assert capsys.readouterr() == ("", "error: Szego weights need degree <= 1029, got 1030\n")
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: root finding needs degree <= 1024, got 1030\n")
+
     def test_hadamard(self, capsys, files):
         code, out = run(capsys, "product", "--f", files["f1"], "--g", files["g1"])
         assert code == 0

@@ -2,6 +2,7 @@ import abc
 import enum
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,16 +11,22 @@ from hypothesis import strategies as st
 
 from conftest import random_monic
 from hadstab import (
+    BranchSet,
     CriterionId,
     CriterionOutcome,
     InvalidInputError,
     MonicPolynomial,
     SimplexWeights,
     Status,
+    auto_onset,
     find_roots,
     hadamard_product,
     is_schur_stable,
     necessary_condition,
+    principal_rows,
+    pstar_exact,
+    pstar_grid,
+    report,
     satisfies_stability_condition,
     sharpness_witness,
     stabilizing_partner,
@@ -405,6 +412,22 @@ class TestNoAbcCheckOnPlainNumbers:
             "synthesize_witness": lambda: synthesize_witness(f.coefficient_moduli()),
             "theorem3_check": lambda: theorem3_check(f, g, "a"),
             "szego_product": lambda: szego_product(f, g),
+        }
+        counts = {name: self._abc_checks(monkeypatch, call) for name, call in calls.items()}
+        assert counts == dict.fromkeys(calls, 0)
+
+    def test_plain_powers_and_thresholds(self, monkeypatch):
+        """The power and threshold checks on the experiments and branch-sets
+        paths: float powers, float tolerances, an int grid and a
+        ``Fraction`` exponent."""
+        powers = [float(p) for p in range(1, 101)]
+        calls = {
+            "principal_rows": lambda: principal_rows(F1, powers),
+            "report.sweep": lambda: report.sweep(F1, powers),
+            "pstar_exact": lambda: pstar_exact(F1, "max", 1e-6),
+            "auto_onset": lambda: auto_onset(F1, "max", 1e-6),
+            "pstar_grid": lambda: pstar_grid(F1, "max", 1000),
+            "BranchSet": lambda: BranchSet(F1, Fraction(27, 8)),
         }
         counts = {name: self._abc_checks(monkeypatch, call) for name, call in calls.items()}
         assert counts == dict.fromkeys(calls, 0)

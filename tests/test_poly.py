@@ -16,6 +16,7 @@ from hadstab import (
     FractionalPolynomial,
     InvalidInputError,
     MonicPolynomial,
+    UnsupportedDegreeError,
     UnsupportedInputError,
     find_roots,
     hadamard_power,
@@ -26,6 +27,7 @@ from hadstab import (
     szego_product,
     szego_weight,
     poly,
+    theorem3_check,
     to_integer_order,
 )
 from hadstab.cli import _parse_exponent as parse_exponent
@@ -149,7 +151,7 @@ class TestMonicPolynomial:
 
 class TestRationalExponent:
     """A Hadamard exponent is a ``Fraction`` in lowest terms with int parts:
-    ``BranchSet`` checks a library one with ``poly._exponent``, and the CLI
+    ``BranchSet`` checks a library one with ``_coerce.rational``, and the CLI
     reads ``K/M`` text into one with ``cli._parse_exponent``."""
 
     def test_lowest_terms(self):
@@ -192,7 +194,7 @@ class TestRationalExponent:
     def test_numpy_integer_parts(self):
         """A Fraction of numpy integers keeps them as its parts; the
         exponent's parts are ints."""
-        p = poly._exponent(Fraction(np.int64(6), np.int64(4)))
+        p = hadamard_power(F1, Fraction(np.int64(6), np.int64(4))).exponent
         got = (p, str(p), type(p.numerator), type(p.denominator))
         assert got == (Fraction(3, 2), "3/2", int, int)
         assert type(hadamard_power(F1, np.int64(2)).exponent.numerator) is int
@@ -201,12 +203,13 @@ class TestRationalExponent:
         """A k/m beyond the float range is refused when the exponent is
         checked, so the float power never raises OverflowError; a huge
         numerator and denominator with a representable ratio are kept."""
+        unbranched = MonicPolynomial((0j,))  # no support: no branch count
         for p in [Fraction(10**400), Fraction(-(10**400), 3)]:
             with pytest.raises(InvalidInputError, match="overflows"):
-                poly._exponent(p)
+                poly.BranchSet(unbranched, p)
         with pytest.raises(InvalidInputError, match="overflows"):
             parse_exponent("1" + "0" * 400)
-        p = poly._exponent(Fraction(10**400 + 1, 10**400))
+        p = poly.BranchSet(unbranched, Fraction(10**400 + 1, 10**400)).exponent
         assert p.numerator / p.denominator == 1.0
         p = parse_exponent("1/1" + "0" * 500)
         assert p.numerator / p.denominator == 0.0
@@ -282,6 +285,29 @@ class TestSzego:
         f = MonicPolynomial((1.0, 1.0))
         g = MonicPolynomial((2.0, 2.0))
         approx_coeffs(szego_product(f, g), [2.0, 1.0])
+
+    @pytest.mark.parametrize("n", [1, 2, 57, 160, 1029])
+    def test_weight_bits(self, n):
+        """The binomials from their recurrence are exact, so every weight
+        has the bits of ``1.0 / math.comb(n, k)``."""
+        assert szego_weight(n).coeffs == tuple(complex(1.0 / math.comb(n, k)) for k in range(n))
+
+    def test_degree_beyond_the_float_range(self):
+        """C(1030, 515) is beyond the float range: degree 1029 is the last
+        whose weights are all formed, and 1030 is refused by name, before
+        any weight, wherever the weighted product is needed; this was a raw
+        OverflowError."""
+        f, g = (MonicPolynomial((0.0005,) * n) for n in (1029, 1030))
+        assert len(szego_product(f, f).coeffs) == 1029
+        assert all(theorem3_check(f, f, v).satisfied for v in "abc")
+        text = "Szego weights need degree <= 1029, got 1030"
+        calls = [lambda: szego_weight(1030), lambda: szego_product(g, g)]
+        calls += [lambda v=v: theorem3_check(g, g, v) for v in "abc"]
+        for call in calls:
+            with pytest.raises(UnsupportedDegreeError, match=text):
+                call()
+        with pytest.raises(UnsupportedDegreeError, match=r"got a 5001-digit integer"):
+            szego_weight(10**5000)
 
     @given(
         st.lists(finite_complex, min_size=2, max_size=6),
