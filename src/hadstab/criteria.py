@@ -144,7 +144,10 @@ def sharpness_witness(n: int, weights, eps: float = 0.0) -> MonicPolynomial:
         raise InvalidInputError(f"degree must be >= 1 and fit an index, not {describe(n)}")
     if not (eps := real(eps, "eps must be nonnegative, not")) >= 0:  # NaN too
         raise InvalidInputError("eps must be nonnegative")
-    table = weights.as_dict() if isinstance(weights, SimplexWeights) else dict(weights)
+    try:
+        table = weights.as_dict() if isinstance(weights, SimplexWeights) else dict(weights)
+    except (TypeError, ValueError):  # not a mapping, nor a sequence of pairs
+        raise InvalidInputError(f"weights must be a mapping of index to weight, not {describe(weights)}") from None
     table = {integer(k, _INDICES): real(w, _WEIGHTS) for k, w in table.items()}
     if not table:
         raise InvalidInputError("weights must be non-empty")
@@ -193,8 +196,8 @@ def theorem3_check(
     """
     if f.degree != g.degree:
         raise InvalidInputError(f"degree mismatch: {f.degree} vs {g.degree}")
-    if variant not in _VARIANTS:
-        raise InvalidInputError(f"variant must be one of a, b, c, not {variant!r}")
+    if not isinstance(variant, str) or variant not in _VARIANTS:
+        raise InvalidInputError(f"variant must be one of a, b, c, not {describe(variant)}")
     cid = _VARIANTS[variant]
     n = f.degree
     if n > _MAX_SZEGO_DEGREE:

@@ -129,6 +129,20 @@ def rational(v, what: str) -> Fraction:
     return _number(v, what, Rational, lambda q: Fraction(int(q.numerator), int(q.denominator)))
 
 
+def reals(values, what: str) -> list:
+    """``values`` as a list of powers: plain floats and ints as they are (an
+    int beyond the float range is left for the caller to name), and any other
+    value as ``real`` converts it, so that the list sorts.  "``what`` must be
+    a sequence of real numbers" refuses a ``values`` that is not iterable."""
+    try:
+        values = list(values)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be a sequence of real numbers, not {describe(values)}") from None
+    if not {*map(type, values)} <= {float, int}:
+        values = [real(v, f"{what} must be real numbers, not") for v in values]
+    return values
+
+
 def finite_complexes(values: Iterable) -> tuple[complex, ...]:
     """``values`` as complex numbers: "coefficients must be numbers, not ..."
     names the first that is not one, and "coefficients must be finite"

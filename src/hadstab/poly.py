@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedDegreeError, UnsupportedInputError
-from .errors import describe, finite_complexes, integer, rational, real
+from .errors import describe, finite_complexes, integer, rational, real, reals
 
 # Degree cap for the commensurate reduction; beyond this the common power base
 # is so fine that the integer-order polynomial is useless in practice.
@@ -329,8 +329,7 @@ def principal_rows(f: MonicPolynomial, ps: Sequence[float]) -> np.ndarray:
     has these bits by construction.  A power that overflows a coefficient, or
     makes one non-finite, raises InvalidInputError for the first such power.
     """
-    if not {*map(type, ps)} <= {float, int}:  # an int beyond the float range is named below
-        ps = [real(p, "powers must be real numbers, not") for p in ps]
+    ps = reals(ps, "powers")  # an int beyond the float range is named below
     rows = np.zeros((len(ps), f.degree + 1), dtype=complex)
     rows[:, -1] = 1.0
     rows[:, list(f.support)] = _polar_powers(f, [(p, 0.0) for p in ps]).T

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import InvalidInputError, describe, integer, real
+from .errors import InvalidInputError, describe, integer, real, reals
 from .poly import MonicPolynomial, principal_rows
 from .roots import Status, check_degree, classify, find_root_rows
 from .thresholds import auto_onset, pstar_exact, pstar_grid
@@ -126,10 +126,11 @@ def sweep(f: MonicPolynomial, powers: Sequence[float]) -> list[SweepRecord]:
     ``find_roots`` would have returned them.  An UnconvergedError's ``row``
     is the power's position in sorted order; a degree above
     ``MAX_ROOT_DEGREE`` raises UnsupportedDegreeError before any row is
-    built.
+    built.  The powers are checked by ``principal_rows``' rule before they
+    are sorted, so a value that does not compare is refused by name.
     """
     check_degree(f.degree)
-    ps = sorted(powers)
+    ps = sorted(reals(powers, "powers"))
     z, _, _, worst = find_root_rows(principal_rows(f, ps))
     return [
         SweepRecord(p, classify(m) is Status.STABLE, m, tuple(zs))

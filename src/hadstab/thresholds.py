@@ -364,7 +364,11 @@ def exact_onset(
     """
     if not 0 < (tol := real(tol, _TOL)) < math.inf:  # NaN too
         raise InvalidInputError(f"{_TOL} {tol}")
-    lo, hi = (real(search_interval[i], "search interval ends must be real numbers, not") for i in (0, 1))
+    try:
+        lo, hi = search_interval
+    except (TypeError, ValueError):  # not an iterable of two
+        raise InvalidInputError(f"search interval must be a pair, not {describe(search_interval)}") from None
+    lo, hi = (real(x, "search interval ends must be real numbers, not") for x in (lo, hi))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidInputError(f"search interval [{lo}, {hi}] must be finite")
     if not lo < hi:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from hadstab import HadstabError, MonicPolynomial, criteria, poly, report, thresholds
+from hadstab import HadstabError, InvalidInputError, MonicPolynomial, criteria, poly, report, thresholds
 
 F1 = MonicPolynomial((0.7, 0.2, 0.9, 0.0, 0.0))
 PAIRS = [[0.7, 0], [0.2, 0], [0.9, 0], [0, 0], [0, 0]]
@@ -65,22 +65,44 @@ PARAMETERS = {
     "principal_power p": lambda v: poly.principal_power(F1, v),
     "principal_rows p": lambda v: poly.principal_rows(F1, [v]),
     "report.sweep p": lambda v: report.sweep(F1, [v]),
+    "report.sweep first of two p": lambda v: report.sweep(F1, [v, 1.0]),
+    "principal_rows powers": lambda v: poly.principal_rows(F1, v),
     "hadamard_power p": lambda v: poly.hadamard_power(F1, v),
     "FractionalPolynomial power": lambda v: poly.FractionalPolynomial(((v, 1.0), (Fraction(0), 0.7))),
     "sweep_powers stop": lambda v: report.sweep_powers(1.0, v, 1.0),
     "szego_weight n": lambda v: poly.szego_weight(v),
     "sharpness_witness n": lambda v: criteria.sharpness_witness(v, {0: 1.0}),
     "sharpness_witness weight": lambda v: criteria.sharpness_witness(3, {0: v}),
+    "sharpness_witness weights": lambda v: criteria.sharpness_witness(3, v),
+    "theorem3_check variant": lambda v: criteria.theorem3_check(F1, F1, v),
     "sharpness_witness eps": lambda v: criteria.sharpness_witness(3, {0: 1.0}, v),
     "pstar_exact tol": lambda v: thresholds.pstar_exact(F1, "max", v),
     "auto_onset tol": lambda v: thresholds.auto_onset(F1, "max", v),
     "pstar_exact mode": lambda v: thresholds.pstar_exact(F1, v),
     "pstar_grid grid_n": lambda v: thresholds.pstar_grid(F1, "max", v),
     "exact_onset interval end": lambda v: thresholds.exact_onset(F1, "increasing", (3.0, v)),
+    "exact_onset interval": lambda v: thresholds.exact_onset(F1, "increasing", v),
     "SimplexWeights index": lambda v: criteria.SimplexWeights((v,), (0.5,)),
     "SimplexWeights weight": lambda v: criteria.SimplexWeights((0,), (v,)),
     "synthesize_witness modulus": lambda v: criteria.synthesize_witness({0: v}),
 }
+
+
+# Calls that once escaped as a raw TypeError: values that do not compare, and
+# containers of the wrong shape.
+REFUSED = {
+    "report.sweep(F1, [None, 1.0])": lambda: report.sweep(F1, [None, 1.0]),
+    "theorem3_check(F1, F1, [])": lambda: criteria.theorem3_check(F1, F1, []),
+    "sharpness_witness(3, [1.0])": lambda: criteria.sharpness_witness(3, [1.0]),
+    "exact_onset(F1, 'increasing', 5)": lambda: thresholds.exact_onset(F1, "increasing", 5),
+    "principal_rows(F1, 5)": lambda: poly.principal_rows(F1, 5),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_wrong_shapes_are_refused(name):
+    with pytest.raises(InvalidInputError):
+        REFUSED[name]()
 
 
 def _index_sized(v) -> bool:
