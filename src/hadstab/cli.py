@@ -48,6 +48,18 @@ from .roots import (
 from .thresholds import auto_onset, pstar_exact, pstar_grid
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer literal, or a ValueError naming its length where it has
+    more digits than the interpreter converts (4,300 by default)."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("-"))
+        raise ValueError(
+            f"an integer literal of {digits} digits; at most {sys.get_int_max_str_digits()} are read"
+        ) from None
+
+
 def _load_poly(path: str) -> tuple[MonicPolynomial, float | None]:
     """Read a polynomial file; fractional inputs are reduced to integer order.
 
@@ -59,8 +71,8 @@ def _load_poly(path: str) -> tuple[MonicPolynomial, float | None]:
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     try:
-        obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int of over 4,300 digits
+        obj = json.loads(text, parse_int=_json_int)
+    except ValueError as exc:  # JSONDecodeError, or _json_int's refusal
         raise InvalidInputError(f"{path}: malformed JSON ({exc})") from exc
     if isinstance(obj, dict) and "terms" in obj:
         alpha, poly = to_integer_order(FractionalPolynomial.from_json(obj))

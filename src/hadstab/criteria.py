@@ -11,13 +11,13 @@ and O(n) and the returned witness is auditable.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .errors import InvalidInputError, describe, integer, real
-from .poly import _MAX_SZEGO_DEGREE, MonicPolynomial, hadamard_product, szego_product, szego_weight
+from .errors import InvalidInputError, UnsupportedDegreeError, describe, integer, real
+from .poly import _MAX_SZEGO_DEGREE, MAX_COMMENSURATE_DEGREE, MonicPolynomial
+from .poly import hadamard_product, szego_product, szego_weight
 
 # Float slack on simplex membership checks; witnesses are built to sum to 1.
 _SUM_SLACK = 1e-12
@@ -138,10 +138,17 @@ def sharpness_witness(n: int, weights, eps: float = 0.0) -> MonicPolynomial:
 
     ``weights`` may be a SimplexWeights (only valid for eps = 0) or a plain
     {index: lambda} mapping, since sums above 1 leave the weight simplex.
+    A degree above ``MAX_COMMENSURATE_DEGREE``, the largest that any other
+    entry point builds a coefficient list of, raises UnsupportedDegreeError
+    before the list is built.
     """
     n = integer(n, "degree must be an integer, not")
-    if not 1 <= n <= sys.maxsize:  # the coefficient list is indexed by it
-        raise InvalidInputError(f"degree must be >= 1 and fit an index, not {describe(n)}")
+    if n < 1:
+        raise InvalidInputError(f"degree must be >= 1, not {describe(n)}")
+    if n > MAX_COMMENSURATE_DEGREE:  # the coefficient list has n entries
+        raise UnsupportedDegreeError(
+            f"a witness needs degree <= {MAX_COMMENSURATE_DEGREE}, got {describe(n)}"
+        )
     if not (eps := real(eps, "eps must be nonnegative, not")) >= 0:  # NaN too
         raise InvalidInputError("eps must be nonnegative")
     try:

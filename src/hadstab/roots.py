@@ -2,17 +2,21 @@
 
 Each polynomial is solved by one root candidate, and by the other only where
 the first fails to certify.  Up to degree 21 the first is companion-matrix
-eigenvalues refined by a few Newton steps, the cheaper one for a single
-polynomial there (Edelman & Murakami 1995); above it, Ehrlich-Aberth
-simultaneous iteration, started from the Newton polygon of the coefficient
-moduli: each edge of the upper convex hull of (k, log|a_k|) puts as many
-points as it is long on a circle of its own radius, near the root moduli
-(Bini 1996).  Roots certify when every per-root residual is within
-tolerance or, checked only for the rows whose residuals fall short, when
-they reconstruct the monic polynomial's coefficients; an iteration that did
-not settle never certifies.  Residuals are scaled backward errors, so
-clusters of near-multiple roots degrade per-root accuracy without breaking
-the certificate.
+eigenvalues refined by a few Newton steps (Edelman & Murakami 1995); above
+it, Ehrlich-Aberth simultaneous iteration, started from the Newton polygon
+of the coefficient moduli: each edge of the upper convex hull of
+(k, log|a_k|) puts as many points as it is long on a circle of its own
+radius, near the root moduli (Bini 1996), and an edge k1 -> k2 of two or
+more points puts them at the angles of the roots of its two-term truncation
+a_k2 z^k2 + a_k1 z^k1, which about halves the sweeps that uniform angles
+took.  (The cut was the single-row crossover for uniform angles; from the
+binomial start the crossover lies lower, see ``_EIGVALS_MAX_DEGREE``.)
+Roots certify when every per-root residual is within tolerance or, checked
+only for the rows whose residuals fall short, when they reconstruct the
+monic polynomial's coefficients; an iteration that did not settle never
+certifies.  Residuals are scaled backward errors, so clusters of
+near-multiple roots degrade per-root accuracy without breaking the
+certificate.
 
 Aberth sweeps only the roots still moving (Bini & Fiorentino, Numer.
 Algorithms 23, 2000).  A root is frozen for good once its own step passes
@@ -100,15 +104,17 @@ BOUNDARY_BAND = 1e-9
 # O(n^3).
 MAX_ROOT_DEGREE = 1024
 # Eigenvalues first up to this degree, Aberth first above: the single-row
-# crossover.  Eigenvalues-first over Aberth-first time, per-row minima over
-# the benchmark's known-roots rows (``bench/inputs.scan_input``), is 0.8 at
-# n = 16-18, 0.9 at 20, 1.0-1.06 at 21 (a tie, left to the eigenvalues),
-# 1.0-1.2 at 22-24, 1.1-1.25 at 26 and 1.3-1.7 at 28-32.  Batches of
-# ``chunk_rows(n)`` rows favour the eigenvalues longer: 0.8-1.0 at
-# n = 22-23, 0.95-1.15 at 24-26, 1.2-1.3 at 28, 1.6-1.7 at 32.  Rows that
-# Aberth stops at rounding level (repeated roots, most rows of roots uniform
-# in a disc) take about twice as long above the cap: 17 sweeps, then the
-# eigenvalues.
+# crossover of Aberth started at uniform angles.  From the binomial start, the
+# crossover lies lower.  Eigenvalues-first over Aberth-first time (per-row
+# minima of 7 runs on 24 of the benchmark's known-roots rows per degree,
+# ``bench/inputs.scan_input``; quartiles over the rows) is 0.81-0.94 at
+# n = 13, 0.91-1.08 at 15, 1.04-1.19 at 16, 1.24-1.48 at 20, 1.30-1.55 at
+# 21, 1.40-1.65 at 22 and 2.25-2.74 at 32.  Batches of ``chunk_rows(n)`` rows
+# favour the eigenvalues longer: 0.76 at n = 15, 0.89 at 16, 1.03 at 18 and
+# 1.32 at 21.  The cut stays at 21, since moving it changes rows' bits.  Rows
+# that Aberth stops at rounding level (repeated roots, most rows of roots
+# uniform in a disc) take about twice as long above the cap: 17 sweeps, then
+# the eigenvalues.
 _EIGVALS_MAX_DEGREE = 21
 # Largest degree whose statuses the Schur-Cohn recursion decides; rows above
 # it go to the root finder.  Its error bound compounds with every step: of
@@ -119,10 +125,10 @@ _SCHUR_COHN_MAX_DEGREE = 32
 
 _MAX_SWEEPS = 200
 # Aberth's rounding-level stop runs from this sweep on, counting from 0.
-# Most rows settle by their step test before it (12 of the 596 Aberth calls
-# over the verdict-scan benchmark's seeds 3 and 5, passes 0-13, reach it,
-# and all of those settle by 34 sweeps), and the test costs a second product
-# over the power table.
+# Rows that settle do so by their step test well before it (none of the 756
+# Aberth calls over the verdict-scan benchmark's seeds 3 and 5, passes 0-13,
+# reaches it, and no row there takes more than 11 sweeps), and the test costs
+# a second product over the power table.
 _ROUNDING_SWEEP = 16
 _RECONSTRUCTION_TOL = 1e-8
 # Radius of the circle for roots at the origin, relative to the smallest
@@ -299,19 +305,42 @@ def _newton_polygon(logs: list[float]) -> list[tuple[int, int, float]]:
     return circles
 
 
+def _binomial_phase(low: complex, high: complex) -> float:
+    """The argument theta of -a_k1 / a_k2, as arg a_k1 - arg a_k2 + pi: the
+    roots of a_k2 z^k2 + a_k1 z^k1 off the origin are at the angles
+    (theta + 2 pi j) / (k2 - k1).  The difference takes no quotient, so it
+    cannot overflow; ``math.atan2``, unlike ``cmath.phase``, returns an
+    angle that underflows instead of raising."""
+    return math.atan2(low.imag, low.real) - math.atan2(high.imag, high.real) + math.pi
+
+
 def _start(asc: np.ndarray) -> np.ndarray:
-    """Aberth starting points for every row: Newton-polygon circles, each
-    turned by its own offset so that no two circles line up."""
+    """Aberth starting points for every row, on its Newton-polygon circles.
+
+    An edge k1 -> k2 of two or more points puts them at the roots of its
+    two-term truncation a_k2 z^k2 + a_k1 z^k1 off the origin, on the edge's
+    circle.  A one-point edge and the circle of roots at the origin space
+    their points at uniform angles from an offset of their own, so that no
+    two circles line up.  Every point is then turned by 0.5 / n.
+    """
     k, n = asc.shape[0], asc.shape[1] - 1
     with np.errstate(divide="ignore"):  # log 0 = -inf marks a zero coefficient
         logs = np.log(np.abs(asc)).tolist()
-    circles = [c for row in logs for c in _newton_polygon(row)]
-    # One row per point: its circle's first index, point count and radius.
-    first, size, radius = np.repeat(circles, [c[1] for c in circles], axis=0).T
+    # Each circle with the phase of its binomial, NaN where its points are
+    # spaced uniformly (a one-point edge, or the origin's circle: a_0 = 0).
+    circles = [
+        (k1, d, radius, _binomial_phase(row[k1], row[k1 + d]) if d > 1 and row[k1] else math.nan)
+        for y, row in zip(logs, asc.tolist())
+        for k1, d, radius in _newton_polygon(y)
+    ]
+    # One row per point: its circle's first index, point count, radius, phase.
+    first, size, radius, theta = np.repeat(circles, [c[1] for c in circles], axis=0).T
     j = np.arange(k * n) % n - first  # position on the point's circle
     # The 0.375 offset breaks conjugate symmetry so real-coefficient inputs do
     # not lock the iteration onto the real axis.
-    angles = 2.0 * np.pi * ((j + 0.375) / size + first / n) + 0.5 / n
+    uniform = 2.0 * np.pi * ((j + 0.375) / size + first / n) + 0.5 / n
+    binomial = (theta + 2.0 * np.pi * j) / size + 0.5 / n
+    angles = np.where(np.isnan(theta), uniform, binomial)
     return (radius * np.exp(1j * angles)).reshape(k, n)
 
 

@@ -53,22 +53,14 @@ class Length(NamedTuple):
         return len(got) == self.n
 
 
-class Contains(NamedTuple):
-    """A text holding ``text``."""
-
-    text: str
-
-    def __call__(self, got) -> bool:
-        return self.text in got
-
-
 @dataclass(frozen=True)
 class Case:
     """``hadstab`` run on ``argv`` (split on spaces) after ``files`` are
     written.  ``out`` maps a dotted path into the stdout JSON to its value or
     matcher; with no ``out``, stdout must be empty.  ``err`` is the whole
-    stderr, or a matcher of it.  ``writes`` names the files, relative to
-    ``{tmp}``, that the command must leave."""
+    stderr, with ``{tmp}`` standing for the directory, or a matcher of it.
+    ``writes`` names the files, relative to ``{tmp}``, that the command must
+    leave."""
 
     id: str
     argv: str
@@ -94,11 +86,12 @@ def check(case: Case, run: Callable[[list[str]], tuple[int, str, str]], tmp) -> 
     for name, text in case.files.items():
         (tmp / name).write_text(text)
     code, out, err = run([a.replace("{tmp}", str(tmp)) for a in case.argv.split()])
+    want_err = case.err.replace("{tmp}", str(tmp)) if isinstance(case.err, str) else case.err
     problems = []
     if code != case.code:
         problems.append(f"exit {code}, expected {case.code}")
-    if not _matches(err, case.err):
-        problems.append(f"stderr is not {case.err!r}")
+    if not _matches(err, want_err):
+        problems.append(f"stderr is not {want_err!r}")
     if case.out is None:
         if out:
             problems.append("stdout is not empty")
@@ -293,7 +286,8 @@ CASES = [
     Case(
         "analyze-5000-digit-degree", "analyze --poly {tmp}/bigdeg.json",
         {"bigdeg.json": '{"degree": 1' + "0" * 5000 + ', "coeffs": [[0.5, 0]]}'},
-        code=2, err=Contains("bigdeg.json: malformed JSON (Exceeds the limit (4300"),
+        code=2,
+        err="error: {tmp}/bigdeg.json: malformed JSON (an integer literal of 5001 digits; at most 4300 are read)\n",
     ),
     # Both parts are finite, but |a_0| overflows a float.
     Case(

@@ -93,14 +93,22 @@ def _seed_find_roots(f, horner=_seed_horner, values=_seed_values):
 
     def start():
         # Newton polygon by gift wrapping: from each vertex, the next one ends
-        # the steepest chord (the farthest on ties).  Edge k1 -> k2 gives
-        # k2 - k1 points on a circle turned by 2 pi k1 / n; roots at the
-        # origin go on half the first edge's radius.
+        # the steepest chord (the farthest on ties).  Edge k1 -> k2 of two or
+        # more points puts them at the roots of a_k2 z^k2 + a_k1 z^k1 on its
+        # circle; a one-point edge puts its point at a uniform angle turned by
+        # 2 pi k1 / n, and roots at the origin go at uniform angles on half
+        # the first edge's radius.  Every point is turned by 0.5 / n.
         z = np.empty(n, dtype=complex)
 
-        def circle(k1, count, radius):
-            phase = (np.arange(count) + 0.375) / count + k1 / n
-            z[k1 : k1 + count] = radius * np.exp(1j * (2.0 * np.pi * phase + 0.5 / n))
+        def circle(k1, count, radius, binomial=False):
+            j = np.arange(count)
+            if binomial and count > 1:
+                low, high = asc[k1], asc[k1 + count]
+                theta = math.atan2(low.imag, low.real) - math.atan2(high.imag, high.real) + math.pi
+                angles = (theta + 2.0 * np.pi * j) / count + 0.5 / n
+            else:
+                angles = 2.0 * np.pi * ((j + 0.375) / count + k1 / n) + 0.5 / n
+            z[k1 : k1 + count] = radius * np.exp(1j * angles)
 
         with np.errstate(divide="ignore"):
             logs = np.log(np.abs(asc)).tolist()
@@ -115,7 +123,7 @@ def _seed_find_roots(f, horner=_seed_horner, values=_seed_values):
             radius = math.exp((y1 - y2) / (k2 - k1))
             if zeros and k1 == zeros:
                 circle(0, zeros, 0.5 * radius)
-            circle(k1, k2 - k1, radius)
+            circle(k1, k2 - k1, radius, binomial=True)
             rest = [(k, y) for k, y in rest if k > k2]
             k1, y1 = k2, y2
         return z

@@ -153,9 +153,33 @@ class TestAberthStart:
         f, top = _from_dyadic_roots(zs)
         _, settled = roots._aberth(np.array([f.coeffs + (1.0 + 0j,)]))
         assert settled.all()
-        assert 1 <= len(power_tables) <= 40  # sweeps
+        assert 1 <= len(power_tables) <= 8  # sweeps
         rs = find_roots(f)  # raises UnconvergedError unless certified
         assert abs(rs.max_modulus - top) <= 1e-9
+
+    def test_edges_start_at_their_binomial_roots(self):
+        # s^30 - c: one edge of 30 points, started on the 30th roots of c,
+        # turned by 0.5 / 30.
+        n, c = 30, 3e-5 * cmath.exp(2.1j)
+        start = roots._start(np.array([[-c] + [0j] * (n - 1) + [1.0 + 0j]]))[0]
+        rho = abs(c) ** (1 / n)
+        turn = cmath.exp(0.5j / n)
+        expected = [c ** (1 / n) * cmath.exp(2j * math.pi * j / n) * turn for j in range(n)]
+        assert max(abs(z - w) for z, w in zip(start, expected)) <= 1e-15 * rho
+        # Only one-point edges, and a_0 = a_1 = 0: every point keeps its
+        # uniform angle on its circle, turned by 2 pi k1 / n, bit for bit.
+        n = 9
+        asc = np.array(
+            [[0j, 0j] + [math.exp(-0.1 * (n - k) ** 2) * cmath.exp(1j * k) for k in range(2, n)]
+             + [1.0 + 0j]]
+        )
+        circles = roots._newton_polygon([-math.inf] * 2 + np.log(np.abs(asc[0, 2:])).tolist())
+        assert [size for _, size, _ in circles] == [2] + [1] * (n - 2)
+        expected = np.concatenate([
+            radius * np.exp(1j * (2.0 * np.pi * ((np.arange(size) + 0.375) / size + first / n) + 0.5 / n))
+            for first, size, radius in circles
+        ])
+        assert roots._start(asc)[0].tobytes() == expected.tobytes()
 
     def test_zero_low_coefficients_settle_without_warnings(self, rng):
         # a_0 = a_1 = 0: two roots at the origin, whose starting points must
