@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -280,20 +281,35 @@ def hadamard_product(f: MonicPolynomial, g: MonicPolynomial) -> MonicPolynomial:
 
 def szego_weight(n: int) -> MonicPolynomial:
     """Weight polynomial with coefficient 1/C(n,k) at s^k (implicit 1 at s^n),
-    from C(n, k+1) = C(n, k) (n-k) / (k+1) in ints.  A degree above 1029
+    from C(n, k+1) = C(n, k) (n-k) / (k+1) in ints, formed once per degree
+    and shared (a MonicPolynomial is immutable).  A degree above 1029
     raises UnsupportedDegreeError before any weight is formed."""
     n = integer(n, "degree must be an integer, not")
     if n < 1:
         raise InvalidInputError("degree must be >= 1")
     if n > _MAX_SZEGO_DEGREE:
         raise UnsupportedDegreeError(f"Szego weights need degree <= {_MAX_SZEGO_DEGREE}, got {describe(n)}")
+    return _szego_weight(n)
+
+
+# Enough for every degree of a scan over degrees 8-160; the largest entries
+# (degree 1029) hold about 40 KB each.
+@functools.lru_cache(maxsize=256)
+def _szego_weight(n: int) -> MonicPolynomial:
     binomials = itertools.accumulate(range(n - 1), lambda c, k: c * (n - k) // (k + 1), initial=1)
     return MonicPolynomial(tuple(1.0 / c for c in binomials))
 
 
 def szego_product(f: MonicPolynomial, g: MonicPolynomial) -> MonicPolynomial:
-    """Hadamard product of f, g and the binomial-reciprocal weight polynomial."""
-    return hadamard_product(hadamard_product(f, g), szego_weight(f.degree))
+    """Hadamard product of f, g and the binomial-reciprocal weight polynomial,
+    (a_k b_k) w_k with w_k the weight's complex coefficient: the bits of
+    ``hadamard_product(hadamard_product(f, g), szego_weight(n))`` and its
+    refusals, in its order (a degree mismatch, a non-finite a_k b_k, then
+    the degree cap), without the intermediate polynomial."""
+    if f.degree != g.degree:
+        raise InvalidInputError(f"degree mismatch: {f.degree} vs {g.degree}")
+    ab = finite_complexes(map(operator.mul, f.coeffs, g.coeffs))
+    return MonicPolynomial(tuple(map(operator.mul, ab, szego_weight(f.degree).coeffs)))
 
 
 def hadamard_power(f: MonicPolynomial, p) -> BranchSet:

@@ -21,7 +21,11 @@ certificate.
 Aberth sweeps only the roots still moving (Bini & Fiorentino, Numer.
 Algorithms 23, 2000).  A root is frozen for good once its own step passes
 the test 1e-14 (1 + max|z|), and a row settles when no root is left moving.
-From sweep ``_ROUNDING_SWEEP`` on, a row with a moving root whose |p(z_i)|
+A row whose Newton steps w_i = p / p' all pass that test settles on them,
+without its pairwise sums: the Aberth factor 1 / (1 - w_i sum_j
+1 / (z_i - z_j)) would change such a step by a relative ~1e-15, below what
+z_i - w_i can show, so the sweep that only confirmed them is skipped.  From
+sweep ``_ROUNDING_SWEEP`` on, a row with a moving root whose |p(z_i)|
 is within 4 (n + 1) eps sum_k |a_k| |z_i|^k, the rounding level of p, stops
 unsettled: its steps are noise from there on, and a point where p is flat at
 rounding level can lie far from the root (a degree-160 row read a root
@@ -38,10 +42,15 @@ elementwise in ascending order (``_evaluate``) for |p| and the residual
 scale 1 + sum_k |a_k| |z|^k.  Those residuals are reported and decide
 certification, so their bits are kept independent of how a BLAS build blocks
 a product; and at the small degrees where most rows are certified, a product
-per row is no faster (about 10% slower for 100 rows at n = 5).  The Newton
-steps after the eigenvalues keep Horner's rule, p and p' as the two rows of
-one accumulator (``_horner_pair``): at a multiple-root cluster the table's
-derivative can fall to rounding level and throw a root out of the cluster.
+per row is no faster (about 10% slower for 100 rows at n = 5).  Aberth's
+table and pairwise block and the residuals' table and products are written
+into one scratch workspace per thread (``_scratch``), grown to the largest
+request and kept across calls, so a solve reuses mapped pages instead of
+faulting in fresh ones; rows above degree 256 take arrays of their own.
+The Newton steps after the eigenvalues keep Horner's rule, p and p' as the
+two rows of one accumulator (``_horner_pair``): at a multiple-root cluster
+the table's derivative can fall to rounding level and throw a root out of
+the cluster.
 
 Polynomials of one degree are solved as a batch of coefficient rows
 (``find_root_rows``): the Aberth sweeps go through the rows one at a time,
@@ -85,6 +94,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -107,14 +117,17 @@ MAX_ROOT_DEGREE = 1024
 # crossover of Aberth started at uniform angles.  From the binomial start, the
 # crossover lies lower.  Eigenvalues-first over Aberth-first time (per-row
 # minima of 7 runs on 24 of the benchmark's known-roots rows per degree,
-# ``bench/inputs.scan_input``; quartiles over the rows) is 0.81-0.94 at
-# n = 13, 0.91-1.08 at 15, 1.04-1.19 at 16, 1.24-1.48 at 20, 1.30-1.55 at
-# 21, 1.40-1.65 at 22 and 2.25-2.74 at 32.  Batches of ``chunk_rows(n)`` rows
-# favour the eigenvalues longer: 0.76 at n = 15, 0.89 at 16, 1.03 at 18 and
-# 1.32 at 21.  The cut stays at 21, since moving it changes rows' bits.  Rows
-# that Aberth stops at rounding level (repeated roots, most rows of roots
-# uniform in a disc) take about twice as long above the cap: 17 sweeps, then
-# the eigenvalues.
+# ``bench/inputs.scan_input``; quartiles over the rows, medians in brackets)
+# is 0.82-0.98 (0.91) at n = 13, 0.81-1.11 (0.98) at 15, 1.04-1.22 (1.14)
+# at 16, 1.11-1.41 (1.27) at 20, 1.20-1.44 (1.32) at 21 and 1.30-1.57 (1.43)
+# at 22.  Without the Newton-level settle and the kept workspace the same rows
+# read medians 1-4% lower at n = 16-22 (1.09 at 16, 1.27 at 21), so the
+# crossover stays between 15 and 16.  Batches of ``chunk_rows(n)`` rows
+# favoured the eigenvalues longer before those two changes: 0.76 at n = 15,
+# 0.89 at 16, 1.03 at 18 and 1.32 at 21.  The cut stays at 21, since moving it
+# changes rows' bits.  Rows that Aberth stops at rounding level (repeated
+# roots, most rows of roots uniform in a disc) take about twice as long above
+# the cap: 17 sweeps, then the eigenvalues.
 _EIGVALS_MAX_DEGREE = 21
 # Largest degree whose statuses the Schur-Cohn recursion decides; rows above
 # it go to the root finder.  Its error bound compounds with every step: of
@@ -141,6 +154,14 @@ _CHUNK_ELEMENTS = 1 << 13
 # batch to give w (see branch_set_stable), holds at most this many n x n
 # matrix entries: 10 rows at degree 5, 4 at 8, 1 from 16.
 _FIRST_CHUNK_ELEMENTS = 256
+# Largest scratch workspace a thread keeps, in complex values: what a
+# degree-256 row needs, 2 (n + 1) n for the residuals (Aberth needs
+# (2 n + 1) n), 2.1 MB.  Without it each call above degree ~110 faulted in
+# fresh pages for its O(n^2) arrays, about 500 minor faults per verdict-scan
+# item above degree 125; larger rows are rare, and a workspace kept at their
+# size would hold up to 34 MB (degree 1024) per thread for good.
+_WORKSPACE_CAP = 2 * 257 * 256
+_workspace = threading.local()
 
 
 class Status(str, Enum):
@@ -241,6 +262,19 @@ def _horner_pair(desc: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _scratch(size: int) -> np.ndarray:
+    """A flat complex buffer of at least ``size`` values, its contents
+    undefined: this thread's workspace, first grown to ``size`` if it is
+    smaller, or above ``_WORKSPACE_CAP`` an array of the caller's own.  A
+    caller writes its intermediates into it and returns none of them."""
+    if size > _WORKSPACE_CAP:
+        return np.empty(size, dtype=complex)
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _workspace.buf = np.empty(size, dtype=complex)
+    return buf
+
+
 def _powers(z: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """z^0 .. z^n of every point, as an ``(n + 1,) + z.shape`` table.
 
@@ -263,15 +297,16 @@ def _powers(z: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     return V
 
 
-def _evaluate(V: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _evaluate(V: np.ndarray, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row i of the (k, d) ascending coefficients at the points of row i of
     the power table ``V`` (see ``_powers``).
 
-    One product and one sum over the power axis, which adds the terms of
-    each point in ascending order whatever the batch, so a row's values do
-    not depend on the rows solved with it.
+    One product, written into ``out`` if given (an array of the product's
+    shape and dtype, which may be V itself), and one sum over the power
+    axis, which adds the terms of each point in ascending order whatever the
+    batch, so a row's values do not depend on the rows solved with it.
     """
-    return (V[: c.shape[1]] * c.T[:, :, None]).sum(axis=0)
+    return np.multiply(V[: c.shape[1]], c.T[:, :, None], out=out).sum(axis=0)
 
 
 def _newton_polygon(logs: list[float]) -> list[tuple[int, int, float]]:
@@ -366,7 +401,13 @@ def _aberth(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and one matrix product (``_values_and_slopes``), and each active root's
     pairwise sum sum_j 1 / (z_i - z_j) over all n roots of its row as
     reciprocals taken in place.  A root leaves the active set for good once
-    its step is within 1e-14 (1 + max|z|) of the row.  From sweep
+    its step is within 1e-14 (1 + max|z|) of the row.  On a sweep after the
+    first, a row whose Newton steps w_i = p / p' all pass that test after
+    the update z_i - w_i settles on them without its pairwise sums: the
+    Aberth factor would change such a step by a relative ~1e-15, below what
+    z_i - w_i can show, so the row gets the bits the full sweep would give
+    it.  The test reads max|w| against the row's last max|z| first, so a
+    sweep that cannot settle pays two array operations for it.  From sweep
     ``_ROUNDING_SWEEP`` on (counting from 0), a row stops unsettled once
     some root still active has |p(z_i)| within 4 (n + 1) eps
     sum_k |a_k| |z_i|^k, the rounding level of p: the point may be far from
@@ -375,9 +416,10 @@ def _aberth(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     NaN or infinity every later step is NaN.  A row with a vanishing
     derivative at an active root nudges those roots and skips the sweep.
     Rows are swept one at a time, so a row's bits do not depend on the rows
-    solved with it.  Returns the (k, n) iterates, the last one for a row
-    that did not settle, and a (k,) mask of the rows that settled: those
-    left with no active root.
+    solved with it.  The power table and the pairwise block of a sweep are
+    written into the thread's workspace (``_scratch``).  Returns the (k, n)
+    iterates, the last one for a row that did not settle, and a (k,) mask
+    of the rows that settled: those left with no active root.
     """
     k, n = asc.shape[0], asc.shape[1] - 1
     if n == 1:
@@ -391,11 +433,12 @@ def _aberth(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     settled = np.zeros(k, dtype=bool)
     index = np.arange(n)
     active = dict.fromkeys(range(k), index)  # the roots still moving per row
-    # One power table and one block of pairwise terms per call, not per
-    # sweep: arrays of a few hundred KiB, allocated afresh, fault in their
-    # pages every time.
-    table = np.empty((n + 1) * n, dtype=complex)
-    pairs = np.empty(n * n, dtype=complex)
+    # Each row's max|z| after its last full sweep; -inf before its first,
+    # which no step passes.
+    tops = [-math.inf] * k
+    # The power table, then the block of pairwise terms.
+    ws = _scratch((2 * n + 1) * n)
+    table, pairs = ws[: (n + 1) * n], ws[(n + 1) * n :]
     for sweep in range(_MAX_SWEEPS):
         for r, act in list(active.items()):
             zr = z[r]
@@ -406,6 +449,13 @@ def _aberth(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 zr[act] = za + np.where(dpv == 0, 1e-8 * (1 + np.abs(za)), 0.0)
                 continue
             w = pv / dpv
+            if (step := np.abs(w).max()) <= 1e-14 * (1.0 + tops[r]):
+                zr[act] = za - w
+                if step <= 1e-14 * (1.0 + np.abs(zr).max()):
+                    del active[r]
+                    settled[r] = True
+                    continue
+                zr[act] = za  # max|z| fell and the steps fail: sweep in full
             diff = np.subtract(za[:, None], zr, out=pairs[: m * n].reshape(m, n))
             diff[index[:m], act] = np.inf
             denom = np.reciprocal(diff, out=diff).sum(axis=1)
@@ -414,7 +464,7 @@ def _aberth(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             denom[denom == 0] = 1e-30
             delta = w / denom
             zr[act] = za - delta
-            top = np.abs(zr).max()
+            top = tops[r] = np.abs(zr).max()
             if not math.isfinite(top):  # a NaN or inf iterate never settles
                 del active[r]
                 continue
@@ -466,9 +516,16 @@ def _eigenvalues(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _scaled_residuals(asc: np.ndarray, moduli: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Per-root scaled backward errors; ``moduli`` holds |a_0| .. |a_n| per
-    row."""
-    V = _powers(z, z.shape[1])
-    return np.abs(_evaluate(V, asc)) / (1.0 + _evaluate(np.abs(V), moduli))
+    row.  The power table and the products go into the thread's workspace
+    (``_scratch``): the coefficient product, then the modulus table, whose
+    product with the moduli is taken in place."""
+    k, n = z.shape
+    size = (n + 1) * k * n
+    ws = _scratch(2 * size)
+    V, rest = _powers(z, n, ws), ws[size : 2 * size]
+    p = np.abs(_evaluate(V, asc, rest.reshape(V.shape)))
+    mod = np.abs(V, out=rest.view(float)[:size].reshape(V.shape))
+    return p / (1.0 + _evaluate(mod, moduli, mod))
 
 
 def _reconstructs(asc: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -194,8 +194,8 @@ def _lattice_optimum(moduli: list[float], sign: float, resolution: int) -> float
         raise InvalidInputError(f"grid_n must be at least max(2, |support|) = {max(2, d)}")
     if d * R > MAX_GRID_RATIOS:
         raise InvalidInputError(
-            f"grid_n = {describe(R)} over {d} support indices needs {describe(d * R)} ratios; "
-            f"at most {MAX_GRID_RATIOS} are supported"
+            f"grid_n = {describe(R)} over {d} support indices: the ratio count, |support| x grid_n, "
+            f"is {describe(d * R)}; at most {MAX_GRID_RATIOS} are supported"
         )
     logs = np.log(np.array(moduli))
     ratios = np.log(np.arange(1, R + 1) / R)[None, :] / (sign * logs)[:, None]

@@ -4,6 +4,8 @@ error attribution and the work it does."""
 import dataclasses
 import math
 import random
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -255,6 +257,12 @@ def _corpus():
     for n, count in ((24, 16), (30, 10)):
         groups.append([_known_roots(band, n, radii[i % 4]) for i in range(count)])
     groups.append(_repeated_roots(band, 24))
+    # Degree 130 and 160, one row per chunk: rows that Aberth settles on
+    # their Newton steps, in the range where the scratch workspace is kept
+    # instead of allocated per call.
+    high = random.Random(130160)
+    for n in (130, 160):
+        groups.append([random_monic(high, n, (0.05, 0.9)) for _ in range(3)])
     # Degree 40: rows that settle, in two chunks.
     groups.append([random_monic(rng, 40, (0.05, 0.9)) for _ in range(7)])
     return groups
@@ -1164,6 +1172,81 @@ class TestSweepRows:
         for p in (math.nan, math.inf):
             with pytest.raises(InvalidInputError, match="coefficients must be finite"):
                 report.sweep(F1, [1.0, p])
+
+
+def _in_new_thread(solve):
+    """``solve()`` run in a thread of its own, so with a fresh workspace."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(solve()))
+    thread.start()
+    thread.join()
+    return out[0]
+
+
+class TestWorkspace:
+    """The scratch workspace each thread keeps (``roots._scratch``) changes
+    no result, and holds no more than ``roots._WORKSPACE_CAP`` values."""
+
+    ROWS = [random_monic(random.Random(n), n, (0.05, 0.9)) for n in (60, 160, 300)]
+
+    def test_state_changes_no_result(self):
+        row, big, above = self.ROWS
+        assert (2 * above.degree + 1) * above.degree > roots._WORKSPACE_CAP
+        fresh = _in_new_thread(lambda: _bits(find_roots(row)))
+        find_roots(big)
+        assert _bits(find_roots(row)) == fresh
+        find_roots(above)
+        assert _bits(find_roots(row)) == fresh
+        assert roots._workspace.buf.size <= roots._WORKSPACE_CAP
+
+    def test_kept_across_calls(self):
+        row, big, above = self.ROWS
+
+        def solves():
+            find_roots(big)
+            kept = roots._workspace.buf
+            find_roots(row)
+            find_roots(above)  # above the cap: its arrays are its own
+            return kept, roots._workspace.buf
+
+        kept, after = _in_new_thread(solves)
+        assert after is kept
+        assert kept.size == 2 * 161 * 160  # the residuals' need at degree 160
+
+    def test_threads_get_the_bits_of_serial_solves(self):
+        rng = random.Random(2)
+        groups = [
+            [random_monic(rng, rng.randint(60, 160), (0.05, 0.9)) for _ in range(20)]
+            for _ in range(2)
+        ]
+        serial = [[_bits(find_roots(f)) for f in group] for group in groups]
+        start = threading.Barrier(len(groups))
+        out = [None] * len(groups)
+
+        def solve(i):
+            start.wait()
+            out[i] = [_bits(find_roots(f)) for f in groups[i]]
+
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(groups))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert out == serial
+
+    def test_warm_solve_allocates_little(self):
+        # A degree-160 row that Aberth settles: its table, pairwise block
+        # and residual products were about 1,090 KiB of fresh arrays per
+        # call; the workspace leaves about 290 KiB.
+        f = self.ROWS[1]
+        find_roots(f)
+        tracemalloc.start()
+        try:
+            find_roots(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 400 * 1024
 
 
 class TestWorkCounters:

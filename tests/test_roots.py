@@ -249,6 +249,33 @@ class TestAberthFreeze:
         assert verdict.status is Status.STABLE
         assert abs(verdict.max_modulus - 0.999254) <= 1e-5
 
+    def test_row_settles_on_newton_steps(self, monkeypatch):
+        # A degree-100 row of jittered circles, like the benchmark's scan
+        # rows: every sweep but the last takes the pairwise sums; the last
+        # finds every Newton step within the freeze test and settles on them.
+        rng = random.Random(100)
+        zs = _jittered_circle(rng, 75, 0.95) + _jittered_circle(rng, 25, 0.5)
+        f, top = _from_dyadic_roots(zs)
+        counts = {"sweeps": 0, "sums": 0}
+        values, reciprocal = roots._values_and_slopes, np.reciprocal
+
+        def counting_values(pd, V):
+            counts["sweeps"] += 1
+            return values(pd, V)
+
+        def counting_reciprocal(*args, **kwargs):
+            counts["sums"] += 1
+            return reciprocal(*args, **kwargs)
+
+        monkeypatch.setattr(roots, "_values_and_slopes", counting_values)
+        monkeypatch.setattr(np, "reciprocal", counting_reciprocal)
+        _, settled = roots._aberth(np.array([f.coeffs + (1.0 + 0j,)]))
+        monkeypatch.undo()
+        assert settled.all()
+        assert counts["sweeps"] >= 2
+        assert counts["sums"] == counts["sweeps"] - 1
+        assert abs(find_roots(f).max_modulus - top) <= 1e-9
+
     @pytest.mark.parametrize("degree", [40, 100])
     def test_frozen_root_never_moves(self, monkeypatch, degree):
         # The points of each sweep's power table are the active roots; after

@@ -1357,8 +1357,23 @@ class TestInputBounds:
         # F1 has 3 support indices: 100 grid points need 300 ratios.
         monkeypatch.setattr(th, "MAX_GRID_RATIOS", 300)
         assert pstar_grid(F1, "max", 100).grid_resolution == 100
-        with pytest.raises(InvalidInputError, match="at most 300"):
+        with pytest.raises(InvalidInputError) as exc:
             pstar_grid(F1, "max", 101)
+        assert str(exc.value) == (
+            "grid_n = 101 over 3 support indices: the ratio count, |support| x grid_n,"
+            " is 303; at most 300 are supported"
+        )
+
+    def test_grid_cap_names_a_long_grid_by_its_digits(self):
+        """A grid_n too long to print reads as a noun phrase in both places
+        (it read "needs a 5001-digit integer ratios")."""
+        with pytest.raises(InvalidInputError) as exc:
+            pstar_grid(F1, "max", 10**5000)
+        assert str(exc.value) == (
+            "grid_n = a 5001-digit integer over 3 support indices: the ratio count,"
+            f" |support| x grid_n, is a 5001-digit integer; at most {th.MAX_GRID_RATIOS}"
+            " are supported"
+        )
 
     def test_grid_cap_before_allocation(self, monkeypatch):
         def no_table(*args, **kwargs):
