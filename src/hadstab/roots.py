@@ -266,7 +266,8 @@ def _scratch(size: int) -> np.ndarray:
     """A flat complex buffer of at least ``size`` values, its contents
     undefined: this thread's workspace, first grown to ``size`` if it is
     smaller, or above ``_WORKSPACE_CAP`` an array of the caller's own.  A
-    caller writes its intermediates into it and returns none of them."""
+    caller writes its intermediates into it, returns none of them, and
+    calls nothing that takes the workspace while it holds them."""
     if size > _WORKSPACE_CAP:
         return np.empty(size, dtype=complex)
     buf = getattr(_workspace, "buf", None)
