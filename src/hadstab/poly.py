@@ -55,7 +55,9 @@ class MonicPolynomial:
 
     ``coeffs`` holds exactly n entries ``(a_0, ..., a_{n-1})``; the leading
     coefficient 1 is implicit.  A coefficient belongs to the support iff it is
-    exactly zero in both parts; no epsilon is involved.
+    exactly zero in both parts; no epsilon is involved.  The polynomial is
+    immutable, so ``support`` and ``moduli`` are computed on first use and
+    kept.
     """
 
     coeffs: tuple[complex, ...]
@@ -70,11 +72,16 @@ class MonicPolynomial:
     def degree(self) -> int:
         return len(self.coeffs)
 
-    @property
+    @functools.cached_property
     def support(self) -> tuple[int, ...]:
         """Indices k with a_k != 0, ascending (exact-zero test: a complex is
         false exactly when both parts are zero, of either sign)."""
         return tuple(itertools.compress(range(len(self.coeffs)), self.coeffs))
+
+    @functools.cached_property
+    def moduli(self) -> tuple[float, ...]:
+        """|a_k| for k in the support, in its order."""
+        return tuple(map(abs, itertools.compress(self.coeffs, self.coeffs)))
 
     @property
     def is_real(self) -> bool:
@@ -88,7 +95,7 @@ class MonicPolynomial:
 
     def coefficient_moduli(self) -> dict[int, float]:
         """{k: |a_k|} over the support."""
-        return {k: abs(self.coeffs[k]) for k in self.support}
+        return dict(zip(self.support, self.moduli))
 
     def to_json(self) -> dict:
         return {

@@ -1,16 +1,15 @@
 """Root finding and exact Schur stability decisions.
 
 Each polynomial is solved by one root candidate, and by the other only where
-the first fails to certify.  Up to degree 21 the first is companion-matrix
-eigenvalues refined by a few Newton steps (Edelman & Murakami 1995); above
-it, Ehrlich-Aberth simultaneous iteration, started from the Newton polygon
-of the coefficient moduli: each edge of the upper convex hull of
-(k, log|a_k|) puts as many points as it is long on a circle of its own
-radius, near the root moduli (Bini 1996), and an edge k1 -> k2 of two or
-more points puts them at the angles of the roots of its two-term truncation
-a_k2 z^k2 + a_k1 z^k1, which about halves the sweeps that uniform angles
-took.  (The cut was the single-row crossover for uniform angles; from the
-binomial start the crossover lies lower, see ``_EIGVALS_MAX_DEGREE``.)
+the first fails to certify.  Up to degree 15, the single-row crossover (see
+``_EIGVALS_MAX_DEGREE``), the first is companion-matrix eigenvalues refined
+by a few Newton steps (Edelman & Murakami 1995); above it, Ehrlich-Aberth
+simultaneous iteration, started from the Newton polygon of the coefficient
+moduli: each edge of the upper convex hull of (k, log|a_k|) puts as many
+points as it is long on a circle of its own radius, near the root moduli
+(Bini 1996), and an edge k1 -> k2 of two or more points puts them at the
+angles of the roots of its two-term truncation a_k2 z^k2 + a_k1 z^k1, which
+about halves the sweeps that uniform angles took.
 Roots certify when every per-root residual is within tolerance or, checked
 only for the rows whose residuals fall short, when they reconstruct the
 monic polynomial's coefficients; an iteration that did not settle never
@@ -21,16 +20,22 @@ certificate.
 Aberth sweeps only the roots still moving (Bini & Fiorentino, Numer.
 Algorithms 23, 2000).  A root is frozen for good once its own step passes
 the test 1e-14 (1 + max|z|), and a row settles when no root is left moving.
-A row whose Newton steps w_i = p / p' all pass that test settles on them,
-without its pairwise sums: the Aberth factor 1 / (1 - w_i sum_j
-1 / (z_i - z_j)) would change such a step by a relative ~1e-15, below what
-z_i - w_i can show, so the sweep that only confirmed them is skipped.  From
-sweep ``_ROUNDING_SWEEP`` on, a row with a moving root whose |p(z_i)|
-is within 4 (n + 1) eps sum_k |a_k| |z_i|^k, the rounding level of p, stops
-unsettled: its steps are noise from there on, and a point where p is flat at
-rounding level can lie far from the root (a degree-160 row read a root
-modulus of 1.047 for an exact 0.99925), so the row goes to the fallback
-candidate at once instead of after ``_MAX_SWEEPS`` sweeps.  Aberth and the
+A row whose Newton polygon is one edge starts at the n-th roots of one
+number, whose pairwise sums sum_j 1 / (z_i - z_j) are (n - 1) / (2 z_i)
+exactly, so its first sweep takes them in closed form.  A row also settles
+on its Newton steps w_i = p / p', without its pairwise sums, once they
+contract quadratically: with S_i the modulus of root i's pairwise sum at
+the row's last full sweep, z_i - w_i lies about |w_i|^2 S_i from the root,
+so the row settles there when that is at most 1e-16 (1 + max|z|), every
+|w_i| S_i is at most 1e-3 (the step is in Newton's quadratic range) and
+max|w| has shrunk 1000-fold since the previous sweep (steps that are noise
+at rounding level do not shrink so).  From sweep ``_ROUNDING_SWEEP`` on, a
+row with a moving root whose |p(z_i)| is within 4 (n + 1) eps
+sum_k |a_k| |z_i|^k, the rounding level of p, stops unsettled: its steps
+are noise from there on, and a point where p is flat at rounding level can
+lie far from the root (a degree-160 row read a root modulus of 1.047 for an
+exact 0.99925), so the row goes to the fallback candidate at once instead
+of after ``_MAX_SWEEPS`` sweeps.  Aberth and the
 residuals evaluate from a table of the powers z^0 .. z^n of their points,
 built by doubling in about log2 n array multiplies (``_powers``).  Each
 Aberth sweep of a row builds the table of its moving roots, takes p and p'
@@ -114,21 +119,15 @@ BOUNDARY_BAND = 1e-9
 # O(n^3).
 MAX_ROOT_DEGREE = 1024
 # Eigenvalues first up to this degree, Aberth first above: the single-row
-# crossover of Aberth started at uniform angles.  From the binomial start, the
-# crossover lies lower.  Eigenvalues-first over Aberth-first time (per-row
-# minima of 7 runs on 24 of the benchmark's known-roots rows per degree,
-# ``bench/inputs.scan_input``; quartiles over the rows, medians in brackets)
-# is 0.82-0.98 (0.91) at n = 13, 0.81-1.11 (0.98) at 15, 1.04-1.22 (1.14)
-# at 16, 1.11-1.41 (1.27) at 20, 1.20-1.44 (1.32) at 21 and 1.30-1.57 (1.43)
-# at 22.  Without the Newton-level settle and the kept workspace the same rows
-# read medians 1-4% lower at n = 16-22 (1.09 at 16, 1.27 at 21), so the
-# crossover stays between 15 and 16.  Batches of ``chunk_rows(n)`` rows
-# favoured the eigenvalues longer before those two changes: 0.76 at n = 15,
-# 0.89 at 16, 1.03 at 18 and 1.32 at 21.  The cut stays at 21, since moving it
-# changes rows' bits.  Rows that Aberth stops at rounding level (repeated
-# roots, most rows of roots uniform in a disc) take about twice as long above
-# the cap: 17 sweeps, then the eigenvalues.
-_EIGVALS_MAX_DEGREE = 21
+# crossover.  Eigenvalues-first over Aberth-first time (per-row minima of 7
+# runs of ``find_roots`` on 24 of the benchmark's known-roots rows per degree,
+# ``bench/inputs.scan_input``; quartiles over the rows, medians in brackets;
+# 2 shared vCPUs) is 0.82-0.93 (0.91) at n = 13, 0.99-1.02 (1.01) at 15,
+# 1.02-1.09 (1.06) at 16, 1.17-1.28 (1.24) at 18, 1.28-1.41 (1.34) at 20,
+# 1.37-1.49 (1.42) at 21 and 1.46-1.65 (1.56) at 22.  Rows that Aberth stops
+# at rounding level (repeated roots) take about three times as long above the
+# cap: 17 sweeps, then the eigenvalues (2.0 ms against 0.6 ms at n = 16).
+_EIGVALS_MAX_DEGREE = 15
 # Largest degree whose statuses the Schur-Cohn recursion decides; rows above
 # it go to the root finder.  Its error bound compounds with every step: of
 # 200 rows with roots uniform in discs of radius 0.5 to 1.5, it leaves 17
@@ -138,10 +137,10 @@ _SCHUR_COHN_MAX_DEGREE = 32
 
 _MAX_SWEEPS = 200
 # Aberth's rounding-level stop runs from this sweep on, counting from 0.
-# Rows that settle do so by their step test well before it (none of the 756
-# Aberth calls over the verdict-scan benchmark's seeds 3 and 5, passes 0-13,
-# reaches it, and no row there takes more than 11 sweeps), and the test costs
-# a second product over the power table.
+# Rows that settle do so well before it (none of the 866 Aberth calls over
+# the verdict-scan benchmark's seeds 3 and 5, passes 0-13, reaches it, and no
+# row there takes more than 10 sweeps), and the test costs a second product
+# over the power table.
 _ROUNDING_SWEEP = 16
 _RECONSTRUCTION_TOL = 1e-8
 # Radius of the circle for roots at the origin, relative to the smallest
@@ -350,24 +349,27 @@ def _binomial_phase(low: complex, high: complex) -> float:
     return math.atan2(low.imag, low.real) - math.atan2(high.imag, high.real) + math.pi
 
 
-def _start(asc: np.ndarray) -> np.ndarray:
-    """Aberth starting points for every row, on its Newton-polygon circles.
+def _start(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Aberth starting points for every row, on its Newton-polygon circles,
+    and a (k,) mask of the rows whose polygon is one edge.
 
     An edge k1 -> k2 of two or more points puts them at the roots of its
     two-term truncation a_k2 z^k2 + a_k1 z^k1 off the origin, on the edge's
     circle.  A one-point edge and the circle of roots at the origin space
     their points at uniform angles from an offset of their own, so that no
-    two circles line up.  Every point is then turned by 0.5 / n.
+    two circles line up.  Every point is then turned by 0.5 / n, so the
+    points of a one-edge row are the n-th roots of one number.
     """
     k, n = asc.shape[0], asc.shape[1] - 1
     with np.errstate(divide="ignore"):  # log 0 = -inf marks a zero coefficient
         logs = np.log(np.abs(asc)).tolist()
+    polygons = [_newton_polygon(y) for y in logs]
     # Each circle with the phase of its binomial, NaN where its points are
     # spaced uniformly (a one-point edge, or the origin's circle: a_0 = 0).
     circles = [
         (k1, d, radius, _binomial_phase(row[k1], row[k1 + d]) if d > 1 and row[k1] else math.nan)
-        for y, row in zip(logs, asc.tolist())
-        for k1, d, radius in _newton_polygon(y)
+        for polygon, row in zip(polygons, asc.tolist())
+        for k1, d, radius in polygon
     ]
     # One row per point: its circle's first index, point count, radius, phase.
     first, size, radius, theta = np.repeat(circles, [c[1] for c in circles], axis=0).T
@@ -377,7 +379,7 @@ def _start(asc: np.ndarray) -> np.ndarray:
     uniform = 2.0 * np.pi * ((j + 0.375) / size + first / n) + 0.5 / n
     binomial = (theta + 2.0 * np.pi * j) / size + 0.5 / n
     angles = np.where(np.isnan(theta), uniform, binomial)
-    return (radius * np.exp(1j * angles)).reshape(k, n)
+    return (radius * np.exp(1j * angles)).reshape(k, n), np.array([len(p) == 1 for p in polygons])
 
 
 def _values_and_slopes(pd: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -401,14 +403,17 @@ def _aberth(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A sweep of a row takes p and p' at its active roots from one power table
     and one matrix product (``_values_and_slopes``), and each active root's
     pairwise sum sum_j 1 / (z_i - z_j) over all n roots of its row as
-    reciprocals taken in place.  A root leaves the active set for good once
-    its step is within 1e-14 (1 + max|z|) of the row.  On a sweep after the
-    first, a row whose Newton steps w_i = p / p' all pass that test after
-    the update z_i - w_i settles on them without its pairwise sums: the
-    Aberth factor would change such a step by a relative ~1e-15, below what
-    z_i - w_i can show, so the row gets the bits the full sweep would give
-    it.  The test reads max|w| against the row's last max|z| first, so a
-    sweep that cannot settle pays two array operations for it.  From sweep
+    reciprocals taken in place; on sweep 0 of a row whose Newton polygon is
+    one edge (``_start``), whose points are the n-th roots of one number,
+    as (n - 1) / (2 z_i) instead.  A root leaves the active set for good
+    once its step is within 1e-14 (1 + max|z|) of the row.  On a sweep after
+    a full one, a row settles on its Newton steps w_i = p / p', applying
+    z_i - w_i without its pairwise sums, when max|w| has shrunk at least
+    1000-fold since that sweep and, with S_i the modulus of root i's
+    pairwise sum there, every |w_i| S_i is at most 1e-3 and every |w_i|^2
+    S_i, the predicted distance of z_i - w_i from the root, is at most
+    1e-16 (1 + max|z|).  The contraction is tested first, so a sweep that
+    cannot settle pays one comparison for it.  From sweep
     ``_ROUNDING_SWEEP`` on (counting from 0), a row stops unsettled once
     some root still active has |p(z_i)| within 4 (n + 1) eps
     sum_k |a_k| |z_i|^k, the rounding level of p: the point may be far from
@@ -430,13 +435,13 @@ def _aberth(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pd[:, 1, :-1] = asc[:, 1:] * np.arange(1, n + 1)
     # Coefficients of the rounding bound 4 (n + 1) eps sum_k |a_k| |z|^k.
     rounding = 4 * (n + 1) * np.finfo(float).eps * np.abs(asc)
-    z = _start(asc)
+    z, one = _start(asc)
     settled = np.zeros(k, dtype=bool)
     index = np.arange(n)
     active = dict.fromkeys(range(k), index)  # the roots still moving per row
-    # Each row's max|z| after its last full sweep; -inf before its first,
-    # which no step passes.
-    tops = [-math.inf] * k
+    # Per row, from its previous sweep if that was a full one, else None:
+    # max|z|, max|w| and each active root's |sum_j 1 / (z_i - z_j)|.
+    full = [None] * k
     # The power table, then the block of pairwise terms.
     ws = _scratch((2 * n + 1) * n)
     table, pairs = ws[: (n + 1) * n], ws[(n + 1) * n :]
@@ -448,24 +453,32 @@ def _aberth(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             pv, dpv = _values_and_slopes(pd[r], V)
             if not dpv.all():
                 zr[act] = za + np.where(dpv == 0, 1e-8 * (1 + np.abs(za)), 0.0)
+                full[r] = None
                 continue
             w = pv / dpv
-            if (step := np.abs(w).max()) <= 1e-14 * (1.0 + tops[r]):
-                zr[act] = za - w
-                if step <= 1e-14 * (1.0 + np.abs(zr).max()):
+            size = np.abs(w)
+            step = size.max()
+            if full[r] is not None and step <= 1e-3 * full[r][1]:
+                top, _, sums = full[r]
+                reach = size * sums  # |w_i| S_i
+                if reach.max() <= 1e-3 and (reach * size).max() <= 1e-16 * (1.0 + top):
+                    zr[act] = za - w
                     del active[r]
                     settled[r] = True
                     continue
-                zr[act] = za  # max|z| fell and the steps fail: sweep in full
-            diff = np.subtract(za[:, None], zr, out=pairs[: m * n].reshape(m, n))
-            diff[index[:m], act] = np.inf
-            denom = np.reciprocal(diff, out=diff).sum(axis=1)
+            if sweep == 0 and one[r]:  # the n-th roots of one number
+                denom = (0.5 * (n - 1)) / za
+            else:
+                diff = np.subtract(za[:, None], zr, out=pairs[: m * n].reshape(m, n))
+                diff[index[:m], act] = np.inf
+                denom = np.reciprocal(diff, out=diff).sum(axis=1)
+            sums = np.abs(denom)
             np.multiply(w, denom, out=denom)
             np.subtract(1.0, denom, out=denom)
             denom[denom == 0] = 1e-30
             delta = w / denom
             zr[act] = za - delta
-            top = tops[r] = np.abs(zr).max()
+            top = np.abs(zr).max()
             if not math.isfinite(top):  # a NaN or inf iterate never settles
                 del active[r]
                 continue
@@ -479,6 +492,8 @@ def _aberth(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 del active[r]  # at rounding level: left unsettled
             elif not moving.all():
                 active[r] = act[moving]
+                sums = sums[moving]
+            full[r] = top, step, sums
         if not active:
             break
     return z, settled
@@ -671,22 +686,30 @@ def find_root_rows(
     return tuple(np.concatenate(columns) for columns in zip(*parts))
 
 
+def _row(f: MonicPolynomial) -> np.ndarray:
+    """f as a batch of one coefficient row, its degree checked before the
+    row is built."""
+    check_degree(f.degree)
+    return np.array([f.coeffs + (1.0 + 0j,)])
+
+
 def find_roots(f: MonicPolynomial) -> RootSet:
-    """All roots of f, nondecreasing in modulus, certified by reconstruction.
+    """All roots of f, nondecreasing in modulus, certified by their scaled
+    residuals, or by reconstructing f where those fall short.
 
     Raises UnconvergedError (with the partial result attached) when neither
     the first candidate for the degree nor the fallback certifies; a degree
     above MAX_ROOT_DEGREE raises UnsupportedDegreeError before any array is
     allocated.
     """
-    check_degree(f.degree)  # before the row is built
-    row = np.array([f.coeffs + (1.0 + 0j,)])
-    return _root_sets(*find_root_rows(row))[0]
+    return _root_sets(*find_root_rows(_row(f)))[0]
 
 
 def is_schur_stable(f: MonicPolynomial) -> StabilityVerdict:
-    """Exact stability decision: all roots strictly inside the unit disc."""
-    return StabilityVerdict.of(find_roots(f).max_modulus)
+    """Exact stability decision: all roots strictly inside the unit disc.
+    The verdict of the row core's worst modulus of f's one row, as
+    ``find_roots(f).max_modulus``, with no root set built."""
+    return StabilityVerdict.of(find_root_rows(_row(f))[3].item())
 
 
 @np.errstate(all="ignore")  # a column whose scale overflows is left undecided

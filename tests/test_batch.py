@@ -26,6 +26,8 @@ from hadstab import (
     principal_power,
     report,
     roots,
+    stabilizing_partner,
+    szego_product,
 )
 from hadstab.roots import MAX_ROOT_DEGREE, branch_root_sets, classify
 
@@ -67,13 +69,15 @@ def _seed_values(pd, V):
 
 def _seed_find_roots(f, horner=_seed_horner, values=_seed_values):
     """The solver's rule written for one polynomial at a time, kept as the
-    reference: the companion candidate first up to degree 21, where it is
+    reference: the companion candidate first up to degree 15, where it is
     the cheaper one for a single polynomial, and Aberth above, the other
     only if the first does not certify.  Aberth sweeps only the roots still
-    moving.  Aberth and the residuals evaluate from a table of powers of the
-    points (Aberth by one matrix product for p and p', the residuals term by
-    term), the Newton polish by Horner's rule.  Returns the sorted roots and
-    residuals as raw bytes."""
+    moving, takes the pairwise sums of a one-edge start in closed form, and
+    settles on Newton steps once they contract quadratically.  Aberth and
+    the residuals evaluate from a table of powers of the points (Aberth by
+    one matrix product for p and p', the residuals term by term), the Newton
+    polish by Horner's rule.  Returns the sorted roots and residuals as raw
+    bytes."""
     n = f.degree
     asc = np.array(list(f.coeffs) + [1.0 + 0j])
     if not f.support:
@@ -99,7 +103,8 @@ def _seed_find_roots(f, horner=_seed_horner, values=_seed_values):
         # more points puts them at the roots of a_k2 z^k2 + a_k1 z^k1 on its
         # circle; a one-point edge puts its point at a uniform angle turned by
         # 2 pi k1 / n, and roots at the origin go at uniform angles on half
-        # the first edge's radius.  Every point is turned by 0.5 / n.
+        # the first edge's radius.  Every point is turned by 0.5 / n.  Also
+        # returns whether the polygon is one edge.
         z = np.empty(n, dtype=complex)
 
         def circle(k1, count, radius, binomial=False):
@@ -117,6 +122,7 @@ def _seed_find_roots(f, horner=_seed_horner, values=_seed_values):
         points = [(k, y) for k, y in enumerate(logs) if y > -math.inf]
         (k1, y1), rest = points[0], points[1:]
         zeros = k1  # a_0 .. a_{k1-1} vanish
+        one = not zeros and rest[0][0] == n
         while rest:
             k2, y2 = rest[0]
             for k, y in rest[1:]:
@@ -128,18 +134,25 @@ def _seed_find_roots(f, horner=_seed_horner, values=_seed_values):
             circle(k1, k2 - k1, radius, binomial=True)
             rest = [(k, y) for k, y in rest if k > k2]
             k1, y1 = k2, y2
-        return z
+        return z, one
 
     def aberth():
         # Each sweep moves only the active roots, each against all n; a root
-        # leaves for good once its step is small.  From sweep 16 on, an
-        # active root with |p| at rounding level leaves the row unsettled.
+        # leaves for good once its step is small.  Sweep 0 of a one-edge row
+        # takes the pairwise sums of its points, the n-th roots of one
+        # number, as (n - 1) / (2 z).  From sweep 1, the row settles on its
+        # Newton steps w once max|w| has shrunk 1000-fold since the previous
+        # sweep and, with S the pairwise sums' moduli of that sweep, every
+        # |w| S <= 1e-3 and |w|^2 S <= 1e-16 (1 + max|z|).  From sweep 16
+        # on, an active root with |p| at rounding level leaves the row
+        # unsettled.
         if n == 1:
             return np.array([-asc[0]])
-        z = start()
+        z, one = start()
         pd = np.array([asc, np.append(asc[1:] * np.arange(1, n + 1), 0.0)])
         bound = 4 * (n + 1) * np.finfo(float).eps * np.abs(asc)
         act = np.arange(n)
+        last = sums = top = None  # from the previous sweep, if a full one
         for sweep in range(200):
             za = z[act]
             V = powers(za)
@@ -147,19 +160,32 @@ def _seed_find_roots(f, horner=_seed_horner, values=_seed_values):
             stalled = dpv == 0
             if stalled.any():
                 z[act] = za + np.where(stalled, 1e-8 * (1 + np.abs(za)), 0.0)
+                sums = None
                 continue
             w = pv / dpv
-            diff = za[:, None] - z[None, :]
-            diff[np.arange(len(act)), act] = np.inf
-            denom = 1.0 - w * np.reciprocal(diff).sum(axis=1)
+            step = np.max(np.abs(w))
+            if sums is not None and step <= 1e-3 * last:
+                reach = np.abs(w) * sums
+                if np.max(reach) <= 1e-3 and np.max(reach * np.abs(w)) <= 1e-16 * (1.0 + top):
+                    z[act] = za - w
+                    return z
+            last = step
+            if sweep == 0 and one:
+                pair = (0.5 * (n - 1)) / za
+            else:
+                diff = za[:, None] - z[None, :]
+                diff[np.arange(len(act)), act] = np.inf
+                pair = np.reciprocal(diff).sum(axis=1)
+            denom = 1.0 - w * pair
             delta = w / np.where(denom == 0, 1e-30, denom)
             z[act] = za - delta
-            moving = ~(np.abs(delta) <= 1e-14 * (1.0 + np.max(np.abs(z))))
+            top = np.max(np.abs(z))
+            moving = ~(np.abs(delta) <= 1e-14 * (1.0 + top))
             if not moving.any():
                 return z
             if sweep >= 16 and np.any((np.abs(pv) <= bound @ np.abs(V))[moving]):
                 return None
-            act = act[moving]
+            act, sums = act[moving], np.abs(pair)[moving]
         return None
 
     def companion():
@@ -186,7 +212,7 @@ def _seed_find_roots(f, horner=_seed_horner, values=_seed_values):
     def certifies(z):
         return bool(np.all(residuals(z) <= tol)) or reconstructs(z)
 
-    first, second = (companion, aberth) if n <= 21 else (aberth, companion)
+    first, second = (companion, aberth) if n <= 15 else (aberth, companion)
     z = first()
     if z is None or not certifies(z):
         other = second()  # None where the iteration did not settle
@@ -243,15 +269,20 @@ def _corpus():
     groups.append([zero, *mixed[:4], zero, zero, *mixed[4:], zero])
     for n in (3, 5, 8, 13, 20):
         groups.append([random_monic(rng, n, real=n % 2 == 0) for _ in range(25)])
+    # Degree 100, one row per chunk: ill-conditioned rows, one that Aberth
+    # settles and three that stop at rounding level.
     groups.append([_known_roots(rng, 100, r) for r in (0.9, 1.1, 0.95, 1.2)])
+    # Degree 96, one row per chunk: roots repeated 2, 3, 4 or 6 times, which
+    # every row stops at rounding level and leaves to the eigenvalues.
+    groups.append(_repeated_roots(random.Random(96), 96)[1:])
     clusters = _dyadic_clusters()
     for k in sorted({f.degree for f in clusters}):
         groups.append([f for f in clusters if f.degree == k])
     groups.append([principal_power(F1, p / 3) for p in range(-30, 60)])
-    # Above degree 21 Aberth comes first.  Simple roots at degree 24 and 30,
-    # each over two chunks, where some rows settle and the others stop at
-    # rounding level and go to the eigenvalues; and repeated roots at degree
-    # 24, which all do.
+    # Above degree 15 Aberth comes first.  Simple roots at degree 24 and 30,
+    # each over two chunks, where the rows settle but for one at degree 30
+    # that stops at rounding level and goes to the eigenvalues; and repeated
+    # roots at degree 24, which all do.
     band = random.Random(2232)
     radii = (0.8, 0.95, 1.05, 1.2)
     for n, count in ((24, 16), (30, 10)):
@@ -346,10 +377,12 @@ def _sorted_roots(z):
 
 class TestBatchEqualsSingle:
     def test_corpus_covers_unsettled_rows_across_chunks(self):
-        big = next(g for g in CORPUS if g[0].degree == 100)
-        assert len(big) > roots._CHUNK_ELEMENTS // 100**2
-        _, settled = roots._aberth(monic_rows(big))
-        assert not settled.any()
+        for n in (96, 100):
+            big = next(g for g in CORPUS if g[0].degree == n)
+            assert len(big) > roots._CHUNK_ELEMENTS // n**2
+            _, settled = roots._aberth(monic_rows(big))
+            assert not settled.all()
+            assert settled.any() == (n == 100)
 
     def test_equals_seed_solver(self):
         for group in CORPUS:
@@ -640,16 +673,16 @@ class TestFallback:
     """The other candidate runs only on the rows that the first candidate
     for the degree fails to certify."""
 
-    def test_first_candidate_changes_above_degree_21(self, eigvals_calls, aberth_calls):
-        """Up to degree 21, where the eigenvalues are the cheaper candidate
+    def test_first_candidate_changes_above_degree_15(self, eigvals_calls, aberth_calls):
+        """Up to degree 15, where the eigenvalues are the cheaper candidate
         for one polynomial, they come first; one degree above, Aberth does,
         and a row it certifies never reaches ``eigvals``."""
-        rng = random.Random(21)
-        at_cap, above = (random_monic(rng, n, (0.05, 0.9)) for n in (21, 22))
+        rng = random.Random(15)
+        at_cap, above = (random_monic(rng, n, (0.05, 0.9)) for n in (15, 16))
         find_roots(at_cap)
-        assert eigvals_calls == [(1, 21, 21)] and aberth_calls == []
+        assert eigvals_calls == [(1, 15, 15)] and aberth_calls == []
         find_roots(above)
-        assert eigvals_calls == [(1, 21, 21)] and aberth_calls == [(1, 23)]
+        assert eigvals_calls == [(1, 15, 15)] and aberth_calls == [(1, 17)]
 
     def test_eigenvalue_failure_falls_back_to_aberth(self, monkeypatch, aberth_calls):
         rng = random.Random(11)
@@ -669,10 +702,10 @@ class TestFallback:
     def test_unsettled_iteration_falls_back_to_eigenvalues(
         self, eigvals_calls, aberth_calls
     ):
-        big = next(g for g in CORPUS if g[0].degree == 100)
-        batch = _batch(big)  # one row per chunk at degree 100
-        assert aberth_calls == [(1, 101)] * len(big)
-        assert eigvals_calls == [(1, 100, 100)] * len(big)
+        big = next(g for g in CORPUS if g[0].degree == 96)
+        batch = _batch(big)  # one row per chunk at degree 96
+        assert aberth_calls == [(1, 97)] * len(big)
+        assert eigvals_calls == [(1, 96, 96)] * len(big)
         for f, rs in zip(big, batch):
             zc, _ = roots._eigenvalues(np.array([f.coeffs + (1.0 + 0j,)]))
             assert _bits(rs)[0] == _sorted_roots(zc[0])
@@ -889,7 +922,7 @@ class TestBranchSetChunks:
         [
             (Fraction(3, 2), Status.UNSTABLE, 1.0369896574048159),
             (Fraction(7, 2), Status.STABLE, 0.9979584866827084),
-            (Fraction(2, 3), Status.UNSTABLE, 1.058808983607084),
+            (Fraction(2, 3), Status.UNSTABLE, 1.0588089836070842),
         ],
         ids=["3/2", "7/2", "2/3"],
     )
@@ -1252,11 +1285,11 @@ class TestWorkspace:
 class TestWorkCounters:
     """Deterministic work per call, counted without wall time."""
 
-    def test_degree_100_corpus_rows_stop_at_rounding_level(self, monkeypatch):
+    def test_repeated_root_corpus_rows_stop_at_rounding_level(self, monkeypatch):
         # Their roots reach rounding level before the step test fires, so
         # each row stops at the first sweep that may test for it, not after
         # _MAX_SWEEPS, and goes to the eigenvalues (TestFallback).
-        big = next(g for g in CORPUS if g[0].degree == 100)
+        big = next(g for g in CORPUS if g[0].degree == 96)
         sweeps = []
         powers = roots._powers
 
@@ -1270,6 +1303,41 @@ class TestWorkCounters:
             _, settled = roots._aberth(row[None])
             assert not settled.any()
         assert sweeps == [roots._ROUNDING_SWEEP + 1] * len(big)
+
+    def test_aberth_sweeps_and_pairwise_sums(self, monkeypatch):
+        """Sweeps and pairwise-sum passes of Aberth on a fixed corpus: two
+        rows at each degree 24, 40, 64, 100 and 160, whose Newton polygons
+        have several edges, and their Szego products with the stabilizing
+        partner, whose polygons are one edge, as in ``verdict-scan``.  Every
+        row settles.  Before the closed-form first sweep and the quadratic
+        settle the plain rows took 99 sweeps and 89 sums, and the Szego rows
+        40 and 30 (4 and 3 each)."""
+        rng = random.Random(2024)
+        plain = [random_monic(rng, n, (0.05, 0.9)) for n in (24, 40, 64, 100, 160) for _ in range(2)]
+        szego = [szego_product(f, stabilizing_partner(f)) for f in plain]
+        counts = {"sweeps": 0, "sums": 0}
+        values, reciprocal = roots._values_and_slopes, np.reciprocal
+
+        def counting_values(pd, V):
+            counts["sweeps"] += 1
+            return values(pd, V)
+
+        def counting_reciprocal(*args, **kwargs):
+            counts["sums"] += 1
+            return reciprocal(*args, **kwargs)
+
+        monkeypatch.setattr(roots, "_values_and_slopes", counting_values)
+        monkeypatch.setattr(np, "reciprocal", counting_reciprocal)
+        work = []
+        for group in (plain, szego):
+            counts.update(sweeps=0, sums=0)
+            for f in group:
+                assert roots._aberth(monic_rows([f]))[1].all()
+            work.append(dict(counts))
+        monkeypatch.undo()
+        one_edge = [roots._start(monic_rows([f]))[1][0] for f in plain + szego]
+        assert one_edge == [False] * 10 + [True] * 10
+        assert work == [{"sweeps": 96, "sums": 86}, {"sweeps": 33, "sums": 13}]
 
     def test_sweep_of_100_powers_is_one_stacked_solve(self, eigvals_calls):
         records = report.sweep(F1, [float(p) for p in range(1, 101)])

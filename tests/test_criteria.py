@@ -278,6 +278,21 @@ class TestTheorem3:
         assert out.satisfied and out.criterion_id is CriterionId.THM3A
         assert satisfies_stability_condition(hadamard_product(f, g)).satisfied
 
+    def test_builds_only_the_returned_witness(self, monkeypatch):
+        """The consistency checks on the products test their coefficient
+        sums directly: the one SimplexWeights built is f's witness."""
+        built = []
+        post_init = SimplexWeights.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(SimplexWeights, "__post_init__", counting)
+        f = MonicPolynomial((0.5, 0.3))
+        out = theorem3_check(f, MonicPolynomial((1.0, 1.0)), "a")
+        assert out.satisfied and built == [out.witness]
+
     def test_variant_b_binomial_cap(self):
         f = MonicPolynomial((0.5, 0.3))
         g = MonicPolynomial((1.0, 2.0))  # |b_1| = 2 = C(2,1)

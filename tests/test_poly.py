@@ -58,6 +58,17 @@ class TestMonicPolynomial:
         assert F1.degree == 5
         assert F1.support == (0, 1, 2)
 
+    def test_support_and_moduli_are_kept(self):
+        # Computed on first use and kept: the polynomial is immutable.  The
+        # moduli are aligned with the support, and neither takes part in
+        # equality.
+        p = MonicPolynomial((3 - 4j, 0j, -0.25, 0.0))
+        assert p.support is p.support and p.moduli is p.moduli
+        assert (p.support, p.moduli) == ((0, 2), (5.0, 0.25))
+        assert p.coefficient_moduli() == {0: 5.0, 2: 0.25}
+        q = MonicPolynomial(p.coeffs)
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+
     def test_exact_zero_support(self):
         p = MonicPolynomial((1e-300, 0.0, complex(0.0, 1e-12)))
         assert p.support == (0, 2)

@@ -161,7 +161,9 @@ class TestAberthStart:
         # s^30 - c: one edge of 30 points, started on the 30th roots of c,
         # turned by 0.5 / 30.
         n, c = 30, 3e-5 * cmath.exp(2.1j)
-        start = roots._start(np.array([[-c] + [0j] * (n - 1) + [1.0 + 0j]]))[0]
+        start, one = roots._start(np.array([[-c] + [0j] * (n - 1) + [1.0 + 0j]]))
+        start = start[0]
+        assert one.tolist() == [True]
         rho = abs(c) ** (1 / n)
         turn = cmath.exp(0.5j / n)
         expected = [c ** (1 / n) * cmath.exp(2j * math.pi * j / n) * turn for j in range(n)]
@@ -179,7 +181,25 @@ class TestAberthStart:
             radius * np.exp(1j * (2.0 * np.pi * ((np.arange(size) + 0.375) / size + first / n) + 0.5 / n))
             for first, size, radius in circles
         ])
-        assert roots._start(asc)[0].tobytes() == expected.tobytes()
+        start, one = roots._start(asc)
+        assert start[0].tobytes() == expected.tobytes()
+        assert one.tolist() == [False]
+
+    @pytest.mark.parametrize("n", [22, 64, 160])
+    def test_one_edge_pairwise_sums_in_closed_form(self, n):
+        # The points of a one-edge start are the n-th roots of one number,
+        # where sum_{j != i} 1 / (z_i - z_j) = (n - 1) / (2 z_i) exactly; the
+        # numeric sums, rounded term by term, agree within n eps of it
+        # (measured: at most 0.68 n eps).
+        eps = np.finfo(float).eps
+        for c in (3e-5 * cmath.exp(2.1j), 0.7, -2.5 + 1j, 1e-40j, 1e30):
+            z, one = roots._start(np.array([[c] + [0j] * (n - 1) + [1.0 + 0j]]))
+            assert one.tolist() == [True]
+            z = z[0]
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, np.inf)
+            closed = (0.5 * (n - 1)) / z
+            assert (np.abs(np.reciprocal(diff).sum(axis=1) - closed) <= n * eps * np.abs(closed)).all()
 
     def test_zero_low_coefficients_settle_without_warnings(self, rng):
         # a_0 = a_1 = 0: two roots at the origin, whose starting points must
@@ -198,23 +218,32 @@ class TestAberthStart:
                 assert max(abs(z) for z in rs.roots[:2]) <= 1e-12
 
 
+def _counting_sweeps(monkeypatch):
+    """A one-element list counting the power tables built, one per Aberth
+    sweep."""
+    sweeps = [0]
+    powers = roots._powers
+
+    def counting(z, n, *out):
+        sweeps[0] += 1
+        return powers(z, n, *out)
+
+    monkeypatch.setattr(roots, "_powers", counting)
+    return sweeps
+
+
 class TestAberthFreeze:
-    """Each root leaves the sweeps once it settles, for good; a row at
-    rounding level stops early and is left to the eigenvalues."""
+    """Each root leaves the sweeps once it settles, for good; a row settles
+    on Newton steps that contract quadratically; a row at rounding level
+    stops early and is left to the eigenvalues."""
 
     @pytest.mark.parametrize("degree", [64, 160])
     @pytest.mark.parametrize("radius", [0.9, 1.0])
-    def test_uniform_disc_stops_at_rounding_level(self, monkeypatch, degree, radius):
-        # Roots uniform in a disc reach rounding level before the step test
-        # fires; Aberth stops at the first sweep that may test for it, not
+    def test_uniform_disc_keeps_its_accuracy(self, monkeypatch, degree, radius):
+        # Roots uniform in a disc.  Seed 0's row settles on its Newton steps
+        # (max modulus within 2.5e-13 of exact); a row that reaches rounding
+        # level first stops at the first sweep that may test for it, not
         # after _MAX_SWEEPS, and the eigenvalues answer.
-        sweeps = [0]
-        powers = roots._powers
-
-        def counting(z, n, *out):
-            sweeps[0] += 1
-            return powers(z, n, *out)
-
         for seed in range(3):
             rng = random.Random(seed * 1000 + degree)
             zs = [
@@ -222,16 +251,35 @@ class TestAberthFreeze:
                 for t in (rng.uniform(0.0, 2.0 * math.pi) for _ in range(degree))
             ]
             f, top = _from_dyadic_roots(zs)
-            monkeypatch.setattr(roots, "_powers", counting)
-            sweeps[0] = 0
-            _, settled = roots._aberth(np.array([f.coeffs + (1.0 + 0j,)]))
-            monkeypatch.setattr(roots, "_powers", powers)
-            assert not settled.any()
-            assert sweeps[0] == roots._ROUNDING_SWEEP + 1
+            with monkeypatch.context() as m:
+                sweeps = _counting_sweeps(m)
+                _, settled = roots._aberth(np.array([f.coeffs + (1.0 + 0j,)]))
+            if not settled[0]:
+                assert seed > 0 and sweeps[0] == roots._ROUNDING_SWEEP + 1
             rs = find_roots(f)  # raises UnconvergedError unless certified
             # These roots are well conditioned: the coefficients, exact before
             # one rounding each, have moduli up to about 1e3.
             assert abs(rs.max_modulus - top) <= 1e-9
+
+    @pytest.mark.parametrize("degree", [64, 160])
+    def test_double_roots_stop_at_rounding_level(self, monkeypatch, degree):
+        # Every root double: Newton converges only linearly, so the settle
+        # never fires, and the row stops at the first sweep that may test for
+        # rounding level; the eigenvalues answer.  Rounding the coefficients
+        # once splits each double root by about sqrt(eps) times its
+        # condition, so the max modulus is good to 1e-4 only.
+        rng = random.Random(degree)
+        zs = [
+            0.9 * math.sqrt(rng.random()) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            for _ in range(degree // 2)
+        ]
+        f, top = _from_dyadic_roots([z for z in zs for _ in range(2)])
+        sweeps = _counting_sweeps(monkeypatch)
+        _, settled = roots._aberth(np.array([f.coeffs + (1.0 + 0j,)]))
+        monkeypatch.undo()
+        assert not settled.any()
+        assert sweeps[0] == roots._ROUNDING_SWEEP + 1
+        assert abs(find_roots(f).max_modulus - top) <= 1e-4
 
     def test_ill_conditioned_row_keeps_its_verdict(self):
         # 160 roots uniform in the unit disc, multiplied out in floats
@@ -251,8 +299,9 @@ class TestAberthFreeze:
 
     def test_row_settles_on_newton_steps(self, monkeypatch):
         # A degree-100 row of jittered circles, like the benchmark's scan
-        # rows: every sweep but the last takes the pairwise sums; the last
-        # finds every Newton step within the freeze test and settles on them.
+        # rows, whose Newton polygon has more than one edge: every sweep but
+        # the last takes the pairwise sums; the last finds the Newton steps
+        # contracting quadratically and settles on them.
         rng = random.Random(100)
         zs = _jittered_circle(rng, 75, 0.95) + _jittered_circle(rng, 25, 0.5)
         f, top = _from_dyadic_roots(zs)
@@ -280,9 +329,11 @@ class TestAberthFreeze:
     def test_frozen_root_never_moves(self, monkeypatch, degree):
         # The points of each sweep's power table are the active roots; after
         # t sweeps, every root not among those of sweep t + 1 keeps its value
-        # to the end.
+        # to the end.  A jittered circle with two roots 1e-3 apart: their
+        # large pairwise sums hold the Newton settle back while the other
+        # roots freeze.
         rng = random.Random(degree)
-        zs = _jittered_circle(rng, degree, 0.9)
+        zs = _jittered_circle(rng, degree - 2, 0.9) + [0.3 + 0.2j, 0.3 + 0.2j + 1e-3]
         asc = np.array([_from_dyadic_roots(zs)[0].coeffs + (1.0 + 0j,)])
         swept = []
         powers = roots._powers
@@ -387,7 +438,7 @@ class TestPowerTable:
         rng = random.Random(degree)
         polys = [random_monic(rng, degree, (0.05, 3.0)) for _ in range(3)]
         pd = _with_slopes(np.array([f.coeffs + (1.0 + 0j,) for f in polys]))
-        z = roots._start(pd[:, 0]) * 1.05
+        z = roots._start(pd[:, 0])[0] * 1.05
         V = roots._powers(z, degree)
         got = roots._values_and_slopes(pd, V)
         eps = np.finfo(float).eps
@@ -403,7 +454,7 @@ class TestPowerTable:
         f = MonicPolynomial((1.0,) + (0j,) * (degree - 2) + (1500.0,))
         asc = np.array([f.coeffs + (1.0 + 0j,)])
         with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.isfinite(roots._powers(roots._start(asc), degree)).all()
+            assert not np.isfinite(roots._powers(roots._start(asc)[0], degree)).all()
         with np.errstate(all="ignore"):
             z, settled = roots._aberth(asc)
         # A step that is not finite never freezes its root, and the row stops
@@ -444,6 +495,33 @@ class TestStabilityVerdict:
                 continue
             b = is_schur_stable(real_form(f))
             assert a.status is b.status
+
+    def test_reads_the_row_core_without_a_root_set(self, monkeypatch):
+        """The verdict's modulus is the row core's worst modulus, bit for bit
+        ``find_roots(f).max_modulus``, and no root set is built for it."""
+        rng = random.Random(7)
+        fs = [random_monic(rng, n, (0.05, 1.2)) for n in (3, 15, 16, 40)]
+        want = [find_roots(f).max_modulus.hex() for f in fs]
+
+        def refuse(*args):
+            raise AssertionError("built a root set")
+
+        monkeypatch.setattr(roots, "_root_sets", refuse)
+        verdicts = [is_schur_stable(f) for f in fs]
+        assert all(type(v.max_modulus) is float for v in verdicts)
+        assert [v.max_modulus.hex() for v in verdicts] == want
+
+    @pytest.mark.parametrize("n", [5, 40])
+    def test_failure_reads_as_find_roots(self, monkeypatch, n):
+        f = random_monic(random.Random(n), n, (0.05, 1.2))
+        monkeypatch.setattr(roots, "_tolerances", lambda moduli: np.full(len(moduli), -1.0))
+        monkeypatch.setattr(roots, "_reconstructs", lambda asc, z: np.zeros(len(z), dtype=bool))
+        with pytest.raises(UnconvergedError, match="failed to certify") as alone:
+            find_roots(f)
+        with pytest.raises(UnconvergedError) as info:
+            is_schur_stable(f)
+        assert str(info.value) == str(alone.value)
+        assert info.value.partial == alone.value.partial
 
 
 def _cluster(n=7, r=Fraction(127, 128)):
