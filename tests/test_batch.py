@@ -1371,7 +1371,7 @@ class TestWorkCounters:
         report.sweep(f, [0.05 * p for p in range(1, 101)])
         rows = roots._CHUNK_ELEMENTS // 40**2
         expected = [min(rows, 100 - start) for start in range(0, 100, rows)]
-        # Aberth is the first candidate above degree 32 and certifies every
+        # Aberth is the first candidate at degree 40 and certifies every
         # row, so the eigenvalue fallback never runs.
         assert aberth_calls == [(k, 41) for k in expected]
         assert eigvals_calls == []
