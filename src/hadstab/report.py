@@ -131,7 +131,7 @@ def sweep(f: MonicPolynomial, powers: Sequence[float]) -> list[SweepRecord]:
     """
     check_degree(f.degree)
     ps = sorted(reals(powers, "powers"))
-    z, _, _, worst = find_root_rows(principal_rows(f, ps))
+    z, _, worst = find_root_rows(principal_rows(f, ps))
     return [
         SweepRecord(p, classify(m) is Status.STABLE, m, tuple(zs))
         for p, m, zs in zip(ps, worst.tolist(), z.tolist())

@@ -10,12 +10,13 @@ points as it is long on a circle of its own radius, near the root moduli
 (Bini 1996), and an edge k1 -> k2 of two or more points puts them at the
 angles of the roots of its two-term truncation a_k2 z^k2 + a_k1 z^k1, which
 about halves the sweeps that uniform angles took.
-Roots certify when every per-root residual is within tolerance or, checked
-only for the rows whose residuals fall short, when they reconstruct the
-monic polynomial's coefficients; an iteration that did not settle never
-certifies.  Residuals are scaled backward errors, so clusters of
-near-multiple roots degrade per-root accuracy without breaking the
-certificate.
+Roots certify when the candidate settled and every root's scaled residual,
+the backward error |p(z)| / (1 + sum_k |a_k| |z|^k), is within one flat
+tolerance, ``_RESIDUAL_TOL``; an iteration that did not settle never
+certifies.  A root outside the unit circle is evaluated through w = 1 / z
+(``_scaled_residuals``), so no residual of a finite root overflows.
+Residuals are scaled backward errors, so clusters of near-multiple roots
+degrade per-root accuracy without breaking the certificate.
 
 Aberth sweeps only the roots still moving (Bini & Fiorentino, Numer.
 Algorithms 23, 2000).  A root is frozen for good once its own step passes
@@ -60,11 +61,11 @@ the cluster.
 Polynomials of one degree are solved as a batch of coefficient rows
 (``find_root_rows``): the Aberth sweeps go through the rows one at a time,
 each with its own moving roots, the eigenvalues come from one stacked
-``(k, n, n)`` solve, and the residuals and reconstructions of all rows are
-computed together.  Every step is elementwise per row, a matrix product of
-the same shape for every row, or a row's own sweep, so a row's result does
-not depend on the batch it was solved in.  Rows are processed in chunks
-sized from the degree, which bounds the memory of the stacked arrays.
+``(k, n, n)`` solve, and the residuals of all rows are computed together.
+Every step is elementwise per row, a matrix product of the same shape for
+every row, or a row's own sweep, so a row's result does not depend on the
+batch it was solved in.  Rows are processed in chunks sized from the
+degree, which bounds the memory of the stacked arrays.
 ``find_root_rows`` is the one place that certifies rows, raises for the
 first that fails, and takes each row's worst root modulus (by ``np.hypot``,
 which equals Python's ``abs`` bit for bit); given a limit, it stops after
@@ -142,7 +143,9 @@ _MAX_SWEEPS = 200
 # row there takes more than 10 sweeps), and the test costs a second product
 # over the power table.
 _ROUNDING_SWEEP = 16
-_RECONSTRUCTION_TOL = 1e-8
+# A root certifies when its scaled residual (``_scaled_residuals``), a
+# backward error relative to the coefficients, is at most this.
+_RESIDUAL_TOL = 1e-10
 # Radius of the circle for roots at the origin, relative to the smallest
 # Newton-polygon circle.
 _ZERO_CIRCLE = 0.5
@@ -174,8 +177,11 @@ class RootSet:
     """All n roots in nondecreasing modulus order with their residuals.
 
     ``residuals[i]`` is the scaled backward error |f(z_i)| / (1 + sum_k
-    |a_k| |z_i|^k); a root is flagged unconverged when it exceeds the
-    residual tolerance for the polynomial.  ``max_modulus`` is the largest
+    |a_k| |z_i|^k), taken through 1 / z_i outside the unit circle (see
+    ``_scaled_residuals``); ``converged[i]`` says whether it is within
+    ``_RESIDUAL_TOL``, the one tolerance of every polynomial.  A set that
+    certifies has every root converged; one with a root that is not is only
+    ever an UnconvergedError's partial result.  ``max_modulus`` is the largest
     root modulus as the row core took it (``find_root_rows``): bit for bit
     ``max(abs(z) for z in roots)`` where no root is NaN, and NaN where one is.
     """
@@ -221,12 +227,6 @@ class StabilityVerdict:
             "max_modulus": self.max_modulus,
             "margin": self.margin,
         }
-
-
-def _tolerances(moduli: np.ndarray) -> np.ndarray:
-    """The residual tolerance 1e-10 (1 + max_k |a_k|) of every row of
-    coefficient moduli |a_0| .. |a_n|."""
-    return 1e-10 * (1.0 + moduli[:, :-1].max(axis=1))
 
 
 def companion_matrix(coeffs: np.ndarray) -> np.ndarray:
@@ -531,53 +531,51 @@ def _eigenvalues(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scaled_residuals(asc: np.ndarray, moduli: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Per-root scaled backward errors; ``moduli`` holds |a_0| .. |a_n| per
-    row.  The power table and the products go into the thread's workspace
-    (``_scratch``): the coefficient product, then the modulus table, whose
-    product with the moduli is taken in place."""
+    """Per-root scaled backward errors |p(z)| / (1 + sum_k |a_k| |z|^k);
+    ``moduli`` holds |a_0| .. |a_n| per row.
+
+    A root outside the unit circle is evaluated through w = 1 / z: its
+    column of the power table holds w^n .. w^0, the table reversed, so the
+    same two sums give |sum_k a_k w^(n-k)| / (|w|^n + sum_k |a_k| |w|^(n-k)),
+    the quotient above times |w|^n / |w|^n.  No power then exceeds 1 in
+    modulus, so a finite root whose |z|^n is beyond the float range still
+    gets a finite residual.  The power table and the products go into the
+    thread's workspace (``_scratch``): the reversed columns, then the
+    coefficient product, then the modulus table, whose product with the
+    moduli is taken in place.
+    """
     k, n = z.shape
     size = (n + 1) * k * n
     ws = _scratch(2 * size)
+    flip = np.flatnonzero(np.abs(z) > 1.0)  # the roots taken through 1 / z
+    if flip.size:
+        z = z.copy()
+        points = z.reshape(-1)
+        points[flip] = 1.0 / points[flip]
     V, rest = _powers(z, n, ws), ws[size : 2 * size]
+    lead = 1.0
+    if flip.size:
+        table = V.reshape(n + 1, -1)
+        taken = rest[: (n + 1) * flip.size].reshape(n + 1, -1)
+        table[:, flip] = np.take(table, flip, axis=1, out=taken, mode="clip")[::-1]
+        lead = np.abs(V[0])  # 1, or |w|^n for a root taken through w = 1 / z
     p = np.abs(_evaluate(V, asc, rest.reshape(V.shape)))
     mod = np.abs(V, out=rest.view(float)[:size].reshape(V.shape))
-    return p / (1.0 + _evaluate(mod, moduli, mod))
+    return p / (lead + _evaluate(mod, moduli, mod))
 
 
-def _reconstructs(asc: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Per row, whether the monic polynomial with the roots ``z`` reproduces
-    the ascending coefficients ``asc``.
-
-    The product of (s - z_j) is expanded for all rows at once, one root per
-    step, as ``np.poly`` expands one row; its BLAS dot products may round
-    the coefficients differently in the last bit.
-    """
-    k, n = z.shape
-    desc = np.zeros((k, n + 1), dtype=complex)
-    desc[:, 0] = 1.0
-    for j in range(n):
-        desc[:, 1 : j + 2] -= desc[:, : j + 1] * z[:, j, None]
-    err = np.abs(desc[:, ::-1] - asc) / np.maximum(1.0, np.abs(asc))
-    return err.max(axis=1) <= _RECONSTRUCTION_TOL
-
-
-def _candidate(solve, asc, moduli, tol):
+def _candidate(solve, asc, moduli):
     """Roots and residuals from ``solve``, its settled rows, and the rows it
-    certifies (settled, and reconstructing or with residuals within tol)."""
+    certifies: settled, with every residual within ``_RESIDUAL_TOL``."""
     z, settled = solve(asc)
     res = _scaled_residuals(asc, moduli, z)
-    ok = (res <= tol[:, None]).all(axis=1)
-    if not ok.all():  # reconstruction only where the residuals fall short
-        ok[~ok] = _reconstructs(asc[~ok], z[~ok])
-    return z, res, settled, settled & ok
+    return z, res, settled, settled & (res <= _RESIDUAL_TOL).all(axis=1)
 
 
-def _solve_rows(
-    asc: np.ndarray, moduli: np.ndarray, tol: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve_rows(asc: np.ndarray, moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unsorted roots, their scaled residuals and a certified mask for every
     row of ascending monic coefficients ``asc`` (k, n + 1), with ``moduli``
-    their moduli and ``tol`` (k,) the residual tolerance of each row.
+    their moduli.
 
     A row with a_0 .. a_{n-1} all zero is s^n: n roots at the origin, no
     iteration.  The other rows go to the first candidate for the degree, and
@@ -592,41 +590,38 @@ def _solve_rows(
         z, res = np.zeros((k, n), dtype=complex), np.zeros((k, n))
         certified = np.ones(k, dtype=bool)
         if live.any():
-            z[live], res[live], certified[live] = _solve_rows(
-                asc[live], moduli[live], tol[live]
-            )
+            z[live], res[live], certified[live] = _solve_rows(asc[live], moduli[live])
         return z, res, certified
     first, fallback = (
         (_eigenvalues, _aberth) if n <= _EIGVALS_MAX_DEGREE else (_aberth, _eigenvalues)
     )
-    z, res, _, certified = _candidate(first, asc, moduli, tol)
+    z, res, _, certified = _candidate(first, asc, moduli)
     retry = np.flatnonzero(~certified)
     if retry.size:
-        z2, res2, settled, ok = _candidate(fallback, asc[retry], moduli[retry], tol[retry])
+        z2, res2, settled, ok = _candidate(fallback, asc[retry], moduli[retry])
         certified[retry] = ok
         # An iterate that did not settle is never returned, even as a partial.
         z[retry[settled]], res[retry[settled]] = z2[settled], res2[settled]
     return z, res, certified
 
 
-def _root_sets(z: np.ndarray, res: np.ndarray, tol: np.ndarray, worst: np.ndarray) -> list[RootSet]:
+def _root_sets(z: np.ndarray, res: np.ndarray, worst: np.ndarray) -> list[RootSet]:
     """Each row of sorted roots as a RootSet, from ``find_root_rows``' arrays."""
-    rows = zip(z.tolist(), res.tolist(), (res <= tol[:, None]).tolist(), worst.tolist())
+    rows = zip(z.tolist(), res.tolist(), (res <= _RESIDUAL_TOL).tolist(), worst.tolist())
     return [RootSet(tuple(zs), tuple(errs), tuple(flags), m) for zs, errs, flags, m in rows]
 
 
 @np.errstate(all="ignore")  # see _solve_rows
 def _solve_chunk(
     asc: np.ndarray, offset: int, limit: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``find_root_rows`` of one chunk; ``offset`` is the row of ``asc[0]``
     in the whole batch.  Returns fewer rows than ``asc`` holds when one
     exceeds ``limit``: the last row returned is then the first such row."""
     # np.hypot, not np.abs: it equals Python's abs (libm hypot) bit for bit,
     # and so the residual scale and each worst modulus (RootSet.max_modulus).
     moduli = np.hypot(asc.real, asc.imag)
-    tol = _tolerances(moduli)
-    z, res, certified = _solve_rows(asc, moduli, tol)
+    z, res, certified = _solve_rows(asc, moduli)
     worst = np.hypot(z.real, z.imag).max(axis=1)
     stop = ~certified | (worst > limit)
     k = int(np.argmax(stop)) + 1 if stop.any() else len(asc)
@@ -636,10 +631,10 @@ def _solve_chunk(
     if not certified[k - 1]:
         raise UnconvergedError(
             f"root iteration failed to certify (max residual {res[-1].max():.3e})",
-            partial=_root_sets(z[-1:], res[-1:], tol[k - 1 : k], worst[k - 1 : k])[0],
+            partial=_root_sets(z[-1:], res[-1:], worst[k - 1 : k])[0],
             row=offset + k - 1,
         )
-    return z, res, tol[:k], worst[:k]
+    return z, res, worst[:k]
 
 
 def chunk_rows(degree: int) -> int:
@@ -657,12 +652,13 @@ def check_degree(n: int) -> None:
 
 def find_root_rows(
     asc: np.ndarray, limit: float = math.inf
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roots of the rows of ascending monic coefficients ``asc`` (k, n + 1),
     each row sorted by modulus as ``find_roots`` sorts it, with their scaled
-    residuals, each row's residual tolerance and its largest root modulus,
-    the only producer of ``RootSet.max_modulus``: (j, n), (j, n), (j,) and
-    (j,) arrays.
+    residuals and each row's largest root modulus, the only producer of
+    ``RootSet.max_modulus``: (j, n), (j, n) and (j,) arrays.  A row
+    certifies when its candidate settled and every residual is within
+    ``_RESIDUAL_TOL``.
 
     The rows are solved ``chunk_rows(n)`` at a time and returned through the
     first whose largest modulus exceeds ``limit``, so j = k unless one does;
@@ -673,7 +669,7 @@ def find_root_rows(
     """
     k, n = asc.shape[0], asc.shape[1] - 1
     if not k:
-        return np.zeros((0, n), dtype=complex), np.zeros((0, n)), np.zeros(0), np.zeros(0)
+        return np.zeros((0, n), dtype=complex), np.zeros((0, n)), np.zeros(0)
     check_degree(n)
     size = chunk_rows(n)
     if k <= size:
@@ -681,7 +677,7 @@ def find_root_rows(
     parts = []
     for i in range(0, k, size):
         parts.append(_solve_chunk(asc[i : i + size], i, limit))
-        if parts[-1][3][-1] > limit:
+        if parts[-1][2][-1] > limit:
             break
     return tuple(np.concatenate(columns) for columns in zip(*parts))
 
@@ -694,8 +690,8 @@ def _row(f: MonicPolynomial) -> np.ndarray:
 
 
 def find_roots(f: MonicPolynomial) -> RootSet:
-    """All roots of f, nondecreasing in modulus, certified by their scaled
-    residuals, or by reconstructing f where those fall short.
+    """All roots of f, nondecreasing in modulus, each certified by its
+    scaled residual (see ``find_root_rows``).
 
     Raises UnconvergedError (with the partial result attached) when neither
     the first candidate for the degree nor the fallback certifies; a degree
@@ -709,7 +705,7 @@ def is_schur_stable(f: MonicPolynomial) -> StabilityVerdict:
     """Exact stability decision: all roots strictly inside the unit disc.
     The verdict of the row core's worst modulus of f's one row, as
     ``find_roots(f).max_modulus``, with no root set built."""
-    return StabilityVerdict.of(find_root_rows(_row(f))[3].item())
+    return StabilityVerdict.of(find_root_rows(_row(f))[2].item())
 
 
 @np.errstate(all="ignore")  # a column whose scale overflows is left undecided
@@ -810,7 +806,7 @@ def row_statuses(asc: np.ndarray) -> list[Status]:
     ]
     rest = [i for i, st in enumerate(statuses) if st is None]
     if rest:
-        for i, m in zip(rest, _solve(asc, rest)[3].tolist()):
+        for i, m in zip(rest, _solve(asc, rest)[2].tolist()):
             statuses[i] = classify(m)
     return statuses
 
@@ -891,7 +887,7 @@ def branch_set_stable(b: BranchSet) -> StabilityVerdict:
         for rows in np.split(keep, np.flatnonzero(cut[keep]) + 1):
             if rows.size:
                 try:
-                    moduli = _solve(asc, rows, limit)[3]
+                    moduli = _solve(asc, rows, limit)[2]
                 except UnconvergedError as exc:
                     raise _branch_error(b, block, exc) from exc
                 found.append(float(moduli.max()))

@@ -120,6 +120,8 @@ F1 = '{"degree": 5, "coeffs": [[0.7, 0], [0.2, 0], [0.9, 0], [0, 0], [0, 0]]}'
 G1 = '{"degree": 5, "coeffs": [[3.0, 0], [2.0, 0], [2.5, 0], [0, 0], [0, 0]]}'
 DEGREE_33 = '{"degree": 33, "coeffs": [[0.7, 0], ' + "[0, 0], " * 31 + "[0.9, 0]]}"
 DEGREE_1030 = json.dumps({"degree": 1030, "coeffs": [[0.0005, 0]] * 1030})
+# s^256 - 17 s^255 + 0.5: its root near 17 has |z|^256 beyond the float range.
+R17 = json.dumps({"degree": 256, "coeffs": [[0.5, 0]] + [[0, 0]] * 254 + [[-17, 0]]})
 # Example 1's f at p = 27/8: the principal branch alone, and member 0 of
 # --all-branches, print this object.
 PRINCIPAL_27_8 = {
@@ -326,14 +328,21 @@ CASES = [
         code=2, err="error: 'terms' must be a non-empty list\n",
     ),
     # 1.3^p grows without bound: the stable end doubles from 64 until the
-    # verdict at p = 2048 cannot be certified, which is not applicable.
+    # principal power at p = 4096 overflows, which is not applicable.
     Case(
         "threshold-onset-no-stable-end",
         "threshold --poly {tmp}/grow.json --mode max --method onset",
         {"grow.json": '{"degree": 3, "coeffs": [[0.05, 0], [1.3, 0], [0.2, 0]]}'},
         code=1,
-        err="not applicable: no stable power found while expanding the bracket: the verdict at "
-            "p = 2048.0 cannot be certified (root iteration failed to certify (max residual nan))\n",
+        err="not applicable: no stable power found while expanding the bracket: the principal "
+            "power at p = 4096.0 is out of range (|(1.3+0j)|^4096.0 overflows the floating-point "
+            "range)\n",
+    ),
+    # A root whose |z|^n overflows certifies: its residual is taken through
+    # 1 / z.
+    Case(
+        "analyze-root-beyond-the-power-range", "analyze --poly {tmp}/r17.json", {"r17.json": R17},
+        out={"status": "Unstable", "max_modulus": 17.0, "roots": Length(256)},
     ),
     # C(1030, 515) is beyond the float range: --szego at degree 1030 is an
     # input error naming the degree; without it, root finding refuses it.

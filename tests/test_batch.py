@@ -75,16 +75,16 @@ def _seed_find_roots(f, horner=_seed_horner, values=_seed_values):
     moving, takes the pairwise sums of a one-edge start in closed form, and
     settles on Newton steps once they contract quadratically.  Aberth and
     the residuals evaluate from a table of powers of the points (Aberth by
-    one matrix product for p and p', the residuals term by term), the Newton
-    polish by Horner's rule.  Returns the sorted roots and residuals as raw
-    bytes."""
+    one matrix product for p and p', the residuals term by term, through
+    1 / z outside the unit circle), the Newton polish by Horner's rule.  A
+    root set certifies when every residual is within 1e-10.  Returns the
+    sorted roots and residuals as raw bytes."""
     n = f.degree
     asc = np.array(list(f.coeffs) + [1.0 + 0j])
     if not f.support:
         return np.zeros(n, dtype=complex).tobytes(), np.zeros(n).tobytes()
     desc = asc[::-1]
     deriv = desc[:-1] * np.arange(n, 0, -1)
-    tol = 1e-10 * (1.0 + max(abs(c) for c in f.coeffs))
 
     def powers(z):
         # z^(m+1) .. z^(2m) as z^1 .. z^m times z^m, one broadcast multiply
@@ -201,16 +201,16 @@ def _seed_find_roots(f, horner=_seed_horner, values=_seed_values):
         return z
 
     def residuals(z):
-        V = powers(z)
+        # A root outside the unit circle through w = 1 / z: its column of
+        # the table holds w^n .. w^0, and |w^n| takes the place of the 1.
+        out = np.abs(z) > 1.0
+        V = powers(np.where(out, 1.0 / np.where(out, z, 1.0), z))
+        V[:, out] = V[::-1, out]
         moduli = np.array([abs(c) for c in asc[:-1]] + [1.0])
-        return np.abs(_seed_evaluate(V, asc)) / (1.0 + _seed_evaluate(np.abs(V), moduli))
-
-    def reconstructs(z):
-        err = np.abs(np.poly(z)[::-1] - asc) / np.maximum(1.0, np.abs(asc))
-        return bool(np.max(err) <= 1e-8)
+        return np.abs(_seed_evaluate(V, asc)) / (np.abs(V[0]) + _seed_evaluate(np.abs(V), moduli))
 
     def certifies(z):
-        return bool(np.all(residuals(z) <= tol)) or reconstructs(z)
+        return bool(np.all(residuals(z) <= 1e-10))
 
     first, second = (companion, aberth) if n <= 15 else (aberth, companion)
     z = first()
@@ -357,16 +357,16 @@ def _spoiled(solve, *targets):
     return spoiled
 
 
-def _tolerances_failing(bad, otherwise=None):
-    """A ``roots._tolerances`` that gives -1 to every row whose coefficient
-    moduli |a_0| .. |a_{n-1}| are in ``bad``, so that no residual certifies
-    it, and ``otherwise`` (default: the real tolerance) to the others."""
-    tolerances = roots._tolerances
+def _residuals_failing(bad):
+    """A ``roots._scaled_residuals`` that gives residual 1 to every root of a
+    row whose coefficient moduli |a_0| .. |a_{n-1}| are in ``bad``, so that
+    no candidate certifies it, and their own residuals to the others."""
+    residuals = roots._scaled_residuals
 
-    def failing(moduli):
-        tol = tolerances(moduli) if otherwise is None else np.full(len(moduli), otherwise)
-        hit = [tuple(row[:-1]) in bad for row in moduli.tolist()]
-        return np.where(hit, -1.0, tol)
+    def failing(asc, moduli, z):
+        res = residuals(asc, moduli, z)
+        res[[tuple(row[:-1]) in bad for row in moduli.tolist()]] = 1.0
+        return res
 
     return failing
 
@@ -459,41 +459,6 @@ class TestBatchEqualsSingle:
                 assert _bits(rs)[:2] == _seed_find_roots(f, **seed)
         assert stalls["horner"] > 0 and stalls["polish"] > 0 and stalls[40] > 0
 
-    def test_reconstruction_matches_np_poly(self):
-        """The row-wise product expansion decides as ``np.poly`` does, on
-        roots that reconstruct and on roots pushed past the tolerance.
-
-        The two expansions round differently (numpy's convolution goes
-        through BLAS dot products).  Each is within about n eps times the
-        coefficients of prod(s + |z_j|) of the exact product, so a row whose
-        ``np.poly`` error is within twice that of the tolerance may be
-        decided either way, and is not compared."""
-        eps = np.finfo(float).eps
-        tol = roots._RECONSTRUCTION_TOL
-        outcomes = set()
-        for group in CORPUS:
-            live = [f for f in group if f.support]
-            asc = monic_rows(live)
-            scale = np.maximum(1.0, np.abs(asc))
-            n = asc.shape[1] - 1
-            zc = np.linalg.eigvals(roots.companion_matrix(asc[:, :-1]))
-            for shift in (0.0, 1e-10, 1e-9, 1e-8, 1e-6):
-                z = zc * (1.0 + shift)
-                err = np.array(
-                    [np.max(np.abs(np.poly(zi)[::-1] - ai) / si)
-                     for ai, zi, si in zip(asc, z, scale)]
-                )
-                slack = 2 * n * eps * np.array(
-                    [np.max(np.poly(-np.abs(zi)).real[::-1] / si)
-                     for zi, si in zip(z, scale)]
-                )
-                clear = np.abs(err - tol) > slack
-                want = err <= tol
-                got = roots._reconstructs(asc, z)
-                assert (got == want)[clear].all()
-                outcomes.update(want[clear].tolist())
-        assert outcomes == {True, False}
-
     def test_scaled_residuals_match_the_horner_loop(self):
         """Residuals from the power table agree with Horner's rule over the
         scale summed power by power, within 4 (n + 1) eps of the scale: at
@@ -544,12 +509,15 @@ class TestMaxModulusField:
             got, want = _largest_abs_bits(rs)
             assert got == want, rs
 
-    @pytest.mark.parametrize("p", [Fraction(-400), Fraction(-420), Fraction(-801, 2)])
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1), Fraction(2, 3)])
     def test_partial_equals_largest_abs(self, p):
-        """F1's powers near -400 fail to certify (max residual nan); the
-        partial of the error carries the row core's modulus too."""
+        """Powers of s^8 + 1e90 s^7 + 0.2 fail to certify: one root of
+        modulus 1e90^p and seven tiny ones, whose residuals stay far above the
+        tolerance.  The partial of the error carries the row core's modulus
+        too."""
+        f = MonicPolynomial((0.2,) + (0j,) * 6 + (1e90,))
         with pytest.raises(UnconvergedError, match="failed to certify") as info:
-            branch_root_sets(hadamard_power(F1, p))
+            branch_root_sets(hadamard_power(f, p))
         got, want = _largest_abs_bits(info.value.partial)
         assert got == want and math.isfinite(info.value.partial.max_modulus)
 
@@ -566,8 +534,8 @@ class TestMaxModulusField:
 
 class TestBatchContract:
     def test_empty(self):
-        z, res, tol, worst = roots.find_root_rows(np.zeros((0, 6), dtype=complex))
-        assert (z.shape, res.shape, tol.shape, worst.shape) == ((0, 5), (0, 5), (0,), (0,))
+        z, res, worst = roots.find_root_rows(np.zeros((0, 6), dtype=complex))
+        assert (z.shape, res.shape, worst.shape) == ((0, 5), (0, 5), (0,))
 
     def test_degree_cap_before_allocation(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -584,10 +552,7 @@ class TestBatchContract:
         group = [random_monic(rng, 4) for _ in range(9)]
         bad = {tuple(abs(c) for c in group[i].coeffs) for i in (5, 7)}
         monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 2 * 16)
-        monkeypatch.setattr(
-            roots, "_reconstructs", lambda asc, z: np.zeros(len(z), dtype=bool)
-        )
-        monkeypatch.setattr(roots, "_tolerances", _tolerances_failing(bad, 1.0))
+        monkeypatch.setattr(roots, "_scaled_residuals", _residuals_failing(bad))
         with pytest.raises(UnconvergedError) as info:
             roots.find_root_rows(monic_rows(group))
         assert info.value.row == 5
@@ -628,7 +593,7 @@ class TestRowLimit:
         for group in (self.POWERS, [random_monic(rng, 5, (0.05, 1.2)) for _ in range(40)]):
             asc = monic_rows(group)
             full = roots.find_root_rows(asc)
-            worst = full[3]
+            worst = full[2]
             assert worst.tolist() == [find_roots(f).max_modulus for f in group]
             size = roots.chunk_rows(5)
             # Cut at the first row, at rows inside the group (a row equal to
@@ -652,15 +617,12 @@ class TestRowLimit:
         limit = 1.0 + roots.BOUNDARY_BAND
         monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 3 * 25)
         full = roots.find_root_rows(asc)
-        j = _prefix_length(full[3], limit)
+        j = _prefix_length(full[2], limit)
         assert 0 < j < len(asc) and j % 3 != 0  # the stop row is not last in its chunk
         bad = j - 1 + after
         monkeypatch.setattr(
-            roots, "_reconstructs", lambda asc, z: np.zeros(len(z), dtype=bool)
-        )
-        monkeypatch.setattr(
-            roots, "_tolerances",
-            _tolerances_failing({tuple(abs(c) for c in self.POWERS[bad].coeffs)}),
+            roots, "_scaled_residuals",
+            _residuals_failing({tuple(abs(c) for c in self.POWERS[bad].coeffs)}),
         )
         got = roots.find_root_rows(asc, limit)
         assert [a.tobytes() for a in got] == [a[:j].tobytes() for a in full]
@@ -750,9 +712,6 @@ class TestBranchSetChunks:
         target = reps[5]  # third chunk of two, and solved alone in it
         bad = np.array(next(bset.members([target])).coeffs + (1.0 + 0j,))
         monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 2 * 16)
-        monkeypatch.setattr(
-            roots, "_reconstructs", lambda asc, z: np.zeros(len(z), dtype=bool)
-        )
         residuals = roots._scaled_residuals
 
         def spoiled(asc, moduli, z):
@@ -782,9 +741,6 @@ class TestBranchSetChunks:
     def _spoil(self, monkeypatch, target):
         """Make the member with branch index ``target`` fail to certify."""
         bad = self.SET.rows([target])[0]
-        monkeypatch.setattr(
-            roots, "_reconstructs", lambda asc, z: np.zeros(len(z), dtype=bool)
-        )
         residuals = roots._scaled_residuals
 
         def spoiled(asc, moduli, z):
@@ -1006,7 +962,8 @@ def _recursion_corpus():
     in (0.05, 1.2), a third of them real, whose conjugate members tie in
     modulus;
     s^3, s^2 + 1 at 1/2 (Marginal), a set of degree 33 that only the root
-    finder solves, and the two inputs of ``test_overflow_warns_nothing``;
+    finder solves, and the two inputs of ``test_overflow_warns_nothing``,
+    one of which fails to certify;
     and s^n + e^(i theta), whose members all have every root on the circle."""
     rng = random.Random(2461)
     fs = [
@@ -1088,7 +1045,7 @@ class TestBranchSetAgreement:
             counts[status] += 1
         assert counts[Status.MARGINAL] >= 20, counts
         assert counts[Status.STABLE] >= 400 and counts[Status.UNSTABLE] >= 400, counts
-        assert expected.count(0) == 2  # the overflow inputs, at the principal
+        assert expected.count(0) == 1  # the degree-8 overflow input, at the principal
         for elements in (1, 4 * 25, roots._CHUNK_ELEMENTS):
             monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", elements)
             for bset, want in zip(corpus, expected):
@@ -1115,18 +1072,26 @@ class TestBranchSetAgreement:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "f",
+        "f, modulus",
         [
-            # The root near -1e45 overflows z^8 (eigenvalues first), and the
-            # one near -1e8 overflows z^40 (Aberth first).
-            MonicPolynomial((0.2,) + (0j,) * 6 + (1e90,)),
-            MonicPolynomial((1.0,) + (0j,) * 38 + (1e16,)),
+            # The root near -1e45 overflows z^8 in the Newton polish
+            # (eigenvalues first), and the residuals of the seven roots near
+            # 3e-7 stay far above the tolerance: no candidate certifies it.
+            (MonicPolynomial((0.2,) + (0j,) * 6 + (1e90,)), None),
+            # The root near -1e8 overflows z^40 in Aberth's table (Aberth
+            # first); its residual, taken through 1 / z, certifies it.
+            (MonicPolynomial((1.0,) + (0j,) * 38 + (1e16,)), 1e8),
         ],
     )
-    def test_overflow_warns_nothing(self, f):
+    def test_overflow_warns_nothing(self, f, modulus):
         bset = hadamard_power(f, Fraction(1, 2))
-        with pytest.raises(UnconvergedError, match=r"^branch 0 \(index \(0, 0\)\)"):
-            branch_set_stable(bset)
+        if modulus is None:
+            with pytest.raises(UnconvergedError, match=r"^branch 0 \(index \(0, 0\)\)"):
+                branch_set_stable(bset)
+        else:
+            verdict = branch_set_stable(bset)
+            assert verdict.status is Status.UNSTABLE
+            assert verdict.max_modulus == pytest.approx(modulus, rel=1e-12)
 
 
 def _sweep_per_polynomial(f, powers):
@@ -1164,11 +1129,8 @@ class TestSweepRows:
     def test_uncertified_row_is_its_sorted_position(self, monkeypatch):
         bad = principal_power(F1, 3.0)
         monkeypatch.setattr(roots, "_CHUNK_ELEMENTS", 2 * 25)  # two rows per chunk
-        monkeypatch.setattr(
-            roots, "_reconstructs", lambda asc, z: np.zeros(len(z), dtype=bool)
-        )
         moduli = {tuple(abs(c) for c in bad.coeffs)}
-        monkeypatch.setattr(roots, "_tolerances", _tolerances_failing(moduli))
+        monkeypatch.setattr(roots, "_scaled_residuals", _residuals_failing(moduli))
         with pytest.raises(UnconvergedError) as alone:
             find_roots(bad)
         with pytest.raises(UnconvergedError) as info:
@@ -1344,26 +1306,20 @@ class TestWorkCounters:
         assert len(records) == 100
         assert eigvals_calls == [(100, 5, 5)]
 
-    def test_sweep_of_100_powers_certifies_as_arrays(self, monkeypatch):
+    def test_sweep_of_100_powers_certifies_as_arrays(self, monkeypatch, aberth_calls):
         calls = []
-        reconstructs = roots._reconstructs
+        residuals = roots._scaled_residuals
 
-        def counting(asc, z):
-            calls.append({tuple(row[:-1]) for row in asc.tolist()})
-            return reconstructs(asc, z)
+        def counting(asc, moduli, z):
+            calls.append(z.shape)
+            return residuals(asc, moduli, z)
 
-        monkeypatch.setattr(roots, "_reconstructs", counting)
-        powers = [float(p) for p in range(1, 101)]
-        whole = report.sweep(F1, powers)
-        # The residuals of every row certify, so none is reconstructed.
-        assert calls == []
-        # Rows whose residuals cannot certify go to the reconstruction as
-        # one stack, and no other row does.
-        bad = [principal_power(F1, p) for p in powers[::7]]
-        moduli = {tuple(abs(c) for c in f.coeffs) for f in bad}
-        monkeypatch.setattr(roots, "_tolerances", _tolerances_failing(moduli))
-        assert report.sweep(F1, powers) == whole
-        assert calls == [{f.coeffs for f in bad}]
+        monkeypatch.setattr(roots, "_scaled_residuals", counting)
+        assert len(report.sweep(F1, [float(p) for p in range(1, 101)])) == 100
+        # One residual stack certifies every row, so no row goes on to the
+        # fallback.
+        assert calls == [(100, 5)]
+        assert aberth_calls == []
 
     def test_sweep_chunks_by_degree(self, eigvals_calls, aberth_calls):
         rng = random.Random(3)

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fail_row, monic_rows, random_monic
 from hadstab import (
@@ -94,6 +96,65 @@ class TestFindRoots:
         obj = find_roots(MonicPolynomial((1.0, 0.0))).to_json()
         assert set(obj) == {"roots", "max_modulus"}
         assert len(obj["roots"]) == 2
+
+
+def _polar(log10_moduli):
+    """Complex numbers of modulus 10^e, e drawn from ``log10_moduli``, at
+    uniform angles."""
+    return st.tuples(log10_moduli, st.floats(0.0, 2.0 * math.pi)).map(
+        lambda et: 10.0 ** et[0] * cmath.exp(1j * et[1])
+    )
+
+
+class TestCertificate:
+    """A root set certifies exactly when its candidate settled and every
+    scaled residual is within ``roots._RESIDUAL_TOL``.  A root outside the
+    unit circle has its residual taken through 1 / z, so no residual of a
+    finite root overflows."""
+
+    def test_refuses_roots_far_from_the_polynomial(self, monkeypatch):
+        """Both candidates put the roots of s^2 + 1e12 s + 1 at the origin,
+        where p = 1 and the scaled residual is 1 / (1 + 1) = 1/2: refused,
+        whatever the coefficients' size (a tolerance scaled by
+        1 + max|a_k| would be 100 here)."""
+
+        def at_origin(asc):
+            return np.zeros((len(asc), asc.shape[1] - 1), dtype=complex), np.ones(len(asc), bool)
+
+        monkeypatch.setattr(roots, "_eigenvalues", at_origin)
+        monkeypatch.setattr(roots, "_aberth", at_origin)
+        with pytest.raises(UnconvergedError, match=r"max residual 5\.000e-01") as info:
+            find_roots(MonicPolynomial((1.0, 1e12)))
+        assert info.value.partial.residuals == (0.5, 0.5)
+        assert info.value.partial.converged == (False, False)
+
+    @pytest.mark.parametrize("n, r", [(128, 300.0), (256, 17.0)])
+    def test_root_beyond_the_power_range_certifies(self, n, r):
+        """s^n - r s^(n-1) + 0.5 has a root near r, and r^n is beyond the
+        float range; its residual, through 1 / z, is not."""
+        with pytest.raises(OverflowError):
+            r**n
+        rs = find_roots(MonicPolynomial((0.5,) + (0j,) * (n - 2) + (-r,)))
+        assert all(rs.converged)
+        assert abs(rs.max_modulus - r) <= 1e-12 * r
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_forward_formula(self, data):
+        """Where z^0 .. z^n stay finite, the residual of every point, inside
+        the unit circle or through 1 / z outside it, is within 4 (n + 1) eps
+        of |p(z)| / (1 + sum_k |a_k| |z|^k) summed forward."""
+        n = data.draw(st.integers(1, 40), label="n")
+        coeffs = data.draw(st.lists(_polar(st.floats(-4.0, 4.0)), min_size=n, max_size=n))
+        points = data.draw(st.lists(_polar(st.floats(-2.0, 2.0)), min_size=n, max_size=n))
+        asc, z = np.array([coeffs + [1.0 + 0j]]), np.array([points])
+        moduli = np.abs(asc)
+        value, scale, zk = np.zeros_like(z), np.ones(z.shape), np.ones_like(z)
+        for a, m in zip(asc[0], moduli[0]):
+            value, scale, zk = value + a * zk, scale + m * np.abs(zk), zk * z
+        want = np.abs(value) / scale
+        got = roots._scaled_residuals(asc, moduli, z)
+        assert (np.abs(got - want) <= 4 * (n + 1) * np.finfo(float).eps).all()
 
 
 def _from_dyadic_roots(zs, bits=40):
@@ -514,8 +575,7 @@ class TestStabilityVerdict:
     @pytest.mark.parametrize("n", [5, 40])
     def test_failure_reads_as_find_roots(self, monkeypatch, n):
         f = random_monic(random.Random(n), n, (0.05, 1.2))
-        monkeypatch.setattr(roots, "_tolerances", lambda moduli: np.full(len(moduli), -1.0))
-        monkeypatch.setattr(roots, "_reconstructs", lambda asc, z: np.zeros(len(z), dtype=bool))
+        monkeypatch.setattr(roots, "_RESIDUAL_TOL", -1.0)
         with pytest.raises(UnconvergedError, match="failed to certify") as alone:
             find_roots(f)
         with pytest.raises(UnconvergedError) as info:
@@ -534,7 +594,7 @@ def _cluster(n=7, r=Fraction(127, 128)):
 def _root_statuses(polys):
     """The status of each polynomial from its largest root modulus, all
     solved as one batch of rows."""
-    return [classify(m) for m in find_root_rows(monic_rows(polys))[3].tolist()]
+    return [classify(m) for m in find_root_rows(monic_rows(polys))[2].tolist()]
 
 
 def _no_roots(monkeypatch):
@@ -751,7 +811,7 @@ class TestBranchSetStable:
             if len(bset) > 400:
                 continue
             reduced = branch_set_stable(bset)
-            worst = float(find_root_rows(bset.rows(list(bset.indices())))[3].max())
+            worst = float(find_root_rows(bset.rows(list(bset.indices())))[2].max())
             status = classify(worst)
             assert reduced.status is status, (f, p)
             if status is Status.STABLE:

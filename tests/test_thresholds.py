@@ -453,10 +453,13 @@ class TestExactOnset:
         assert got == (UnconvergedError, f"no certificate at a_0 = {a0}", 0)
 
     def test_auto_onset_uncertifiable_stable_end(self):
-        # 1.3^p grows without bound, so no power is stable; the solve at
-        # p = 2048 overflows and cannot be certified.
-        f = MonicPolynomial((0.05, 1.3, 0.2))
-        with pytest.raises(BracketError, match="p = 2048.0"):
+        # A unit modulus keeps Theorem 1 from applying, so the stable end
+        # doubles from 64.  At p = 64 the row s^3 + 2^64 s^2 + 1 has two
+        # roots near +-2^-32 i beside one near -2^64; neither candidate
+        # finds them to a residual within the tolerance (Aberth's read
+        # 7.8e-4, the eigenvalues put them at 0).
+        f = MonicPolynomial((1.0, 0.0, 2.0))
+        with pytest.raises(BracketError, match=r"p = 64\.0 cannot be certified"):
             auto_onset(f, "max")
 
     def test_auto_onset_degree_beyond_the_root_finder(self):
