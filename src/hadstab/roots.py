@@ -19,15 +19,17 @@ Residuals are scaled backward errors, so clusters of near-multiple roots
 degrade per-root accuracy without breaking the certificate.
 
 Aberth sweeps only the roots still moving (Bini & Fiorentino, Numer.
-Algorithms 23, 2000).  A root is frozen for good once its own step passes
-the test 1e-14 (1 + max|z|), and a row settles when no root is left moving.
-A row whose Newton polygon is one edge starts at the n-th roots of one
-number, whose pairwise sums sum_j 1 / (z_i - z_j) are (n - 1) / (2 z_i)
+Algorithms 23, 2000), and every stopping test reads a root against its own
+modulus, not the row's largest, so the small roots of a badly scaled row are
+not frozen at the scale of its large ones.  A root is frozen for good once
+its step is within 1e-14 (1 + |z_i|), and a row settles when no root is left
+moving.  A row whose Newton polygon is one edge starts at the n-th roots of
+one number, whose pairwise sums sum_j 1 / (z_i - z_j) are (n - 1) / (2 z_i)
 exactly, so its first sweep takes them in closed form.  A row also settles
 on its Newton steps w_i = p / p', without its pairwise sums, once they
 contract quadratically: with S_i the modulus of root i's pairwise sum at
 the row's last full sweep, z_i - w_i lies about |w_i|^2 S_i from the root,
-so the row settles there when that is at most 1e-16 (1 + max|z|), every
+so the row settles there when each is at most 1e-16 (1 + |z_i|), every
 |w_i| S_i is at most 1e-3 (the step is in Newton's quadratic range) and
 max|w| has shrunk 1000-fold since the previous sweep (steps that are noise
 at rounding level do not shrink so).  From sweep ``_ROUNDING_SWEEP`` on, a
@@ -59,8 +61,8 @@ the table's derivative can fall to rounding level and throw a root out of
 the cluster.
 
 Polynomials of one degree are solved as a batch of coefficient rows
-(``find_root_rows``): the Aberth sweeps go through the rows one at a time,
-each with its own moving roots, the eigenvalues come from one stacked
+(``find_root_rows``): Aberth sweeps each row from its start to its end
+before the next (``_sweep_row``), the eigenvalues come from one stacked
 ``(k, n, n)`` solve, and the residuals of all rows are computed together.
 Every step is elementwise per row, a matrix product of the same shape for
 every row, or a row's own sweep, so a row's result does not depend on the
@@ -395,37 +397,89 @@ def _values_and_slopes(pd: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.matmul(pd, V.swapaxes(0, -2))
 
 
+def _sweep_row(pd: np.ndarray, rounding: np.ndarray, z: np.ndarray, one: bool) -> bool:
+    """``_aberth`` on one row, from its start points ``z``, updated in place,
+    to its end; ``pd`` and ``rounding`` are the row's slices of its arrays,
+    and ``one`` its one-edge flag.  Returns whether the row settled."""
+    n = z.size
+    ws = _scratch((2 * n + 1) * n)
+    table, pairs = ws[: (n + 1) * n], ws[(n + 1) * n :]
+    act = index = np.arange(n)  # the roots still moving
+    full = None  # after a full sweep: max|w| and each active root's S_i
+    for sweep in range(_MAX_SWEEPS):
+        za, m = z[act], act.size
+        V = _powers(za, n, table)
+        pv, dpv = _values_and_slopes(pd, V)
+        if np.count_nonzero(dpv) < m:
+            z[act] = za + np.where(dpv == 0, 1e-8 * (1 + np.abs(za)), 0.0)
+            full = None
+            continue
+        w = pv / dpv
+        size = np.abs(w)
+        step = size.max()
+        if full is not None and step <= 1e-3 * full[0]:
+            reach = size * full[1]  # |w_i| S_i
+            if reach.max() <= 1e-3 and (reach * size <= 1e-16 * (1.0 + np.abs(za))).all():
+                z[act] = za - w
+                return True
+        if sweep == 0 and one:  # the n-th roots of one number
+            denom = (0.5 * (n - 1)) / za
+        else:
+            diff = np.subtract(za[:, None], z, out=pairs[: m * n].reshape(m, n))
+            diff[index[:m], act] = np.inf
+            denom = np.reciprocal(diff, out=diff).sum(axis=1)
+        sums = np.abs(denom)
+        np.multiply(w, denom, out=denom)
+        np.subtract(1.0, denom, out=denom)
+        denom[denom == 0] = 1e-30
+        delta = w / denom
+        za -= delta
+        z[act] = za
+        modulus = np.abs(za)
+        if not math.isfinite(modulus.max()):  # a NaN or inf iterate never settles
+            return False
+        moving = np.abs(delta) > 1e-14 * (1.0 + modulus)
+        if not np.count_nonzero(moving):
+            return True
+        if sweep >= _ROUNDING_SWEEP and (
+            np.abs(pv[moving]) <= rounding @ np.abs(V[:, moving])
+        ).any():
+            return False  # at rounding level
+        act, full = act[moving], (step, sums[moving])
+    return False
+
+
 def _aberth(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ehrlich-Aberth sweeps on every row of ascending coefficients, each
     sweeping only its active roots (Bini & Fiorentino, Numer. Algorithms 23,
     2000).
 
-    A sweep of a row takes p and p' at its active roots from one power table
-    and one matrix product (``_values_and_slopes``), and each active root's
-    pairwise sum sum_j 1 / (z_i - z_j) over all n roots of its row as
-    reciprocals taken in place; on sweep 0 of a row whose Newton polygon is
-    one edge (``_start``), whose points are the n-th roots of one number,
-    as (n - 1) / (2 z_i) instead.  A root leaves the active set for good
-    once its step is within 1e-14 (1 + max|z|) of the row.  On a sweep after
-    a full one, a row settles on its Newton steps w_i = p / p', applying
-    z_i - w_i without its pairwise sums, when max|w| has shrunk at least
-    1000-fold since that sweep and, with S_i the modulus of root i's
-    pairwise sum there, every |w_i| S_i is at most 1e-3 and every |w_i|^2
-    S_i, the predicted distance of z_i - w_i from the root, is at most
-    1e-16 (1 + max|z|).  The contraction is tested first, so a sweep that
-    cannot settle pays one comparison for it.  From sweep
-    ``_ROUNDING_SWEEP`` on (counting from 0), a row stops unsettled once
-    some root still active has |p(z_i)| within 4 (n + 1) eps
-    sum_k |a_k| |z_i|^k, the rounding level of p: the point may be far from
-    a root of an ill-conditioned row, and the row's later steps would not
-    settle it.  A row stops unsettled once an iterate is not finite: from a
-    NaN or infinity every later step is NaN.  A row with a vanishing
-    derivative at an active root nudges those roots and skips the sweep.
-    Rows are swept one at a time, so a row's bits do not depend on the rows
-    solved with it.  The power table and the pairwise block of a sweep are
-    written into the thread's workspace (``_scratch``).  Returns the (k, n)
-    iterates, the last one for a row that did not settle, and a (k,) mask
-    of the rows that settled: those left with no active root.
+    The start points (``_start``), the coefficients of p and p' and the
+    rounding bound are built for the whole batch; then each row is swept to
+    its end before the next (``_sweep_row``), so a row's bits do not depend
+    on the rows solved with it.  A sweep of a row takes p and p' at its
+    active roots from one power table and one matrix product
+    (``_values_and_slopes``), and each active root's pairwise sum
+    sum_j 1 / (z_i - z_j) over all n roots of its row as reciprocals taken
+    in place; on sweep 0 of a row whose Newton polygon is one edge, as
+    (n - 1) / (2 z_i) instead.  Each test reads a root against its own
+    modulus.  A root leaves the active set for good once its step is within
+    1e-14 (1 + |z_i|).  On a sweep after a full one, a row settles on its
+    Newton steps w_i = p / p', applying z_i - w_i without its pairwise sums,
+    when max|w| has shrunk at least 1000-fold since that sweep and, with S_i
+    the modulus of root i's pairwise sum there, every |w_i| S_i is at most
+    1e-3 and every |w_i|^2 S_i, the predicted distance of z_i - w_i from the
+    root, is at most 1e-16 (1 + |z_i|).  The contraction is tested
+    first, so a sweep that cannot settle pays one comparison for it.  From
+    sweep ``_ROUNDING_SWEEP`` on (counting from 0), a row stops unsettled
+    once some root still active has |p(z_i)| within the rounding level of p,
+    4 (n + 1) eps sum_k |a_k| |z_i|^k.  A row stops unsettled once an
+    updated root is not finite: from a NaN or infinity every later step is
+    NaN.  A row with a vanishing derivative at an active root nudges those
+    roots and skips the sweep.  The power table and the pairwise block of a
+    sweep are written into the thread's workspace (``_scratch``).  Returns
+    the (k, n) iterates, the last one for a row that did not settle, and a
+    (k,) mask of the rows that settled: those left with no active root.
     """
     k, n = asc.shape[0], asc.shape[1] - 1
     if n == 1:
@@ -436,67 +490,7 @@ def _aberth(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Coefficients of the rounding bound 4 (n + 1) eps sum_k |a_k| |z|^k.
     rounding = 4 * (n + 1) * np.finfo(float).eps * np.abs(asc)
     z, one = _start(asc)
-    settled = np.zeros(k, dtype=bool)
-    index = np.arange(n)
-    active = dict.fromkeys(range(k), index)  # the roots still moving per row
-    # Per row, from its previous sweep if that was a full one, else None:
-    # max|z|, max|w| and each active root's |sum_j 1 / (z_i - z_j)|.
-    full = [None] * k
-    # The power table, then the block of pairwise terms.
-    ws = _scratch((2 * n + 1) * n)
-    table, pairs = ws[: (n + 1) * n], ws[(n + 1) * n :]
-    for sweep in range(_MAX_SWEEPS):
-        for r, act in list(active.items()):
-            zr = z[r]
-            za, m = zr[act], act.size
-            V = _powers(za, n, table)
-            pv, dpv = _values_and_slopes(pd[r], V)
-            if not dpv.all():
-                zr[act] = za + np.where(dpv == 0, 1e-8 * (1 + np.abs(za)), 0.0)
-                full[r] = None
-                continue
-            w = pv / dpv
-            size = np.abs(w)
-            step = size.max()
-            if full[r] is not None and step <= 1e-3 * full[r][1]:
-                top, _, sums = full[r]
-                reach = size * sums  # |w_i| S_i
-                if reach.max() <= 1e-3 and (reach * size).max() <= 1e-16 * (1.0 + top):
-                    zr[act] = za - w
-                    del active[r]
-                    settled[r] = True
-                    continue
-            if sweep == 0 and one[r]:  # the n-th roots of one number
-                denom = (0.5 * (n - 1)) / za
-            else:
-                diff = np.subtract(za[:, None], zr, out=pairs[: m * n].reshape(m, n))
-                diff[index[:m], act] = np.inf
-                denom = np.reciprocal(diff, out=diff).sum(axis=1)
-            sums = np.abs(denom)
-            np.multiply(w, denom, out=denom)
-            np.subtract(1.0, denom, out=denom)
-            denom[denom == 0] = 1e-30
-            delta = w / denom
-            zr[act] = za - delta
-            top = np.abs(zr).max()
-            if not math.isfinite(top):  # a NaN or inf iterate never settles
-                del active[r]
-                continue
-            moving = np.abs(delta) > 1e-14 * (1.0 + top)
-            if not moving.any():
-                del active[r]
-                settled[r] = True
-            elif sweep >= _ROUNDING_SWEEP and (
-                np.abs(pv[moving]) <= rounding[r] @ np.abs(V[:, moving])
-            ).any():
-                del active[r]  # at rounding level: left unsettled
-            elif not moving.all():
-                active[r] = act[moving]
-                sums = sums[moving]
-            full[r] = top, step, sums
-        if not active:
-            break
-    return z, settled
+    return z, np.array([_sweep_row(*row) for row in zip(pd, rounding, z, one)], dtype=bool)
 
 
 def _eigenvalues(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -522,6 +516,10 @@ def _eigenvalues(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     desc[1:, 1] = (asc.T[:0:-1] * np.arange(n, 0, -1)[:, None])[:, :, None]
     # A zero derivative gives a step that is not finite, which the test
     # rejects, as it rejects steps that blow up (multiple-root clusters).
+    # Three steps keep every dyadic cluster (s - (1 +- 2^-e))^k, e = 2..9, at
+    # the status of its exact roots but (s - (1 - 2^-7))^7: with one step
+    # (s - (1 - 2^-6))^8 read Unstable (1.00209583280677), and with none
+    # (s - (1 - 2^-8))^6 did too (1.0004001367752249).
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(3):
             pv, dpv = _horner_pair(desc, z)

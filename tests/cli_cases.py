@@ -122,6 +122,8 @@ DEGREE_33 = '{"degree": 33, "coeffs": [[0.7, 0], ' + "[0, 0], " * 31 + "[0.9, 0]
 DEGREE_1030 = json.dumps({"degree": 1030, "coeffs": [[0.0005, 0]] * 1030})
 # s^256 - 17 s^255 + 0.5: its root near 17 has |z|^256 beyond the float range.
 R17 = json.dumps({"degree": 256, "coeffs": [[0.5, 0]] + [[0, 0]] * 254 + [[-17, 0]]})
+# s^3 + 2^64 s^2 + 1: two roots near +-2^-32 i beside one near -2^64.
+SCALED = json.dumps({"degree": 3, "coeffs": [[1, 0], [0, 0], [2**64, 0]]})
 # Example 1's f at p = 27/8: the principal branch alone, and member 0 of
 # --all-branches, print this object.
 PRINCIPAL_27_8 = {
@@ -343,6 +345,16 @@ CASES = [
     Case(
         "analyze-root-beyond-the-power-range", "analyze --poly {tmp}/r17.json", {"r17.json": R17},
         out={"status": "Unstable", "max_modulus": 17.0, "roots": Length(256)},
+    ),
+    # Root moduli 29 orders apart certify: Aberth tests each root's step
+    # against its own modulus, so the small pair is not frozen at the scale
+    # of the large root.
+    Case(
+        "analyze-badly-scaled-row", "analyze --poly {tmp}/scaled.json", {"scaled.json": SCALED},
+        out={
+            "status": "Unstable", "max_modulus": 1.84467440737e+19,
+            "roots": [[0.0, 2.32830643654e-10], [0.0, -2.32830643654e-10], [-1.84467440737e+19, 0.0]],
+        },
     ),
     # C(1030, 515) is beyond the float range: --szego at degree 1030 is an
     # input error naming the degree; without it, root finding refuses it.

@@ -454,12 +454,14 @@ class TestExactOnset:
 
     def test_auto_onset_uncertifiable_stable_end(self):
         # A unit modulus keeps Theorem 1 from applying, so the stable end
-        # doubles from 64.  At p = 64 the row s^3 + 2^64 s^2 + 1 has two
-        # roots near +-2^-32 i beside one near -2^64; neither candidate
-        # finds them to a residual within the tolerance (Aberth's read
-        # 7.8e-4, the eigenvalues put them at 0).
+        # doubles from 64.  At p = 64 the row s^3 + 2^64 s^2 + 1 certifies;
+        # at p = 128 the row s^3 + 2^128 s^2 + 1 has two roots near
+        # +-2^-64 i beside one near -2^128, and neither candidate finds them
+        # to a residual within the tolerance (Aberth's stopping tests, set
+        # by 1 + |z_i|, end their steps far above their modulus, and read
+        # 7.8e-4; the eigenvalues put them at 0).
         f = MonicPolynomial((1.0, 0.0, 2.0))
-        with pytest.raises(BracketError, match=r"p = 64\.0 cannot be certified"):
+        with pytest.raises(BracketError, match=r"p = 128\.0 cannot be certified"):
             auto_onset(f, "max")
 
     def test_auto_onset_degree_beyond_the_root_finder(self):
